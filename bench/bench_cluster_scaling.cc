@@ -69,14 +69,11 @@ struct PhaseResult {
   size_t failures = 0;
 };
 
-/// Replays `mix` through an async submit function (node or cluster),
+/// Replays `mix` through a frontend's SubmitAsync (node or cluster),
 /// recording per-request latency locally; wall spans first submit to
 /// last completion.
-PhaseResult RunPhase(
-    const std::function<bool(const std::string&,
-                             std::function<void(serving::ServeResult)>)>&
-        submit,
-    const std::vector<std::string>& mix) {
+PhaseResult RunPhase(serving::Frontend* frontend,
+                     const std::vector<std::string>& mix) {
   PhaseResult out;
   serving::LatencyHistogram hist;
   std::mutex mu;
@@ -88,16 +85,17 @@ PhaseResult RunPhase(
   util::WallTimer timer;
   for (const std::string& query : mix) {
     auto enqueue = std::chrono::steady_clock::now();
-    bool ok = submit(query, [&, enqueue](serving::ServeResult r) {
-      auto now = std::chrono::steady_clock::now();
-      hist.Record(std::chrono::duration_cast<std::chrono::microseconds>(
-                      now - enqueue)
-                      .count());
-      if (!r.ok) failures.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      cv.notify_one();
-    });
+    bool ok = frontend->SubmitAsync(
+        serving::Request(query), [&, enqueue](serving::Response r) {
+          auto now = std::chrono::steady_clock::now();
+          hist.Record(std::chrono::duration_cast<std::chrono::microseconds>(
+                          now - enqueue)
+                          .count());
+          if (!r.ok) failures.fetch_add(1, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(mu);
+          ++done;
+          cv.notify_one();
+        });
     if (ok) {
       ++accepted;
     } else {
@@ -125,7 +123,9 @@ size_t CountMismatches(
     const std::map<std::string, std::vector<DocId>>& references) {
   size_t mismatches = 0;
   for (const auto& [query, reference] : references) {
-    if (cl->Serve(query).ranking != reference) ++mismatches;
+    if (cl->Submit(serving::Request(query)).ranking != reference) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }
@@ -176,16 +176,12 @@ int main(int argc, char** argv) {
   serving::ServingNode single(&full_store, &testbed, base.node);
   std::map<std::string, std::vector<DocId>> references;
   for (const std::string& query : distinct) {
-    references[query] = single.Serve(query).ranking;
+    references[query] = single.Submit(serving::Request(query)).ranking;
   }
   std::printf("replaying %zu requests (skew %.2f, %zu distinct) on %u "
               "hardware threads...\n",
               num_requests, skew, distinct.size(), hw);
-  PhaseResult single_phase = RunPhase(
-      [&](const std::string& q, std::function<void(serving::ServeResult)> cb) {
-        return single.Submit(q, std::move(cb));
-      },
-      mix);
+  PhaseResult single_phase = RunPhase(&single, mix);
 
   // ---- shard sweep ----------------------------------------------------
   bench::BenchJsonWriter json("cluster_scaling");
@@ -243,12 +239,7 @@ int main(int argc, char** argv) {
       }
     }
     size_t mismatches = CountMismatches(&cl, references);
-    PhaseResult phase = RunPhase(
-        [&](const std::string& q,
-            std::function<void(serving::ServeResult)> cb) {
-          return cl.Submit(q, std::move(cb));
-        },
-        mix);
+    PhaseResult phase = RunPhase(&cl, mix);
     cluster::ClusterStats cs = cl.Stats();
     uint64_t sum_completed = 0;
     for (const auto& s : cs.per_shard) sum_completed += s.completed;

@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
     serving::ServingNode local(&store, &testbed, config);
     size_t reference_failures = 0;
     serving::ReplaySequential(
-        static_cast<serving::Frontend*>(&local), mix, nullptr,
-        [&](size_t i, const serving::ServeResult& r) {
+        &local, mix, nullptr,
+        [&](size_t i, const serving::Response& r) {
           if (!r.ok) {
             ++reference_failures;
             return;
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     // remote clients implement — local and remote replays are the same
     // code path by construction.
     serving::ReplayOutcome out =
-        serving::ReplayMix(static_cast<serving::Frontend*>(&local), mix);
+        serving::ReplayMix(&local, mix);
     if (out.accepted != mix.size()) {
       std::fprintf(stderr, "FATAL: in-process replay shed %zu requests\n",
                    mix.size() - out.accepted);

@@ -71,16 +71,17 @@ PhaseResult RunPhase(serving::ServingNode* node,
   util::WallTimer timer;
   for (const std::string& query : mix) {
     auto enqueue = std::chrono::steady_clock::now();
-    bool ok = node->Submit(query, [&, enqueue](serving::ServeResult r) {
-      auto now = std::chrono::steady_clock::now();
-      hist.Record(std::chrono::duration_cast<std::chrono::microseconds>(
-                      now - enqueue)
-                      .count());
-      if (!r.ok) failures.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      cv.notify_one();
-    });
+    bool ok = node->SubmitAsync(
+        serving::Request(query), [&, enqueue](serving::Response r) {
+          auto now = std::chrono::steady_clock::now();
+          hist.Record(std::chrono::duration_cast<std::chrono::microseconds>(
+                          now - enqueue)
+                          .count());
+          if (!r.ok) failures.fetch_add(1, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(mu);
+          ++done;
+          cv.notify_one();
+        });
     if (ok) {
       ++accepted;
     } else {
@@ -171,8 +172,9 @@ int main(int argc, char** argv) {
   size_t plan_served = 0;
   std::vector<std::vector<DocId>> references(stored_keys.size());
   for (size_t i = 0; i < stored_keys.size(); ++i) {
-    serving::ServeResult cold = cold_node.Serve(stored_keys[i]);
-    serving::ServeResult fast = compiled_node.Serve(stored_keys[i]);
+    serving::Response cold = cold_node.Submit(serving::Request(stored_keys[i]));
+    serving::Response fast =
+        compiled_node.Submit(serving::Request(stored_keys[i]));
     references[i] = fast.ranking;
     if (cold.ranking != fast.ranking) ++mismatches;
     if (fast.plan_served) ++plan_served;
@@ -211,7 +213,8 @@ int main(int argc, char** argv) {
   size_t reload_mismatches = 0;
   size_t reload_plan_served = 0;
   for (size_t i = 0; i < stored_keys.size(); ++i) {
-    serving::ServeResult r = compiled_node.Serve(stored_keys[i]);
+    serving::Response r =
+        compiled_node.Submit(serving::Request(stored_keys[i]));
     if (r.plan_served) ++reload_plan_served;
     if (stored_keys[i] == dirty_key) continue;  // legitimately changed
     if (r.ranking != references[i]) ++reload_mismatches;

@@ -146,9 +146,9 @@ void CheckCacheBitIdentity(const store::DiversificationStore* store,
   config.enable_cache = false;
   serving::ServingNode uncached(store, testbed, config);
   for (const std::string& q : distinct) {
-    serving::ServeResult cold = cached.Serve(q);
-    serving::ServeResult warm = cached.Serve(q);
-    serving::ServeResult direct = uncached.Serve(q);
+    serving::Response cold = cached.Submit(serving::Request(q));
+    serving::Response warm = cached.Submit(serving::Request(q));
+    serving::Response direct = uncached.Submit(serving::Request(q));
     if (cold.ranking != direct.ranking || warm.ranking != direct.ranking) {
       std::fprintf(stderr, "FATAL: cached ranking diverged for '%s'\n",
                    q.c_str());

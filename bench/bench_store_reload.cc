@@ -104,20 +104,21 @@ PhaseResult RunPhase(serving::ServingNode* node,
   for (const std::string& query : mix) {
     bool is_pinned = query == pinned;
     auto enqueue = std::chrono::steady_clock::now();
-    bool ok = node->Submit(query, [&, is_pinned,
-                                   enqueue](serving::ServeResult r) {
-      auto now = std::chrono::steady_clock::now();
-      hist.Record(std::chrono::duration_cast<std::chrono::microseconds>(
-                      now - enqueue)
-                      .count());
-      if (!r.ok) failures.fetch_add(1, std::memory_order_relaxed);
-      if (is_pinned && r.ranking != pinned_reference) {
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      cv.notify_one();
-    });
+    bool ok = node->SubmitAsync(
+        serving::Request(query),
+        [&, is_pinned, enqueue](serving::Response r) {
+          auto now = std::chrono::steady_clock::now();
+          hist.Record(std::chrono::duration_cast<std::chrono::microseconds>(
+                          now - enqueue)
+                          .count());
+          if (!r.ok) failures.fetch_add(1, std::memory_order_relaxed);
+          if (is_pinned && r.ranking != pinned_reference) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          ++done;
+          cv.notify_one();
+        });
     if (ok) {
       ++accepted;
     } else {
@@ -292,7 +293,8 @@ int main(int argc, char** argv) {
                             &testbed.searcher(), &testbed.snippets(),
                             &testbed.analyzer(), &testbed.corpus().store,
                             config);
-  std::vector<DocId> pinned_reference = node.Serve(pinned_key).ranking;
+  std::vector<DocId> pinned_reference =
+      node.Submit(serving::Request(pinned_key)).ranking;
 
   std::printf("replaying %zu requests, swap every %d ms...\n", num_requests,
               swap_period_ms);

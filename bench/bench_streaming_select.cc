@@ -57,9 +57,8 @@ SequentialRun RunSequential(const store::DiversificationStore* store,
                             serving::ServingConfig config,
                             const std::vector<std::string>& mix) {
   serving::ServingNode node(store, testbed, config);
-  serving::ReplayOutcome out = serving::ReplaySequential(
-      [&](const std::string& query) { return node.Serve(query); }, mix,
-      nullptr, nullptr);
+  serving::ReplayOutcome out =
+      serving::ReplaySequential(&node, mix, nullptr, nullptr);
   SequentialRun r;
   r.wall_ms = out.wall_ms;
   r.qps = out.qps;
@@ -126,8 +125,8 @@ int main(int argc, char** argv) {
                                       materialized_config);
     size_t streamed = 0;
     for (const std::string& q : distinct) {
-      serving::ServeResult s = streaming.Serve(q);
-      serving::ServeResult m = materialized.Serve(q);
+      serving::Response s = streaming.Submit(serving::Request(q));
+      serving::Response m = materialized.Submit(serving::Request(q));
       if (s.ranking != m.ranking || s.diversified != m.diversified) {
         std::fprintf(stderr, "FATAL: streaming ranking diverged for '%s'\n",
                      q.c_str());

@@ -128,11 +128,8 @@ ChaosReport RunChaosOnCluster(ShardedCluster& cluster,
   };
 
   serving::ReplayOutcome replay = serving::ReplaySequential(
-      [&](const std::string& query) {
-        return cluster.ServeWithFailover(query);
-      },
-      mix, apply_due,
-      [&](size_t i, const serving::ServeResult& result) {
+      &cluster, mix, apply_due,
+      [&](size_t i, const serving::Response& result) {
         ChaosRequestOutcome& outcome = report.outcomes[i];
         outcome.answered = result.ok;
         outcome.degraded = result.degraded;
@@ -140,6 +137,7 @@ ChaosReport RunChaosOnCluster(ShardedCluster& cluster,
         outcome.ranking_hash = RankingHash(result.ranking);
         if (!result.ok) ++report.dropped;
         if (result.degraded) ++report.degraded;
+        if (result.streaming_served) ++report.streaming_served;
       });
   report.wall_ms = replay.wall_ms;
   report.qps = replay.qps;
@@ -149,9 +147,6 @@ ChaosReport RunChaosOnCluster(ShardedCluster& cluster,
   cluster.Shutdown();
   report.transitions = cluster.router().breaker_transitions();
   report.router = cluster.router().stats();
-  for (size_t i = 0; i < cluster.num_shards(); ++i) {
-    report.streaming_served += cluster.shard(i)->Stats().streaming_served;
-  }
   if (tracer != nullptr) {
     report.traces = tracer->Recent();
     report.trace_breakers = tracer->breaker_events();
@@ -235,7 +230,8 @@ std::unordered_map<std::string, uint64_t> BuildPassthroughHashes(
   std::unordered_map<std::string, uint64_t> hashes;
   for (const std::string& query : mix) {
     if (hashes.count(query) > 0) continue;
-    hashes[query] = RankingHash(plain.Serve(query).ranking);
+    hashes[query] =
+        RankingHash(plain.Submit(serving::Request(query)).ranking);
   }
   return hashes;
 }

@@ -1,14 +1,14 @@
 // Deterministic chaos scenarios for the fault-tolerant cluster.
 //
 // A chaos run replays a seeded Zipf query mix through
-// ShardedCluster::ServeWithFailover, strictly one request at a time,
-// while a request-indexed schedule kills, revives, and slows shards
-// through their ScriptedFaultInjectors. Because every moving part is
-// keyed on counts — the mix on its RNG seed, the schedule on request
-// indices, breaker probing on skipped decisions — two runs of the same
-// scenario produce the *same* request outcomes and the *same* breaker
-// transition log, which turns "does failover work?" into an equality
-// assertion instead of a soak test:
+// ShardedCluster::Submit (the router's failover path), strictly one
+// request at a time, while a request-indexed schedule kills, revives,
+// and slows shards through their ScriptedFaultInjectors. Because every
+// moving part is keyed on counts — the mix on its RNG seed, the
+// schedule on request indices, breaker probing on skipped decisions —
+// two runs of the same scenario produce the *same* request outcomes and
+// the *same* breaker transition log, which turns "does failover work?"
+// into an equality assertion instead of a soak test:
 //
 //   1. zero dropped requests while >= 1 shard is dead mid-run;
 //   2. every non-degraded answer bit-identical to a no-fault run of the
@@ -22,13 +22,6 @@
 // a hedge race — replicas are bit-identical, so the outcome vector
 // (answered / degraded / diversified / ranking hash) is unaffected; the
 // hedged flag is reported as an aggregate count, never compared.
-//
-// Requires a build with the fault-injection hooks compiled in
-// (serving::FaultInjectionCompiledIn()) — *callers* must check: with
-// the hooks compiled out the schedule cannot take effect, so
-// RunChaosScenario would return a plain no-fault replay that then
-// fails verification confusingly. The chaos CLI and the tests both
-// gate on FaultInjectionCompiledIn() before running.
 //
 // Used by `optselect chaos` (tools/optselect_cli.cc) and by
 // tests/fault_injection_test.cc.
@@ -121,10 +114,13 @@ struct ChaosReport {
   RouterStats router;
   size_t dropped = 0;
   size_t degraded = 0;
-  /// Requests answered through the shards' streaming cold path, summed
-  /// across shards after shutdown. Zero when every stored query serves
-  /// off a compiled plan (plans preempt the cold path) — run a scenario
-  /// on a plans-off store to exercise streaming under chaos.
+  /// Answers whose ranking the streaming cold path computed, counted
+  /// from the responses. Not the shards' own counters: a hedge launched
+  /// on wall time computes its request a second time on another
+  /// replica, so those sums differ between same-seed runs. Zero when
+  /// every stored query serves off a compiled plan (plans preempt the
+  /// cold path) — run a scenario on a plans-off store to exercise
+  /// streaming under chaos.
   uint64_t streaming_served = 0;
   double wall_ms = 0.0;
   double qps = 0.0;
@@ -156,8 +152,7 @@ std::vector<ChaosEvent> DefaultChaosSchedule(size_t requests,
 /// Runs one scenario: builds a fresh cluster over `full_store`, installs
 /// one ScriptedFaultInjector per shard, and replays the mix sequentially
 /// while applying the schedule. The cluster is torn down before
-/// returning. Check serving::FaultInjectionCompiledIn() first — with
-/// the hooks compiled out the returned report would be a plain replay.
+/// returning.
 ChaosReport RunChaosScenario(const store::DiversificationStore& full_store,
                              const pipeline::Testbed* testbed,
                              const querylog::PopularityMap* popularity,

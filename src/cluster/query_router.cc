@@ -23,18 +23,18 @@ const char* BreakerStateName(BreakerState state) {
   return "?";
 }
 
-QueryRouter::QueryRouter(std::vector<serving::ServingNode*> shards,
+QueryRouter::QueryRouter(std::vector<serving::Frontend*> endpoints,
                          std::unordered_set<std::string> replicated,
                          FailoverConfig failover,
                          obs::MetricsRegistry* registry)
-    : shards_(std::move(shards)),
+    : endpoints_(std::move(endpoints)),
       replicated_(std::move(replicated)),
       failover_(failover),
       owned_registry_(registry == nullptr
                           ? std::make_unique<obs::MetricsRegistry>()
                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
-      health_(shards_.size()) {
+      health_(endpoints_.size()) {
   if (failover_.breaker_threshold == 0) failover_.breaker_threshold = 1;
   if (failover_.breaker_probe_after == 0) failover_.breaker_probe_after = 1;
   RegisterMetrics();
@@ -57,11 +57,8 @@ void QueryRouter::RegisterMetrics() {
   replicated_routed_ =
       registry_->AddCounter("optselect_router_replicated_routed_total");
   routed_ = registry_->AddCounter("optselect_router_routed_total");
-  batches_ = registry_->AddCounter("optselect_router_batches_total");
-  batch_requests_ =
-      registry_->AddCounter("optselect_router_batch_requests_total");
-  per_shard_.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
+  per_shard_.reserve(endpoints_.size());
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
     per_shard_.push_back(registry_->AddCounter(
         "optselect_router_shard_routed_total",
         obs::Labels{{"shard", std::to_string(i)}}));
@@ -81,7 +78,7 @@ void QueryRouter::RegisterMetrics() {
 
 size_t QueryRouter::OwnerOf(std::string_view raw_query) const {
   return store::ShardFilter::OwnerShard(serving::NormalizeQuery(raw_query),
-                                        shards_.size());
+                                        endpoints_.size());
 }
 
 bool QueryRouter::IsReplicated(std::string_view raw_query) const {
@@ -94,49 +91,20 @@ size_t QueryRouter::Route(std::string_view raw_query) {
   if (replicated_.count(normalized) > 0) {
     shard = static_cast<size_t>(
         round_robin_.fetch_add(1, std::memory_order_relaxed) %
-        shards_.size());
+        endpoints_.size());
     replicated_routed_->Add();
   } else {
-    shard = store::ShardFilter::OwnerShard(normalized, shards_.size());
+    shard = store::ShardFilter::OwnerShard(normalized, endpoints_.size());
   }
   routed_->Add();
   per_shard_[shard]->Add();
   return shard;
 }
 
-serving::ServeResult QueryRouter::Serve(const std::string& query) {
-  return shards_[Route(query)]->Serve(query);
-}
-
-bool QueryRouter::Submit(
-    std::string query, std::function<void(serving::ServeResult)> callback) {
-  serving::ServingNode* shard = shards_[Route(query)];
-  return shard->Submit(std::move(query), std::move(callback));
-}
-
-std::vector<serving::ServeResult> QueryRouter::ServeBatch(
-    const std::vector<std::string>& queries) {
-  batches_->Add();
-  batch_requests_->Add(queries.size());
-
-  std::vector<serving::ServeResult> results(queries.size());
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;
-  size_t accepted = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    serving::ServingNode* shard = shards_[Route(queries[i])];
-    bool ok = shard->Submit(queries[i], [&, i](serving::ServeResult r) {
-      std::lock_guard<std::mutex> lock(mu);
-      results[i] = std::move(r);
-      ++done;
-      cv.notify_one();
-    });
-    if (ok) ++accepted;  // shed requests keep the default ok == false
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done == accepted; });
-  return results;
+bool QueryRouter::SubmitAsync(
+    serving::Request request, std::function<void(serving::Response)> callback) {
+  serving::Frontend* endpoint = endpoints_[Route(request.query)];
+  return endpoint->SubmitAsync(std::move(request), std::move(callback));
 }
 
 // ------------------------------------------------------- failure domains
@@ -176,11 +144,6 @@ std::vector<BreakerTransition> QueryRouter::breaker_transitions() const {
   std::lock_guard<std::mutex> lock(health_mu_);
   return std::vector<BreakerTransition>(transitions_.begin(),
                                         transitions_.end());
-}
-
-bool QueryRouter::BreakerClosed(size_t shard) const {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  return health_[shard].state == BreakerState::kClosed;
 }
 
 bool QueryRouter::AllowAttempt(size_t shard) {
@@ -234,9 +197,10 @@ void QueryRouter::RecordOutcome(size_t shard, bool ok) {
 }
 
 QueryRouter::Attempt QueryRouter::AttemptOn(size_t shard,
-                                            const std::string& query,
+                                            const serving::Request& request,
                                             size_t hedge_shard) {
-  // Shared between this thread and up to two shard-worker callbacks;
+  // Shared between this thread and up to two endpoint callbacks (which
+  // run on a node's worker thread, or inline for a remote client);
   // shared_ptr so a hedge straggler that answers after we returned
   // still has somewhere safe to write.
   struct State {
@@ -245,7 +209,7 @@ QueryRouter::Attempt QueryRouter::AttemptOn(size_t shard,
     size_t pending = 0;
     bool have = false;
     size_t winner = kNoShard;
-    serving::ServeResult result;
+    serving::Response result;
   };
   auto state = std::make_shared<State>();
 
@@ -259,8 +223,8 @@ QueryRouter::Attempt QueryRouter::AttemptOn(size_t shard,
       std::lock_guard<std::mutex> lock(state->mu);
       ++state->pending;
     }
-    bool accepted = shards_[target]->Submit(
-        query, [this, state, target, record](serving::ServeResult r) {
+    bool accepted = endpoints_[target]->SubmitAsync(
+        request, [this, state, target, record](serving::Response r) {
           // Breaker first, state lock second — RecordOutcome never
           // nests inside state->mu, so lock order is single-level.
           if (record) RecordOutcome(target, r.ok);
@@ -319,10 +283,10 @@ QueryRouter::Attempt QueryRouter::AttemptOn(size_t shard,
   return attempt;
 }
 
-serving::ServeResult QueryRouter::ServeWithFailover(
-    const std::string& query) {
+serving::Response QueryRouter::Submit(const serving::Request& request) {
   failover_serves_->Add();
-  const size_t n = shards_.size();
+  const std::string& query = request.query;
+  const size_t n = endpoints_.size();
   const std::string normalized = serving::NormalizeQuery(query);
   const bool replicated = replicated_.count(normalized) > 0;
   const size_t owner = store::ShardFilter::OwnerShard(normalized, n);
@@ -347,7 +311,7 @@ serving::ServeResult QueryRouter::ServeWithFailover(
 #else
   obs::Trace* tr = nullptr;
 #endif
-  auto commit = [&](const serving::ServeResult& result) {
+  auto commit = [&](const serving::Response& result) {
 #if OPTSELECT_TRACING
     if (tr != nullptr) {
       tr->ok = result.ok;
@@ -384,8 +348,8 @@ serving::ServeResult QueryRouter::ServeWithFailover(
   std::vector<char> is_holder(n, 0);
   for (size_t shard : holders) is_holder[shard] = 1;
   size_t attempts = 0;
-  auto finish = [&](serving::ServeResult result,
-                    size_t shard) -> serving::ServeResult {
+  auto finish = [&](serving::Response result,
+                    size_t shard) -> serving::Response {
     routed_->Add();
     per_shard_[shard]->Add();
     if (attempts > 1) retried_->Add();
@@ -401,7 +365,8 @@ serving::ServeResult QueryRouter::ServeWithFailover(
     size_t hedge = kNoShard;
     if (failover_.hedging && replicated) {
       for (size_t j = idx + 1; j < holders.size(); ++j) {
-        if (!attempted[holders[j]] && BreakerClosed(holders[j])) {
+        if (!attempted[holders[j]] &&
+            shard_state(holders[j]) == BreakerState::kClosed) {
           hedge = holders[j];
           break;
         }
@@ -410,7 +375,7 @@ serving::ServeResult QueryRouter::ServeWithFailover(
     attempted[shard] = 1;
     ++attempts;
     obs::TraceSpan attempt_span(tr, obs::TraceStage::kAttempt, shard);
-    Attempt attempt = AttemptOn(shard, query, hedge);
+    Attempt attempt = AttemptOn(shard, request, hedge);
     attempt_span.End();
 #if OPTSELECT_TRACING
     // Hedge launches depend on wall time; the event is narrative only
@@ -446,7 +411,7 @@ serving::ServeResult QueryRouter::ServeWithFailover(
       attempted[shard] = 1;
       ++attempts;
       obs::TraceSpan failover_span(tr, obs::TraceStage::kFailover, shard);
-      Attempt attempt = AttemptOn(shard, query, kNoShard);
+      Attempt attempt = AttemptOn(shard, request, kNoShard);
       failover_span.End();
       if (attempt.ok) {
         if (!is_holder[shard]) {
@@ -461,7 +426,7 @@ serving::ServeResult QueryRouter::ServeWithFailover(
   // Nothing in the cluster answered.
   dropped_->Add();
   routed_->Add();
-  serving::ServeResult failed;  // ok == false
+  serving::Response failed;  // ok == false
   commit(failed);
   return failed;
 }
@@ -480,8 +445,6 @@ RouterStats QueryRouter::stats() const {
   s.failover_serves = failover_serves_->value();
   s.replicated_routed = replicated_routed_->value();
   s.routed = routed_->value();
-  s.batches = batches_->value();
-  s.batch_requests = batch_requests_->value();
   {
     std::lock_guard<std::mutex> lock(health_mu_);
     s.probes = probes_;

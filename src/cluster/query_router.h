@@ -1,13 +1,14 @@
-// Fan-out front end of the sharded serving cluster.
+// The fault-tolerant router over N shard endpoints — in-process
+// `ServingNode`s (ShardedCluster) or remote `net::RemoteClient`s (the
+// `chaos --net` fleet); both are `serving::Frontend`s, so one router
+// serves either:
 //
-// A QueryRouter owns no data — it holds non-owning pointers to N
-// `ServingNode` shards and decides, per request, which shard answers:
-//
-//   single query ──> normalize ──> owner shard (FNV-1a hash mod N)
-//                          └─(hot, replicated on every shard)─> round-
-//                            robin across shards (load spreading)
-//   batch ──> route each query ──> per-shard async fan-out ──> gather
-//             (results return in the caller's input order)
+//   Submit      ──> normalize ──> holders of the key, breaker-gated,
+//                   hedged ──(every holder down)──> any live endpoint,
+//                   answer tagged `degraded`
+//   SubmitAsync ──> normalize ──> owner endpoint (FNV-1a hash mod N)
+//                          └─(hot, replicated on every endpoint)─> round-
+//                            robin across endpoints (load spreading)
 //
 // Hot queries are the head of the Zipf traffic distribution: pinning
 // them to their hash owner would melt one shard while the others idle,
@@ -22,23 +23,25 @@
 // hash: any shard computes the identical plain DPH ranking, and hashing
 // keeps their per-shard result caches disjoint.
 //
-// Failure domains (ServeWithFailover): the router additionally tracks
-// per-shard health with a consecutive-failure circuit breaker
+// Failure domains (Submit): the router tracks per-endpoint health with
+// a consecutive-failure circuit breaker
 //
 //        failures >= threshold           probe fails
 //   Closed ───────────────────> Open <─────────────── Half-open
 //     ^                           │  probe_after skipped decisions
 //     └── any successful answer ──┴─────────────────> Half-open
 //
-// and answers every request from the best shard still standing: the
+// and answers every request from the best endpoint still standing: the
 // owner (or, for replicated keys, the round-robin replica set, with a
 // hedged re-issue on the next replica when the first is slow), then —
-// when every holder of the key is down — any live shard, whose
+// when every holder of the key is down — any live endpoint, whose
 // passthrough DPH ranking is returned tagged `degraded` rather than
 // erroring. Breaker probing is *count*-based (skipped decisions, not
 // wall time), so a scripted failure schedule replays to bit-identical
 // breaker transitions — the property the chaos harness
-// (cluster/chaos.h) asserts.
+// (cluster/chaos.h) asserts. For a remote endpoint the half-open probe
+// is also the reconnect point: a RemoteClient redials on the first
+// Submit after its connection died.
 
 #ifndef OPTSELECT_CLUSTER_QUERY_ROUTER_H_
 #define OPTSELECT_CLUSTER_QUERY_ROUTER_H_
@@ -57,12 +60,12 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serving/serving_node.h"
+#include "serving/frontend.h"
 
 namespace optselect {
 namespace cluster {
 
-/// Per-shard circuit breaker state (see the header diagram).
+/// Per-endpoint circuit breaker state (see the header diagram).
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 /// Human-readable state name ("closed" / "open" / "half-open").
@@ -85,12 +88,14 @@ inline bool operator==(const BreakerTransition& a,
          a.to == b.to;
 }
 
-/// Fault-tolerance knobs for ServeWithFailover.
+/// Fault-tolerance knobs for the failover path (QueryRouter::Submit).
 struct FailoverConfig {
-  /// Consecutive failed attempts that trip a shard's breaker open.
+  /// Consecutive failed attempts that trip an endpoint's breaker open
+  /// (0 clamps to 1).
   size_t breaker_threshold = 3;
-  /// Routing decisions skipped past an open shard before one probe
-  /// request is let through (count-based, so replays are deterministic).
+  /// Routing decisions skipped past an open endpoint before one probe
+  /// request is let through (count-based, so replays are deterministic;
+  /// 0 clamps to 1).
   size_t breaker_probe_after = 8;
   /// Hedged retries: when the first replica of a *replicated* key has
   /// not answered within hedge_delay, re-issue the request on the next
@@ -100,88 +105,78 @@ struct FailoverConfig {
   std::chrono::microseconds hedge_delay{2000};
 };
 
-/// Router-level counters (shard pick distribution + batch shape).
+/// Router-level counters (endpoint pick distribution + failover).
 struct RouterStats {
   uint64_t routed = 0;             ///< single routing decisions made
   uint64_t replicated_routed = 0;  ///< of those, spread round-robin
-  uint64_t batches = 0;            ///< ServeBatch calls
-  uint64_t batch_requests = 0;     ///< requests fanned out via batches
-  std::vector<uint64_t> per_shard; ///< decisions landing on each shard
-  // --- ServeWithFailover ----------------------------------------------
-  uint64_t failover_serves = 0;    ///< ServeWithFailover calls
+  std::vector<uint64_t> per_shard; ///< decisions landing on each endpoint
+  // --- failover path (Submit) -----------------------------------------
+  uint64_t failover_serves = 0;    ///< Submit calls
   uint64_t retried = 0;            ///< of those, needed > 1 attempt
   uint64_t degraded = 0;           ///< answered off-holder, tagged
-  uint64_t dropped = 0;            ///< no shard answered (ok == false)
+  uint64_t dropped = 0;            ///< no endpoint answered (ok == false)
   uint64_t hedges_launched = 0;    ///< hedge re-issues submitted
   uint64_t hedges_won = 0;         ///< answers taken from the hedge
   uint64_t probes = 0;             ///< half-open probe admissions
-  uint64_t breaker_opens = 0;      ///< transitions into kOpen
+  uint64_t breaker_opens = 0;      ///< transitions into kOpen (trips and
+                                   ///< failed-probe re-opens)
 };
 
-/// Routes requests across a fixed set of shards. Thread-safe: routing
-/// state is one atomic round-robin cursor plus relaxed counters.
-class QueryRouter {
+/// Routes requests across a fixed set of shard endpoints. Thread-safe:
+/// routing state is one atomic round-robin cursor plus counters; breaker
+/// state sits under one lock.
+class QueryRouter final : public serving::Frontend {
  public:
-  /// `shards` are non-owned and must outlive the router — and, because
-  /// failover callbacks touch router state from shard worker threads,
-  /// every shard must be Shutdown() (drained) before the router is
-  /// destroyed (ShardedCluster guarantees this). `replicated` holds the
-  /// normalized keys every shard carries (may be empty). `registry` is
-  /// where the router registers its counters (non-owned; the cluster
-  /// passes its shared registry) — null makes the router create a
-  /// private one, reachable via metrics().
-  QueryRouter(std::vector<serving::ServingNode*> shards,
-              std::unordered_set<std::string> replicated,
+  /// `endpoints` are non-owned and must outlive the router — and,
+  /// because attempt callbacks touch router state from endpoint threads,
+  /// every in-process endpoint must be drained (ServingNode::Shutdown)
+  /// before the router is destroyed (ShardedCluster guarantees this).
+  /// `replicated` holds the normalized keys every endpoint carries (may
+  /// be empty). `registry` is where the router registers its counters
+  /// (non-owned; the cluster passes its shared registry) — null makes
+  /// the router create a private one, reachable via metrics().
+  QueryRouter(std::vector<serving::Frontend*> endpoints,
+              std::unordered_set<std::string> replicated = {},
               FailoverConfig failover = FailoverConfig(),
               obs::MetricsRegistry* registry = nullptr);
 
   QueryRouter(const QueryRouter&) = delete;
   QueryRouter& operator=(const QueryRouter&) = delete;
 
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return endpoints_.size(); }
 
-  /// The shard that *owns* the query's normalized key (pure hash — no
-  /// replication, no counters). Two routers with the same shard count
-  /// always agree on this.
+  /// The endpoint that *owns* the query's normalized key (pure hash —
+  /// no replication, no counters). Two routers with the same endpoint
+  /// count always agree on this, in process or across the wire.
   size_t OwnerOf(std::string_view raw_query) const;
 
-  /// True when the query's normalized key is replicated on every shard.
+  /// True when the query's normalized key is replicated everywhere.
   bool IsReplicated(std::string_view raw_query) const;
 
-  /// One dispatch decision: the owner shard, or — for replicated keys —
-  /// the next shard round-robin. Bumps the routing counters; callers
+  /// One dispatch decision: the owner, or — for replicated keys — the
+  /// next endpoint round-robin. Bumps the routing counters; callers
   /// that only want to *inspect* ownership use OwnerOf.
   size_t Route(std::string_view raw_query);
 
-  /// Synchronous single query: route, then block on the shard's Serve
-  /// (backpressure on a full shard queue, exactly like a single node).
-  serving::ServeResult Serve(const std::string& query);
+  /// Frontend: fault-tolerant blocking request (see the header
+  /// diagram): attempts the key's holders healthy-first with breaker
+  /// gating and hedged retries, falls back to a `degraded`-tagged
+  /// passthrough from any live endpoint when every holder is down, and
+  /// returns ok == false only when *no* endpoint answered. Every
+  /// first-class attempt outcome feeds the per-endpoint breakers; hedge
+  /// submissions do not — hedges fire on wall time, and health state
+  /// must stay a pure function of the request sequence so scripted
+  /// replays are deterministic.
+  serving::Response Submit(const serving::Request& request) override;
 
-  /// Asynchronous single query: route, then the shard's Submit. False ⇒
-  /// that shard shed the request (its queue is full or it is shut
-  /// down); the callback never fires.
-  bool Submit(std::string query,
-              std::function<void(serving::ServeResult)> callback);
+  /// Frontend: the hash-routed fast path — Route, then the endpoint's
+  /// own SubmitAsync. No breakers, no failover: false ⇒ that endpoint
+  /// shed the request (queue full / shut down); the callback never
+  /// fires.
+  bool SubmitAsync(serving::Request request,
+                   std::function<void(serving::Response)> callback) override;
 
-  /// Fans a multi-query batch out to the owning shards via their async
-  /// APIs and gathers the answers. Results align index-for-index with
-  /// `queries`; a request shed by its shard yields `ok == false` at its
-  /// position (count them via RouterStats vs ServingStats::rejected).
-  std::vector<serving::ServeResult> ServeBatch(
-      const std::vector<std::string>& queries);
-
-  /// Fault-tolerant single query (see the header diagram): attempts the
-  /// key's holders healthy-first with breaker gating and hedged
-  /// retries, falls back to a `degraded`-tagged passthrough from any
-  /// live shard when every holder is down, and returns ok == false only
-  /// when *no* shard in the cluster answered. Every first-class attempt
-  /// outcome feeds the per-shard breakers; hedge submissions do not —
-  /// hedges fire on wall time, and health state must stay a pure
-  /// function of the request sequence so scripted replays are
-  /// deterministic. Blocking (waits for an answer).
-  serving::ServeResult ServeWithFailover(const std::string& query);
-
-  /// The shard's current breaker state.
+  /// The endpoint's current breaker state.
   BreakerState shard_state(size_t shard) const;
 
   /// The breaker transition log, in order (copied). Bounded: a
@@ -191,14 +186,12 @@ class QueryRouter {
   /// never hit the cap.
   std::vector<BreakerTransition> breaker_transitions() const;
 
-  /// Retention bound of the transition log — a flapping shard under
+  /// Retention bound of the transition log — a flapping endpoint under
   /// production traffic transitions forever; the log is observability,
   /// not an unbounded ledger.
   static constexpr size_t kMaxBreakerTransitions = 8192;
 
-  const FailoverConfig& failover_config() const { return failover_; }
-
-  /// Installs (or clears) a tracer: ServeWithFailover samples requests
+  /// Installs (or clears) a tracer: Submit samples requests
   /// (deterministic 1-in-N on its own sequence counter) and records
   /// attempt / hedge / degraded-failover hops, and *every* breaker
   /// transition is mirrored into the tracer's breaker log — the chaos
@@ -222,32 +215,30 @@ class QueryRouter {
  private:
   static constexpr size_t kNoShard = static_cast<size_t>(-1);
 
-  /// One submit-and-wait against a shard, optionally hedged onto
+  /// One submit-and-wait against an endpoint, optionally hedged onto
   /// `hedge_shard` when the first answer is slower than hedge_delay.
   /// The primary's outcome feeds the breakers; the hedge's never does
-  /// (see ServeWithFailover). ok == false when every submission was
-  /// rejected or answered with a failure.
+  /// (see Submit). ok == false when every submission was rejected or
+  /// answered with a failure.
   struct Attempt {
     bool ok = false;
     bool hedge_used = false;  ///< the hedge submission was launched
-    serving::ServeResult result;
+    serving::Response result;
   };
-  Attempt AttemptOn(size_t shard, const std::string& query,
+  Attempt AttemptOn(size_t shard, const serving::Request& request,
                     size_t hedge_shard);
 
-  /// Breaker gate for one routing decision. Closed/half-open shards are
-  /// admitted; an open shard skips breaker_probe_after decisions, then
-  /// the next one is admitted as the half-open probe.
+  /// Breaker gate for one routing decision. Closed/half-open endpoints
+  /// are admitted; an open one skips breaker_probe_after decisions,
+  /// then the next one is admitted as the half-open probe.
   bool AllowAttempt(size_t shard);
-  /// True when the shard's breaker is closed (no side effects).
-  bool BreakerClosed(size_t shard) const;
-  /// Feeds one attempt outcome into the shard's breaker.
+  /// Feeds one attempt outcome into the endpoint's breaker.
   void RecordOutcome(size_t shard, bool ok);
 
   /// Registers every router counter into registry_ (ctor).
   void RegisterMetrics();
 
-  std::vector<serving::ServingNode*> shards_;
+  std::vector<serving::Frontend*> endpoints_;
   std::unordered_set<std::string> replicated_;
   FailoverConfig failover_;
   /// Private registry when the ctor got none; declared before the
@@ -260,8 +251,6 @@ class QueryRouter {
   // cause — see RegisterMetrics).
   obs::Counter* routed_ = nullptr;
   obs::Counter* replicated_routed_ = nullptr;
-  obs::Counter* batches_ = nullptr;
-  obs::Counter* batch_requests_ = nullptr;
   obs::Counter* failover_serves_ = nullptr;
   obs::Counter* retried_ = nullptr;
   obs::Counter* degraded_ = nullptr;
@@ -271,11 +260,11 @@ class QueryRouter {
   std::vector<obs::Counter*> per_shard_;
 
   std::atomic<obs::Tracer*> tracer_{nullptr};
-  /// ServeWithFailover sequence numbers for deterministic sampling.
+  /// Submit sequence numbers for deterministic sampling.
   std::atomic<uint64_t> trace_seq_{0};
 
-  /// Per-shard breaker state + transition log, one lock: health updates
-  /// are tiny and the failover path is not the throughput path.
+  /// Per-endpoint breaker state + transition log, one lock: health
+  /// updates are tiny and the failover path is not the throughput path.
   struct ShardHealth {
     BreakerState state = BreakerState::kClosed;
     size_t consecutive_failures = 0;

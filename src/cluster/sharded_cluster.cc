@@ -53,14 +53,27 @@ std::vector<std::string> HottestStoredKeys(
 void ShardedCluster::Init(
     const std::function<std::shared_ptr<const store::StoreSnapshot>(
         const store::ShardFilter&)>& make_snapshot,
+    const std::function<std::vector<std::string>(size_t)>& hottest_keys,
     const index::Searcher* searcher, const index::SnippetExtractor* snippets,
     const text::Analyzer* analyzer, const corpus::DocumentStore* documents,
-    std::unordered_set<std::string> replicated, const ClusterConfig& config) {
+    const querylog::PopularityMap* popularity, const ClusterConfig& config) {
+  owned_registry_ = config.registry == nullptr
+                        ? std::make_unique<obs::MetricsRegistry>()
+                        : nullptr;
+  registry_ =
+      config.registry != nullptr ? config.registry : owned_registry_.get();
   const size_t n = std::max<size_t>(1, config.num_shards);
+  // Replication only spreads load when there is more than one shard to
+  // spread it over.
+  if (config.replicate_hot > 0 && popularity != nullptr && n > 1) {
+    replicated_keys_ = hottest_keys(config.replicate_hot);
+  }
+  std::unordered_set<std::string> replicated(replicated_keys_.begin(),
+                                             replicated_keys_.end());
   filters_.reserve(n);
   shards_.reserve(n);
-  std::vector<serving::ServingNode*> raw_shards;
-  raw_shards.reserve(n);
+  std::vector<serving::Frontend*> endpoints;
+  endpoints.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     store::ShardFilter filter;
     filter.num_shards = n;
@@ -73,10 +86,10 @@ void ShardedCluster::Init(
         make_snapshot(filter), searcher, snippets, analyzer, documents,
         node_config));
     filters_.push_back(std::move(filter));
-    raw_shards.push_back(shards_.back().get());
+    endpoints.push_back(shards_.back().get());
   }
   router_ = std::make_unique<QueryRouter>(
-      std::move(raw_shards), std::move(replicated), config.failover,
+      std::move(endpoints), std::move(replicated), config.failover,
       registry_);
 }
 
@@ -87,25 +100,12 @@ ShardedCluster::ShardedCluster(const store::DiversificationStore& full_store,
                                const corpus::DocumentStore* documents,
                                const querylog::PopularityMap* popularity,
                                ClusterConfig config) {
-  owned_registry_ = config.registry == nullptr
-                        ? std::make_unique<obs::MetricsRegistry>()
-                        : nullptr;
-  registry_ =
-      config.registry != nullptr ? config.registry : owned_registry_.get();
-  const size_t n = std::max<size_t>(1, config.num_shards);
-  std::unordered_set<std::string> replicated;
-  // Replication only spreads load when there is more than one shard to
-  // spread it over.
-  if (config.replicate_hot > 0 && popularity != nullptr && n > 1) {
-    replicated_keys_ =
-        HottestStoredKeys(full_store, *popularity, config.replicate_hot);
-    replicated.insert(replicated_keys_.begin(), replicated_keys_.end());
-  }
   Init(
       [&full_store](const store::ShardFilter& filter) {
         return store::StoreSnapshot::Own(SplitStore(full_store, filter));
       },
-      searcher, snippets, analyzer, documents, std::move(replicated), config);
+      [&](size_t k) { return HottestStoredKeys(full_store, *popularity, k); },
+      searcher, snippets, analyzer, documents, popularity, config);
 }
 
 ShardedCluster::ShardedCluster(
@@ -113,18 +113,6 @@ ShardedCluster::ShardedCluster(
     const index::Searcher* searcher, const index::SnippetExtractor* snippets,
     const text::Analyzer* analyzer, const corpus::DocumentStore* documents,
     const querylog::PopularityMap* popularity, ClusterConfig config) {
-  owned_registry_ = config.registry == nullptr
-                        ? std::make_unique<obs::MetricsRegistry>()
-                        : nullptr;
-  registry_ =
-      config.registry != nullptr ? config.registry : owned_registry_.get();
-  const size_t n = std::max<size_t>(1, config.num_shards);
-  std::unordered_set<std::string> replicated;
-  if (config.replicate_hot > 0 && popularity != nullptr && n > 1) {
-    replicated_keys_ =
-        HottestStoredKeys(*mapped_store, *popularity, config.replicate_hot);
-    replicated.insert(replicated_keys_.begin(), replicated_keys_.end());
-  }
   // Every shard is a key-filtered view over the one shared mapping; the
   // ShardFilter is copied into the view's keep-predicate so the filters_
   // vector and the snapshots never disagree.
@@ -135,7 +123,10 @@ ShardedCluster::ShardedCluster(
               return copy.Keeps(key);
             });
       },
-      searcher, snippets, analyzer, documents, std::move(replicated), config);
+      [&](size_t k) {
+        return HottestStoredKeys(*mapped_store, *popularity, k);
+      },
+      searcher, snippets, analyzer, documents, popularity, config);
 }
 
 ShardedCluster::ShardedCluster(const store::DiversificationStore& full_store,
@@ -155,29 +146,6 @@ void ShardedCluster::Shutdown() {
 void ShardedCluster::set_tracer(obs::Tracer* tracer) {
   router_->set_tracer(tracer);
   for (auto& shard : shards_) shard->set_tracer(tracer);
-}
-
-serving::Response ShardedCluster::Submit(const serving::Request& request) {
-  return router_->ServeWithFailover(request.query);
-}
-
-bool ShardedCluster::SubmitAsync(
-    serving::Request request, std::function<void(serving::Response)> callback) {
-  return router_->Submit(std::move(request.query), std::move(callback));
-}
-
-serving::ServeResult ShardedCluster::Serve(const std::string& query) {
-  return router_->Serve(query);
-}
-
-std::vector<serving::ServeResult> ShardedCluster::ServeBatch(
-    const std::vector<std::string>& queries) {
-  return router_->ServeBatch(queries);
-}
-
-serving::ServeResult ShardedCluster::ServeWithFailover(
-    const std::string& query) {
-  return router_->ServeWithFailover(query);
 }
 
 ShardedCluster::ApplyOutcome ShardedCluster::ApplyDelta(

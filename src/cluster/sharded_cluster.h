@@ -14,10 +14,10 @@
 //       full store ──SplitStore──> store₀  store₁ … store_{N-1}
 //                                    │       │         │
 //   request ──> QueryRouter ──────> node₀   node₁ …  node_{N-1}
-//      │   (hash owner; hot keys      │       │         │
-//      │    round-robin over the      └───────┴────┬────┘
-//      │    replicas)                       ClusterStats
-//      └─ batch: fan out + gather        (summed counters +
+//         (hash owner; hot keys       │       │         │
+//          round-robin over the       └───────┴────┬────┘
+//          replicas; failover on            ClusterStats
+//          blocking Submit)              (summed counters +
 //                                         merged histograms)
 //
 // The top `replicate_hot` hottest *stored* queries (by PopularityMap
@@ -40,6 +40,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cluster/query_router.h"
@@ -62,7 +63,7 @@ struct ClusterConfig {
   /// round-robin load spreading (0 disables; needs a PopularityMap).
   size_t replicate_hot = 0;
   /// Breaker + hedging knobs for the fault-tolerant serving path
-  /// (QueryRouter::ServeWithFailover).
+  /// (QueryRouter::Submit).
   FailoverConfig failover;
   /// Per-shard serving configuration (queue, workers, cache, params) —
   /// every shard is configured identically, like a homogeneous fleet.
@@ -83,10 +84,11 @@ struct ClusterStats {
   RouterStats router;
 };
 
-/// N independent serving shards behind one router. Implements the
-/// unified serving::Frontend contract: blocking Submit takes the
-/// fault-tolerant failover path (the production answer path), async
-/// SubmitAsync takes the router's hash-routed fast path.
+/// N independent serving shards behind one QueryRouter. Implements the
+/// unified serving::Frontend contract by forwarding to the router:
+/// blocking Submit takes the fault-tolerant failover path (the
+/// production answer path), async SubmitAsync the hash-routed fast
+/// path.
 class ShardedCluster : public serving::Frontend {
  public:
   /// Carves `full_store` into per-shard stores and starts one node per
@@ -130,33 +132,17 @@ class ShardedCluster : public serving::Frontend {
   ~ShardedCluster() override;
 
   /// Frontend: blocking request through the fault-tolerant path
-  /// (breakers, hedging, degraded fallback) — same as ServeWithFailover.
-  serving::Response Submit(const serving::Request& request) override;
+  /// (breakers, hedging, degraded fallback) — QueryRouter::Submit.
+  serving::Response Submit(const serving::Request& request) override {
+    return router_->Submit(request);
+  }
 
   /// Frontend: async request on the router's hash-routed fast path
   /// (load shedding; false ⇒ shed, callback never fires).
   bool SubmitAsync(serving::Request request,
-                   std::function<void(serving::Response)> callback) override;
-
-  /// Deprecated shim: single query through the router (blocking,
-  /// backpressure, no failover) — the pre-Frontend fast path.
-  serving::ServeResult Serve(const std::string& query);
-
-  /// Deprecated shim for SubmitAsync (old callback-submit signature).
-  bool Submit(std::string query,
-              std::function<void(serving::ServeResult)> callback) {
-    return SubmitAsync(serving::Request(std::move(query)),
-                       std::move(callback));
+                   std::function<void(serving::Response)> callback) override {
+    return router_->SubmitAsync(std::move(request), std::move(callback));
   }
-
-  /// Multi-query fan-out + gather; see QueryRouter::ServeBatch.
-  std::vector<serving::ServeResult> ServeBatch(
-      const std::vector<std::string>& queries);
-
-  /// Fault-tolerant single query: breaker-gated holder attempts, hedged
-  /// retries on slow replicas, degraded passthrough fallback when every
-  /// holder of the key is down. See QueryRouter::ServeWithFailover.
-  serving::ServeResult ServeWithFailover(const std::string& query);
 
   /// Stops admission on every shard and drains them. Idempotent.
   void Shutdown();
@@ -209,16 +195,19 @@ class ShardedCluster : public serving::Frontend {
   ClusterStats Stats() const;
 
  private:
-  /// Shared construction tail: builds filters, nodes (snapshots come
-  /// from `make_snapshot`, letting heap and mapped ctors differ only in
-  /// backing) and the router. `replicated` is the hot-replication set.
+  /// Shared construction: registry, hot-replication set, filters,
+  /// nodes and the router. Heap and mapped ctors differ only in backing:
+  /// `make_snapshot` builds a shard's snapshot, `hottest_keys(k)` ranks
+  /// the store's k hottest keys.
   void Init(const std::function<std::shared_ptr<const store::StoreSnapshot>(
                 const store::ShardFilter&)>& make_snapshot,
+            const std::function<std::vector<std::string>(size_t)>&
+                hottest_keys,
             const index::Searcher* searcher,
             const index::SnippetExtractor* snippets,
             const text::Analyzer* analyzer,
             const corpus::DocumentStore* documents,
-            std::unordered_set<std::string> replicated,
+            const querylog::PopularityMap* popularity,
             const ClusterConfig& config);
 
   // Declared before the shards and router so it outlives them: both

@@ -8,10 +8,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
-
-#include "serving/cache_key.h"
-#include "store/store_builder.h"
 
 namespace optselect {
 namespace net {
@@ -56,6 +54,12 @@ RemoteClient::~RemoteClient() { Close(); }
 bool RemoteClient::Connect(const std::string& host, uint16_t port) {
   std::lock_guard<std::mutex> lock(mu_);
   CloseLocked();
+  host_ = host;
+  port_ = port;
+  return ConnectLocked();
+}
+
+bool RemoteClient::ConnectLocked() {
   int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     last_error_ = "socket(): " + std::string(strerror(errno));
@@ -63,9 +67,9 @@ bool RemoteClient::Connect(const std::string& host, uint16_t port) {
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    last_error_ = "bad host: " + host;
+  addr.sin_port = htons(port_);
+  if (inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
+    last_error_ = "bad host: " + host_;
     close(fd);
     return false;
   }
@@ -85,6 +89,7 @@ bool RemoteClient::Connect(const std::string& host, uint16_t port) {
 void RemoteClient::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   CloseLocked();
+  host_.clear();
 }
 
 void RemoteClient::CloseLocked() {
@@ -138,8 +143,13 @@ serving::Response RemoteClient::Submit(const serving::Request& request) {
   std::lock_guard<std::mutex> lock(mu_);
   serving::Response failed;  // ok == false
   if (fd_ < 0) {
-    last_error_ = "not connected";
-    return failed;
+    // The connection died (or never came up): redial the endpoint.
+    if (host_.empty()) {
+      last_error_ = "not connected";
+      return failed;
+    }
+    if (!ConnectLocked()) return failed;
+    ++reconnects_;
   }
   serving::Request wire_request = request;
   if (wire_request.id == 0) wire_request.id = next_id_++;
@@ -226,184 +236,6 @@ std::vector<serving::Response> RemoteClient::SubmitPipelined(
   }
   if (dead) CloseLocked();  // unanswered tail stays ok == false
   return responses;
-}
-
-const char* EndpointStateName(EndpointState state) {
-  switch (state) {
-    case EndpointState::kClosed:
-      return "closed";
-    case EndpointState::kOpen:
-      return "open";
-    case EndpointState::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
-RemoteFrontend::RemoteFrontend(std::vector<Endpoint> endpoints,
-                               RemoteFrontendConfig config)
-    : endpoints_(std::move(endpoints)),
-      config_(config),
-      health_(endpoints_.size()) {
-  clients_.reserve(endpoints_.size());
-  for (size_t i = 0; i < endpoints_.size(); ++i) {
-    clients_.push_back(std::make_unique<RemoteClient>());
-  }
-  if (config_.registry != nullptr) {
-    obs::MetricsRegistry* reg = config_.registry;
-    // Effect before cause, same discipline as the in-process router.
-    reg->AddCounterFn("remote_degraded_total", {}, [this] {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      return counters_.degraded;
-    });
-    reg->AddCounterFn("remote_dropped_total", {}, [this] {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      return counters_.dropped;
-    });
-    reg->AddCounterFn("remote_breaker_opens_total", {}, [this] {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      return counters_.breaker_opens;
-    });
-    reg->AddCounterFn("remote_reconnects_total", {}, [this] {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      return counters_.reconnects;
-    });
-    reg->AddCounterFn("remote_serves_total", {}, [this] {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      return counters_.serves;
-    });
-  }
-}
-
-RemoteFrontend::~RemoteFrontend() = default;
-
-size_t RemoteFrontend::OwnerOf(const std::string& query) const {
-  return store::ShardFilter::OwnerShard(serving::NormalizeQuery(query),
-                                        endpoints_.size());
-}
-
-EndpointState RemoteFrontend::endpoint_state(size_t i) const {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  return health_[i].state;
-}
-
-RemoteFrontendStats RemoteFrontend::stats() const {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  return counters_;
-}
-
-void RemoteFrontend::DisconnectEndpoint(size_t i) { clients_[i]->Close(); }
-
-bool RemoteFrontend::AllowAttempt(size_t i) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  EndpointHealth& health = health_[i];
-  switch (health.state) {
-    case EndpointState::kClosed:
-    case EndpointState::kHalfOpen:
-      return true;
-    case EndpointState::kOpen:
-      // Count-based, strictly-greater: identical to the in-process
-      // router, so replays are deterministic.
-      if (++health.skips_while_open > config_.breaker_probe_after) {
-        health.state = EndpointState::kHalfOpen;
-        health.skips_while_open = 0;
-        ++counters_.probes;
-        return true;
-      }
-      return false;
-  }
-  return true;
-}
-
-void RemoteFrontend::RecordOutcome(size_t i, bool ok) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  EndpointHealth& health = health_[i];
-  if (ok) {
-    health.consecutive_failures = 0;
-    health.state = EndpointState::kClosed;
-    return;
-  }
-  ++health.consecutive_failures;
-  if (health.state == EndpointState::kHalfOpen) {
-    health.state = EndpointState::kOpen;
-    health.skips_while_open = 0;
-  } else if (health.state == EndpointState::kClosed &&
-             health.consecutive_failures >= config_.breaker_threshold) {
-    health.state = EndpointState::kOpen;
-    health.skips_while_open = 0;
-    ++counters_.breaker_opens;
-  }
-}
-
-serving::Response RemoteFrontend::AttemptOn(size_t i,
-                                            const serving::Request& request) {
-  RemoteClient* client = clients_[i].get();
-  if (!client->connected()) {
-    if (!client->Connect(endpoints_[i].host, endpoints_[i].port)) {
-      serving::Response failed;
-      return failed;
-    }
-    std::lock_guard<std::mutex> lock(health_mu_);
-    ++counters_.reconnects;
-  }
-  return client->Submit(request);
-}
-
-serving::Response RemoteFrontend::Submit(const serving::Request& request) {
-  const size_t n = endpoints_.size();
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    ++counters_.serves;
-  }
-  const size_t owner = OwnerOf(request.query);
-  std::vector<char> attempted(n, 0);
-  size_t attempts = 0;
-  auto finish = [&](serving::Response response) {
-    if (attempts > 1) {
-      std::lock_guard<std::mutex> lock(health_mu_);
-      ++counters_.retried;
-    }
-    return response;
-  };
-
-  // Phase 1 — the owner, breaker-gated.
-  if (AllowAttempt(owner)) {
-    attempted[owner] = 1;
-    ++attempts;
-    serving::Response response = AttemptOn(owner, request);
-    RecordOutcome(owner, response.ok);
-    if (response.ok) return finish(std::move(response));
-  }
-
-  // Phase 2 — any live endpoint; non-owner answers are passthrough
-  // (the shard lacks the entry) and tagged degraded, per the PR 5
-  // contract. Second pass ignores open breakers rather than drop.
-  for (int respect_breaker = 1; respect_breaker >= 0; --respect_breaker) {
-    for (size_t step = 0; step < n; ++step) {
-      size_t i = (owner + 1 + step) % n;
-      if (attempted[i]) continue;
-      if (respect_breaker && !AllowAttempt(i)) continue;
-      attempted[i] = 1;
-      ++attempts;
-      serving::Response response = AttemptOn(i, request);
-      RecordOutcome(i, response.ok);
-      if (response.ok) {
-        if (i != owner) {
-          response.degraded = true;
-          std::lock_guard<std::mutex> lock(health_mu_);
-          ++counters_.degraded;
-        }
-        return finish(std::move(response));
-      }
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    ++counters_.dropped;
-  }
-  serving::Response failed;
-  return finish(failed);
 }
 
 }  // namespace net

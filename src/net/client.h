@@ -1,41 +1,29 @@
-// Client side of the wire protocol: one-connection RemoteClient and
-// the multi-endpoint RemoteFrontend router.
+// Client side of the wire protocol: RemoteClient, one TCP connection
+// to one shard server.
 //
-// RemoteClient is a blocking request/response client over one TCP
-// connection — the remote twin of calling ServingNode::Submit in
-// process. It also exposes a pipelined mode (`SubmitPipelined`) that
-// keeps a window of requests in flight and matches answers by request
-// id, since the server's worker pool may answer out of order.
+// RemoteClient is a blocking request/response client — the remote twin
+// of calling ServingNode::Submit in process. It also exposes a
+// pipelined mode (`SubmitPipelined`) that keeps a window of requests in
+// flight and matches answers by request id, since the server's worker
+// pool may answer out of order.
 //
-// RemoteFrontend is the client-side analogue of the cluster's
-// QueryRouter::ServeWithFailover over N shard *processes*: it routes
-// by the same owner hash (NormalizeQuery + ShardFilter::OwnerShard,
-// so a remote fleet and an in-process ShardedCluster pick the same
-// shard for every query), gates endpoints behind the same count-based
-// circuit breakers (threshold consecutive failures → open;
-// probe_after skipped decisions → one half-open probe, which is also
-// the reconnect point), and falls back to any live endpoint when the
-// owner is down — the non-owner shard lacks the store entry and
-// serves the plain DPH passthrough, which the frontend tags
-// `degraded`, exactly the PR 5 contract. Count-based probing keeps
-// sequential replays deterministic, which the process-level chaos
-// harness depends on.
-//
-// Both implement serving::Frontend, so the replay drivers, loadtest,
-// and chaos cannot tell remote serving from local.
+// It implements serving::Frontend, so the replay drivers, loadtest and
+// chaos cannot tell remote serving from local — and a remote fleet is
+// simply a cluster::QueryRouter over N RemoteClients: the same owner
+// hash, breakers, probing and degraded fallback as the in-process
+// ShardedCluster. A client redials its endpoint on the first Submit
+// after its connection died, so under the router the half-open breaker
+// probe is the reconnect point.
 
 #ifndef OPTSELECT_NET_CLIENT_H_
 #define OPTSELECT_NET_CLIENT_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/wire.h"
-#include "obs/metrics.h"
 #include "serving/frontend.h"
 
 namespace optselect {
@@ -65,15 +53,19 @@ class RemoteClient : public serving::Frontend {
   RemoteClient(const RemoteClient&) = delete;
   RemoteClient& operator=(const RemoteClient&) = delete;
 
-  /// Blocking connect. False on failure (reason in last_error()).
+  /// Blocking connect. False on failure (reason in last_error()). The
+  /// endpoint is remembered either way: Submit redials it whenever the
+  /// connection is down.
   bool Connect(const std::string& host, uint16_t port);
+  /// Closes the connection and forgets the endpoint (no redial).
   void Close();
-  bool connected() const { return fd_ >= 0; }
 
-  /// One blocking request/response round trip. ok == false when the
-  /// connection is down/dies mid-request, the server answers with an
-  /// error frame (shed, bad request), or the response is malformed
-  /// (connection closed in that case — the stream is unsynchronized).
+  /// One blocking request/response round trip. A dead connection is
+  /// redialed first (counted in reconnects() when the dial succeeds).
+  /// ok == false when the endpoint is unreachable, the connection dies
+  /// mid-request, the server answers with an error frame (shed, bad
+  /// request), or the response is malformed (connection closed in that
+  /// case — the stream is unsynchronized).
   serving::Response Submit(const serving::Request& request) override;
 
   /// Pipelined replay of `queries`: keeps up to `window` requests in
@@ -88,7 +80,15 @@ class RemoteClient : public serving::Frontend {
   ErrorCode last_error_code() const { return last_code_; }
   const std::string& last_error() const { return last_error_; }
 
+  /// Successful redials by Submit after the connection died (the first
+  /// Connect is not counted).
+  uint64_t reconnects() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reconnects_;
+  }
+
  private:
+  bool ConnectLocked();
   bool SendAll(const char* data, size_t size);
   /// Blocks until one frame parses (or the stream dies/poisons).
   bool ReadFrame(Frame* frame);
@@ -96,84 +96,15 @@ class RemoteClient : public serving::Frontend {
 
   mutable std::mutex mu_;
   int fd_ = -1;
+  /// The endpoint Submit redials; empty host ⇒ none (never connected,
+  /// or Close()d).
+  std::string host_;
+  uint16_t port_ = 0;
+  uint64_t reconnects_ = 0;
   uint64_t next_id_ = 1;
   FrameParser parser_;
   ErrorCode last_code_ = ErrorCode::kBadRequest;
   std::string last_error_;
-};
-
-/// Breaker + sizing knobs for RemoteFrontend (mirrors the in-process
-/// FailoverConfig; no hedging — remote answers are matched by id, and
-/// chaos determinism forbids wall-time races).
-struct RemoteFrontendConfig {
-  /// Consecutive failed attempts that trip an endpoint's breaker open.
-  size_t breaker_threshold = 3;
-  /// Routing decisions skipped past an open endpoint before one probe
-  /// (which is also when reconnection is attempted).
-  size_t breaker_probe_after = 8;
-  /// Optional registry for remote_* counters (non-owned).
-  obs::MetricsRegistry* registry = nullptr;
-};
-
-/// Per-endpoint breaker state (same machine as cluster::BreakerState;
-/// redeclared here so net/ does not depend on cluster/).
-enum class EndpointState { kClosed, kOpen, kHalfOpen };
-const char* EndpointStateName(EndpointState state);
-
-/// RemoteFrontend counters.
-struct RemoteFrontendStats {
-  uint64_t serves = 0;
-  uint64_t retried = 0;   ///< needed > 1 attempt
-  uint64_t degraded = 0;  ///< answered by a non-owner, tagged
-  uint64_t dropped = 0;   ///< no endpoint answered
-  uint64_t probes = 0;    ///< half-open probe admissions
-  uint64_t breaker_opens = 0;
-  uint64_t reconnects = 0;  ///< successful re-Connect() calls
-};
-
-/// Client-side router over N remote shard endpoints; the remote
-/// implementation of the fault-tolerant serving path.
-class RemoteFrontend : public serving::Frontend {
- public:
-  RemoteFrontend(std::vector<Endpoint> endpoints,
-                 RemoteFrontendConfig config = {});
-  ~RemoteFrontend() override;
-
-  /// Owner endpoint of `query` under the shared shard hash.
-  size_t OwnerOf(const std::string& query) const;
-
-  /// Fault-tolerant blocking request: owner first (breaker-gated),
-  /// then any live endpoint, degraded-tagging non-owner answers.
-  serving::Response Submit(const serving::Request& request) override;
-
-  size_t num_endpoints() const { return endpoints_.size(); }
-  EndpointState endpoint_state(size_t i) const;
-  RemoteFrontendStats stats() const;
-
-  /// Drops endpoint i's connection (test hook: simulates a dead shard
-  /// without OS cooperation; the next attempt will fail fast).
-  void DisconnectEndpoint(size_t i);
-
- private:
-  struct EndpointHealth {
-    EndpointState state = EndpointState::kClosed;
-    size_t consecutive_failures = 0;
-    size_t skips_while_open = 0;
-  };
-
-  bool AllowAttempt(size_t i);
-  void RecordOutcome(size_t i, bool ok);
-  /// Ensures a connection and performs one round trip; ok == false on
-  /// connect or serve failure.
-  serving::Response AttemptOn(size_t i, const serving::Request& request);
-
-  std::vector<Endpoint> endpoints_;
-  RemoteFrontendConfig config_;
-  std::vector<std::unique_ptr<RemoteClient>> clients_;
-  mutable std::mutex health_mu_;
-  std::vector<EndpointHealth> health_;
-  // Counters under health_mu_ (stats() snapshots them together).
-  RemoteFrontendStats counters_;
 };
 
 }  // namespace net

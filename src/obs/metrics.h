@@ -61,11 +61,15 @@ namespace obs {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Wait-free monotone counter. Handles are owned by the registry and
-/// stay valid for its lifetime.
+/// stay valid for its lifetime. Increments release and reads acquire:
+/// a reader that sees an effect counter's increment also sees every
+/// cause counter its writer bumped before it, which is what makes the
+/// registry's effect-before-cause read order coherent on weakly
+/// ordered CPUs (relaxed atomics give no cross-counter order on ARM).
 class Counter {
  public:
-  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_release); }
+  uint64_t value() const { return v_.load(std::memory_order_acquire); }
 
  private:
   std::atomic<uint64_t> v_{0};

@@ -89,7 +89,7 @@ struct TraceEvent {
   uint64_t detail = 0;
 };
 
-/// A completed request narrative. Outcome fields mirror ServeResult /
+/// A completed request narrative. Outcome fields mirror Response /
 /// ChaosRequestOutcome so chaos can diff traces against its report.
 struct Trace {
   uint64_t seq = 0;       ///< sampled request sequence number

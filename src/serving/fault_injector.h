@@ -5,7 +5,7 @@
 // the three boundaries where a real shard misbehaves:
 //
 //   kQueueSubmit — admission: a dead or overloaded process rejects the
-//                  request before any work happens (Submit/Serve);
+//                  request before any work happens (Submit/SubmitAsync);
 //   kStoreRead   — compute: the worker fails (or stalls) while answering
 //                  — an I/O error, a corrupted page, a GC pause;
 //   kReload      — lifecycle: a snapshot swap is refused mid-flight.
@@ -15,28 +15,14 @@
 // wall clock, no global RNG — which is what makes the chaos scenario
 // runner (src/cluster/chaos.h) reproducible from a single seed.
 //
-// Cost model: every site is guarded by OPTSELECT_FAULT_INJECTION. Debug
-// builds compile the hooks in (they are one relaxed atomic load per
-// site when no injector is installed); Release builds compile them out
-// to nothing unless configured with -DOPTSELECT_FAULT_INJECTION=ON, so
-// the production hot path pays zero cost. The injector *classes* are
-// always compiled — callers build everywhere; only the evaluation sites
-// vanish — and FaultInjectionCompiledIn() tells tests and the chaos CLI
-// whether installing one will have any effect.
+// Cost model: the sites are compiled into every build. With no
+// injector installed each site is one acquire load and a null check,
+// and a request passes two of them (admission and store read) — noise
+// next to the queue handoff — so the chaos CLI, the tests and
+// production all run the same code.
 
 #ifndef OPTSELECT_SERVING_FAULT_INJECTOR_H_
 #define OPTSELECT_SERVING_FAULT_INJECTOR_H_
-
-// Compile-time gate for the evaluation sites. Debug builds (no NDEBUG)
-// default on; optimized builds default off and opt in via the CMake
-// option OPTSELECT_FAULT_INJECTION=ON.
-#ifndef OPTSELECT_FAULT_INJECTION
-#ifdef NDEBUG
-#define OPTSELECT_FAULT_INJECTION 0
-#else
-#define OPTSELECT_FAULT_INJECTION 1
-#endif
-#endif
 
 #include <atomic>
 #include <chrono>
@@ -46,14 +32,13 @@
 namespace optselect {
 namespace serving {
 
-/// True when this build evaluates installed injectors (see header doc).
-constexpr bool FaultInjectionCompiledIn() {
-  return OPTSELECT_FAULT_INJECTION != 0;
-}
+/// Always true: every build evaluates installed injectors. Kept for
+/// the reports that print the build's configuration.
+constexpr bool FaultInjectionCompiledIn() { return true; }
 
 /// Where in the serving flow a fault is being considered.
 enum class FaultSite {
-  kQueueSubmit,  ///< admission (ServingNode::Submit / Serve)
+  kQueueSubmit,  ///< admission (ServingNode::Submit / SubmitAsync)
   kStoreRead,    ///< worker compute, before the store lookup
   kReload,       ///< ServingNode::ReloadStore
 };

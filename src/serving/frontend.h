@@ -1,11 +1,5 @@
-// The one serving contract every front end implements.
-//
-// Before this header, each serving tier exposed its own ad-hoc call
-// surface — ServingNode::Serve(query) / Submit(query, callback),
-// QueryRouter::ServeWithFailover(query), ShardedCluster's forwarding
-// trio — and every caller (REPL, replay, chaos, loadtest) picked one by
-// concrete type. `Frontend` collapses them into a single
-// request/response pair:
+// The one serving contract every front end implements: a single
+// request/response pair,
 //
 //     Request  ──> Frontend::Submit ──> Response         (blocking)
 //     Request  ──> Frontend::SubmitAsync ──> callback    (shed-aware)
@@ -13,23 +7,21 @@
 // implemented by
 //
 //   serving::ServingNode       — one node's queue + worker pool
-//   cluster::ShardedCluster    — N shards behind the fault-tolerant
-//                                QueryRouter (Submit == failover path)
+//   cluster::QueryRouter       — the fault-tolerant router over N
+//                                Frontend endpoints (Submit == failover
+//                                path, SubmitAsync == hash-routed)
+//   cluster::ShardedCluster    — N in-process nodes behind a QueryRouter
 //   net::RemoteClient          — one TCP connection speaking the wire
-//                                protocol (net/wire.h)
-//   net::RemoteFrontend        — a client-side router over N remote
-//                                shard processes
+//                                protocol (net/wire.h); a remote fleet
+//                                is a QueryRouter over RemoteClients
 //
 // so local and remote serving are interchangeable *by construction*:
-// the replay drivers, the chaos harness, and the benches accept a
+// the replay drivers, the chaos harnesses, and the benches accept a
 // Frontend and cannot tell (except through Response flags) whether the
-// answer crossed a socket. tests/frontend_test.cc and
-// bench_net_serving assert the rankings are bit-identical across
-// implementations over the same store.
-//
-// Response is the *single* result struct for the whole serving stack —
-// the historical `ServeResult` name is a deprecated alias kept for the
-// tests and call sites that pin it (see serving_node.h).
+// answer crossed a socket. tests/frontend_test.cc, tests/net_test.cc
+// and bench_net_serving assert the rankings are bit-identical across
+// implementations over the same store. Response is the single result
+// struct for the whole serving stack.
 
 #ifndef OPTSELECT_SERVING_FRONTEND_H_
 #define OPTSELECT_SERVING_FRONTEND_H_
@@ -72,7 +64,7 @@ struct Response {
   /// True when the fault-tolerant path answered from a shard that does
   /// not hold the query's store entry (dead-owner fallback): the
   /// ranking is the plain DPH top-k, not the stored diversification.
-  /// Set by QueryRouter::ServeWithFailover and net::RemoteFrontend.
+  /// Set by the failover path, QueryRouter::Submit.
   bool degraded = false;
   /// True when a hedged retry (a re-issue of a slow replicated-key
   /// request on another replica) produced this answer. Replicas are

@@ -7,28 +7,18 @@
 
 namespace optselect {
 namespace serving {
+namespace {
 
-ReplayOutcome ReplayMix(ServingNode* node,
-                        const std::vector<std::string>& mix) {
-  return ReplayMix(
-      [node](const std::string& query,
-             std::function<void(ServeResult)> callback) {
-        return node->Submit(query, std::move(callback));
-      },
-      mix);
+void Finalize(const util::WallTimer& timer, ReplayOutcome* out) {
+  out->wall_ms = timer.ElapsedMillis();
+  out->qps = out->wall_ms > 0 ? 1000.0 * static_cast<double>(out->accepted) /
+                                    out->wall_ms
+                              : 0.0;
 }
+
+}  // namespace
 
 ReplayOutcome ReplayMix(Frontend* frontend,
-                        const std::vector<std::string>& mix) {
-  return ReplayMix(
-      [frontend](const std::string& query,
-                 std::function<void(ServeResult)> callback) {
-        return frontend->SubmitAsync(Request(query), std::move(callback));
-      },
-      mix);
-}
-
-ReplayOutcome ReplayMix(const SubmitFn& submit,
                         const std::vector<std::string>& mix) {
   std::mutex mu;
   std::condition_variable cv;
@@ -37,7 +27,7 @@ ReplayOutcome ReplayMix(const SubmitFn& submit,
   util::WallTimer timer;
   ReplayOutcome out;
   for (const std::string& query : mix) {
-    if (submit(query, [&](ServeResult) {
+    if (frontend->SubmitAsync(Request(query), [&](Response) {
           std::lock_guard<std::mutex> lock(mu);
           ++done;
           cv.notify_one();
@@ -49,41 +39,24 @@ ReplayOutcome ReplayMix(const SubmitFn& submit,
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return done == out.accepted; });
   }
-  out.wall_ms = timer.ElapsedMillis();
-  out.qps = out.wall_ms > 0
-                ? 1000.0 * static_cast<double>(out.accepted) / out.wall_ms
-                : 0.0;
-  return out;
-}
-
-ReplayOutcome ReplaySequential(
-    const ServeFn& serve, const std::vector<std::string>& mix,
-    const std::function<void(size_t)>& before_request,
-    const std::function<void(size_t, const ServeResult&)>& on_result) {
-  util::WallTimer timer;
-  ReplayOutcome out;
-  for (size_t i = 0; i < mix.size(); ++i) {
-    if (before_request) before_request(i);
-    ServeResult result = serve(mix[i]);
-    ++out.accepted;  // sequential serves are never shed, only failed
-    if (on_result) on_result(i, result);
-  }
-  out.wall_ms = timer.ElapsedMillis();
-  out.qps = out.wall_ms > 0
-                ? 1000.0 * static_cast<double>(out.accepted) / out.wall_ms
-                : 0.0;
+  Finalize(timer, &out);
   return out;
 }
 
 ReplayOutcome ReplaySequential(
     Frontend* frontend, const std::vector<std::string>& mix,
     const std::function<void(size_t)>& before_request,
-    const std::function<void(size_t, const ServeResult&)>& on_result) {
-  return ReplaySequential(
-      [frontend](const std::string& query) {
-        return frontend->Submit(Request(query));
-      },
-      mix, before_request, on_result);
+    const std::function<void(size_t, const Response&)>& on_result) {
+  util::WallTimer timer;
+  ReplayOutcome out;
+  for (size_t i = 0; i < mix.size(); ++i) {
+    if (before_request) before_request(i);
+    Response result = frontend->Submit(Request(mix[i]));
+    ++out.accepted;  // sequential serves are never shed, only failed
+    if (on_result) on_result(i, result);
+  }
+  Finalize(timer, &out);
+  return out;
 }
 
 }  // namespace serving

@@ -1,7 +1,9 @@
-// Replay driver shared by the load-test surfaces (`optselect loadtest`
-// and bench_serving_throughput): submit a prepared query mix through a
-// node's async API, wait for every accepted callback, and time the
-// whole drain.
+// Replay drivers shared by the load-test surfaces (`optselect loadtest`,
+// `optselect stats`, the chaos harnesses and the benches): submit a
+// prepared query mix through any serving::Frontend — a node, a
+// cluster, or a remote client — wait for every answer, and time the
+// whole drain. Local and remote replays are the same code path by
+// construction.
 
 #ifndef OPTSELECT_SERVING_REPLAY_H_
 #define OPTSELECT_SERVING_REPLAY_H_
@@ -11,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "serving/serving_node.h"
+#include "serving/frontend.h"
 
 namespace optselect {
 namespace serving {
@@ -26,53 +28,24 @@ struct ReplayOutcome {
   double qps = 0.0;
 };
 
-/// An async request front end: submits one query, invoking the callback
-/// exactly once unless it returns false (request shed). Both
-/// ServingNode::Submit and cluster::ShardedCluster::Submit fit.
-using SubmitFn = std::function<bool(const std::string&,
-                                    std::function<void(ServeResult)>)>;
-
-/// Submits every query in `mix` (in order) and blocks until each
-/// accepted request's callback has fired. Requests shed by the bounded
-/// queue are skipped and reflected in `accepted`; size the node's
-/// queue_capacity to the mix when shedding is not intended.
-ReplayOutcome ReplayMix(ServingNode* node,
-                        const std::vector<std::string>& mix);
-
-/// Same, through any submit front end (a router / sharded cluster).
-ReplayOutcome ReplayMix(const SubmitFn& submit,
-                        const std::vector<std::string>& mix);
-
-/// Same, through the unified Frontend contract (SubmitAsync) — the one
-/// overload every serving tier satisfies: node, cluster, or a remote
-/// client speaking the wire protocol. Local and remote replays are the
-/// same code path by construction.
+/// Submits every query in `mix` (in order) through SubmitAsync and
+/// blocks until each accepted request's callback has fired. Requests
+/// shed by a bounded queue are skipped and reflected in `accepted`;
+/// size the queue_capacity to the mix when shedding is not intended.
 ReplayOutcome ReplayMix(Frontend* frontend,
                         const std::vector<std::string>& mix);
 
-/// A synchronous serving front end: one query in, one answered (or
-/// failed) result out. ServingNode::Serve, ShardedCluster::Serve, and
-/// ShardedCluster::ServeWithFailover all fit.
-using ServeFn = std::function<ServeResult(const std::string&)>;
-
-/// Strictly sequential replay: serves mix[i] only after mix[i-1] has
-/// been answered, invoking `before_request(i)` first (may be null) and
-/// `on_result(i, result)` after (may be null). One request in flight at
-/// a time means the request/outcome order is the mix order — the
-/// determinism the chaos harness (cluster/chaos.h) builds on, and the
-/// hook point where its fault schedule flips injector flags.
-ReplayOutcome ReplaySequential(
-    const ServeFn& serve, const std::vector<std::string>& mix,
-    const std::function<void(size_t)>& before_request,
-    const std::function<void(size_t, const ServeResult&)>& on_result);
-
-/// Same, through the unified Frontend contract (blocking Submit) — used
-/// by the process-level chaos harness, where the front end is a remote
-/// client router over shard processes.
+/// Strictly sequential replay through the blocking Submit: serves
+/// mix[i] only after mix[i-1] has been answered, invoking
+/// `before_request(i)` first (may be null) and `on_result(i, result)`
+/// after (may be null). One request in flight at a time means the
+/// request/outcome order is the mix order — the determinism the chaos
+/// harnesses (cluster/chaos.h, `chaos --net`) build on, and the hook
+/// point where their fault schedules act.
 ReplayOutcome ReplaySequential(
     Frontend* frontend, const std::vector<std::string>& mix,
     const std::function<void(size_t)>& before_request,
-    const std::function<void(size_t, const ServeResult&)>& on_result);
+    const std::function<void(size_t, const Response&)>& on_result);
 
 }  // namespace serving
 }  // namespace optselect

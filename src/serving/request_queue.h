@@ -1,7 +1,7 @@
 // Bounded multi-producer / multi-consumer request queue.
 //
 // The admission seam of the ServingNode: producers are client threads
-// (Serve blocks on a full queue, Submit sheds load instead), consumers
+// (Submit blocks on a full queue, SubmitAsync sheds load instead), consumers
 // are pool workers. PopBatch hands a consumer every immediately
 // available item up to `max_batch` in a single lock acquisition — the
 // micro-batching primitive that amortizes wakeups and lets the worker
@@ -28,6 +28,12 @@ namespace serving {
 /// Mutex + condvar bounded MPMC FIFO.
 template <typename T>
 class BoundedRequestQueue {
+  /// Default admission hook (declared first: default template arguments
+  /// need it complete).
+  struct NoOp {
+    void operator()() const {}
+  };
+
  public:
   explicit BoundedRequestQueue(size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -36,24 +42,31 @@ class BoundedRequestQueue {
   BoundedRequestQueue& operator=(const BoundedRequestQueue&) = delete;
 
   /// Blocks while the queue is full. Returns false (item dropped) when
-  /// the queue was closed before space became available.
-  bool Push(T item) {
+  /// the queue was closed before space became available. `on_admit`
+  /// runs under the queue lock right after the push, before any
+  /// consumer can pop the item — where admission counters belong.
+  template <typename OnAdmit = NoOp>
+  bool Push(T item, OnAdmit on_admit = OnAdmit()) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock,
                    [this] { return closed_ || items_.size() < capacity_; });
     if (closed_) return false;
     items_.push_back(std::move(item));
+    on_admit();
     lock.unlock();
     not_empty_.notify_one();
     return true;
   }
 
-  /// Non-blocking push: false when full or closed.
-  bool TryPush(T item) {
+  /// Non-blocking push: false when full or closed. `on_admit` as in
+  /// Push.
+  template <typename OnAdmit = NoOp>
+  bool TryPush(T item, OnAdmit on_admit = OnAdmit()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
+      on_admit();
     }
     not_empty_.notify_one();
     return true;

@@ -30,11 +30,14 @@ obs::Labels WithStage(obs::Labels labels, const char* stage) {
 void ServingNode::RegisterMetrics() {
   const obs::Labels& L = config_.metric_labels;
   // Effect-before-cause registration: Collect() and Stats() read the
-  // handles in this order, so a counter that only increments after
+  // handles in this order, and every request bumps them in the reverse
+  // order (admission inside the queue lock, then batch, then completed,
+  // then the outcome counters), so a counter that only increments after
   // another has already incremented can never exceed it within one
-  // snapshot — completed <= accepted and plan_served <= diversified
-  // hold in every snapshot, under any concurrency.
-  completed_ = registry_->AddCounter("optselect_serving_completed_total", L);
+  // snapshot — plan_served <= diversified <= completed <= accepted and
+  // batch_dedup <= batched_requests <= accepted hold in every snapshot,
+  // under any concurrency (Counter pairs release increments with
+  // acquire reads, so this holds on weakly ordered CPUs too).
   plan_served_ =
       registry_->AddCounter("optselect_serving_plan_served_total", L);
   streaming_served_ =
@@ -44,13 +47,14 @@ void ServingNode::RegisterMetrics() {
   passthrough_ =
       registry_->AddCounter("optselect_serving_passthrough_total", L);
   faulted_ = registry_->AddCounter("optselect_serving_faulted_total", L);
-  accepted_ = registry_->AddCounter("optselect_serving_accepted_total", L);
-  rejected_ = registry_->AddCounter("optselect_serving_rejected_total", L);
-  batches_ = registry_->AddCounter("optselect_serving_batches_total", L);
-  batched_requests_ =
-      registry_->AddCounter("optselect_serving_batched_requests_total", L);
+  completed_ = registry_->AddCounter("optselect_serving_completed_total", L);
   batch_dedup_hits_ =
       registry_->AddCounter("optselect_serving_batch_dedup_total", L);
+  batched_requests_ =
+      registry_->AddCounter("optselect_serving_batched_requests_total", L);
+  batches_ = registry_->AddCounter("optselect_serving_batches_total", L);
+  accepted_ = registry_->AddCounter("optselect_serving_accepted_total", L);
+  rejected_ = registry_->AddCounter("optselect_serving_rejected_total", L);
   reloads_ = registry_->AddCounter("optselect_serving_reloads_total", L);
   reload_failures_ =
       registry_->AddCounter("optselect_serving_reload_failures_total", L);
@@ -122,20 +126,13 @@ void ServingNode::MaybeStartTrace(QueuedRequest* request) {
 
 FaultDecision ServingNode::EvaluateFault(FaultSite site,
                                          std::string_view key) const {
-#if OPTSELECT_FAULT_INJECTION
   FaultInjector* injector = fault_injector_.load(std::memory_order_acquire);
-  if (injector != nullptr) {
-    FaultDecision decision = injector->Evaluate(site, key);
-    if (decision.delay.count() > 0) {
-      std::this_thread::sleep_for(decision.delay);
-    }
-    return decision;
+  if (injector == nullptr) return FaultDecision{};
+  FaultDecision decision = injector->Evaluate(site, key);
+  if (decision.delay.count() > 0) {
+    std::this_thread::sleep_for(decision.delay);
   }
-#else
-  (void)site;
-  (void)key;
-#endif
-  return FaultDecision{};
+  return decision;
 }
 
 ServingNode::ServingNode(
@@ -155,7 +152,7 @@ ServingNode::ServingNode(
       snippets_(snippets),
       analyzer_(analyzer),
       documents_(documents),
-      diversifier_(std::max<size_t>(1, config.intra_query_threads)),
+      diversifier_(1),
       params_fingerprint_(ParamsFingerprint(config.params)),
       queue_(config.queue_capacity),
       cache_(config.cache),
@@ -244,8 +241,9 @@ void ServingNode::Shutdown() {
   }
 }
 
-bool ServingNode::SubmitAsync(Request request,
-                              std::function<void(Response)> callback) {
+bool ServingNode::Enqueue(Request request,
+                          std::function<void(Response)> callback,
+                          bool block) {
   // Admission fault: a dead shard rejects before any work happens, the
   // same shape a crashed process presents to its clients.
   if (EvaluateFault(FaultSite::kQueueSubmit, request.query).fail) {
@@ -257,12 +255,20 @@ bool ServingNode::SubmitAsync(Request request,
   req.callback = std::move(callback);
   req.enqueue_time = std::chrono::steady_clock::now();
   MaybeStartTrace(&req);
-  if (!queue_.TryPush(std::move(req))) {
+  // Counted inside the queue's critical section: no worker can pop,
+  // batch, or complete the request before its admission is counted.
+  auto admit = [this] { accepted_->Add(); };
+  if (!(block ? queue_.Push(std::move(req), admit)
+              : queue_.TryPush(std::move(req), admit))) {
     rejected_->Add();
     return false;
   }
-  accepted_->Add();
   return true;
+}
+
+bool ServingNode::SubmitAsync(Request request,
+                              std::function<void(Response)> callback) {
+  return Enqueue(std::move(request), std::move(callback), /*block=*/false);
 }
 
 Response ServingNode::Submit(const Request& request) {
@@ -273,41 +279,31 @@ Response ServingNode::Submit(const Request& request) {
     Response result;
   };
   auto state = std::make_shared<SyncState>();
-
-  if (EvaluateFault(FaultSite::kQueueSubmit, request.query).fail) {
-    rejected_->Add();
-    return Response{};  // ok = false, like a shutdown rejection
-  }
-
-  QueuedRequest req;
-  req.query = request.query;
-  req.enqueue_time = std::chrono::steady_clock::now();
-  req.callback = [state](Response r) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->result = std::move(r);
-    state->done = true;
-    state->cv.notify_one();
-  };
-  MaybeStartTrace(&req);
   // Blocking push: synchronous callers apply backpressure instead of
-  // shedding. Fails only when the node is shut down.
-  if (!queue_.Push(std::move(req))) {
-    rejected_->Add();
-    return Response{};  // ok = false
-  }
-  accepted_->Add();
+  // shedding. Fails (ok == false) only on an admission fault or when
+  // the node is shut down.
+  bool admitted = Enqueue(
+      request,
+      [state](Response r) {
+        std::lock_guard<std::mutex> lock(state->mu);
+        state->result = std::move(r);
+        state->done = true;
+        state->cv.notify_one();
+      },
+      /*block=*/true);
+  if (!admitted) return Response{};
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&state] { return state->done; });
   return std::move(state->result);
 }
 
-std::shared_ptr<const ServeResult> ServingNode::ComputeRanking(
+std::shared_ptr<const Response> ServingNode::ComputeRanking(
     const std::string& normalized_query,
     const store::StoreSnapshot& snapshot, core::SelectScratch* scratch,
     core::StreamingTopK* stream, obs::StageTimes* stages,
     obs::Trace* trace) const {
-  auto result = std::make_shared<ServeResult>();
+  auto result = std::make_shared<Response>();
   result->ok = true;
   result->store_version = snapshot.version();
 
@@ -379,8 +375,7 @@ std::shared_ptr<const ServeResult> ServingNode::ComputeRanking(
   // to the materialized fallback below either way. The select span
   // splits into scan (stream consumption + pushes) and maintain
   // (finalize + ranking assembly) sub-spans; select still covers both.
-  if (stream != nullptr && config_.streaming_cold_path &&
-      config_.intra_query_threads <= 1) {
+  if (stream != nullptr && config_.streaming_cold_path) {
     const size_t m = entry.num_specializations();
     std::vector<pipeline::SpecializationRef> refs(m);
     std::vector<double> probs(m);
@@ -460,7 +455,7 @@ std::shared_ptr<const ServeResult> ServingNode::ComputeRanking(
   return result;
 }
 
-std::shared_ptr<const ServeResult> ServingNode::LookupOrCompute(
+std::shared_ptr<const Response> ServingNode::LookupOrCompute(
     const std::string& cache_key, const std::string& normalized_query,
     const std::shared_ptr<const store::StoreSnapshot>& snapshot,
     core::SelectScratch* scratch, core::StreamingTopK* stream,
@@ -470,7 +465,7 @@ std::shared_ptr<const ServeResult> ServingNode::LookupOrCompute(
     return ComputeRanking(normalized_query, *snapshot, scratch, stream,
                           stages, trace);
   }
-  std::shared_ptr<const ServeResult> cached;
+  std::shared_ptr<const Response> cached;
   {
     obs::TraceSpan span(trace, obs::TraceStage::kCacheLookup, 0,
                         &stages->cache_lookup_us);
@@ -496,6 +491,15 @@ std::shared_ptr<const ServeResult> ServingNode::LookupOrCompute(
 }
 
 void ServingNode::Finish(QueuedRequest* request, const Response& result) {
+  auto now = std::chrono::steady_clock::now();
+  int64_t total_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          now - request->enqueue_time)
+          .count();
+  latency_->Record(total_us);
+  // Cause before effect: completed first, then the outcome counters
+  // that can never exceed it (Stats() reads them in the reverse order).
+  completed_->Add();
   if (!result.ok) {
     // Injected store-read failure: answered, but with no ranking — the
     // failover tier treats it as a shard error. Neither diversified nor
@@ -512,13 +516,6 @@ void ServingNode::Finish(QueuedRequest* request, const Response& result) {
   } else {
     passthrough_->Add();
   }
-  auto now = std::chrono::steady_clock::now();
-  int64_t total_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          now - request->enqueue_time)
-          .count();
-  latency_->Record(total_us);
-  completed_->Add();
 #if OPTSELECT_TRACING
   // The reply span covers the completion callback; it is excluded from
   // total_us on both sides of the stage-sum identity (queue_wait +
@@ -561,7 +558,7 @@ void ServingNode::WorkerLoop() {
   // Payloads already computed in this batch, keyed like the cache:
   // duplicate queries drained in one wakeup are computed exactly once
   // even with the cache disabled (micro-batching's amortization).
-  std::unordered_map<std::string, std::shared_ptr<const ServeResult>>
+  std::unordered_map<std::string, std::shared_ptr<const Response>>
       batch_local;
   while (queue_.PopBatch(&batch, config_.max_batch) > 0) {
     batches_->Add();
@@ -596,12 +593,12 @@ void ServingNode::WorkerLoop() {
       // request, before batch dedup, so a transient burst fails exactly
       // the requests it was scripted to fail.
       if (EvaluateFault(FaultSite::kStoreRead, normalized).fail) {
-        Finish(&req, ServeResult{});  // ok == false
+        Finish(&req, Response{});  // ok == false
         continue;
       }
       std::string key = MakeCacheKey(normalized, params_fingerprint_);
 
-      std::shared_ptr<const ServeResult> payload;
+      std::shared_ptr<const Response> payload;
       bool cache_hit = false;
       bool dedup = false;
       auto it = batch_local.find(key);
@@ -636,7 +633,7 @@ void ServingNode::WorkerLoop() {
       }
 #endif
 
-      ServeResult result = *payload;  // copy; per-request flags below
+      Response result = *payload;  // copy; per-request flags below
       result.cache_hit = cache_hit;
       result.batch_dedup = dedup;
       Finish(&req, result);
@@ -647,18 +644,19 @@ void ServingNode::WorkerLoop() {
 ServingStats ServingNode::Stats() const {
   ServingStats s;
   // The thin-view snapshot: reads go through the registry handles in
-  // registration (effect-before-cause) order — completed strictly
-  // before accepted, plan_served before diversified — so the invariants
-  // completed <= accepted and plan_served <= diversified hold in every
-  // snapshot even while workers are mutating the counters. (The
-  // pre-registry code read accepted first and could observe
-  // completed > accepted under load.)
-  s.completed = completed_->value();
+  // registration (effect-before-cause) order — each effect before its
+  // cause — so plan_served <= diversified <= completed <= accepted and
+  // batch_dedup_hits <= batched_requests <= accepted hold in every
+  // snapshot even while workers are mutating the counters.
   s.plan_served = plan_served_->value();
   s.streaming_served = streaming_served_->value();
   s.diversified = diversified_->value();
   s.passthrough = passthrough_->value();
   s.faulted = faulted_->value();
+  s.completed = completed_->value();
+  s.batch_dedup_hits = batch_dedup_hits_->value();
+  s.batched_requests = batched_requests_->value();
+  s.batches = batches_->value();
   s.accepted = accepted_->value();
   s.rejected = rejected_->value();
   ResultCacheStats cs = cache_.stats();
@@ -670,9 +668,6 @@ ServingStats ServingNode::Stats() const {
   s.reloads = reloads_->value();
   s.reload_failures = reload_failures_->value();
   s.store_version = snapshot()->version();
-  s.batches = batches_->value();
-  s.batched_requests = batched_requests_->value();
-  s.batch_dedup_hits = batch_dedup_hits_->value();
   s.mean_batch =
       s.batches == 0
           ? 0.0

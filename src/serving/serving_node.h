@@ -87,9 +87,6 @@ struct ServingConfig {
   /// Result cache switch + sizing.
   bool enable_cache = true;
   ResultCacheOptions cache;
-  /// Threads used *inside* one diversification (ParallelOptSelect
-  /// shards). Keep at 1 when the pool itself saturates the cores.
-  size_t intra_query_threads = 1;
   /// Serve plan-less ambiguous queries (the cold path) through the
   /// streaming selector: candidates are consumed lazily off the
   /// retrieval result and the upper bound (1−λ)·m·P(d|q) + λ·ΣP(q′|q)
@@ -97,8 +94,8 @@ struct ServingConfig {
   /// longer enter the top k. Rankings are bit-identical to the
   /// materialize-then-select fallback (asserted by serving_test and
   /// bench_streaming_select); the flag is therefore not part of the
-  /// cache key. Per-request fallback to materialize-then-select when
-  /// intra_query_threads > 1 (sharded selection needs the full matrix).
+  /// cache key. Off selects materialize-then-select, the reference the
+  /// open-loop benchmark's cold workload checks its answers against.
   bool streaming_cold_path = true;
   /// Retrieval / diversification parameters (shared by every request).
   pipeline::PipelineParams params;
@@ -112,12 +109,6 @@ struct ServingConfig {
   /// sets {{"shard", "<i>"}}); empty for a standalone node.
   obs::Labels metric_labels;
 };
-
-/// Deprecated alias: the per-request outcome is serving::Response
-/// (serving/frontend.h) — one struct for every Frontend implementation.
-/// Kept so call sites and tests that pin the historical name compile
-/// unchanged.
-using ServeResult = Response;
 
 /// Point-in-time stats snapshot.
 struct ServingStats {
@@ -206,15 +197,6 @@ class ServingNode : public Frontend {
   bool SubmitAsync(Request request,
                    std::function<void(Response)> callback) override;
 
-  /// Deprecated shim for Submit(Request) — the signature the original
-  /// tests pin.
-  ServeResult Serve(const std::string& query) { return Submit(Request(query)); }
-
-  /// Deprecated shim for SubmitAsync — ditto.
-  bool Submit(std::string query, std::function<void(ServeResult)> callback) {
-    return SubmitAsync(Request(std::move(query)), std::move(callback));
-  }
-
   /// Stops admission, drains every queued request (their callbacks still
   /// fire), and joins the workers. Idempotent; called by the destructor.
   void Shutdown();
@@ -243,9 +225,7 @@ class ServingNode : public Frontend {
 
   /// Installs (or, with nullptr, clears) a fault injector consulted at
   /// the admission, store-read, and reload boundaries. Not owned; must
-  /// outlive the node or be cleared first. In builds without
-  /// OPTSELECT_FAULT_INJECTION the sites are compiled out and the
-  /// installed injector is never evaluated (FaultInjectionCompiledIn()).
+  /// outlive the node or be cleared first.
   void set_fault_injector(FaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }
@@ -261,8 +241,8 @@ class ServingNode : public Frontend {
 
   /// Snapshot of the counters and latency quantiles. Reads go through
   /// the registry handles in registration (effect-before-cause) order,
-  /// so derived invariants like completed <= accepted hold in every
-  /// snapshot.
+  /// so derived invariants like completed <= accepted and diversified
+  /// <= completed hold in every snapshot.
   ServingStats Stats() const;
 
   /// The registry this node records into (the config's, or the private
@@ -310,6 +290,11 @@ class ServingNode : public Frontend {
   };
 
   void WorkerLoop();
+  /// The shared admission path of Submit (`block`: wait for queue
+  /// space) and SubmitAsync (shed when full). False ⇒ rejected (fault,
+  /// full, or shut down) and `callback` never fires.
+  bool Enqueue(Request request, std::function<void(Response)> callback,
+               bool block);
   /// Registers every counter/gauge/histogram into registry_ (ctor).
   void RegisterMetrics();
   /// Samples the just-accepted request: assigns a sequence number and
@@ -317,7 +302,7 @@ class ServingNode : public Frontend {
   /// (compiled out) without OPTSELECT_TRACING.
   void MaybeStartTrace(QueuedRequest* request);
   /// Consults the installed fault injector; a no-decision default when
-  /// none is installed or the hooks are compiled out.
+  /// none is installed (one acquire load and a null check).
   FaultDecision EvaluateFault(FaultSite site, std::string_view key) const;
   /// Compute for one normalized query against a pinned snapshot.
   /// `scratch` is the calling worker's reusable selection memory; the
@@ -327,7 +312,7 @@ class ServingNode : public Frontend {
   /// forces the materialize-then-select cold path. `stages` collects
   /// store-read / select wall time; `trace` (nullable) collects span
   /// events.
-  std::shared_ptr<const ServeResult> ComputeRanking(
+  std::shared_ptr<const Response> ComputeRanking(
       const std::string& normalized_query,
       const store::StoreSnapshot& snapshot, core::SelectScratch* scratch,
       core::StreamingTopK* stream, obs::StageTimes* stages,
@@ -336,7 +321,7 @@ class ServingNode : public Frontend {
   /// fill is skipped when the active snapshot moved past `snapshot`
   /// mid-compute, so a stale ranking can never repopulate a key that a
   /// concurrent ReloadStore just invalidated.
-  std::shared_ptr<const ServeResult> LookupOrCompute(
+  std::shared_ptr<const Response> LookupOrCompute(
       const std::string& cache_key, const std::string& normalized_query,
       const std::shared_ptr<const store::StoreSnapshot>& snapshot,
       core::SelectScratch* scratch, core::StreamingTopK* stream,
@@ -359,25 +344,25 @@ class ServingNode : public Frontend {
   uint64_t params_fingerprint_;
 
   BoundedRequestQueue<QueuedRequest> queue_;
-  ShardedLruCache<ServeResult> cache_;
+  ShardedLruCache<Response> cache_;
   std::vector<std::thread> workers_;
   std::atomic<bool> shutdown_{false};
   std::chrono::steady_clock::time_point start_time_;
 
   // Registry handles (owned by *registry_; registered effect-before-
   // cause — see RegisterMetrics for the order and the invariants it
-  // buys). Raw-atomic plumbing replaced in the observability PR.
-  obs::Counter* completed_ = nullptr;
+  // buys).
   obs::Counter* plan_served_ = nullptr;
   obs::Counter* streaming_served_ = nullptr;
   obs::Counter* diversified_ = nullptr;
   obs::Counter* passthrough_ = nullptr;
   obs::Counter* faulted_ = nullptr;
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* batch_dedup_hits_ = nullptr;
+  obs::Counter* batched_requests_ = nullptr;
+  obs::Counter* batches_ = nullptr;
   obs::Counter* accepted_ = nullptr;
   obs::Counter* rejected_ = nullptr;
-  obs::Counter* batches_ = nullptr;
-  obs::Counter* batched_requests_ = nullptr;
-  obs::Counter* batch_dedup_hits_ = nullptr;
   obs::Counter* reloads_ = nullptr;
   obs::Counter* reload_failures_ = nullptr;
   LatencyHistogram* latency_ = nullptr;

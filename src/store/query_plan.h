@@ -33,7 +33,7 @@ namespace optselect {
 namespace store {
 
 /// Plan-compile parameters. Must match the serving node's pipeline
-/// params for the plan to be used (ServeResult::plan_served); on
+/// params for the plan to be used (Response::plan_served); on
 /// mismatch the node silently recomputes per request.
 struct PlanCompileOptions {
   /// |R_q| retrieval depth the plan's candidate block is built at.

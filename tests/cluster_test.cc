@@ -2,9 +2,8 @@
 // partitioning, router ownership + hot-key round-robin, bit-identity of
 // cluster rankings against the single-node path (including replicas
 // served from non-owner shards), degenerate shard counts (1 shard ==
-// single node, empty shards, all traffic on one shard), batch fan-out
-// ordering, dirty-only ApplyDelta reloads, and cluster-level stats
-// aggregation.
+// single node, empty shards, all traffic on one shard), dirty-only
+// ApplyDelta reloads, and cluster-level stats aggregation.
 
 #include <algorithm>
 #include <set>
@@ -162,8 +161,8 @@ TEST_F(ClusterTest, SingleShardDegeneratesToSingleNode) {
   std::vector<std::string> queries = *stored_keys_;
   queries.push_back(NoiseQuery());
   for (const std::string& q : queries) {
-    serving::ServeResult via_cluster = cl.Serve(q);
-    serving::ServeResult via_node = node.Serve(q);
+    serving::Response via_cluster = cl.Submit(serving::Request(q));
+    serving::Response via_node = node.Submit(serving::Request(q));
     EXPECT_EQ(via_cluster.ranking, via_node.ranking) << q;
     EXPECT_EQ(via_cluster.diversified, via_node.diversified) << q;
     EXPECT_EQ(via_cluster.plan_served, via_node.plan_served) << q;
@@ -189,8 +188,8 @@ TEST_F(ClusterTest, ClusterRankingsBitIdenticalAcrossShardCounts) {
   for (size_t n : {size_t{2}, size_t{3}, size_t{5}}) {
     ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(n));
     for (const std::string& q : queries) {
-      serving::ServeResult via_cluster = cl.Serve(q);
-      serving::ServeResult via_node = node.Serve(q);
+      serving::Response via_cluster = cl.Submit(serving::Request(q));
+      serving::Response via_node = node.Submit(serving::Request(q));
       EXPECT_EQ(via_cluster.ranking, via_node.ranking)
           << q << " shards=" << n;
       EXPECT_EQ(via_cluster.diversified, via_node.diversified) << q;
@@ -236,18 +235,19 @@ TEST_F(ClusterTest, EmptyShardStillServesItsTraffic) {
   }
   ASSERT_FALSE(probe.empty());
 
-  serving::ServeResult via_cluster = cl.Serve(probe);
+  serving::Response via_cluster = cl.Submit(serving::Request(probe));
   serving::ServingNode node = SingleNode();
-  serving::ServeResult via_node = node.Serve(probe);
+  serving::Response via_node = node.Submit(serving::Request(probe));
   EXPECT_TRUE(via_cluster.ok);
   EXPECT_FALSE(via_cluster.diversified);
   EXPECT_EQ(via_cluster.ranking, via_node.ranking);
   EXPECT_EQ(cl.shard(empty_shard)->Stats().completed, 1u);
 
   // Stored queries are untouched by the empty shard's existence.
-  serving::ServeResult stored = cl.Serve(stored_keys_->front());
+  serving::Response stored = cl.Submit(serving::Request(stored_keys_->front()));
   EXPECT_TRUE(stored.diversified);
-  EXPECT_EQ(stored.ranking, node.Serve(stored_keys_->front()).ranking);
+  EXPECT_EQ(stored.ranking,
+            node.Submit(serving::Request(stored_keys_->front())).ranking);
 }
 
 TEST_F(ClusterTest, AllTrafficHashingToOneShardLeavesOthersIdle) {
@@ -268,9 +268,9 @@ TEST_F(ClusterTest, AllTrafficHashingToOneShardLeavesOthersIdle) {
   ASSERT_FALSE(by_owner[hot_shard].empty());
 
   for (const std::string& q : by_owner[hot_shard]) {
-    serving::ServeResult r = cl.Serve(q);
+    serving::Response r = cl.Submit(serving::Request(q));
     EXPECT_TRUE(r.diversified) << q;
-    EXPECT_EQ(r.ranking, node.Serve(q).ranking) << q;
+    EXPECT_EQ(r.ranking, node.Submit(serving::Request(q)).ranking) << q;
   }
   ClusterStats cs = cl.Stats();
   EXPECT_EQ(cs.per_shard[hot_shard].completed,
@@ -294,14 +294,14 @@ TEST_F(ClusterTest, ReplicatedQueryServedFromEveryShardBitIdentical) {
 
   for (const std::string& hot : cl.replicated_keys()) {
     EXPECT_TRUE(cl.router().IsReplicated(hot));
-    std::vector<DocId> reference = node.Serve(hot).ranking;
+    std::vector<DocId> reference = node.Submit(serving::Request(hot)).ranking;
     size_t owner = cl.router().OwnerOf(hot);
     for (size_t i = 0; i < n; ++i) {
       // Every shard — owner or not — holds the replica and serves the
       // identical ranking directly.
       ASSERT_NE(cl.shard(i)->store().Find(hot), nullptr)
           << hot << " missing on shard " << i;
-      serving::ServeResult r = cl.shard(i)->Serve(hot);
+      serving::Response r = cl.shard(i)->Submit(serving::Request(hot));
       EXPECT_TRUE(r.diversified);
       EXPECT_EQ(r.ranking, reference)
           << hot << " diverged on shard " << i
@@ -325,37 +325,6 @@ TEST_F(ClusterTest, ReplicatedQueryServedFromEveryShardBitIdentical) {
   }
 }
 
-// -------------------------------------------------------- batch fan-out
-
-TEST_F(ClusterTest, ServeBatchPreservesOrderAndFansOut) {
-  const size_t n = 3;
-  ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(n));
-  serving::ServingNode node = SingleNode();
-
-  std::vector<std::string> batch;
-  for (int rep = 0; rep < 3; ++rep) {
-    for (const std::string& key : *stored_keys_) batch.push_back(key);
-    batch.push_back(NoiseQuery());
-  }
-  std::vector<serving::ServeResult> results = cl.ServeBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(results[i].ok);
-    EXPECT_EQ(results[i].ranking, node.Serve(batch[i]).ranking)
-        << batch[i];
-  }
-
-  ClusterStats cs = cl.Stats();
-  EXPECT_EQ(cs.router.batches, 1u);
-  EXPECT_EQ(cs.router.batch_requests, batch.size());
-  EXPECT_EQ(cs.total.completed, batch.size());
-  size_t shards_used = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (cs.per_shard[i].completed > 0) ++shards_used;
-  }
-  EXPECT_GT(shards_used, 1u);  // the batch genuinely fanned out
-}
-
 // ------------------------------------------------------------ ApplyDelta
 
 TEST_F(ClusterTest, ApplyDeltaReloadsOnlyTheOwningShard) {
@@ -367,7 +336,7 @@ TEST_F(ClusterTest, ApplyDeltaReloadsOnlyTheOwningShard) {
   // Warm every stored ranking (and the per-shard caches).
   std::vector<std::vector<DocId>> before;
   for (const std::string& key : *stored_keys_) {
-    before.push_back(cl.Serve(key).ranking);
+    before.push_back(cl.Submit(serving::Request(key)).ranking);
   }
 
   // Perturb the target's specialization distribution — the shape of a
@@ -396,7 +365,7 @@ TEST_F(ClusterTest, ApplyDeltaReloadsOnlyTheOwningShard) {
   // Unchanged keys: bit-identical, still cached.
   for (size_t i = 0; i < stored_keys_->size(); ++i) {
     if ((*stored_keys_)[i] == target) continue;
-    serving::ServeResult r = cl.Serve((*stored_keys_)[i]);
+    serving::Response r = cl.Submit(serving::Request((*stored_keys_)[i]));
     EXPECT_EQ(r.ranking, before[i]) << (*stored_keys_)[i];
     EXPECT_TRUE(r.cache_hit) << (*stored_keys_)[i];
   }
@@ -434,7 +403,8 @@ TEST_F(ClusterTest, ApplyDeltaUpdatesEveryReplicaOfAHotKey) {
     ASSERT_NE(replica, nullptr);
     EXPECT_DOUBLE_EQ(replica->specializations[0].probability,
                      perturbed.specializations[0].probability);
-    std::vector<DocId> ranking = cl.shard(i)->Serve(hot).ranking;
+    std::vector<DocId> ranking =
+        cl.shard(i)->Submit(serving::Request(hot)).ranking;
     if (i == 0) {
       reference = ranking;
     } else {
@@ -452,10 +422,10 @@ TEST_F(ClusterTest, StatsAggregateAcrossShards) {
   size_t served = 0;
   for (int rep = 0; rep < 2; ++rep) {
     for (const std::string& key : *stored_keys_) {
-      ASSERT_TRUE(cl.Serve(key).ok);
+      ASSERT_TRUE(cl.Submit(serving::Request(key)).ok);
       ++served;
     }
-    ASSERT_TRUE(cl.Serve(NoiseQuery()).ok);
+    ASSERT_TRUE(cl.Submit(serving::Request(NoiseQuery())).ok);
     ++served;
   }
 

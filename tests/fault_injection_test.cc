@@ -5,10 +5,9 @@
 // replicated keys, the degraded passthrough fallback for dead owners,
 // and a miniature deterministic chaos scenario.
 //
-// Tests that only need a *dead* shard use ServingNode::Shutdown and run
-// in every build; tests that need transient faults, latency, or revival
-// need the injector hooks and GTEST_SKIP when they are compiled out
-// (Release without -DOPTSELECT_FAULT_INJECTION=ON).
+// Tests that only need a *dead* shard use ServingNode::Shutdown; tests
+// that need transient faults, latency, or revival install a
+// ScriptedFaultInjector (the hooks are compiled into every build).
 
 #include <chrono>
 #include <fstream>
@@ -31,14 +30,6 @@
 namespace optselect {
 namespace cluster {
 namespace {
-
-#define SKIP_WITHOUT_FAULT_HOOKS()                                        \
-  do {                                                                    \
-    if (!serving::FaultInjectionCompiledIn()) {                           \
-      GTEST_SKIP() << "fault-injection hooks compiled out "               \
-                      "(OPTSELECT_FAULT_INJECTION=0)";                    \
-    }                                                                     \
-  } while (0)
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -80,7 +71,7 @@ class FaultInjectionTest : public ::testing::Test {
   static std::vector<DocId> PassthroughRanking(const std::string& query) {
     store::DiversificationStore empty;
     serving::ServingNode plain(&empty, testbed_, BaseConfig(1).node);
-    return plain.Serve(query).ranking;
+    return plain.Submit(serving::Request(query)).ranking;
   }
 
   static pipeline::Testbed* testbed_;
@@ -110,8 +101,8 @@ TEST_F(FaultInjectionTest, FailoverPathIsBitIdenticalWhenHealthy) {
   std::vector<std::string> queries = *stored_keys_;
   queries.push_back(testbed_->universe().noise_queries[0]);
   for (const std::string& q : queries) {
-    serving::ServeResult via_failover = cl.ServeWithFailover(q);
-    serving::ServeResult via_node = single.Serve(q);
+    serving::Response via_failover = cl.Submit(serving::Request(q));
+    serving::Response via_node = single.Submit(serving::Request(q));
     ASSERT_TRUE(via_failover.ok) << q;
     EXPECT_FALSE(via_failover.degraded) << q;
     EXPECT_EQ(via_failover.ranking, via_node.ranking) << q;
@@ -138,7 +129,7 @@ TEST_F(FaultInjectionTest, DeadOwnerDegradesAndBreakerOpensThenProbes) {
   // plain DPH order, so "degraded" is observable in the bytes too.
   std::string victim_key = stored_keys_->front();
   for (const std::string& key : *stored_keys_) {
-    if (cl.Serve(key).ranking != PassthroughRanking(key)) {
+    if (cl.Submit(serving::Request(key)).ranking != PassthroughRanking(key)) {
       victim_key = key;
       break;
     }
@@ -151,7 +142,7 @@ TEST_F(FaultInjectionTest, DeadOwnerDegradesAndBreakerOpensThenProbes) {
   // threshold failed attempts open the breaker; every request is still
   // answered, degraded to the passthrough ranking.
   for (int i = 0; i < 3; ++i) {
-    serving::ServeResult r = cl.ServeWithFailover(victim_key);
+    serving::Response r = cl.Submit(serving::Request(victim_key));
     ASSERT_TRUE(r.ok) << i;
     EXPECT_TRUE(r.degraded) << i;
     EXPECT_FALSE(r.diversified) << i;
@@ -163,7 +154,7 @@ TEST_F(FaultInjectionTest, DeadOwnerDegradesAndBreakerOpensThenProbes) {
   // after probe_after skips one probe goes through, fails, and the
   // breaker reopens. 4 skips + probe = 5 more requests.
   for (int i = 0; i < 5; ++i) {
-    serving::ServeResult r = cl.ServeWithFailover(victim_key);
+    serving::Response r = cl.Submit(serving::Request(victim_key));
     ASSERT_TRUE(r.ok);
     EXPECT_TRUE(r.degraded);
     EXPECT_EQ(r.ranking, passthrough);
@@ -184,7 +175,7 @@ TEST_F(FaultInjectionTest, DeadOwnerDegradesAndBreakerOpensThenProbes) {
   // Keys owned by live shards are untouched — same diversified ranking.
   for (const std::string& key : *stored_keys_) {
     if (cl.router().OwnerOf(key) == owner) continue;
-    serving::ServeResult r = cl.ServeWithFailover(key);
+    serving::Response r = cl.Submit(serving::Request(key));
     ASSERT_TRUE(r.ok) << key;
     EXPECT_FALSE(r.degraded) << key;
     EXPECT_TRUE(r.diversified) << key;
@@ -203,13 +194,14 @@ TEST_F(FaultInjectionTest, ReplicatedKeyFailsOverToReplicasBitIdentical) {
   const std::string hot = cl.replicated_keys().front();
 
   serving::ServingNode single(store_, testbed_, BaseConfig(1).node);
-  const std::vector<DocId> reference = single.Serve(hot).ranking;
+  const std::vector<DocId> reference =
+      single.Submit(serving::Request(hot)).ranking;
 
   cl.shard(1)->Shutdown();
   // Every request is answered from a live replica: full quality, no
   // degradation, bit-identical, regardless of where round-robin lands.
   for (size_t i = 0; i < 2 * n + 1; ++i) {
-    serving::ServeResult r = cl.ServeWithFailover(hot);
+    serving::Response r = cl.Submit(serving::Request(hot));
     ASSERT_TRUE(r.ok) << i;
     EXPECT_FALSE(r.degraded) << i;
     EXPECT_TRUE(r.diversified) << i;
@@ -219,28 +211,26 @@ TEST_F(FaultInjectionTest, ReplicatedKeyFailsOverToReplicasBitIdentical) {
   EXPECT_EQ(cl.router().stats().degraded, 0u);
 }
 
-// ----------------------------------------- injected faults (hook-gated)
+// ---------------------------------------------------- injected faults
 
-TEST_F(FaultInjectionTest, DeadInjectorShedsSubmitAndServe) {
-  SKIP_WITHOUT_FAULT_HOOKS();
+TEST_F(FaultInjectionTest, DeadInjectorShedsSyncAndAsyncSubmits) {
   serving::ServingNode node(store_, testbed_, BaseConfig(1).node);
   serving::ScriptedFaultInjector injector;
   node.set_fault_injector(&injector);
 
   injector.SetDead(true);
-  EXPECT_FALSE(node.Submit(stored_keys_->front(),
-                           [](serving::ServeResult) { FAIL(); }));
-  EXPECT_FALSE(node.Serve(stored_keys_->front()).ok);
+  EXPECT_FALSE(node.SubmitAsync(serving::Request(stored_keys_->front()),
+                                [](serving::Response) { FAIL(); }));
+  EXPECT_FALSE(node.Submit(serving::Request(stored_keys_->front())).ok);
   EXPECT_EQ(node.Stats().rejected, 2u);
   EXPECT_EQ(injector.counts().submit_faults, 2u);
 
   injector.SetDead(false);
-  EXPECT_TRUE(node.Serve(stored_keys_->front()).ok);
+  EXPECT_TRUE(node.Submit(serving::Request(stored_keys_->front())).ok);
   node.set_fault_injector(nullptr);
 }
 
 TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
-  SKIP_WITHOUT_FAULT_HOOKS();
   serving::ServingConfig config = BaseConfig(1).node;
   config.enable_cache = false;  // every request actually reads
   serving::ServingNode node(store_, testbed_, config);
@@ -248,9 +238,10 @@ TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
   node.set_fault_injector(&injector);
 
   injector.FailNextStoreReads(2);
-  EXPECT_FALSE(node.Serve(stored_keys_->front()).ok);
-  EXPECT_FALSE(node.Serve(stored_keys_->front()).ok);
-  serving::ServeResult recovered = node.Serve(stored_keys_->front());
+  EXPECT_FALSE(node.Submit(serving::Request(stored_keys_->front())).ok);
+  EXPECT_FALSE(node.Submit(serving::Request(stored_keys_->front())).ok);
+  serving::Response recovered =
+      node.Submit(serving::Request(stored_keys_->front()));
   EXPECT_TRUE(recovered.ok);
   EXPECT_TRUE(recovered.diversified);
 
@@ -262,7 +253,6 @@ TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
 }
 
 TEST_F(FaultInjectionTest, ReloadFaultRefusesSwapAndKeepsServing) {
-  SKIP_WITHOUT_FAULT_HOOKS();
   serving::ServingNode node(store_, testbed_, BaseConfig(1).node);
   serving::ScriptedFaultInjector injector;
   node.set_fault_injector(&injector);
@@ -287,7 +277,7 @@ TEST_F(FaultInjectionTest, ReloadFaultRefusesSwapAndKeepsServing) {
   EXPECT_EQ(node.snapshot()->version(), version_before);
   EXPECT_EQ(node.Stats().reload_failures, 1u);
   EXPECT_EQ(node.Stats().reloads, 0u);
-  EXPECT_TRUE(node.Serve(stored_keys_->front()).ok);
+  EXPECT_TRUE(node.Submit(serving::Request(stored_keys_->front())).ok);
 
   injector.SetFailReloads(false);
   serving::ServingNode::ReloadOutcome applied =
@@ -298,7 +288,6 @@ TEST_F(FaultInjectionTest, ReloadFaultRefusesSwapAndKeepsServing) {
 }
 
 TEST_F(FaultInjectionTest, TransientFaultsOpenBreakerThenRecoveryCloses) {
-  SKIP_WITHOUT_FAULT_HOOKS();
   const size_t n = 2;
   ClusterConfig config = BaseConfig(n);
   config.failover.breaker_threshold = 2;
@@ -309,12 +298,12 @@ TEST_F(FaultInjectionTest, TransientFaultsOpenBreakerThenRecoveryCloses) {
   const size_t owner = cl.router().OwnerOf(key);
   serving::ScriptedFaultInjector injector;
   cl.shard(owner)->set_fault_injector(&injector);
-  std::vector<DocId> healthy = cl.ServeWithFailover(key).ranking;
+  std::vector<DocId> healthy = cl.Submit(serving::Request(key)).ranking;
 
   // Two store-read failures trip the breaker; both requests degrade.
   injector.FailNextStoreReads(2);
   for (int i = 0; i < 2; ++i) {
-    serving::ServeResult r = cl.ServeWithFailover(key);
+    serving::Response r = cl.Submit(serving::Request(key));
     ASSERT_TRUE(r.ok);
     EXPECT_TRUE(r.degraded);
   }
@@ -325,11 +314,11 @@ TEST_F(FaultInjectionTest, TransientFaultsOpenBreakerThenRecoveryCloses) {
   // through, succeeds, and closes the breaker; from then on the key
   // serves at full quality again.
   for (int i = 0; i < 4; ++i) {
-    serving::ServeResult r = cl.ServeWithFailover(key);
+    serving::Response r = cl.Submit(serving::Request(key));
     ASSERT_TRUE(r.ok);  // degraded while skipping, probe serves normally
   }
   EXPECT_EQ(cl.router().shard_state(owner), BreakerState::kClosed);
-  serving::ServeResult recovered = cl.ServeWithFailover(key);
+  serving::Response recovered = cl.Submit(serving::Request(key));
   ASSERT_TRUE(recovered.ok);
   EXPECT_FALSE(recovered.degraded);
   EXPECT_EQ(recovered.ranking, healthy);
@@ -346,7 +335,6 @@ TEST_F(FaultInjectionTest, OwnerReachedInFallbackSweepIsNotTaggedDegraded) {
   // The fallback sweep may reach the key's *owner* (its probe turn, or
   // the breaker-ignoring last resort). A holder's answer is full
   // quality — it must never come back tagged degraded.
-  SKIP_WITHOUT_FAULT_HOOKS();
   ClusterConfig config = BaseConfig(2);
   config.failover.breaker_threshold = 2;
   config.failover.breaker_probe_after = 8;
@@ -355,13 +343,13 @@ TEST_F(FaultInjectionTest, OwnerReachedInFallbackSweepIsNotTaggedDegraded) {
   const std::string& key = stored_keys_->front();
   const size_t owner = cl.router().OwnerOf(key);
   const size_t other = 1 - owner;
-  std::vector<DocId> healthy = cl.ServeWithFailover(key).ranking;
+  std::vector<DocId> healthy = cl.Submit(serving::Request(key)).ranking;
 
   serving::ScriptedFaultInjector injector;
   cl.shard(owner)->set_fault_injector(&injector);
   injector.FailNextStoreReads(2);
   for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(cl.ServeWithFailover(key).ok);
+    ASSERT_TRUE(cl.Submit(serving::Request(key)).ok);
   }
   ASSERT_EQ(cl.router().shard_state(owner), BreakerState::kOpen);
 
@@ -369,7 +357,7 @@ TEST_F(FaultInjectionTest, OwnerReachedInFallbackSweepIsNotTaggedDegraded) {
   // open, and the only other shard is now dead: the last-resort sweep
   // lands back on the owner, which answers at full quality.
   cl.shard(other)->Shutdown();
-  serving::ServeResult r = cl.ServeWithFailover(key);
+  serving::Response r = cl.Submit(serving::Request(key));
   ASSERT_TRUE(r.ok);
   EXPECT_FALSE(r.degraded) << "a holder's answer is never degraded";
   EXPECT_TRUE(r.diversified);
@@ -383,7 +371,6 @@ TEST_F(FaultInjectionTest, ApplyDeltaSurfacesRefusedReloadAndRetries) {
   // A shard whose reload is refused must be reported, not counted as
   // applied — and a second ApplyDelta with the same delta must bring
   // exactly that shard back in sync (replica bit-identity restored).
-  SKIP_WITHOUT_FAULT_HOOKS();
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
@@ -418,9 +405,11 @@ TEST_F(FaultInjectionTest, ApplyDeltaSurfacesRefusedReloadAndRetries) {
   EXPECT_EQ(cl.shard(0)->Stats().reloads, 1u);
 
   // Replicas converged: every shard serves the identical new ranking.
-  std::vector<DocId> reference = cl.shard(0)->Serve(hot).ranking;
+  std::vector<DocId> reference =
+      cl.shard(0)->Submit(serving::Request(hot)).ranking;
   for (size_t i = 1; i < n; ++i) {
-    EXPECT_EQ(cl.shard(i)->Serve(hot).ranking, reference) << i;
+    EXPECT_EQ(cl.shard(i)->Submit(serving::Request(hot)).ranking, reference)
+        << i;
   }
   cl.shard(0)->set_fault_injector(nullptr);
 }
@@ -429,7 +418,6 @@ TEST_F(FaultInjectionTest, RefresherRetriesPendingSwapAfterReloadFault) {
   // A refused ReloadStore must defer the mined update, not lose it:
   // the refresher keeps the built snapshot pending and the next tick
   // swaps it in — even with no fresh log traffic.
-  SKIP_WITHOUT_FAULT_HOOKS();
   std::string log_path = ::testing::TempDir() + "/fault_refresher_log.tsv";
   ASSERT_TRUE(testbed_->log_result().log.SaveTsv(log_path).ok());
 
@@ -477,7 +465,6 @@ TEST_F(FaultInjectionTest, RefresherRetriesPendingSwapAfterReloadFault) {
 }
 
 TEST_F(FaultInjectionTest, HedgedRetryWinsOnSlowReplica) {
-  SKIP_WITHOUT_FAULT_HOOKS();
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
@@ -487,7 +474,8 @@ TEST_F(FaultInjectionTest, HedgedRetryWinsOnSlowReplica) {
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
   serving::ServingNode single(store_, testbed_, BaseConfig(1).node);
-  const std::vector<DocId> reference = single.Serve(hot).ranking;
+  const std::vector<DocId> reference =
+      single.Submit(serving::Request(hot)).ranking;
 
   // A fresh router's round-robin cursor starts at shard 0: make that
   // first pick pathologically slow (well past the hedge delay) and the
@@ -496,7 +484,7 @@ TEST_F(FaultInjectionTest, HedgedRetryWinsOnSlowReplica) {
   cl.shard(0)->set_fault_injector(&injector);
   injector.SetStoreReadDelay(std::chrono::milliseconds(200));
 
-  serving::ServeResult r = cl.ServeWithFailover(hot);
+  serving::Response r = cl.Submit(serving::Request(hot));
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.hedged);
   EXPECT_FALSE(r.degraded);
@@ -513,7 +501,6 @@ TEST_F(FaultInjectionTest, HedgedRetryWinsOnSlowReplica) {
 // ------------------------------------------------ miniature chaos run
 
 TEST_F(FaultInjectionTest, MiniChaosScenarioIsDeterministicAndLossless) {
-  SKIP_WITHOUT_FAULT_HOOKS();
   ChaosConfig chaos;
   chaos.requests = 240;
   chaos.seed = 4242;

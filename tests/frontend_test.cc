@@ -1,16 +1,12 @@
 // Unified Frontend API tests: every serving tier (single node, sharded
 // cluster) answers through the same Submit(Request) -> Response
-// contract, bit-identically; the deprecated Serve/Submit(string, cb)
-// shims forward to the canonical calls; the default SubmitAsync
-// adapter runs the blocking Submit inline exactly once; and the
-// Frontend* replay overload drives any implementation. The
-// remote-vs-local half of the contract lives in net_test.cc.
+// contract, bit-identically; the default SubmitAsync adapter runs the
+// blocking Submit inline exactly once; and the Frontend* replay drivers
+// drive any implementation. The remote-vs-local half of the contract
+// lives in net_test.cc.
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -95,35 +91,6 @@ TEST_F(FrontendTest, NodeAndClusterAnswerIdenticallyThroughTheInterface) {
     EXPECT_EQ(reference.diversified, other.diversified);
     EXPECT_EQ(reference.num_specializations, other.num_specializations);
     EXPECT_FALSE(other.degraded);
-  }
-  node.Shutdown();
-}
-
-TEST_F(FrontendTest, DeprecatedShimsForwardToCanonicalCalls) {
-  ServingConfig config = NodeConfig();
-  config.enable_cache = false;  // each call recomputes: a real comparison
-  ServingNode node(store_, testbed_, config);
-  for (const std::string& query : Mix()) {
-    Response canonical = node.Submit(Request(query));
-    ServeResult shim = node.Serve(query);  // deprecated alias + shim
-    ASSERT_TRUE(canonical.ok);
-    ASSERT_TRUE(shim.ok);
-    EXPECT_EQ(canonical.ranking, shim.ranking);
-    EXPECT_EQ(canonical.diversified, shim.diversified);
-
-    std::atomic<bool> fired{false};
-    Response via_callback;
-    std::mutex mu;
-    std::condition_variable cv;
-    ASSERT_TRUE(node.Submit(query, [&](ServeResult result) {
-      std::lock_guard<std::mutex> lock(mu);
-      via_callback = std::move(result);
-      fired.store(true);
-      cv.notify_one();
-    }));
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return fired.load(); });
-    EXPECT_EQ(canonical.ranking, via_callback.ranking);
   }
   node.Shutdown();
 }

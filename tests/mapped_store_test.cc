@@ -452,8 +452,8 @@ TEST_F(MappedServingTest, MappedServingIsBitIdenticalToHeap) {
 
   size_t diversified = 0;
   for (const std::string& q : queries) {
-    serving::ServeResult heap_result = heap_node->Serve(q);
-    serving::ServeResult mapped_result = mapped_node->Serve(q);
+    serving::Response heap_result = heap_node->Submit(serving::Request(q));
+    serving::Response mapped_result = mapped_node->Submit(serving::Request(q));
     ASSERT_TRUE(heap_result.ok) << q;
     ASSERT_TRUE(mapped_result.ok) << q;
     EXPECT_EQ(mapped_result.diversified, heap_result.diversified) << q;
@@ -503,8 +503,8 @@ TEST_F(MappedServingTest, SlicedServingZeroCopyMatchesHeapSplit) {
     // Every query (owned here, owned elsewhere, never stored) answers
     // bit-identically: misses pass through, hits serve off the slice.
     for (const std::string& q : queries) {
-      serving::ServeResult from_view = mapped_node->Serve(q);
-      serving::ServeResult from_copy = heap_node->Serve(q);
+      serving::Response from_view = mapped_node->Submit(serving::Request(q));
+      serving::Response from_copy = heap_node->Submit(serving::Request(q));
       ASSERT_TRUE(from_view.ok) << q;
       ASSERT_TRUE(from_copy.ok) << q;
       EXPECT_EQ(from_view.diversified, from_copy.diversified) << q;
@@ -560,8 +560,8 @@ TEST_F(MappedServingTest, SharedShardViewsSurviveUnlinkAndReload) {
   // A builder replacing store.bin unlinks it under the fleet; POSIX
   // keeps the mapped pages alive for every process still serving.
   ASSERT_EQ(std::remove(copy.c_str()), 0);
-  EXPECT_TRUE(node0->Serve(key0).diversified);
-  EXPECT_TRUE(node1->Serve(key1).diversified);
+  EXPECT_TRUE(node0->Submit(serving::Request(key0)).diversified);
+  EXPECT_TRUE(node1->Submit(serving::Request(key1)).diversified);
 
   // Shard 0 RCU-reloads onto a heap snapshot: the mapping must survive
   // for shard 1, then release once shard 1 drops too.
@@ -573,7 +573,7 @@ TEST_F(MappedServingTest, SharedShardViewsSurviveUnlinkAndReload) {
   EXPECT_FALSE(node0->snapshot()->mapped());
   EXPECT_FALSE(watch.expired())
       << "shard 1 still serves off the shared mapping";
-  EXPECT_TRUE(node1->Serve(key1).diversified);
+  EXPECT_TRUE(node1->Submit(serving::Request(key1)).diversified);
 
   node0.reset();
   EXPECT_FALSE(watch.expired());
@@ -630,9 +630,6 @@ TEST_F(MappedServingTest, HotReloadRetiresMappedSnapshotRcuStyle) {
 }
 
 TEST_F(MappedServingTest, ReloadFaultLeavesNodeOnOldMapping) {
-  if (!serving::FaultInjectionCompiledIn()) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   auto mapped = MappedStoreFile::Map(*path_);
   ASSERT_TRUE(mapped.ok());
   auto node = MakeNode(StoreSnapshot::FromMapped(mapped.value()));
@@ -654,7 +651,7 @@ TEST_F(MappedServingTest, ReloadFaultLeavesNodeOnOldMapping) {
   // serving correctly off the mapped pages.
   EXPECT_TRUE(node->snapshot()->mapped());
   EXPECT_EQ(node->snapshot()->version(), 5u);
-  serving::ServeResult result = node->Serve(stored_key);
+  serving::Response result = node->Submit(serving::Request(stored_key));
   EXPECT_TRUE(result.ok);
   EXPECT_TRUE(result.diversified);
 

@@ -4,9 +4,11 @@
 // oversized length), the epoll server against real loopback sockets
 // (slow-loris partial writes, garbage streams, admission control and
 // load shedding as explicit error frames), and the acceptance-criteria
-// bit-identity: a remote fleet of wire-protocol servers returns
-// rankings FNV-identical to the in-process node / cluster on the same
-// store and query mix.
+// bit-identity: a QueryRouter over RemoteClients to a fleet of
+// wire-protocol servers returns rankings FNV-identical to the
+// in-process node / cluster on the same store and query mix, and
+// degrades, trips, probes and recovers a dead owner through the same
+// breaker as the in-process cluster.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -23,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/query_router.h"
 #include "cluster/sharded_cluster.h"
 #include "net/client.h"
 #include "net/netpoll.h"
@@ -591,6 +594,22 @@ TEST(NetServerTest, ShedMetricIsRegistered) {
 
 // ------------------------------------------------- real store bit-identity
 
+/// One wire server per shard slice (the partition `serve --shard-index`
+/// uses) plus one connected RemoteClient per server: the remote fleet a
+/// QueryRouter routes over.
+struct RemoteFleet {
+  std::vector<std::unique_ptr<store::DiversificationStore>> stores;
+  std::vector<std::unique_ptr<serving::ServingNode>> nodes;
+  std::vector<std::unique_ptr<NetServer>> servers;
+  std::vector<std::unique_ptr<RemoteClient>> clients;
+
+  std::vector<serving::Frontend*> endpoints() const {
+    std::vector<serving::Frontend*> out;
+    for (const auto& client : clients) out.push_back(client.get());
+    return out;
+  }
+};
+
 class NetServingTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -628,6 +647,26 @@ class NetServingTest : public ::testing::Test {
     mix.push_back(testbed_->universe().noise_queries[0]);
     mix.push_back(testbed_->universe().noise_queries[1]);
     return mix;
+  }
+
+  /// Starts one server per shard slice and connects a client to each.
+  static void StartFleet(size_t num_shards, RemoteFleet* fleet) {
+    for (size_t i = 0; i < num_shards; ++i) {
+      store::ShardFilter filter;
+      filter.num_shards = num_shards;
+      filter.shard_index = i;
+      fleet->stores.push_back(std::make_unique<store::DiversificationStore>(
+          store::SplitStore(*store_, filter)));
+      fleet->nodes.push_back(std::make_unique<serving::ServingNode>(
+          fleet->stores.back().get(), testbed_, NodeConfig()));
+      fleet->servers.push_back(std::make_unique<NetServer>(
+          fleet->nodes.back().get(), LoopbackConfig()));
+      ASSERT_TRUE(fleet->servers.back()->Start())
+          << fleet->servers.back()->last_error();
+      fleet->clients.push_back(std::make_unique<RemoteClient>());
+      ASSERT_TRUE(fleet->clients.back()->Connect(
+          "127.0.0.1", fleet->servers.back()->port()));
+    }
   }
 
   static pipeline::Testbed* testbed_;
@@ -673,28 +712,11 @@ TEST_F(NetServingTest, RemoteShardFleetBitIdenticalToInProcessCluster) {
   cluster_config.node = NodeConfig();
   cluster::ShardedCluster cluster(*store_, testbed_, nullptr, cluster_config);
 
-  // Remote fleet: one server per shard slice, same partition.
-  std::vector<std::unique_ptr<store::DiversificationStore>> shard_stores;
-  std::vector<std::unique_ptr<serving::ServingNode>> shard_nodes;
-  std::vector<std::unique_ptr<NetServer>> servers;
-  std::vector<Endpoint> endpoints;
-  for (size_t i = 0; i < kShards; ++i) {
-    store::ShardFilter filter;
-    filter.num_shards = kShards;
-    filter.shard_index = i;
-    shard_stores.push_back(std::make_unique<store::DiversificationStore>(
-        store::SplitStore(*store_, filter)));
-    shard_nodes.push_back(std::make_unique<serving::ServingNode>(
-        shard_stores.back().get(), testbed_, NodeConfig()));
-    servers.push_back(
-        std::make_unique<NetServer>(shard_nodes.back().get(),
-                                    LoopbackConfig()));
-    ASSERT_TRUE(servers.back()->Start()) << servers.back()->last_error();
-    endpoints.push_back(Endpoint{"127.0.0.1", servers.back()->port()});
-  }
-
-  RemoteFrontend remote(endpoints);
+  RemoteFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(StartFleet(kShards, &fleet));
+  cluster::QueryRouter remote(fleet.endpoints());
   for (const std::string& query : Mix()) {
+    EXPECT_EQ(remote.OwnerOf(query), cluster.router().OwnerOf(query));
     serving::Response a = cluster.Submit(serving::Request(query));
     serving::Response b = remote.Submit(serving::Request(query));
     ASSERT_TRUE(a.ok);
@@ -703,35 +725,22 @@ TEST_F(NetServingTest, RemoteShardFleetBitIdenticalToInProcessCluster) {
     EXPECT_EQ(a.diversified, b.diversified);
     EXPECT_FALSE(b.degraded);
   }
-  EXPECT_EQ(remote.stats().degraded, 0u);
-  EXPECT_EQ(remote.stats().dropped, 0u);
-  for (auto& server : servers) server->Stop();
+  cluster::RouterStats rs = remote.stats();
+  EXPECT_EQ(rs.degraded, 0u);
+  EXPECT_EQ(rs.dropped, 0u);
+  EXPECT_EQ(rs.retried, 0u);
+  EXPECT_TRUE(remote.breaker_transitions().empty());
+  for (auto& server : fleet.servers) server->Stop();
 }
 
 TEST_F(NetServingTest, DeadOwnerDegradesThenRecoversBitIdentical) {
   const size_t kShards = 2;
-  std::vector<std::unique_ptr<store::DiversificationStore>> shard_stores;
-  std::vector<Endpoint> endpoints;
-  std::vector<std::unique_ptr<serving::ServingNode>> shard_nodes;
-  std::vector<std::unique_ptr<NetServer>> servers;
-  for (size_t i = 0; i < kShards; ++i) {
-    store::ShardFilter filter;
-    filter.num_shards = kShards;
-    filter.shard_index = i;
-    shard_stores.push_back(std::make_unique<store::DiversificationStore>(
-        store::SplitStore(*store_, filter)));
-    shard_nodes.push_back(std::make_unique<serving::ServingNode>(
-        shard_stores.back().get(), testbed_, NodeConfig()));
-    servers.push_back(std::make_unique<NetServer>(shard_nodes.back().get(),
-                                                  LoopbackConfig()));
-    ASSERT_TRUE(servers.back()->Start());
-    endpoints.push_back(Endpoint{"127.0.0.1", servers.back()->port()});
-  }
-
-  RemoteFrontendConfig config;
-  config.breaker_threshold = 2;
-  config.breaker_probe_after = 2;
-  RemoteFrontend remote(endpoints, config);
+  RemoteFleet fleet;
+  ASSERT_NO_FATAL_FAILURE(StartFleet(kShards, &fleet));
+  cluster::FailoverConfig failover;
+  failover.breaker_threshold = 2;
+  failover.breaker_probe_after = 2;
+  cluster::QueryRouter remote(fleet.endpoints(), {}, failover);
 
   // A stored query owned by shard 0 (the store is keyed normalized).
   std::string victim_query;
@@ -742,6 +751,14 @@ TEST_F(NetServingTest, DeadOwnerDegradesThenRecoversBitIdentical) {
     }
   }
   ASSERT_FALSE(victim_query.empty());
+  auto victim_transitions = [&] {
+    std::vector<cluster::BreakerTransition> out;
+    for (const cluster::BreakerTransition& t : remote.breaker_transitions()) {
+      EXPECT_EQ(t.shard, 0u) << "only the victim's breaker may move";
+      out.push_back(t);
+    }
+    return out;
+  };
 
   serving::Response healthy = remote.Submit(serving::Request(victim_query));
   ASSERT_TRUE(healthy.ok);
@@ -750,11 +767,12 @@ TEST_F(NetServingTest, DeadOwnerDegradesThenRecoversBitIdentical) {
   uint64_t healthy_hash = RankHash(healthy.ranking);
 
   // Kill the owner: answers must degrade (passthrough from shard 1),
-  // and the breaker must open after `breaker_threshold` failures.
-  uint16_t victim_port = servers[0]->port();
-  servers[0]->Stop();
-  servers[0].reset();
-  shard_nodes[0]->Shutdown();
+  // and the breaker must open after `breaker_threshold` failures — the
+  // first on the dead connection, the second on the failed redial.
+  uint16_t victim_port = fleet.servers[0]->port();
+  fleet.servers[0]->Stop();
+  fleet.servers[0].reset();
+  fleet.nodes[0]->Shutdown();
 
   uint64_t degraded_hash = 0;
   for (size_t i = 0; i < 4; ++i) {
@@ -764,19 +782,33 @@ TEST_F(NetServingTest, DeadOwnerDegradesThenRecoversBitIdentical) {
     EXPECT_FALSE(degraded.diversified);  // passthrough, not the entry
     degraded_hash = RankHash(degraded.ranking);
   }
-  EXPECT_EQ(remote.endpoint_state(0), EndpointState::kOpen);
-  EXPECT_GE(remote.stats().degraded, 4u);
-  EXPECT_GE(remote.stats().breaker_opens, 1u);
+  EXPECT_EQ(remote.shard_state(0), cluster::BreakerState::kOpen);
+  std::vector<cluster::BreakerTransition> down = victim_transitions();
+  ASSERT_EQ(down.size(), 1u);
+  EXPECT_EQ(down[0].from, cluster::BreakerState::kClosed);
+  EXPECT_EQ(down[0].to, cluster::BreakerState::kOpen);
+  EXPECT_EQ(remote.stats().breaker_opens, 1u);
 
-  // Respawn the shard on the same port: the next probe reconnects and
-  // the answer is bit-identical to the pre-kill one.
-  shard_nodes[0] = std::make_unique<serving::ServingNode>(
-      shard_stores[0].get(), testbed_, NodeConfig());
+  // Two requests skipped the open breaker; one more is the half-open
+  // probe, whose failed redial re-opens it — counted as a second open.
+  serving::Response probed = remote.Submit(serving::Request(victim_query));
+  ASSERT_TRUE(probed.ok);
+  EXPECT_TRUE(probed.degraded);
+  cluster::RouterStats rs = remote.stats();
+  EXPECT_EQ(rs.probes, 1u);
+  EXPECT_EQ(rs.breaker_opens, 2u);
+  EXPECT_EQ(rs.degraded, 5u);
+  EXPECT_EQ(fleet.clients[0]->reconnects(), 0u) << "nothing to redial yet";
+
+  // Respawn the shard on the same port: the next probe redials and the
+  // answer is bit-identical to the pre-kill one.
+  fleet.nodes[0] = std::make_unique<serving::ServingNode>(
+      fleet.stores[0].get(), testbed_, NodeConfig());
   NetServerConfig respawn_config = LoopbackConfig();
   respawn_config.port = victim_port;
-  servers[0] = std::make_unique<NetServer>(shard_nodes[0].get(),
-                                           respawn_config);
-  ASSERT_TRUE(servers[0]->Start()) << servers[0]->last_error();
+  fleet.servers[0] =
+      std::make_unique<NetServer>(fleet.nodes[0].get(), respawn_config);
+  ASSERT_TRUE(fleet.servers[0]->Start()) << fleet.servers[0]->last_error();
 
   bool recovered = false;
   for (size_t i = 0; i < 16 && !recovered; ++i) {
@@ -791,13 +823,20 @@ TEST_F(NetServingTest, DeadOwnerDegradesThenRecoversBitIdentical) {
     }
   }
   EXPECT_TRUE(recovered);
-  EXPECT_EQ(remote.endpoint_state(0), EndpointState::kClosed);
-  for (auto& server : servers) {
+  EXPECT_EQ(remote.shard_state(0), cluster::BreakerState::kClosed);
+  EXPECT_EQ(fleet.clients[0]->reconnects(), 1u);
+  std::vector<cluster::BreakerTransition> log = victim_transitions();
+  ASSERT_GE(log.size(), 2u);
+  EXPECT_EQ(log[log.size() - 2].to, cluster::BreakerState::kHalfOpen);
+  EXPECT_EQ(log.back().from, cluster::BreakerState::kHalfOpen);
+  EXPECT_EQ(log.back().to, cluster::BreakerState::kClosed);
+  EXPECT_EQ(remote.stats().dropped, 0u);
+  for (auto& server : fleet.servers) {
     if (server) server->Stop();
   }
 }
 
-TEST_F(NetServingTest, ReplayMixDrivesARemoteFrontend) {
+TEST_F(NetServingTest, ReplayMixDrivesARemoteClient) {
   serving::ServingNode backend(store_, testbed_, NodeConfig());
   NetServer server(&backend, LoopbackConfig());
   ASSERT_TRUE(server.Start());

@@ -150,8 +150,8 @@ TEST_F(QueryPlanTest, PlanServedRankingsBitIdenticalToColdPath) {
   serving::ServingNode fast(&plan_store, testbed_, NodeConfig());
 
   for (const auto& [key, entry] : plan_store.entries()) {
-    serving::ServeResult a = cold.Serve(key);
-    serving::ServeResult b = fast.Serve(key);
+    serving::Response a = cold.Submit(serving::Request(key));
+    serving::Response b = fast.Submit(serving::Request(key));
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
     EXPECT_TRUE(a.diversified);
@@ -170,7 +170,7 @@ TEST_F(QueryPlanTest, ParamsMismatchFallsBackToColdComputation) {
   serving::ServingNode node(&plan_store, testbed_, config);
 
   const std::string& key = plan_store.entries().begin()->first;
-  serving::ServeResult r = node.Serve(key);
+  serving::Response r = node.Submit(serving::Request(key));
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.diversified);
   EXPECT_FALSE(r.plan_served) << "incompatible plan must be ignored";
@@ -238,8 +238,8 @@ TEST_F(QueryPlanTest, CompilePlansUpgradesPlanLessStoreOnLoad) {
   serving::ServingNode a(&upgraded, testbed_, NodeConfig());
   serving::ServingNode b(&native, testbed_, NodeConfig());
   for (const auto& [key, entry] : native.entries()) {
-    serving::ServeResult ra = a.Serve(key);
-    serving::ServeResult rb = b.Serve(key);
+    serving::Response ra = a.Submit(serving::Request(key));
+    serving::Response rb = b.Submit(serving::Request(key));
     EXPECT_TRUE(ra.plan_served);
     EXPECT_TRUE(rb.plan_served);
     EXPECT_EQ(ra.ranking, rb.ranking) << key;

@@ -208,13 +208,13 @@ store::DiversificationStore* ServingNodeTest::store_ = nullptr;
 TEST_F(ServingNodeTest, DiversifiesStoredAndPassesThroughUnknown) {
   ServingNode node(store_, testbed_, BaseConfig());
 
-  ServeResult stored = node.Serve(StoredQuery());
+  Response stored = node.Submit(Request(StoredQuery()));
   EXPECT_TRUE(stored.ok);
   EXPECT_TRUE(stored.diversified);
   EXPECT_GE(stored.num_specializations, 2u);
   EXPECT_FALSE(stored.ranking.empty());
 
-  ServeResult noise = node.Serve(NoiseQuery());
+  Response noise = node.Submit(Request(NoiseQuery()));
   EXPECT_TRUE(noise.ok);
   EXPECT_FALSE(noise.diversified);
   EXPECT_EQ(noise.num_specializations, 0u);
@@ -240,9 +240,9 @@ TEST_F(ServingNodeTest, CachedResultsBitIdenticalToUncached) {
   queries.push_back(NoiseQuery());
 
   for (const std::string& q : queries) {
-    ServeResult cold = cached.Serve(q);
-    ServeResult warm = cached.Serve(q);   // must come from the cache
-    ServeResult direct = uncached.Serve(q);
+    Response cold = cached.Submit(Request(q));
+    Response warm = cached.Submit(Request(q));   // must come from the cache
+    Response direct = uncached.Submit(Request(q));
     EXPECT_FALSE(cold.cache_hit);
     EXPECT_TRUE(warm.cache_hit);
     EXPECT_EQ(cold.ranking, direct.ranking) << q;
@@ -273,8 +273,8 @@ TEST_F(ServingNodeTest, StreamingColdPathBitIdenticalToMaterialized) {
 
   size_t diversified = 0;
   for (const auto& [query, entry] : store_->entries()) {
-    ServeResult s = streaming.Serve(query);
-    ServeResult m = materialized.Serve(query);
+    Response s = streaming.Submit(Request(query));
+    Response m = materialized.Submit(Request(query));
     EXPECT_EQ(s.ranking, m.ranking) << query;
     EXPECT_EQ(s.diversified, m.diversified) << query;
     EXPECT_EQ(s.num_specializations, m.num_specializations) << query;
@@ -288,32 +288,14 @@ TEST_F(ServingNodeTest, StreamingColdPathBitIdenticalToMaterialized) {
   ASSERT_GT(diversified, 0u);
 
   // Passthrough queries never touch the selector on either node.
-  ServeResult noise = streaming.Serve(NoiseQuery());
+  Response noise = streaming.Submit(Request(NoiseQuery()));
   EXPECT_FALSE(noise.streaming_served);
-  EXPECT_EQ(noise.ranking, materialized.Serve(NoiseQuery()).ranking);
+  EXPECT_EQ(noise.ranking, materialized.Submit(Request(NoiseQuery())).ranking);
 
   ServingStats streaming_stats = streaming.Stats();
   EXPECT_EQ(streaming_stats.streaming_served, diversified);
   EXPECT_LE(streaming_stats.streaming_served, streaming_stats.diversified);
   EXPECT_EQ(materialized.Stats().streaming_served, 0u);
-}
-
-TEST_F(ServingNodeTest, StreamingFallsBackUnderIntraQueryParallelism) {
-  // Sharded selection needs the full utility matrix, so the node must
-  // quietly use materialize-then-select — with identical rankings —
-  // when intra_query_threads > 1, even with the streaming flag on.
-  ServingConfig sharded_config = BaseConfig();
-  sharded_config.streaming_cold_path = true;
-  sharded_config.intra_query_threads = 2;
-  ServingNode sharded(store_, testbed_, sharded_config);
-  ServingNode reference(store_, testbed_, BaseConfig());
-
-  ServeResult a = sharded.Serve(StoredQuery());
-  ServeResult b = reference.Serve(StoredQuery());
-  EXPECT_TRUE(a.diversified);
-  EXPECT_FALSE(a.streaming_served);
-  EXPECT_EQ(a.ranking, b.ranking);
-  EXPECT_EQ(sharded.Stats().streaming_served, 0u);
 }
 
 TEST_F(ServingNodeTest, OwningStoreConstructorServesIdentically) {
@@ -324,8 +306,8 @@ TEST_F(ServingNodeTest, OwningStoreConstructorServesIdentically) {
                      &testbed_->snippets(), &testbed_->analyzer(),
                      &testbed_->corpus().store, BaseConfig());
   ServingNode borrowing(store_, testbed_, BaseConfig());
-  ServeResult a = owning.Serve(StoredQuery());
-  ServeResult b = borrowing.Serve(StoredQuery());
+  Response a = owning.Submit(Request(StoredQuery()));
+  Response b = borrowing.Submit(Request(StoredQuery()));
   EXPECT_TRUE(a.ok);
   EXPECT_TRUE(a.diversified);
   EXPECT_EQ(a.ranking, b.ranking);
@@ -339,8 +321,8 @@ TEST_F(ServingNodeTest, NormalizedQueriesShareACacheSlot) {
   for (char& c : shouty) {
     c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   }
-  ServeResult first = node.Serve(q);
-  ServeResult second = node.Serve(shouty + "  ");
+  Response first = node.Submit(Request(q));
+  Response second = node.Submit(Request(shouty + "  "));
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(first.ranking, second.ranking);
 }
@@ -363,13 +345,13 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
   }
 
   auto run = [&](ServingNode* node) {
-    std::map<size_t, ServeResult> results;
+    std::map<size_t, Response> results;
     std::mutex mu;
     std::condition_variable cv;
     size_t done = 0;
     size_t accepted = 0;
     for (size_t i = 0; i < mix.size(); ++i) {
-      bool ok = node->Submit(mix[i], [&, i](ServeResult r) {
+      bool ok = node->SubmitAsync(Request(mix[i]), [&, i](Response r) {
         std::lock_guard<std::mutex> lock(mu);
         results[i] = std::move(r);
         ++done;
@@ -383,8 +365,8 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
     return results;
   };
 
-  std::map<size_t, ServeResult> a = run(&unbatched);
-  std::map<size_t, ServeResult> b = run(&batched);
+  std::map<size_t, Response> a = run(&unbatched);
+  std::map<size_t, Response> b = run(&batched);
   ASSERT_EQ(a.size(), mix.size());
   ASSERT_EQ(b.size(), mix.size());
   for (size_t i = 0; i < mix.size(); ++i) {
@@ -407,11 +389,11 @@ TEST_F(ServingNodeTest, ShutdownDrainsInFlightRequests) {
   std::atomic<size_t> callbacks{0};
   size_t submitted = 0;
   for (int i = 0; i < 64; ++i) {
-    if (node->Submit(i % 2 == 0 ? StoredQuery() : NoiseQuery(),
-                     [&](ServeResult r) {
-                       EXPECT_TRUE(r.ok);
-                       callbacks.fetch_add(1);
-                     })) {
+    if (node->SubmitAsync(Request(i % 2 == 0 ? StoredQuery() : NoiseQuery()),
+                          [&](Response r) {
+                            EXPECT_TRUE(r.ok);
+                            callbacks.fetch_add(1);
+                          })) {
       ++submitted;
     }
   }
@@ -419,10 +401,10 @@ TEST_F(ServingNodeTest, ShutdownDrainsInFlightRequests) {
   EXPECT_EQ(callbacks.load(), submitted);
   EXPECT_EQ(node->Stats().completed, submitted);
 
-  // Post-shutdown: submission is rejected, Serve fails fast, Shutdown
+  // Post-shutdown: submission is rejected, Submit fails fast, Shutdown
   // stays idempotent, and the destructor is safe.
-  EXPECT_FALSE(node->Submit(StoredQuery(), [](ServeResult) {}));
-  EXPECT_FALSE(node->Serve(StoredQuery()).ok);
+  EXPECT_FALSE(node->SubmitAsync(Request(StoredQuery()), [](Response) {}));
+  EXPECT_FALSE(node->Submit(Request(StoredQuery())).ok);
   node->Shutdown();
   node.reset();
 }
@@ -487,7 +469,7 @@ TEST_F(ServingNodeTest, StatsConsistentUnderConcurrentLoad) {
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = 0; i < kPerClient; ++i) {
-        ServeResult r = node.Serve(queries[(c + i) % queries.size()]);
+        Response r = node.Submit(Request(queries[(c + i) % queries.size()]));
         if (r.ok) ok_count.fetch_add(1);
       }
     });

@@ -235,13 +235,13 @@ std::string* StoreReloadServingTest::pinned_key_ = new std::string();
 TEST_F(StoreReloadServingTest, ReloadInvalidatesOnlyChangedKeys) {
   ServingNode node = MakeNode(BaseConfig());
 
-  ServeResult target_before = node.Serve(*target_key_);
-  ServeResult pinned_before = node.Serve(*pinned_key_);
+  Response target_before = node.Submit(Request(*target_key_));
+  Response pinned_before = node.Submit(Request(*pinned_key_));
   ASSERT_TRUE(target_before.ok);
   ASSERT_TRUE(pinned_before.ok);
   // Warm the cache for both.
-  ASSERT_TRUE(node.Serve(*target_key_).cache_hit);
-  ASSERT_TRUE(node.Serve(*pinned_key_).cache_hit);
+  ASSERT_TRUE(node.Submit(Request(*target_key_)).cache_hit);
+  ASSERT_TRUE(node.Submit(Request(*pinned_key_)).cache_hit);
 
   store::SnapshotBuildResult built =
       store::BuildSnapshot(node.snapshot().get(), TargetDelta(0.25));
@@ -253,12 +253,12 @@ TEST_F(StoreReloadServingTest, ReloadInvalidatesOnlyChangedKeys) {
   EXPECT_EQ(outcome.invalidated, 1u);
 
   // Unchanged key: still served from cache, bit-identical.
-  ServeResult pinned_after = node.Serve(*pinned_key_);
+  Response pinned_after = node.Submit(Request(*pinned_key_));
   EXPECT_TRUE(pinned_after.cache_hit);
   EXPECT_EQ(pinned_after.ranking, pinned_before.ranking);
 
   // Changed key: recomputed on the new snapshot.
-  ServeResult target_after = node.Serve(*target_key_);
+  Response target_after = node.Submit(Request(*target_key_));
   EXPECT_FALSE(target_after.cache_hit);
   EXPECT_TRUE(target_after.diversified);
   EXPECT_EQ(target_after.store_version, 1u);
@@ -271,7 +271,7 @@ TEST_F(StoreReloadServingTest, ReloadInvalidatesOnlyChangedKeys) {
 
 TEST_F(StoreReloadServingTest, ReloadingIdenticalSnapshotKeepsRankings) {
   ServingNode node = MakeNode(BaseConfig());
-  ServeResult before = node.Serve(*target_key_);
+  Response before = node.Submit(Request(*target_key_));
 
   // scale=1.0 re-mines to an identical entry ⇒ nothing changes.
   store::SnapshotBuildResult built =
@@ -280,7 +280,7 @@ TEST_F(StoreReloadServingTest, ReloadingIdenticalSnapshotKeepsRankings) {
   EXPECT_EQ(built.unchanged_skipped, 1u);
   node.ReloadStore(built.snapshot, built.changed_keys);
 
-  ServeResult after = node.Serve(*target_key_);
+  Response after = node.Submit(Request(*target_key_));
   EXPECT_TRUE(after.cache_hit);  // nothing was invalidated
   EXPECT_EQ(after.ranking, before.ranking);
 }
@@ -290,7 +290,8 @@ TEST_F(StoreReloadServingTest, SwapsUnderConcurrentLoadLoseNothing) {
   config.num_workers = 2;
   ServingNode node = MakeNode(config);
 
-  std::vector<DocId> pinned_reference = node.Serve(*pinned_key_).ranking;
+  std::vector<DocId> pinned_reference =
+      node.Submit(Request(*pinned_key_)).ranking;
   ASSERT_FALSE(pinned_reference.empty());
 
   constexpr size_t kClients = 3;
@@ -317,7 +318,7 @@ TEST_F(StoreReloadServingTest, SwapsUnderConcurrentLoadLoseNothing) {
     clients.emplace_back([&, c] {
       for (size_t i = 0; i < kPerClient; ++i) {
         bool pinned = (c + i) % 2 == 0;
-        ServeResult r = node.Serve(pinned ? *pinned_key_ : *target_key_);
+        Response r = node.Submit(Request(pinned ? *pinned_key_ : *target_key_));
         if (r.ok) ok_count.fetch_add(1);
         if (pinned && r.ranking != pinned_reference) {
           pinned_mismatches.fetch_add(1);

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "cluster/chaos.h"
+#include "cluster/query_router.h"
 #include "cluster/sharded_cluster.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -657,6 +658,23 @@ void PrintRefresherStats(const serving::StoreRefresher& refresher) {
       static_cast<unsigned long long>(rs.errors));
 }
 
+/// The router's failover-path counters — one line, shared by the
+/// in-process cluster and the `chaos --net` remote fleet.
+void PrintFailoverStats(const cluster::RouterStats& rs) {
+  std::printf(
+      "failover: %llu serves, %llu retried, %llu degraded, %llu "
+      "dropped, %llu/%llu hedges won/launched, %llu probes, %llu "
+      "breaker opens\n",
+      static_cast<unsigned long long>(rs.failover_serves),
+      static_cast<unsigned long long>(rs.retried),
+      static_cast<unsigned long long>(rs.degraded),
+      static_cast<unsigned long long>(rs.dropped),
+      static_cast<unsigned long long>(rs.hedges_won),
+      static_cast<unsigned long long>(rs.hedges_launched),
+      static_cast<unsigned long long>(rs.probes),
+      static_cast<unsigned long long>(rs.breaker_opens));
+}
+
 void PrintClusterStats(const cluster::ClusterStats& cs) {
   PrintServingStats(cs.total);
   util::TablePrinter tp;
@@ -672,27 +690,10 @@ void PrintClusterStats(const cluster::ClusterStats& cs) {
                std::to_string(s.store_version)});
   }
   std::printf("%s", tp.ToString().c_str());
-  std::printf(
-      "router: %llu routed (%llu via hot replicas), %llu batches "
-      "(%llu batched requests)\n",
-      static_cast<unsigned long long>(cs.router.routed),
-      static_cast<unsigned long long>(cs.router.replicated_routed),
-      static_cast<unsigned long long>(cs.router.batches),
-      static_cast<unsigned long long>(cs.router.batch_requests));
-  if (cs.router.failover_serves > 0) {
-    std::printf(
-        "failover: %llu serves, %llu retried, %llu degraded, %llu "
-        "dropped, %llu/%llu hedges won/launched, %llu probes, %llu "
-        "breaker opens\n",
-        static_cast<unsigned long long>(cs.router.failover_serves),
-        static_cast<unsigned long long>(cs.router.retried),
-        static_cast<unsigned long long>(cs.router.degraded),
-        static_cast<unsigned long long>(cs.router.dropped),
-        static_cast<unsigned long long>(cs.router.hedges_won),
-        static_cast<unsigned long long>(cs.router.hedges_launched),
-        static_cast<unsigned long long>(cs.router.probes),
-        static_cast<unsigned long long>(cs.router.breaker_opens));
-  }
+  std::printf("router: %llu routed (%llu via hot replicas)\n",
+              static_cast<unsigned long long>(cs.router.routed),
+              static_cast<unsigned long long>(cs.router.replicated_routed));
+  if (cs.router.failover_serves > 0) PrintFailoverStats(cs.router);
 }
 
 /// Builds a cluster (when --shards > 1) plus its per-shard refreshers.
@@ -990,13 +991,16 @@ int CmdServe(const tools::OptionSet& opts) {
     }
   }
 
+  // Either tier sits behind the same Frontend interface. A cluster's
+  // blocking Submit is its fault-tolerant path: in the REPL a wedged or
+  // killed shard degrades its keys instead of erroring.
+  serving::Frontend* frontend =
+      cl != nullptr ? static_cast<serving::Frontend*>(cl.get())
+                    : static_cast<serving::Frontend*>(node.get());
   if (net_mode) {
-    // Wire-protocol TCP server instead of the REPL. Either tier sits
-    // behind the same Frontend interface, so the server cannot tell a
-    // single (possibly sliced) node from a whole in-process cluster.
-    serving::Frontend* frontend =
-        cl != nullptr ? static_cast<serving::Frontend*>(cl.get())
-                      : static_cast<serving::Frontend*>(node.get());
+    // Wire-protocol TCP server instead of the REPL: the server cannot
+    // tell a single (possibly sliced) node from a whole in-process
+    // cluster.
     obs::MetricsRegistry net_registry;
     net::NetServerConfig sc;
     sc.port = static_cast<uint16_t>(opts.GetInt("listen"));
@@ -1043,12 +1047,6 @@ int CmdServe(const tools::OptionSet& opts) {
     for (const auto& refresher : refreshers) refresher->Stop();
     return 0;
   }
-  // Clusters answer through the fault-tolerant path: a wedged or killed
-  // shard degrades its keys instead of erroring the REPL.
-  auto serve = [&](const std::string& query) {
-    return cl != nullptr ? cl->ServeWithFailover(query)
-                         : node->Serve(query);
-  };
   auto print_stats = [&] {
     if (cl != nullptr) {
       PrintClusterStats(cl->Stats());
@@ -1111,7 +1109,7 @@ int CmdServe(const tools::OptionSet& opts) {
       continue;
     }
     util::WallTimer timer;
-    serving::ServeResult result = serve(query);
+    serving::Response result = frontend->Submit(serving::Request(query));
     double ms = timer.ElapsedMillis();
     std::printf("%s | %s%s%s%s | %.2f ms |", query.c_str(),
                 result.diversified ? "diversified" : "passthrough",
@@ -1429,9 +1427,8 @@ int CmdStats(const tools::OptionSet& opts) {
 
   std::fprintf(chatter, "sequential replay: %zu requests (skew %.2f)...\n",
                num_requests, skew);
-  serving::ReplayOutcome out = serving::ReplaySequential(
-      [&](const std::string& query) { return node.Serve(query); }, mix,
-      nullptr, nullptr);
+  serving::ReplayOutcome out =
+      serving::ReplaySequential(&node, mix, nullptr, nullptr);
   // Drain the workers before reading the registry: the reply span is
   // recorded *after* the completion callback unblocks the client, so
   // without the drain the last request's reply sample may be mid-air.
@@ -1546,11 +1543,12 @@ bool WaitForPortFile(const std::string& path, pid_t pid, uint16_t* port) {
 
 /// `chaos --net <dir>`: the failover contract proven across real
 /// process boundaries. Spawns one `serve --listen` process per shard
-/// (each holding its SplitStore slice), replays a seeded mix through a
-/// RemoteFrontend, SIGKILLs a shard mid-replay — zero drops, breaker
-/// opens, degraded answers equal the store-less DPH passthrough,
-/// healthy keys bit-identical — then respawns it on the same port and
-/// requires full bit-identical recovery.
+/// (each holding its slice), replays a seeded mix through a QueryRouter
+/// over RemoteClients, SIGKILLs a shard mid-replay — zero drops, the
+/// victim's breaker opens, degraded answers equal the store-less DPH
+/// passthrough, healthy keys bit-identical — then respawns it on the
+/// same port and requires the breaker to close and full bit-identical
+/// recovery.
 int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   size_t requests = opts.IsSet("requests") ? opts.GetSize("requests") : 400;
   size_t shards = opts.IsSet("shards") ? opts.GetSize("shards") : 2;
@@ -1625,14 +1623,24 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   }
   std::printf("\n");
 
-  std::vector<net::Endpoint> endpoints;
-  for (uint16_t port : ports) {
-    endpoints.push_back(net::Endpoint{"127.0.0.1", port});
+  // The remote fleet is a QueryRouter over one RemoteClient per shard:
+  // the in-process cluster's router, breakers and degraded fallback.
+  std::vector<std::unique_ptr<net::RemoteClient>> clients;
+  std::vector<serving::Frontend*> endpoints;
+  for (size_t i = 0; i < shards; ++i) {
+    clients.push_back(std::make_unique<net::RemoteClient>());
+    if (!clients[i]->Connect("127.0.0.1", ports[i])) {
+      std::fprintf(stderr, "error: cannot connect to shard %zu: %s\n", i,
+                   clients[i]->last_error().c_str());
+      kill_fleet();
+      return 1;
+    }
+    endpoints.push_back(clients[i].get());
   }
-  net::RemoteFrontendConfig rc;
-  rc.breaker_threshold = 2;
-  rc.breaker_probe_after = 2;
-  net::RemoteFrontend remote(endpoints, rc);
+  cluster::FailoverConfig failover;
+  failover.breaker_threshold = 2;
+  failover.breaker_probe_after = 2;
+  cluster::QueryRouter remote(std::move(endpoints), {}, failover);
 
   bool failed = false;
   auto check = [&](bool ok, const char* what, size_t count) {
@@ -1649,8 +1657,7 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   size_t a_failed = 0;
   size_t a_degraded = 0;
   serving::ReplayOutcome out_a = serving::ReplaySequential(
-      &remote, mix, nullptr,
-      [&](size_t i, const serving::ServeResult& r) {
+      &remote, mix, nullptr, [&](size_t i, const serving::Response& r) {
         if (!r.ok) ++a_failed;
         if (r.degraded) ++a_degraded;
         healthy[i] = cluster::RankingHash(r.ranking);
@@ -1664,6 +1671,10 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   // the passthrough; every other answer stays bit-identical.
   const size_t victim = 0;
   const size_t kill_at = mix.size() / 2;
+  std::vector<cluster::BreakerTransition> transitions =
+      remote.breaker_transitions();
+  const uint64_t phase_b_seq =
+      transitions.empty() ? 0 : transitions.back().seq + 1;
   size_t b_failed = 0;
   size_t b_degraded = 0;
   size_t degraded_divergences = 0;
@@ -1679,7 +1690,7 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
           pids[victim] = -1;
         }
       },
-      [&](size_t i, const serving::ServeResult& r) {
+      [&](size_t i, const serving::Response& r) {
         if (!r.ok) {
           ++b_failed;
           return;
@@ -1704,8 +1715,15 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   check(healthy_divergences == 0,
         "live-shard answers bit-identical to the healthy run",
         healthy_divergences);
-  check(remote.stats().breaker_opens > 0,
-        "a breaker opened while the shard was dead", 0);
+  transitions = remote.breaker_transitions();
+  bool victim_opened = false;
+  for (const cluster::BreakerTransition& t : transitions) {
+    victim_opened |= t.seq >= phase_b_seq && t.shard == victim &&
+                     t.from == cluster::BreakerState::kClosed &&
+                     t.to == cluster::BreakerState::kOpen;
+  }
+  check(victim_opened,
+        "the victim's breaker went closed -> open while it was dead", 0);
 
   // Phase C: respawn the shard on its old port (SO_REUSEADDR makes the
   // rebind immediate).
@@ -1728,7 +1746,7 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
               static_cast<unsigned>(respawn_port));
 
   // Warm the breaker shut: after breaker_probe_after skipped routing
-  // decisions a half-open probe reconnects the owner.
+  // decisions the half-open probe redials the owner.
   std::string victim_key;
   for (const std::string& query : mix) {
     if (remote.OwnerOf(query) == victim) {
@@ -1742,14 +1760,23 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
     recovered = r.ok && !r.degraded;
   }
   check(recovered, "owner recovered after respawn (probe reconnected)", 0);
+  check(clients[victim]->reconnects() > 0,
+        "the victim's client redialed the respawned shard", 0);
+  transitions = remote.breaker_transitions();
+  const cluster::BreakerTransition* victim_last = nullptr;
+  for (const cluster::BreakerTransition& t : transitions) {
+    if (t.shard == victim) victim_last = &t;
+  }
+  check(victim_last != nullptr &&
+            victim_last->to == cluster::BreakerState::kClosed,
+        "the victim's breaker ended closed after the respawn", 0);
 
   // Phase D: post-recovery replay — bit-identical to the healthy run.
   size_t d_failed = 0;
   size_t d_degraded = 0;
   size_t d_divergences = 0;
   serving::ReplaySequential(
-      &remote, mix, nullptr,
-      [&](size_t i, const serving::ServeResult& r) {
+      &remote, mix, nullptr, [&](size_t i, const serving::Response& r) {
         if (!r.ok) {
           ++d_failed;
           return;
@@ -1762,16 +1789,10 @@ int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   check(d_divergences == 0,
         "recovered replay bit-identical to the healthy run", d_divergences);
 
-  net::RemoteFrontendStats rs = remote.stats();
-  std::printf(
-      "remote frontend: %llu serves, %llu degraded, %llu dropped, %llu "
-      "probes, %llu breaker opens, %llu reconnects\n",
-      static_cast<unsigned long long>(rs.serves),
-      static_cast<unsigned long long>(rs.degraded),
-      static_cast<unsigned long long>(rs.dropped),
-      static_cast<unsigned long long>(rs.probes),
-      static_cast<unsigned long long>(rs.breaker_opens),
-      static_cast<unsigned long long>(rs.reconnects));
+  PrintFailoverStats(remote.stats());
+  std::printf("reconnects: %llu (shard %zu client)\n",
+              static_cast<unsigned long long>(clients[victim]->reconnects()),
+              victim);
   kill_fleet();
   return failed ? 1 : 0;
 }
@@ -1780,14 +1801,6 @@ int CmdChaos(const tools::OptionSet& opts) {
   const std::string net_dir = opts.GetString("net");
   if (!net_dir.empty()) return CmdChaosNet(opts, net_dir);
 
-  if (!serving::FaultInjectionCompiledIn()) {
-    std::fprintf(stderr,
-                 "error: the fault-injection hooks are compiled out of "
-                 "this build; `chaos` needs them to take shards down.\n"
-                 "Rebuild with -DOPTSELECT_FAULT_INJECTION=ON (Debug "
-                 "builds compile them in by default).\n");
-    return 1;
-  }
   size_t requests = opts.GetSize("requests");
   size_t shards = opts.GetSize("shards");
   if (requests < 64 || shards < 2) {
