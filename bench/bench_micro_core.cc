@@ -1,8 +1,8 @@
 // Micro-benchmarks of the SIMD selection kernels (core/kernels) — the
-// per-primitive numbers behind the plan-serving and utility-phase
-// speedups: weighted row sums, overall-score fusion, and the sparse
-// AoS·SoA dot product, each timed for the scalar reference AND the
-// runtime-dispatched table (AVX2/NEON where the host has them).
+// per-primitive numbers behind the plan-serving speedups: weighted row
+// sums and overall-score fusion over weighted sums or raw rows, each
+// timed for the scalar reference AND the runtime-dispatched table
+// (AVX2/NEON where the host has them).
 //
 // Every dispatched timing doubles as a determinism check: the timed
 // outputs are compared bit-for-bit against the scalar reference over
@@ -24,7 +24,6 @@
 // rep_scale (default 1.0) multiplies every rep count — drop it to 0.1
 // for sanitizer smokes, raise it for stable numbers on quiet hosts.
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -32,7 +31,6 @@
 
 #include "bench_util.h"
 #include "core/kernels/kernels.h"
-#include "text/term_vector.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -223,53 +221,6 @@ int main(int argc, char** argv) {
     Record(ctx, "overall_from_rows",
            {{"n", static_cast<double>(n)}, {"m", static_cast<double>(m)}},
            run, check);
-  }
-
-  // ---- dot_aos_soa: the utility phase's sparse cosine core -----------
-  {
-    // ~64-term vectors, ~50% term overlap — the store-v4 surrogate shape.
-    const size_t pairs = 64;
-    std::vector<std::vector<text::TermVector::Entry>> lhs(pairs);
-    std::vector<std::vector<uint32_t>> rhs_terms(pairs);
-    std::vector<std::vector<double>> rhs_weights(pairs);
-    for (size_t p = 0; p < pairs; ++p) {
-      for (uint32_t t = 0; t < 128; ++t) {
-        if (rng.Bernoulli(0.5)) {
-          lhs[p].push_back({t, rng.UniformDouble() + 0.1});
-        }
-        if (rng.Bernoulli(0.5)) {
-          rhs_terms[p].push_back(t);
-          rhs_weights[p].push_back(rng.UniformDouble() + 0.1);
-        }
-      }
-    }
-    auto dot_all = [&](const core::kernels::Ops& o) {
-      double acc = 0;
-      for (size_t p = 0; p < pairs; ++p) {
-        acc += o.dot_aos_soa(lhs[p].data(), lhs[p].size(),
-                             rhs_terms[p].data(), rhs_weights[p].data(),
-                             rhs_terms[p].size());
-      }
-      return acc;
-    };
-    auto run = [&](const core::kernels::Ops& ops) {
-      return TimeKernel(ops, scaled(20000), pairs, dot_all);
-    };
-    auto check = [&] {
-      size_t bad = 0;
-      for (size_t p = 0; p < pairs; ++p) {
-        double want = core::kernels::Scalar().dot_aos_soa(
-            lhs[p].data(), lhs[p].size(), rhs_terms[p].data(),
-            rhs_weights[p].data(), rhs_terms[p].size());
-        double got = core::kernels::Active().dot_aos_soa(
-            lhs[p].data(), lhs[p].size(), rhs_terms[p].data(),
-            rhs_weights[p].data(), rhs_terms[p].size());
-        if (got != want) ++bad;
-      }
-      return bad;
-    };
-    Record(ctx, "dot_aos_soa", {{"pairs", static_cast<double>(pairs)}}, run,
-           check);
   }
 
   std::printf("%s", table.ToString().c_str());

@@ -40,33 +40,9 @@ void OverallFromRowsScalar(const double* relevance, const double* rows,
   }
 }
 
-double DotAosSoaScalar(const text::TermVector::Entry* a, size_t a_len,
-                       const uint32_t* b_terms, const double* b_weights,
-                       size_t b_len) {
-  // The exact linear merge of TermVector::Dot, with the b side read
-  // from columns instead of pairs.
-  double dot = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a_len && j < b_len) {
-    uint32_t ta = a[i].first;
-    uint32_t tb = b_terms[j];
-    if (ta == tb) {
-      dot += a[i].second * b_weights[j];
-      ++i;
-      ++j;
-    } else if (ta < tb) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return dot;
-}
-
 const Ops kScalarOps = {
-    "scalar",          WeightedRowSumScalar, OverallFromWeightedScalar,
-    OverallFromRowsScalar, DotAosSoaScalar,
+    "scalar", WeightedRowSumScalar, OverallFromWeightedScalar,
+    OverallFromRowsScalar,
 };
 
 /// Resolves the dispatch target once. Unknown or unavailable explicit
@@ -115,6 +91,29 @@ const Ops& Active() {
 }
 
 const char* ActiveName() { return Active().name; }
+
+double GatherDot(const double* dense, size_t dense_size,
+                 const text::TermVector::Entry* pairs, size_t count) {
+  double dot = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    if (pairs[i].first >= dense_size) break;
+    const double a = dense[pairs[i].first];
+    if (a != 0.0) dot += a * pairs[i].second;
+  }
+  return dot;
+}
+
+double GatherDot(const double* dense, size_t dense_size,
+                 const uint32_t* terms, const double* weights,
+                 size_t count) {
+  double dot = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    if (terms[i] >= dense_size) break;
+    const double a = dense[terms[i]];
+    if (a != 0.0) dot += a * weights[i];
+  }
+  return dot;
+}
 
 }  // namespace kernels
 }  // namespace core

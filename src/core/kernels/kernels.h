@@ -2,13 +2,16 @@
 //
 // The paper argues OptSelect's scan structure is data-parallel (their
 // demonstration is on GPUs); this layer finishes that thought on CPU.
-// Four loops dominate serving: the weighted utility row sum (the
-// λ-independent half of Eq. 9), the per-candidate overall-utility
-// evaluation feeding the OptSelect/StreamingTopK scans, the cosine dot
-// products between a candidate surrogate and a specialization's stored
-// surrogates, and the batched utility-row computation built from them.
-// Each has a scalar reference implementation and optional AVX2/NEON
-// variants selected ONCE at startup.
+// Three loops dominate selection: the weighted utility row sum (the
+// λ-independent half of Eq. 9) and the per-candidate overall-utility
+// evaluation feeding the OptSelect/StreamingTopK scans, over
+// precompiled weighted sums or over raw utility rows. Each has a scalar
+// reference implementation and optional AVX2/NEON variants selected
+// ONCE at startup. The sparse dot products between a candidate
+// surrogate and a specialization's stored surrogates (the cold path's
+// utility rows) are gather loops whose adds must stay in ascending term
+// order, so they have one undispatched form; they live here so they
+// share the kernels' rounding rules.
 //
 // Determinism contract: every variant produces bit-identical doubles to
 // the scalar reference, run-to-run and across lane widths. Two rules
@@ -24,10 +27,9 @@
 //      definition — the plan compiler, the serve-time fallback scan and
 //      every SIMD variant all produce the same bits.
 //   2. Sparse dot products accumulate matched terms in ascending term
-//      order — identical to TermVector::Dot's linear merge. SIMD
-//      variants only accelerate the intersection *skipping* (wide
-//      compares advancing past non-matching ids); they never reorder or
-//      partially sum the products.
+//      order — identical to TermVector::Dot's linear merge. The gather
+//      form reaches the same products in the same order by walking one
+//      side's ascending terms against a dense scatter of the other.
 //
 // All kernel translation units compile with -ffp-contract=off and use
 // explicit mul+add (never FMA) so contraction cannot change rounding.
@@ -72,14 +74,6 @@ struct Ops {
   void (*overall_from_rows)(const double* relevance, const double* rows,
                             const double* prob, size_t n, size_t m,
                             double lambda, double* out);
-
-  /// Sparse dot of an AoS (term,weight) entry list against SoA term and
-  /// weight columns; both sides sorted by term id, ids unique. Products
-  /// accumulate in ascending matched-term order — bit-identical to
-  /// text::TermVector::Dot.
-  double (*dot_aos_soa)(const text::TermVector::Entry* a, size_t a_len,
-                        const uint32_t* b_terms, const double* b_weights,
-                        size_t b_len);
 };
 
 /// The scalar reference table (always available; the oracle every other
@@ -120,26 +114,24 @@ inline double WeightedRowSum(const double* row, const double* prob,
   return Active().weighted_row_sum(row, prob, m);
 }
 
-inline double DotAosSoa(const text::TermVector::Entry* a, size_t a_len,
-                        const uint32_t* b_terms, const double* b_weights,
-                        size_t b_len) {
-  return Active().dot_aos_soa(a, a_len, b_terms, b_weights, b_len);
-}
+/// Sparse dot of a dense scatter against one surrogate's (term,
+/// weight) pairs: Σ dense[t]·w over the pairs, in their order, whose
+/// term t is below `dense_size` and whose dense[t] is non-zero. With
+/// `dense` holding a TermVector's weights at their term ids and zero
+/// elsewhere (TermVector weights are never zero) and the pairs
+/// strictly ascending, the products added are exactly
+/// TermVector::Dot's matched products, in its order and with its
+/// operand order — so the two are bit-identical. The walk stops at the
+/// first term past the scatter: no term id drives a read past
+/// dense[dense_size - 1].
+double GatherDot(const double* dense, size_t dense_size,
+                 const text::TermVector::Entry* pairs, size_t count);
 
-/// cosine(a, b) ∈ [0,1] between a heap TermVector and an SoA span whose
-/// norm was computed by the same build-time recomputation — the clamp
-/// and zero-norm handling mirror TermVector::Cosine exactly, so a
-/// mapped surrogate scores bit-identically to its heap twin.
-inline double CosineAosSoa(const text::TermVector& a,
-                           const text::TermVectorSpan& b) {
-  if (a.norm() == 0.0 || b.norm == 0.0) return 0.0;
-  double c = DotAosSoa(a.entries().data(), a.size(), b.terms, b.weights,
-                       b.size) /
-             (a.norm() * b.norm);
-  if (c < 0.0) return 0.0;
-  if (c > 1.0) return 1.0;
-  return c;
-}
+/// GatherDot over SoA term and weight columns (a mapped store-v4
+/// surrogate).
+double GatherDot(const double* dense, size_t dense_size,
+                 const uint32_t* terms, const double* weights,
+                 size_t count);
 
 }  // namespace kernels
 }  // namespace core

@@ -73,70 +73,9 @@ void OverallFromRowsAvx2(const double* relevance, const double* rows,
   }
 }
 
-double DotAosSoaAvx2(const text::TermVector::Entry* a, size_t a_len,
-                     const uint32_t* b_terms, const double* b_weights,
-                     size_t b_len) {
-  // Same merge as the scalar reference; the only acceleration is
-  // skipping runs of SoA term ids below the current AoS id with 8-wide
-  // compares. Matched products still accumulate one at a time in
-  // ascending term order, so the sum is bit-identical.
-  const __m256i sign_bias = _mm256_set1_epi32(INT32_MIN);
-  double dot = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a_len && j < b_len) {
-    uint32_t ta = a[i].first;
-    uint32_t tb = b_terms[j];
-    if (ta == tb) {
-      dot += a[i].second * b_weights[j];
-      ++i;
-      ++j;
-      continue;
-    }
-    if (ta < tb) {
-      ++i;
-      continue;
-    }
-    // tb < ta: advance j past the run of smaller ids. Dense-overlap
-    // vectors (the surrogate-vs-surrogate common case) have runs of
-    // length 1–2 where an 8-wide compare is pure overhead, so gallop
-    // scalar first and bring in the vector skip only once the run has
-    // proven long.
-    ++j;
-    size_t gallop = 0;
-    while (j < b_len && b_terms[j] < ta && gallop < 3) {
-      ++j;
-      ++gallop;
-    }
-    if (j >= b_len || b_terms[j] >= ta) continue;
-    // Long run: count how many sorted b ids are still below ta, 8 at a
-    // time. The compare is unsigned via the sign-bias trick (ids
-    // flipped into signed order); lanes below ta form a prefix because
-    // b is sorted.
-    const __m256i va = _mm256_xor_si256(
-        _mm256_set1_epi32(static_cast<int>(ta)), sign_bias);
-    while (j + 8 <= b_len) {
-      __m256i vb = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b_terms + j));
-      vb = _mm256_xor_si256(vb, sign_bias);
-      __m256i below = _mm256_cmpgt_epi32(va, vb);
-      unsigned mask = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(below)));
-      if (mask == 0xFFu) {
-        j += 8;
-        continue;
-      }
-      j += static_cast<size_t>(__builtin_popcount(mask));
-      break;
-    }
-    while (j < b_len && b_terms[j] < ta) ++j;
-  }
-  return dot;
-}
-
 const Ops kAvx2Ops = {
-    "avx2",          WeightedRowSumAvx2, OverallFromWeightedAvx2,
-    OverallFromRowsAvx2, DotAosSoaAvx2,
+    "avx2", WeightedRowSumAvx2, OverallFromWeightedAvx2,
+    OverallFromRowsAvx2,
 };
 
 }  // namespace

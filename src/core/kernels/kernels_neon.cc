@@ -65,44 +65,9 @@ void OverallFromRowsNeon(const double* relevance, const double* rows,
   }
 }
 
-double DotAosSoaNeon(const text::TermVector::Entry* a, size_t a_len,
-                     const uint32_t* b_terms, const double* b_weights,
-                     size_t b_len) {
-  // Scalar merge with 4-wide unsigned skips over the sorted SoA ids;
-  // matched products accumulate one at a time in ascending term order.
-  double dot = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a_len && j < b_len) {
-    uint32_t ta = a[i].first;
-    uint32_t tb = b_terms[j];
-    if (ta == tb) {
-      dot += a[i].second * b_weights[j];
-      ++i;
-      ++j;
-      continue;
-    }
-    if (ta < tb) {
-      ++i;
-      continue;
-    }
-    const uint32x4_t va = vdupq_n_u32(ta);
-    while (j + 4 <= b_len) {
-      uint32x4_t vb = vld1q_u32(b_terms + j);
-      uint32x4_t below = vcltq_u32(vb, va);
-      // Lanes below ta form a prefix (b sorted); count them.
-      uint32_t count = vaddvq_u32(vshrq_n_u32(below, 31));
-      j += count;
-      if (count < 4) break;
-    }
-    while (j < b_len && b_terms[j] < ta) ++j;
-  }
-  return dot;
-}
-
 const Ops kNeonOps = {
-    "neon",          WeightedRowSumNeon, OverallFromWeightedNeon,
-    OverallFromRowsNeon, DotAosSoaNeon,
+    "neon", WeightedRowSumNeon, OverallFromWeightedNeon,
+    OverallFromRowsNeon,
 };
 
 }  // namespace

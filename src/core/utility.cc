@@ -35,17 +35,6 @@ double UtilityComputer::RawUtility(
   return u;
 }
 
-double UtilityComputer::RawUtility(const text::TermVector& doc,
-                                   const text::TermVectorSpan* rq_prime,
-                                   size_t count) {
-  double u = 0.0;
-  for (size_t r = 0; r < count; ++r) {
-    u += kernels::CosineAosSoa(doc, rq_prime[r]) /
-         static_cast<double>(r + 1);
-  }
-  return u;
-}
-
 double UtilityComputer::NormalizedUtility(
     const text::TermVector& doc,
     const std::vector<text::TermVector>& rq_prime) const {

@@ -80,13 +80,6 @@ class UtilityComputer {
   static double RawUtility(const text::TermVector& doc,
                            const std::vector<text::TermVector>& rq_prime);
 
-  /// Span overload for mmap-backed result lists (store format v4): the
-  /// same ascending-rank sum over kernels::CosineAosSoa, bit-identical
-  /// to the vector overload on equal term/weight/norm bits.
-  static double RawUtility(const text::TermVector& doc,
-                           const text::TermVectorSpan* rq_prime,
-                           size_t count);
-
   /// Normalized Ũ = U / H_{|R_q′|}, thresholded at c.
   double NormalizedUtility(
       const text::TermVector& doc,

@@ -2,43 +2,52 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
-
-#include "text/tokenizer.h"
 
 namespace optselect {
 namespace index {
+namespace {
 
-std::string SnippetExtractor::Extract(
-    const corpus::Document& doc,
-    const std::vector<text::TermId>& query_terms) const {
-  text::Tokenizer tokenizer;
-  std::vector<std::string> tokens = tokenizer.Tokenize(doc.body);
-  const size_t window = std::min(options_.window_tokens, tokens.size());
+/// log2(1 + N / (1 + df)): ubiquitous terms (the query itself,
+/// boilerplate) stop dominating the cosine; intent-specific vocabulary
+/// does.
+double Idf(double n_docs, uint32_t df) {
+  return std::log2(1.0 + n_docs / (1.0 + static_cast<double>(df)));
+}
 
-  if (tokens.empty()) return doc.title;
+}  // namespace
 
-  // Mark which body positions hit a query term (after analysis).
-  std::unordered_set<text::TermId> qset(query_terms.begin(),
-                                        query_terms.end());
-  std::vector<int> hit(tokens.size(), 0);
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    std::vector<text::TermId> ids = analyzer_->AnalyzeReadOnly(tokens[i]);
-    for (text::TermId id : ids) {
-      if (qset.count(id)) {
-        hit[i] = 1;
-        break;
-      }
-    }
+SnippetExtractor::SnippetExtractor(const text::Analyzer* analyzer,
+                                   const InvertedIndex* index,
+                                   Options options)
+    : analyzer_(analyzer), index_(index), options_(options) {
+  if (index_ == nullptr) return;
+  const double n_docs = static_cast<double>(index_->num_docs());
+  idf_.resize(index_->num_terms());
+  for (text::TermId id = 0; id < idf_.size(); ++id) {
+    idf_[id] = Idf(n_docs, index_->DocFrequency(id));
   }
+}
 
+std::pair<size_t, size_t> SnippetExtractor::Window(
+    const std::vector<text::TermId>& body_ids,
+    const std::vector<text::TermId>& query_terms) const {
+  const size_t n = body_ids.size();
+  const size_t window = std::min(options_.window_tokens, n);
+  auto hit = [&](size_t i) {
+    const text::TermId id = body_ids[i];
+    return id != text::kInvalidTermId &&
+                   std::find(query_terms.begin(), query_terms.end(), id) !=
+                       query_terms.end()
+               ? 1
+               : 0;
+  };
   // Sliding-window maximum of query-term density.
   size_t best_start = 0;
   int best_hits = -1;
   int current = 0;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    current += hit[i];
-    if (i >= window) current -= hit[i - window];
+  for (size_t i = 0; i < n; ++i) {
+    current += hit(i);
+    if (i >= window) current -= hit(i - window);
     if (i + 1 >= window) {
       size_t start = i + 1 - window;
       if (current > best_hits) {
@@ -47,11 +56,29 @@ std::string SnippetExtractor::Extract(
       }
     }
   }
-  if (best_hits < 0) best_start = 0;  // body shorter than window
+  return {best_start, std::min(best_start + window, n)};
+}
 
+double SnippetExtractor::Weight(text::TermId id) const {
+  if (index_ == nullptr) return 1.0;
+  if (id < idf_.size()) return idf_[id];
+  // A term the vocabulary gained after the index build: df = 0.
+  return Idf(static_cast<double>(index_->num_docs()), 0);
+}
+
+std::string SnippetExtractor::Extract(
+    const corpus::Document& doc,
+    const std::vector<text::TermId>& query_terms) const {
+  std::vector<std::string> tokens;
+  std::vector<text::TermId> ids;
+  analyzer_->ForEachTokenId(
+      doc.body, [&](std::string_view token, text::TermId id) {
+        tokens.emplace_back(token);
+        ids.push_back(id);
+      });
+  const auto [begin, end] = Window(ids, query_terms);
   std::string snippet = doc.title;
-  for (size_t i = best_start;
-       i < std::min(best_start + window, tokens.size()); ++i) {
+  for (size_t i = begin; i < end; ++i) {
     snippet.push_back(' ');
     snippet.append(tokens[i]);
   }
@@ -61,20 +88,21 @@ std::string SnippetExtractor::Extract(
 text::TermVector SnippetExtractor::ExtractVector(
     const corpus::Document& doc,
     const std::vector<text::TermId>& query_terms) const {
-  std::string snippet = Extract(doc, query_terms);
-  std::vector<text::TermId> ids = analyzer_->AnalyzeReadOnly(snippet);
-  if (index_ == nullptr) return text::TermVector::FromTermIds(ids);
+  std::vector<text::TermId> ids;
+  ids.reserve(doc.body.size() / 2 + 1);
+  analyzer_->ForEachTokenId(
+      doc.body, [&](std::string_view, text::TermId id) { ids.push_back(id); });
+  const auto [begin, end] = Window(ids, query_terms);
 
-  // tf·idf weights: ubiquitous terms (the query itself, boilerplate)
-  // stop dominating the cosine; intent-specific vocabulary does.
+  // Title then window, the order the snippet text would analyze in.
   std::vector<text::TermVector::Entry> entries;
-  entries.reserve(ids.size());
-  const double n_docs = static_cast<double>(index_->num_docs());
-  for (text::TermId id : ids) {
-    double df = static_cast<double>(index_->DocFrequency(id));
-    double idf = std::log2(1.0 + n_docs / (1.0 + df));
-    entries.emplace_back(id, idf);
-  }
+  entries.reserve(doc.title.size() / 2 + 1 + (end - begin));
+  auto add = [&](text::TermId id) {
+    if (id != text::kInvalidTermId) entries.emplace_back(id, Weight(id));
+  };
+  analyzer_->ForEachTokenId(
+      doc.title, [&](std::string_view, text::TermId id) { add(id); });
+  for (size_t i = begin; i < end; ++i) add(ids[i]);
   return text::TermVector::FromEntries(std::move(entries));
 }
 

@@ -6,7 +6,9 @@
 #ifndef OPTSELECT_INDEX_SNIPPET_EXTRACTOR_H_
 #define OPTSELECT_INDEX_SNIPPET_EXTRACTOR_H_
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/document.h"
@@ -26,13 +28,14 @@ class SnippetExtractor {
   };
 
   /// The analyzer (and index, when given) are used read-only and must
-  /// outlive the extractor. When an index is supplied, surrogate vectors
-  /// are tf·idf-weighted — standard vector-space practice, without which
-  /// the cosine of Equation (2) is dominated by the query terms that
-  /// every retrieved snippet shares.
+  /// outlive the extractor; the index must be fully built, because the
+  /// constructor reads its document frequencies into an idf table. When
+  /// an index is supplied, surrogate vectors are tf·idf-weighted —
+  /// standard vector-space practice, without which the cosine of
+  /// Equation (2) is dominated by the query terms that every retrieved
+  /// snippet shares.
   SnippetExtractor(const text::Analyzer* analyzer,
-                   const InvertedIndex* index, Options options)
-      : analyzer_(analyzer), index_(index), options_(options) {}
+                   const InvertedIndex* index, Options options);
 
   SnippetExtractor(const text::Analyzer* analyzer, Options options)
       : SnippetExtractor(analyzer, nullptr, options) {}
@@ -50,16 +53,29 @@ class SnippetExtractor {
   std::string Extract(const corpus::Document& doc,
                       const std::vector<text::TermId>& query_terms) const;
 
-  /// Extract + analyze into a term vector in one step (the surrogate
-  /// representation consumed by the utility function).
+  /// The term vector of Extract's snippet (the surrogate representation
+  /// consumed by the utility function), built from the title's and the
+  /// window's term ids directly: equal in entries and norm bits to
+  /// analyzing the snippet text, which tokenizes to exactly the title's
+  /// tokens followed by the window's.
   text::TermVector ExtractVector(
       const corpus::Document& doc,
       const std::vector<text::TermId>& query_terms) const;
 
  private:
+  /// [begin, end) of the snippet window over the body tokens whose term
+  /// ids (kInvalidTermId for tokens analysis drops) are `body_ids`.
+  std::pair<size_t, size_t> Window(
+      const std::vector<text::TermId>& body_ids,
+      const std::vector<text::TermId>& query_terms) const;
+
+  /// A term's surrogate weight: its idf with an index, else 1 (raw tf).
+  double Weight(text::TermId id) const;
+
   const text::Analyzer* analyzer_;
   const InvertedIndex* index_;  // nullable: raw-tf vectors when absent
   Options options_;
+  std::vector<double> idf_;  // by TermId, over the index's terms
 };
 
 }  // namespace index

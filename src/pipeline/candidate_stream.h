@@ -13,9 +13,12 @@
 // the relevance normalizer is the same max-over-all-hits scan, the
 // surrogate comes from the same SnippetExtractor call, and the utility
 // row helper repeats UtilityComputer::Compute's exact per-cell
-// arithmetic (RawUtility × precomputed reciprocal harmonic, then the
-// threshold) — multiplication by the reciprocal, not division, because
-// the two round differently and bit-identity is the contract.
+// arithmetic (the rank-discounted cosine sum × precomputed reciprocal
+// harmonic, then the threshold) — multiplication by the reciprocal,
+// not division, because the two round differently and bit-identity is
+// the contract. Only the dot products inside the cosines take another
+// route: a scatter-gather (core/kernels GatherDot) that adds the same
+// products in the same order as TermVector::Dot's merge.
 
 #ifndef OPTSELECT_PIPELINE_CANDIDATE_STREAM_H_
 #define OPTSELECT_PIPELINE_CANDIDATE_STREAM_H_
@@ -57,7 +60,12 @@ std::vector<double> InverseHarmonics(
 
 /// Writes the thresholded utility row Ũ(d|R_q′_j) for one surrogate
 /// into row[0..m): bit-identical to the corresponding row of
-/// UtilityComputer::Compute for the same inputs.
+/// UtilityComputer::Compute for the same inputs. The surrogate's
+/// weights are scattered into a per-thread buffer indexed by its own
+/// term ids, which must be vocabulary ids (the buffer grows to the
+/// largest one, never to an id read from a stored surrogate), and every
+/// reference surrogate is gathered against it. Safe to call from any
+/// number of threads at once.
 void ComputeUtilityRow(const text::TermVector& doc,
                        const std::vector<SpecializationRef>& specs,
                        const std::vector<double>& inv_harmonic,

@@ -1,8 +1,11 @@
 #include "querylog/query_log.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -21,17 +24,50 @@ std::string JoinIds(const std::vector<DocUrlId>& ids) {
   return out;
 }
 
-util::Result<std::vector<DocUrlId>> ParseIds(const std::string& field) {
+/// Parses a non-empty run of decimal digits (no sign, no spaces) whose
+/// value is at most `max`.
+bool ParseDecimal(const std::string& text, uint64_t max, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t v = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (max - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
+/// Parses an optional '-' then a non-empty run of decimal digits,
+/// within int64.
+bool ParseInt64(const std::string& text, int64_t* out) {
+  const size_t first_digit = !text.empty() && text[0] == '-' ? 1 : 0;
+  if (text.size() == first_digit ||
+      text.find_first_not_of("0123456789", first_digit) !=
+          std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+util::Status BadField(const char* name, const std::string& text) {
+  return util::Status::Corruption(std::string("bad ") + name + ": '" +
+                                  text + "'");
+}
+
+util::Result<std::vector<DocUrlId>> ParseIds(const char* name,
+                                             const std::string& field) {
   std::vector<DocUrlId> ids;
   if (field.empty()) return ids;
   for (const std::string& piece : util::Split(field, ',')) {
-    if (piece.empty()) {
-      return util::Status::Corruption("empty id in list: " + field);
-    }
-    char* end = nullptr;
-    unsigned long v = std::strtoul(piece.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return util::Status::Corruption("bad id: " + piece);
+    uint64_t v = 0;
+    if (!ParseDecimal(piece, std::numeric_limits<DocUrlId>::max(), &v)) {
+      return BadField(name, piece);
     }
     ids.push_back(static_cast<DocUrlId>(v));
   }
@@ -88,11 +124,17 @@ util::Result<QueryRecord> QueryLog::ParseTsvLine(const std::string& line) {
   }
   QueryRecord r;
   r.query = fields[0];
-  r.user = static_cast<UserId>(std::strtoul(fields[1].c_str(), nullptr, 10));
-  r.timestamp = std::strtoll(fields[2].c_str(), nullptr, 10);
-  auto results = ParseIds(fields[3]);
+  uint64_t user = 0;
+  if (!ParseDecimal(fields[1], std::numeric_limits<UserId>::max(), &user)) {
+    return BadField("user", fields[1]);
+  }
+  r.user = static_cast<UserId>(user);
+  if (!ParseInt64(fields[2], &r.timestamp)) {
+    return BadField("timestamp", fields[2]);
+  }
+  auto results = ParseIds("result id", fields[3]);
   if (!results.ok()) return results.status();
-  auto clicks = ParseIds(fields[4]);
+  auto clicks = ParseIds("click id", fields[4]);
   if (!clicks.ok()) return clicks.status();
   r.results = std::move(results).value();
   r.clicks = std::move(clicks).value();

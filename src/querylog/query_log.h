@@ -55,7 +55,10 @@ class QueryLog {
   static util::Result<QueryLog> LoadTsv(const std::string& path);
 
   /// Parses one SaveTsv line (no trailing newline). Shared by LoadTsv
-  /// and the incremental tail reader (LogIngestor).
+  /// and the incremental tail reader (LogIngestor). Numeric fields are
+  /// strict decimal: user and result/click ids are digits only, at most
+  /// 2^32 − 1; the timestamp is an optional '-' then digits, within
+  /// int64. Anything else is kCorruption naming the field.
   static util::Result<QueryRecord> ParseTsvLine(const std::string& line);
 
  private:

@@ -5,28 +5,21 @@
 namespace optselect {
 namespace text {
 
+const std::array<char, 256>& Tokenizer::TokenChars() {
+  static const std::array<char, 256> table = [] {
+    std::array<char, 256> t{};
+    for (int c = 0; c < 256; ++c) {
+      if (std::isalnum(c)) t[c] = static_cast<char>(std::tolower(c));
+    }
+    return t;
+  }();
+  return table;
+}
+
 std::vector<std::string> Tokenizer::Tokenize(std::string_view input) const {
   std::vector<std::string> tokens;
-  std::string current;
-  current.reserve(16);
-  auto flush = [&]() {
-    if (current.size() >= options_.min_token_length) {
-      if (current.size() > options_.max_token_length) {
-        current.resize(options_.max_token_length);
-      }
-      tokens.push_back(current);
-    }
-    current.clear();
-  };
-  for (char ch : input) {
-    unsigned char c = static_cast<unsigned char>(ch);
-    if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
-    } else {
-      flush();
-    }
-  }
-  flush();
+  ForEachToken(input,
+               [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 

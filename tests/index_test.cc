@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <unordered_set>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "index/inverted_index.h"
 #include "index/searcher.h"
 #include "index/snippet_extractor.h"
+#include "pipeline/testbed.h"
 #include "synth/topic_universe.h"
 #include "text/analyzer.h"
 
@@ -406,6 +410,114 @@ TEST_F(SmallIndexTest, IdfWeightingReducesCrossTopicSimilarity) {
   double wtd_cos = weighted.ExtractVector(store_.Get(0), q)
                        .Cosine(weighted.ExtractVector(store_.Get(1), q));
   EXPECT_LT(wtd_cos, raw_cos);
+}
+
+// ---------------------------------- extraction against the two-pass path
+
+/// Reference Extract: tokenize the body, analyze each token on its
+/// own, slide the window over the query-term hits, prepend the title.
+std::string OracleExtract(const text::Analyzer& analyzer,
+                          const corpus::Document& doc,
+                          const std::vector<text::TermId>& query_terms,
+                          size_t window_tokens) {
+  std::vector<std::string> tokens = text::Tokenizer().Tokenize(doc.body);
+  const size_t window = std::min(window_tokens, tokens.size());
+  if (tokens.empty()) return doc.title;
+  std::unordered_set<text::TermId> qset(query_terms.begin(),
+                                        query_terms.end());
+  std::vector<int> hit(tokens.size(), 0);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    for (text::TermId id : analyzer.AnalyzeReadOnly(tokens[i])) {
+      if (qset.count(id)) {
+        hit[i] = 1;
+        break;
+      }
+    }
+  }
+  size_t best_start = 0;
+  int best_hits = -1;
+  int current = 0;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    current += hit[i];
+    if (i >= window) current -= hit[i - window];
+    if (i + 1 >= window && current > best_hits) {
+      best_hits = current;
+      best_start = i + 1 - window;
+    }
+  }
+  std::string snippet = doc.title;
+  for (size_t i = best_start;
+       i < std::min(best_start + window, tokens.size()); ++i) {
+    snippet.push_back(' ');
+    snippet.append(tokens[i]);
+  }
+  return snippet;
+}
+
+/// Reference ExtractVector: analyze the snippet text a second time,
+/// weight by idf (when indexed), FromEntries.
+text::TermVector OracleVector(const text::Analyzer& analyzer,
+                              const InvertedIndex* index,
+                              const std::string& snippet) {
+  std::vector<text::TermId> ids = analyzer.AnalyzeReadOnly(snippet);
+  if (index == nullptr) return text::TermVector::FromTermIds(ids);
+  std::vector<text::TermVector::Entry> entries;
+  const double n_docs = static_cast<double>(index->num_docs());
+  for (text::TermId id : ids) {
+    double df = static_cast<double>(index->DocFrequency(id));
+    entries.emplace_back(id, std::log2(1.0 + n_docs / (1.0 + df)));
+  }
+  return text::TermVector::FromEntries(std::move(entries));
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+TEST(SnippetOracleTest, ExtractionMatchesTheTwoPassPathOnSmallTestbed) {
+  pipeline::Testbed tb(pipeline::TestbedConfig::Small());
+  const text::Analyzer& analyzer = tb.analyzer();
+  SnippetExtractor::Options narrow;
+  narrow.window_tokens = 7;
+  struct Setup {
+    SnippetExtractor extractor;
+    const InvertedIndex* index;
+    size_t window;
+  };
+  const std::vector<Setup> setups = {
+      {SnippetExtractor(&analyzer, &tb.index()), &tb.index(), 30},
+      {SnippetExtractor(&analyzer), nullptr, 30},
+      {SnippetExtractor(&analyzer, narrow), nullptr, 7},
+  };
+  size_t pairs = 0;
+  for (const auto& topic : tb.universe().topics) {
+    std::vector<text::TermId> q = analyzer.AnalyzeReadOnly(topic.root_query);
+    ASSERT_FALSE(q.empty()) << topic.root_query;
+    for (const corpus::Document& doc : tb.corpus().store) {
+      for (const Setup& setup : setups) {
+        const std::string want_text =
+            OracleExtract(analyzer, doc, q, setup.window);
+        ASSERT_EQ(setup.extractor.Extract(doc, q), want_text)
+            << topic.root_query << " doc " << doc.id;
+        const text::TermVector want =
+            OracleVector(analyzer, setup.index, want_text);
+        const text::TermVector got = setup.extractor.ExtractVector(doc, q);
+        ASSERT_EQ(got.size(), want.size())
+            << topic.root_query << " doc " << doc.id;
+        for (size_t e = 0; e < want.size(); ++e) {
+          ASSERT_EQ(got.entries()[e].first, want.entries()[e].first);
+          ASSERT_EQ(Bits(got.entries()[e].second),
+                    Bits(want.entries()[e].second));
+        }
+        ASSERT_EQ(Bits(got.norm()), Bits(want.norm()))
+            << topic.root_query << " doc " << doc.id;
+      }
+      ++pairs;
+    }
+  }
+  EXPECT_GT(pairs, 1000u);
 }
 
 }  // namespace

@@ -2,16 +2,16 @@
 //
 // The kernels' contract (core/kernels/kernels.h) is that every dispatch
 // target produces bit-identical doubles to the scalar reference — the
-// blocked reduction order and the ascending-term-order dot product are
-// the canonical definitions, not implementation details. These tests
-// compare the Active() table against Scalar() on adversarial shapes
-// (empty, single-lane, odd tails, long rows) and random data, and pin
-// the span cosine to TermVector::Cosine. On a machine without AVX2/NEON
-// (or under OPTSELECT_KERNELS=scalar, which CI forces in one matrix
-// row) Active() == Scalar() and the comparisons are trivially exact —
-// the point is that on a vector machine they STAY exact.
+// blocked reduction order is the canonical definition, not an
+// implementation detail. These tests compare the Active() table against
+// Scalar() on adversarial shapes (empty, single-lane, odd tails, long
+// rows) and random data. On a machine without AVX2/NEON (or under
+// OPTSELECT_KERNELS=scalar, which CI forces in one matrix row)
+// Active() == Scalar() and the comparisons are trivially exact — the
+// point is that on a vector machine they STAY exact. The undispatched
+// gather dot is pinned to TermVector::Dot through
+// pipeline::ComputeUtilityRow in cold_path_test.cc.
 
-#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "core/kernels/kernels.h"
-#include "text/term_vector.h"
 
 namespace optselect {
 namespace core {
@@ -112,97 +111,6 @@ TEST(KernelsTest, OverallFromRowsMatchesScalarBitwise) {
       }
     }
   }
-}
-
-/// Builds a sorted-unique AoS entry list over the given term ids.
-std::vector<text::TermVector::Entry> Entries(
-    const std::vector<uint32_t>& terms, std::mt19937_64* rng) {
-  std::uniform_real_distribution<double> dist(0.25, 2.0);
-  std::vector<text::TermVector::Entry> e;
-  e.reserve(terms.size());
-  for (uint32_t t : terms) e.push_back({t, dist(*rng)});
-  return e;
-}
-
-TEST(KernelsTest, DotAosSoaMatchesScalarAcrossIntersectionPatterns) {
-  std::mt19937_64 rng(2026);
-  struct Case {
-    std::vector<uint32_t> a, b;
-  };
-  std::vector<Case> cases = {
-      {{}, {}},                                  // both empty
-      {{1, 2, 3}, {}},                           // one side empty
-      {{1, 2, 3}, {1, 2, 3}},                    // identical
-      {{1, 3, 5, 7}, {2, 4, 6, 8}},              // disjoint interleave
-      {{1, 2, 3, 4}, {100, 200}},                // disjoint ranges
-      {{1, 50, 100}, {50}},                      // single match mid-list
-      {{0, 7, 9, 13, 40, 41, 42}, {7, 13, 42}},  // sparse subset
-  };
-  // Plus long random sorted lists with ~50% overlap.
-  {
-    std::vector<uint32_t> a, b;
-    for (uint32_t t = 0; t < 300; ++t) {
-      if (rng() % 2) a.push_back(t);
-      if (rng() % 2) b.push_back(t);
-    }
-    cases.push_back({std::move(a), std::move(b)});
-  }
-  for (const Case& c : cases) {
-    std::vector<text::TermVector::Entry> a = Entries(c.a, &rng);
-    std::vector<text::TermVector::Entry> b = Entries(c.b, &rng);
-    std::vector<uint32_t> b_terms;
-    std::vector<double> b_weights;
-    for (const auto& [t, w] : b) {
-      b_terms.push_back(t);
-      b_weights.push_back(w);
-    }
-    double got = Active().dot_aos_soa(a.data(), a.size(), b_terms.data(),
-                                      b_weights.data(), b_terms.size());
-    double want = Scalar().dot_aos_soa(a.data(), a.size(), b_terms.data(),
-                                       b_weights.data(), b_terms.size());
-    EXPECT_EQ(got, want);
-    // The scalar AoS·SoA dot must itself match TermVector::Dot — same
-    // ascending-order merge.
-    text::TermVector va = text::TermVector::FromEntries(a);
-    text::TermVector vb = text::TermVector::FromEntries(b);
-    EXPECT_EQ(want, va.Dot(vb));
-  }
-}
-
-TEST(KernelsTest, CosineAosSoaMatchesTermVectorCosineBitwise) {
-  std::mt19937_64 rng(31337);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<uint32_t> a_terms, b_terms;
-    for (uint32_t t = 0; t < 64; ++t) {
-      if (rng() % 3) a_terms.push_back(t);
-      if (rng() % 3) b_terms.push_back(t);
-    }
-    text::TermVector va =
-        text::TermVector::FromEntries(Entries(a_terms, &rng));
-    text::TermVector vb =
-        text::TermVector::FromEntries(Entries(b_terms, &rng));
-
-    // Build the SoA twin of vb carrying vb's exact norm bits — the
-    // store-v4 shape.
-    std::vector<uint32_t> soa_terms;
-    std::vector<double> soa_weights;
-    for (const auto& [t, w] : vb.entries()) {
-      soa_terms.push_back(t);
-      soa_weights.push_back(w);
-    }
-    text::TermVectorSpan span;
-    span.terms = soa_terms.data();
-    span.weights = soa_weights.data();
-    span.size = static_cast<uint32_t>(soa_terms.size());
-    span.norm = vb.norm();
-
-    EXPECT_EQ(CosineAosSoa(va, span), va.Cosine(vb)) << "trial " << trial;
-  }
-  // Zero-norm handling mirrors TermVector::Cosine: either side empty
-  // gives exactly 0.
-  text::TermVector empty;
-  text::TermVectorSpan empty_span;
-  EXPECT_EQ(CosineAosSoa(empty, empty_span), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -96,6 +97,69 @@ TEST(QueryLogTest, LoadCorruptLineFails) {
   auto r = QueryLog::LoadTsv(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), util::StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+TEST(QueryLogTest, ParseTsvLineRejectsBadNumericFields) {
+  struct Case {
+    const char* line;
+    const char* field;  // named in the error
+  };
+  const Case cases[] = {
+      {"q\tabc\t100\t1\t", "user"},
+      {"q\t\t100\t1\t", "user"},
+      {"q\t-1\t100\t1\t", "user"},
+      {"q\t+7\t100\t1\t", "user"},
+      {"q\t 7\t100\t1\t", "user"},
+      {"q\t7x\t100\t1\t", "user"},
+      {"q\t4294967296\t100\t1\t", "user"},
+      {"q\t7\t12x\t1\t", "timestamp"},
+      {"q\t7\t\t1\t", "timestamp"},
+      {"q\t7\t-\t1\t", "timestamp"},
+      {"q\t7\t1.5\t1\t", "timestamp"},
+      {"q\t7\t9223372036854775808\t1\t", "timestamp"},
+      {"q\t7\t-9223372036854775809\t1\t", "timestamp"},
+      {"q\t7\t100\t-1\t", "result id"},
+      {"q\t7\t100\t1,4294967296\t", "result id"},
+      {"q\t7\t100\t1,,2\t", "result id"},
+      {"q\t7\t100\t1x\t", "result id"},
+      {"q\t7\t100\t1\t-1", "click id"},
+      {"q\t7\t100\t1\t99999999999999999999999", "click id"},
+  };
+  for (const Case& c : cases) {
+    auto r = QueryLog::ParseTsvLine(c.line);
+    ASSERT_FALSE(r.ok()) << c.line;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kCorruption) << c.line;
+    EXPECT_NE(r.status().message().find(c.field), std::string::npos)
+        << c.line << " -> " << r.status().message();
+  }
+}
+
+TEST(QueryLogTest, ParseTsvLineAcceptsFieldExtremes) {
+  auto r = QueryLog::ParseTsvLine(
+      "q\t4294967295\t-9223372036854775808\t0,4294967295\t4294967295");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().user, 4294967295u);
+  EXPECT_EQ(r.value().timestamp, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(r.value().results, (std::vector<DocUrlId>{0, 4294967295u}));
+  EXPECT_EQ(r.value().clicks, (std::vector<DocUrlId>{4294967295u}));
+  auto top = QueryLog::ParseTsvLine("q\t0\t9223372036854775807\t\t");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top.value().timestamp, std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(top.value().results.empty());
+}
+
+TEST(QueryLogTest, LoadTsvNamesTheBadLineAndField) {
+  std::string path = ::testing::TempDir() + "/qlog_bad_user.tsv";
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("good\t1\t100\t1\t\nbad\tabc\t100\t1\t\n", f);
+  fclose(f);
+  auto r = QueryLog::LoadTsv(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
+  EXPECT_NE(r.status().message().find("user"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -276,6 +340,17 @@ TEST_F(LogIngestorTest, MalformedLinesSkippedNotFatal) {
   EXPECT_EQ(polled.value().log.size(), 2u);
   EXPECT_EQ(polled.value().malformed_lines, 1u);
   EXPECT_EQ(ingestor.malformed_lines(), 1u);
+}
+
+TEST_F(LogIngestorTest, BadNumericFieldsCountAsMalformed) {
+  Append("good\t1\t100\t1\t\nbad\tabc\t100\t1\t\n"
+         "bad\t1\t12x\t1\t\nbad\t1\t100\t-1\t\n"
+         "also good\t2\t110\t2\t\n");
+  LogIngestor ingestor(path_);
+  auto polled = ingestor.Poll();
+  ASSERT_TRUE(polled.ok());
+  EXPECT_EQ(polled.value().log.size(), 2u);
+  EXPECT_EQ(polled.value().malformed_lines, 3u);
 }
 
 TEST_F(LogIngestorTest, SkipToEndIgnoresExistingRecords) {

@@ -1,8 +1,11 @@
 // Unit tests for the text module: tokenizer, Porter stemmer (published
 // vectors), stopwords, vocabulary, term vectors, analyzer pipeline.
 
+#include <cctype>
 #include <cmath>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,6 +54,92 @@ TEST(TokenizerTest, KeepsDigitsInsideTokens) {
   Tokenizer t;
   EXPECT_EQ(t.Tokenize("os x 10 7"),
             (std::vector<std::string>{"os", "x", "10", "7"}));
+}
+
+/// Reference tokenizer: the plain per-character push/flush loop that
+/// the visitor (and Tokenize, which wraps it) must reproduce.
+std::vector<std::string> OracleTokenize(std::string_view input,
+                                        const Tokenizer::Options& options) {
+  std::vector<std::string> tokens;
+  std::string current;
+  auto flush = [&]() {
+    if (current.size() >= options.min_token_length) {
+      if (current.size() > options.max_token_length) {
+        current.resize(options.max_token_length);
+      }
+      tokens.push_back(current);
+    }
+    current.clear();
+  };
+  for (char ch : input) {
+    unsigned char c = static_cast<unsigned char>(ch);
+    if (std::isalnum(c)) {
+      current.push_back(static_cast<char>(std::tolower(c)));
+    } else {
+      flush();
+    }
+  }
+  flush();
+  return tokens;
+}
+
+std::vector<std::string> VisitedTokens(const Tokenizer& t,
+                                       std::string_view input) {
+  std::vector<std::string> out;
+  t.ForEachToken(input, [&](std::string_view token) {
+    out.emplace_back(token);
+  });
+  return out;
+}
+
+TEST(TokenizerTest, ForEachTokenMatchesOracleOnAdversarialInput) {
+  std::vector<std::string> inputs = {
+      "",
+      " ",
+      "... ---",
+      "\t\n\r",
+      "a",
+      "Apple-Pie, 42!",
+      "a  b   c",
+      " leading",
+      "trailing ",
+      "2009 iPhone3GS R2-D2 0 007",
+      std::string(200, 'X'),
+      "abc" + std::string(70, 'q') + " short " + std::string(65, '9'),
+      "caf\xc3\xa9 na\xefve \x80\xff tail\xc0",
+      std::string("nul\0byte", 8),
+  };
+  // Random bytes over the whole 0..255 range, and random text over a
+  // small alphabet of letters, digits and separators (longer tokens).
+  std::mt19937_64 rng(97);
+  const std::string alphabet = "aZ9 -\xe9";
+  for (int i = 0; i < 200; ++i) {
+    std::string bytes(rng() % 300, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng() & 0xFF);
+    inputs.push_back(std::move(bytes));
+    std::string text(rng() % 300, ' ');
+    for (char& c : text) c = alphabet[rng() % alphabet.size()];
+    inputs.push_back(std::move(text));
+  }
+  std::vector<Tokenizer::Options> option_sets(7);
+  option_sets[1].max_token_length = 3;
+  option_sets[2].min_token_length = 0;  // empty runs are tokens too
+  option_sets[3].min_token_length = 4;
+  option_sets[3].max_token_length = 5;
+  option_sets[4].min_token_length = 5;  // min above max
+  option_sets[4].max_token_length = 2;
+  option_sets[5].max_token_length = Tokenizer::kInlineTokenBytes + 36;
+  option_sets[6].max_token_length = 0;
+  for (size_t o = 0; o < option_sets.size(); ++o) {
+    Tokenizer t(option_sets[o]);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      std::vector<std::string> want = OracleTokenize(inputs[i], option_sets[o]);
+      EXPECT_EQ(VisitedTokens(t, inputs[i]), want)
+          << "options " << o << " input " << i;
+      EXPECT_EQ(t.Tokenize(inputs[i]), want)
+          << "options " << o << " input " << i;
+    }
+  }
 }
 
 // ----------------------------------------------------------- PorterStemmer
@@ -299,6 +388,76 @@ TEST(AnalyzerTest, AnalyzeToVectorCountsTf) {
   TermId tank = a.vocabulary().Lookup("tank");
   EXPECT_DOUBLE_EQ(tv.WeightOf(leopard), 2.0);
   EXPECT_DOUBLE_EQ(tv.WeightOf(tank), 1.0);
+}
+
+/// An analyzer with `warm`'s options and vocabulary (same ids) but an
+/// empty token memo: every token it analyzes takes the full stopword,
+/// stem and vocabulary-lookup path.
+Analyzer Fresh(const Analyzer& warm) {
+  Analyzer fresh(warm.options());
+  for (TermId id = 0; id < warm.vocabulary().size(); ++id) {
+    fresh.vocabulary().GetOrAdd(warm.vocabulary().term(id));
+  }
+  return fresh;
+}
+
+TEST(AnalyzerTest, MemoWarmReadOnlyMatchesFreshAnalyzer) {
+  const std::string indexed =
+      "The leopards are running in the canyons; a Leopard tank was "
+      "connected. Of and to s e y ies sses 2009 iPhone3GS " +
+      std::string(80, 'z') + " generalizations";
+  const std::vector<std::string> queries = {
+      indexed,
+      "the of and to a an",              // stopwords only
+      "s e y ies sses ing ed",           // stem to short or empty forms
+      "unicorn zebra quixotic",          // unknown tokens
+      "leopard leopards LEOPARDING tanks connection",  // unknown raw
+                                         // tokens with a known stem
+      std::string(90, 'z') + " canyon",  // truncated to a memoized token
+      "",
+  };
+  std::vector<Analyzer::Options> option_sets(4);
+  option_sets[1].remove_stopwords = false;
+  option_sets[2].stem = false;
+  option_sets[3].remove_stopwords = false;
+  option_sets[3].stem = false;
+  for (size_t o = 0; o < option_sets.size(); ++o) {
+    Analyzer warm(option_sets[o]);
+    std::vector<TermId> first = warm.Analyze(indexed);
+    // A second Analyze is served entirely from the memo.
+    EXPECT_EQ(warm.Analyze(indexed), first) << "options " << o;
+    Analyzer fresh = Fresh(warm);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(warm.AnalyzeReadOnly(queries[q]),
+                fresh.AnalyzeReadOnly(queries[q]))
+          << "options " << o << " query " << q;
+      std::vector<TermId> warm_ids, fresh_ids;
+      warm.ForEachTokenId(queries[q], [&](std::string_view, TermId id) {
+        warm_ids.push_back(id);
+      });
+      fresh.ForEachTokenId(queries[q], [&](std::string_view, TermId id) {
+        fresh_ids.push_back(id);
+      });
+      EXPECT_EQ(warm_ids, fresh_ids) << "options " << o << " query " << q;
+    }
+    EXPECT_EQ(warm.AnalyzeToStrings(indexed),
+              fresh.AnalyzeToStrings(indexed));
+  }
+}
+
+TEST(AnalyzerTest, ForEachTokenIdMarksDroppedTokens) {
+  Analyzer a;
+  a.Analyze("leopard");
+  std::vector<std::string> tokens;
+  std::vector<TermId> ids;
+  a.ForEachTokenId("The Leopard unicorn", [&](std::string_view t, TermId id) {
+    tokens.emplace_back(t);
+    ids.push_back(id);
+  });
+  EXPECT_EQ(tokens, (std::vector<std::string>{"the", "leopard", "unicorn"}));
+  EXPECT_EQ(ids, (std::vector<TermId>{kInvalidTermId,
+                                      a.vocabulary().Lookup("leopard"),
+                                      kInvalidTermId}));
 }
 
 }  // namespace
