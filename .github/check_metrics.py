@@ -20,10 +20,11 @@ RenderPrometheus():
   4. snapshot coherence: for every label set,
      completed <= accepted must hold — the registry reads effects
      before causes, so a violating dump means that ordering broke;
-  5. with ``--require-stages`` (the tracing=ON CI row), the
+  5. with ``--require-stages``, the
      ``optselect_stage_latency_seconds`` summary must be present with
      a nonzero _count for every lifecycle stage label:
-     queue_wait, cache_lookup, store_read, select, reply.
+     queue_wait, cache_lookup, store_read, select, reply (a dump from
+     a cache-on run, e.g. loadtest, so that cache_lookup ran).
 
 Usage: check_metrics.py FILE [--require-stages] [--require-router]
 
@@ -103,7 +104,7 @@ def main():
     parser.add_argument("path")
     parser.add_argument("--require-stages", action="store_true",
                         help="assert per-stage latency summaries (needs a "
-                             "-DOPTSELECT_TRACING=ON build)")
+                             "cache-on run, e.g. loadtest)")
     parser.add_argument("--require-router", action="store_true",
                         help="assert router metrics (needs a cluster run, "
                              "i.e. loadtest --shards >= 1)")
@@ -187,7 +188,7 @@ def main():
             if counts.get(stage, 0) <= 0:
                 problems.append(
                     f"stage '{stage}' has no recorded latency samples "
-                    f"(tracing off, or the stage never ran)")
+                    f"(the stage never ran)")
 
     for p in problems:
         print(p)

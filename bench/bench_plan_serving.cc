@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
   record("compiled_v3", compiled);
   record("compiled_after_reload", after_reload);
   // Context block: the measured node's full registry (counters, cache,
-  // stage histograms when tracing is compiled in). Never gated on.
+  // stage histograms). Never gated on.
   json.SetMetricsJson(compiled_node.metrics().RenderJson());
   util::Status s = json.WriteFile();
   if (!s.ok()) {

@@ -77,15 +77,12 @@ ChaosReport RunChaosOnCluster(ShardedCluster& cluster,
   // with the outcome vector by seq. Installed on the router alone —
   // shard-level traces run on independent sequence counters and would
   // interleave into the ring. Ring sized to the run: nothing evicted.
-  std::unique_ptr<obs::Tracer> tracer;
-  if (obs::TracingCompiledIn()) {
-    obs::TracerConfig trace_config;
-    trace_config.sample_every = config.trace_sample_every;
-    trace_config.seed = config.trace_seed;
-    trace_config.ring_capacity = mix.size() + 1;
-    tracer = std::make_unique<obs::Tracer>(trace_config);
-    cluster.router().set_tracer(tracer.get());
-  }
+  obs::TracerConfig trace_config;
+  trace_config.sample_every = config.trace_sample_every;
+  trace_config.seed = config.trace_seed;
+  trace_config.ring_capacity = mix.size() + 1;
+  obs::Tracer tracer(trace_config);
+  cluster.router().set_tracer(&tracer);
 
   std::vector<std::unique_ptr<serving::ScriptedFaultInjector>> injectors;
   injectors.reserve(cluster.num_shards());
@@ -147,11 +144,9 @@ ChaosReport RunChaosOnCluster(ShardedCluster& cluster,
   cluster.Shutdown();
   report.transitions = cluster.router().breaker_transitions();
   report.router = cluster.router().stats();
-  if (tracer != nullptr) {
-    report.traces = tracer->Recent();
-    report.trace_breakers = tracer->breaker_events();
-    cluster.router().set_tracer(nullptr);
-  }
+  report.traces = tracer.Recent();
+  report.trace_breakers = tracer.breaker_events();
+  cluster.router().set_tracer(nullptr);
   return report;
 }
 
@@ -337,7 +332,6 @@ TraceVerdict VerifyTraceInvariants(const ChaosReport& run_a,
                                    const ChaosReport& run_b,
                                    const ChaosConfig& config) {
   TraceVerdict verdict;
-  if (!obs::TracingCompiledIn()) return verdict;  // nothing to check
 
   // How many requests the sampling rule selects out of the run.
   uint64_t n = config.trace_sample_every;

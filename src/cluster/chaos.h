@@ -79,11 +79,11 @@ struct ChaosConfig {
   /// slowed shard must never race a breaker transition on that shard,
   /// or the transition log stops being comparable across runs.
   std::vector<ChaosEvent> schedule;
-  /// Deterministic 1-in-N trace sampling on the router's failover path
-  /// (active only when obs::TracingCompiledIn()). The sequential replay
-  /// makes the router's trace sequence number equal the request index,
-  /// so two runs of the same seed sample the same requests — which is
-  /// what VerifyTraceInvariants asserts.
+  /// Deterministic 1-in-N trace sampling on the router's failover
+  /// path. The sequential replay makes the router's trace sequence
+  /// number equal the request index, so two runs of the same seed
+  /// sample the same requests — which is what VerifyTraceInvariants
+  /// asserts.
   uint64_t trace_sample_every = 16;
   uint64_t trace_seed = 0;
 };
@@ -124,9 +124,9 @@ struct ChaosReport {
   uint64_t streaming_served = 0;
   double wall_ms = 0.0;
   double qps = 0.0;
-  /// Sampled router traces, in commit (= request) order. Empty when
-  /// tracing is compiled out. The ring is sized to the run, so nothing
-  /// is evicted: every sampled request is here.
+  /// Sampled router traces, in commit (= request) order. The ring is
+  /// sized to the run, so nothing is evicted: every sampled request is
+  /// here.
   std::vector<obs::Trace> traces;
   /// Every breaker transition the tracer observed (not sampled) —
   /// appended under the same lock as ChaosReport::transitions, so the
@@ -219,8 +219,7 @@ ChaosVerdict VerifyChaosRuns(
     const std::unordered_map<std::string, uint64_t>& passthrough_hashes);
 
 /// Trace-level acceptance checks over the same two runs. Zero
-/// everywhere == pass; trivially passes when tracing is compiled out
-/// (no traces to check).
+/// everywhere == pass.
 struct TraceVerdict {
   /// Requests the sampling rule says must be traced, per run.
   size_t sampled_expected = 0;

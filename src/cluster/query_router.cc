@@ -120,16 +120,14 @@ void QueryRouter::TransitionLocked(ShardHealth* health, size_t shard,
     transitions_.pop_front();  // bounded log; seq stays global
   }
   transitions_.push_back(t);
-  if (obs::TracingCompiledIn()) {
-    // Mirror every transition (not sampled) into the tracer's breaker
-    // log — the chaos harness asserts the mirror matches this log
-    // entry-for-entry. Lock order: health_mu_ (held here) → tracer mu;
-    // the tracer never calls back into the router.
-    obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
-    if (tracer != nullptr) {
-      tracer->RecordBreakerTransition(shard, static_cast<int>(t.from),
-                                      static_cast<int>(to));
-    }
+  // Mirror every transition (not sampled) into the tracer's breaker
+  // log — the chaos harness asserts the mirror matches this log
+  // entry-for-entry. Lock order: health_mu_ (held here) → tracer mu;
+  // the tracer never calls back into the router.
+  obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
+  if (tracer != nullptr) {
+    tracer->RecordBreakerTransition(shard, static_cast<int>(t.from),
+                                    static_cast<int>(to));
   }
   health->state = to;
   if (to == BreakerState::kOpen) ++breaker_opens_;
@@ -291,7 +289,6 @@ serving::Response QueryRouter::Submit(const serving::Request& request) {
   const bool replicated = replicated_.count(normalized) > 0;
   const size_t owner = store::ShardFilter::OwnerShard(normalized, n);
 
-#if OPTSELECT_TRACING
   // Router-level trace: sampled on the router's own sequence counter
   // (incremented only while a tracer is installed), so under the
   // sequential chaos replay seq equals the request index and the
@@ -308,11 +305,7 @@ serving::Response QueryRouter::Submit(const serving::Request& request) {
       tr = &trace;
     }
   }
-#else
-  obs::Trace* tr = nullptr;
-#endif
   auto commit = [&](const serving::Response& result) {
-#if OPTSELECT_TRACING
     if (tr != nullptr) {
       tr->ok = result.ok;
       tr->degraded = result.degraded;
@@ -325,9 +318,6 @@ serving::Response QueryRouter::Submit(const serving::Request& request) {
           result.ranking.data(), result.ranking.size() * sizeof(DocId));
       tracer->Commit(std::move(*tr));
     }
-#else
-    (void)result;
-#endif
   };
 
   // Holders of the key's store entry: the owner alone, or — replicated
@@ -377,7 +367,6 @@ serving::Response QueryRouter::Submit(const serving::Request& request) {
     obs::TraceSpan attempt_span(tr, obs::TraceStage::kAttempt, shard);
     Attempt attempt = AttemptOn(shard, request, hedge);
     attempt_span.End();
-#if OPTSELECT_TRACING
     // Hedge launches depend on wall time; the event is narrative only
     // and excluded from every determinism comparison (like the hedged
     // flag in ChaosRequestOutcome).
@@ -385,7 +374,6 @@ serving::Response QueryRouter::Submit(const serving::Request& request) {
       tr->events.push_back(obs::TraceEvent{
           obs::TraceStage::kHedge, tr->ElapsedMicros(), 0, hedge});
     }
-#endif
     // A launched hedge already queried its replica — don't re-attempt
     // it (its outcome deliberately never touched the breaker).
     if (attempt.hedge_used) attempted[hedge] = 1;

@@ -196,8 +196,7 @@ class QueryRouter final : public serving::Frontend {
   /// attempt / hedge / degraded-failover hops, and *every* breaker
   /// transition is mirrored into the tracer's breaker log — the chaos
   /// harness diffs that mirror against breaker_transitions(). Not
-  /// owned; must outlive the router or be cleared first. No-op in
-  /// builds without OPTSELECT_TRACING.
+  /// owned; must outlive the router or be cleared first.
   void set_tracer(obs::Tracer* tracer) {
     tracer_.store(tracer, std::memory_order_release);
   }

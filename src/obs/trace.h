@@ -22,26 +22,14 @@
 // record every request (see serving_node.cc), so stage quantiles
 // describe all traffic, not a sample.
 //
-// Cost model mirrors fault_injector.h: OPTSELECT_TRACING defaults on
-// in Debug and off in optimized builds (opt in via the CMake option).
-// Compiled out, TracingCompiledIn() is a constexpr false — the trace
-// branches and all added clock reads are dead code; Request keeps a
-// null unique_ptr and nothing else. Compiled in with no Tracer
-// installed, the cost is one relaxed atomic load per request.
+// Cost model mirrors fault_injector.h: the trace sites and stage
+// timers are compiled into every build. With no Tracer installed a
+// request pays one acquire load and a null check for the trace, plus
+// the stage clock reads and relaxed histogram increments that feed
+// the always-on stage histograms.
 
 #ifndef OPTSELECT_OBS_TRACE_H_
 #define OPTSELECT_OBS_TRACE_H_
-
-// Compile-time gate for trace evaluation sites and stage clock reads.
-// Debug builds default on; optimized builds default off and opt in via
-// the CMake option OPTSELECT_TRACING=ON.
-#ifndef OPTSELECT_TRACING
-#ifdef NDEBUG
-#define OPTSELECT_TRACING 0
-#else
-#define OPTSELECT_TRACING 1
-#endif
-#endif
 
 #include <algorithm>
 #include <chrono>
@@ -54,9 +42,8 @@
 namespace optselect {
 namespace obs {
 
-/// True when this build evaluates installed tracers and records stage
-/// timings (see header doc).
-constexpr bool TracingCompiledIn() { return OPTSELECT_TRACING != 0; }
+/// Always true; kept because benchmark reports print the build's setup.
+constexpr bool TracingCompiledIn() { return true; }
 
 /// Lifecycle stages and router hops a TraceEvent can mark.
 enum class TraceStage : uint8_t {
@@ -205,13 +192,10 @@ struct StageTimes {
   int64_t maintain_us = -1;
 };
 
-#if OPTSELECT_TRACING
-
 /// Scope guard: measures from construction to destruction, then writes
 /// `*out_us` (when set — feeds the always-on stage histograms) and
 /// appends a TraceEvent to `trace` (when non-null — the sampled
-/// narrative). With tracing compiled out this is an empty struct and
-/// every use site folds away.
+/// narrative).
 class TraceSpan {
  public:
   TraceSpan(Trace* trace, TraceStage stage, uint64_t detail = 0,
@@ -262,19 +246,6 @@ class TraceSpan {
   std::chrono::steady_clock::time_point t0_;
   bool armed_ = true;
 };
-
-#else  // !OPTSELECT_TRACING
-
-class TraceSpan {
- public:
-  TraceSpan(Trace*, TraceStage, uint64_t = 0, int64_t* = nullptr) {}
-  void set_detail(uint64_t) {}
-  void End() {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#endif  // OPTSELECT_TRACING
 
 }  // namespace obs
 }  // namespace optselect

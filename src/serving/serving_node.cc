@@ -88,11 +88,9 @@ void ServingNode::RegisterMetrics() {
   });
 
   latency_ = registry_->AddHistogram("optselect_request_latency_seconds", L);
-  // Stage histograms exist in every build (exposition shows the series
-  // either way) but record only when tracing is compiled in — and they
-  // record EVERY request, not just sampled ones: stage quantiles must
-  // describe all traffic so their p50s can be checked against the
-  // end-to-end p50.
+  // Stage histograms record EVERY request, not just sampled ones:
+  // stage quantiles must describe all traffic so their p50s can be
+  // checked against the end-to-end p50.
   static const char* kStageNames[kNumStages] = {
       "queue_wait", "cache_lookup", "store_read", "select", "reply",
       "scan",       "maintain"};
@@ -103,7 +101,6 @@ void ServingNode::RegisterMetrics() {
 }
 
 void ServingNode::MaybeStartTrace(QueuedRequest* request) {
-#if OPTSELECT_TRACING
   obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
   if (tracer == nullptr) return;
   // The sequence number is consumed per admission attempt while a
@@ -119,9 +116,6 @@ void ServingNode::MaybeStartTrace(QueuedRequest* request) {
   trace->events.push_back(
       obs::TraceEvent{obs::TraceStage::kAdmission, 0, 0, 0});
   request->trace = std::move(trace);
-#else
-  (void)request;
-#endif
 }
 
 FaultDecision ServingNode::EvaluateFault(FaultSite site,
@@ -310,8 +304,7 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
   // Store-read span: everything needed to pose the selection problem —
   // the store lookup, and on the fallback paths the live retrieval
   // (analyze + search + candidates + utilities). The select span is
-  // OptSelect proper (SelectInto + ranking assembly). Both fold away
-  // when tracing is compiled out.
+  // OptSelect proper (SelectInto + ranking assembly).
   obs::TraceSpan read_span(trace, obs::TraceStage::kStoreRead, 0,
                            &stages->store_read_us);
 
@@ -516,7 +509,6 @@ void ServingNode::Finish(QueuedRequest* request, const Response& result) {
   } else {
     passthrough_->Add();
   }
-#if OPTSELECT_TRACING
   // The reply span covers the completion callback; it is excluded from
   // total_us on both sides of the stage-sum identity (queue_wait +
   // cache_lookup + store_read + select ≈ total).
@@ -540,9 +532,6 @@ void ServingNode::Finish(QueuedRequest* request, const Response& result) {
     obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
     if (tracer != nullptr) tracer->Commit(std::move(t));
   }
-#else
-  if (request->callback) request->callback(result);
-#endif
 }
 
 void ServingNode::WorkerLoop() {
@@ -568,12 +557,9 @@ void ServingNode::WorkerLoop() {
     // this wakeup answers on one consistent store version, and the
     // shared_ptr keeps that version alive across a concurrent reload.
     std::shared_ptr<const store::StoreSnapshot> snapshot = this->snapshot();
-#if OPTSELECT_TRACING
     const auto drain_time = std::chrono::steady_clock::now();
-#endif
     for (QueuedRequest& req : batch) {
       obs::StageTimes stages;
-#if OPTSELECT_TRACING
       stages.queue_wait_us =
           std::chrono::duration_cast<std::chrono::microseconds>(
               drain_time - req.enqueue_time)
@@ -586,7 +572,6 @@ void ServingNode::WorkerLoop() {
             obs::TraceEvent{obs::TraceStage::kBatch, stages.queue_wait_us,
                             0, batch.size()});
       }
-#endif
       std::string normalized = NormalizeQuery(req.query);
       // Store-read fault: the worker fails (or stalls — the delay is
       // applied inside EvaluateFault) while answering. Evaluated per
@@ -613,7 +598,6 @@ void ServingNode::WorkerLoop() {
         if (batch.size() > 1) batch_local.emplace(key, payload);
       }
 
-#if OPTSELECT_TRACING
       // Stage histograms record every request that ran the stage, not
       // just sampled ones — sampling only gates trace storage.
       if (stages.cache_lookup_us >= 0) {
@@ -631,7 +615,6 @@ void ServingNode::WorkerLoop() {
       if (stages.maintain_us >= 0) {
         stage_hist_[kStageMaintain]->Record(stages.maintain_us);
       }
-#endif
 
       Response result = *payload;  // copy; per-request flags below
       result.cache_hit = cache_hit;

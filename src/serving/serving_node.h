@@ -233,8 +233,7 @@ class ServingNode : public Frontend {
   /// Installs (or clears) a tracer: each accepted request gets a
   /// sequence number and, when sampled, carries an obs::Trace through
   /// the worker flow, committed on completion. Not owned; must outlive
-  /// the node or be cleared first. In builds without OPTSELECT_TRACING
-  /// the sites are compiled out (obs::TracingCompiledIn()).
+  /// the node or be cleared first.
   void set_tracer(obs::Tracer* tracer) {
     tracer_.store(tracer, std::memory_order_release);
   }
@@ -273,7 +272,7 @@ class ServingNode : public Frontend {
     std::function<void(Response)> callback;
     std::chrono::steady_clock::time_point enqueue_time;
     /// Sampled requests carry their trace through the queue; null for
-    /// the unsampled rest (and always null with tracing compiled out).
+    /// the unsampled rest.
     std::unique_ptr<obs::Trace> trace;
   };
 
@@ -298,8 +297,7 @@ class ServingNode : public Frontend {
   /// Registers every counter/gauge/histogram into registry_ (ctor).
   void RegisterMetrics();
   /// Samples the just-accepted request: assigns a sequence number and
-  /// attaches a Trace when the installed tracer selects it. No-op
-  /// (compiled out) without OPTSELECT_TRACING.
+  /// attaches a Trace when the installed tracer selects it.
   void MaybeStartTrace(QueuedRequest* request);
   /// Consults the installed fault injector; a no-decision default when
   /// none is installed (one acquire load and a null check).

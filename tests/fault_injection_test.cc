@@ -542,6 +542,15 @@ TEST_F(FaultInjectionTest, MiniChaosScenarioIsDeterministicAndLossless) {
   EXPECT_TRUE(verdict.breaker_opened);
   EXPECT_TRUE(verdict.ok());
   EXPECT_GT(run_a.degraded, 0u) << "the kill window must bite";
+
+  // The router's sampled traces retell the same story in every build.
+  TraceVerdict traces = VerifyTraceInvariants(run_a, run_b, chaos);
+  EXPECT_GT(traces.sampled_expected, 0u);
+  EXPECT_EQ(traces.sampled_a, traces.sampled_expected);
+  EXPECT_EQ(traces.sampled_b, traces.sampled_expected);
+  EXPECT_EQ(traces.outcome_mismatches, 0u);
+  EXPECT_EQ(traces.breaker_mismatches, 0u);
+  EXPECT_EQ(traces.cross_run_mismatches, 0u);
 }
 
 }  // namespace

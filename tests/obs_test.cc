@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -315,7 +316,6 @@ TEST(TracerTest, BreakerTransitionsRecordedUnsampled) {
   EXPECT_EQ(events[1].to, 2);
 }
 
-#if OPTSELECT_TRACING
 TEST(TraceSpanTest, RecordsEventAndStageMicros) {
   Trace trace;
   trace.start = std::chrono::steady_clock::now();
@@ -341,7 +341,6 @@ TEST(TraceSpanTest, RecordsEventAndStageMicros) {
   EXPECT_GE(only_us, 0);
   EXPECT_EQ(trace.events.size(), 2u);
 }
-#endif  // OPTSELECT_TRACING
 
 // --------------------------------- stats coherence under load
 
@@ -471,6 +470,22 @@ TEST_F(ObsServingTest, ExternalRegistryLabeledAndCoherent) {
   EXPECT_EQ(accepted, 5.0);
   EXPECT_EQ(completed, 5.0);
   EXPECT_EQ(node.Stats().completed, 5u);
+
+  // The stage timers run in every build: all five requests waited in
+  // the queue, probed the cache and replied; only the first (the one
+  // cache miss) read the store and ran select.
+  std::map<std::string, uint64_t> stage_counts;
+  for (const auto& [labels, hist] :
+       registry.HistogramsNamed("optselect_stage_latency_seconds")) {
+    for (const auto& [key, value] : labels) {
+      if (key == "stage") stage_counts[value] = hist->count();
+    }
+  }
+  EXPECT_EQ(stage_counts["queue_wait"], 5u);
+  EXPECT_EQ(stage_counts["cache_lookup"], 5u);
+  EXPECT_EQ(stage_counts["reply"], 5u);
+  EXPECT_EQ(stage_counts["store_read"], 1u);
+  EXPECT_EQ(stage_counts["select"], 1u);
 }
 
 }  // namespace

@@ -1,42 +1,11 @@
 // optselect — command-line front end for the library.
 //
-// Subcommands (run without arguments for usage):
-//
-//   generate <dir> [--topics N] [--seed S]
-//       Builds the synthetic testbed and writes its artifacts:
-//       <dir>/log.tsv (query log), <dir>/topics.tsv, <dir>/qrels.txt,
-//       and <dir>/store.bin (the serving-side specialization store).
-//
-//   mine <log.tsv> [--min-freq F]
-//       Rebuilds the mining stack from a query log file and prints every
-//       query Algorithm 1 flags as ambiguous, with its specializations.
-//
-//   run <dir> <out.run> [--algo A] [--c F] [--lambda F] [--k N]
-//       Regenerates the testbed of `generate` (same seed), diversifies
-//       every topic with algorithm A, writes a TREC run file.
-//
-//   evaluate <dir> <run...>
-//       Scores one or more run files against <dir>/topics.tsv and
-//       <dir>/qrels.txt (α-NDCG and IA-P at 5/10/20).
-//
-//   serve <dir> [--workers N] [--batch B] [--cache 0|1] ...
-//       Regenerates the testbed retrieval stack (same seed), loads
-//       <dir>/store.bin, and starts a ServingNode REPL: one query per
-//       stdin line, ranking + latency per answer; ":stats" prints the
-//       node's counters, ":refresh" forces a store refresh tick (when
-//       refresh is enabled), EOF exits.
-//
-//   loadtest <dir> [--requests N] [--skew Z] [--workers N] ...
-//       Same node, but replays a Zipf-distributed query mix sampled
-//       from the testbed log's popularity order and prints the
-//       ServingStats summary (QPS, latency quantiles, cache hit rate).
-//
-// Both serving subcommands accept --refresh-interval S / --log-tail F
-// to run the live store lifecycle (tail the query log, re-mine dirty
-// queries, hot-swap versioned snapshots mid-traffic).
-//
-// `optselect --help` (or any unknown flag/subcommand) prints the full
-// usage; bad invocations exit with status 2.
+// Subcommands: generate, mine, run, evaluate (the offline experiment
+// loop) and serve, loadtest, stats, chaos (the serving tier). Each one
+// declares its flags once through tools/options.h: `optselect` alone
+// lists the subcommands, `optselect <subcommand> --help` prints the
+// generated flag list, and a bad flag or value exits with status 2
+// before any work starts.
 
 #include <csignal>
 #include <fcntl.h>
@@ -50,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -94,138 +62,62 @@ namespace {
 
 using namespace optselect;  // NOLINT(build/namespaces)
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "optselect — OptSelect diversification testbed & serving CLI\n"
-      "\n"
-      "usage: optselect <subcommand> [args] [flags]\n"
-      "\n"
-      "subcommands:\n"
-      "  generate <dir>            build the synthetic testbed artifacts:\n"
-      "                            log.tsv, topics.tsv, qrels.txt, store.bin\n"
-      "                            (store v3: entries carry compiled query\n"
-      "                            plans for the serving fast path)\n"
-      "      --topics N            planted ambiguous topics (default 20)\n"
-      "      --seed S              testbed seed (default 17)\n"
-      "      --candidates N        |R_q| the plans are compiled at (default\n"
-      "                            200 — must match the serving flag)\n"
-      "      --c F                 utility threshold the plans are compiled\n"
-      "                            at (default 0.3 — must match serving)\n"
-      "      --plans 0|1           compile plans (default 1; 0 writes a\n"
-      "                            v2-style store that serves via\n"
-      "                            per-request computation)\n"
-      "\n"
-      "  mine <log.tsv>            run Algorithm 1 over a query log and\n"
-      "                            print every detected ambiguous query\n"
-      "      --min-freq F          popularity floor f(q) (default 20)\n"
-      "\n"
-      "  run <dir> <out.run>       diversify every topic, write a TREC run\n"
-      "      --algo A              optselect|xquad|iaselect|mmr\n"
-      "      --c F                 utility threshold c (default 0.3)\n"
-      "      --lambda F            trade-off lambda (default 0.15)\n"
-      "      --k N                 ranking depth (default 1000)\n"
-      "      --topics N  --seed S  must match `generate`\n"
-      "\n"
-      "  evaluate <dir> <run...>   score run files (alpha-NDCG, IA-P)\n"
-      "\n"
-      "  serve <dir>               serving node over store.bin: an\n"
-      "                            interactive REPL by default, or — with\n"
-      "                            --listen PORT — a wire-protocol TCP\n"
-      "                            server (one shard process of a fleet\n"
-      "                            with --shard-index/--num-shards)\n"
-      "  loadtest <dir>            replay a Zipf query mix, print stats;\n"
-      "                            with --connect host:port[,...] the\n"
-      "                            replay drives remote shard servers over\n"
-      "                            the wire protocol (pipelined), and\n"
-      "                            --verify-local 1 asserts remote answers\n"
-      "                            are bit-identical to in-process serving\n"
-      "  stats <dir>               deterministic sequential replay, then\n"
-      "                            the full metrics dump (per-stage\n"
-      "                            latency breakdown, counters, traces)\n"
-      "  chaos                     deterministic fault-injection scenario\n"
-      "                            on the in-process cluster (breakers,\n"
-      "                            hedges, degraded answers); with\n"
-      "                            --net <dir> it goes process-level:\n"
-      "                            spawn shard server processes, SIGKILL\n"
-      "                            one mid-replay, assert breaker opens,\n"
-      "                            degraded answers match the passthrough\n"
-      "                            contract, and recovery after respawn\n"
-      "                            is bit-identical\n"
-      "\n"
-      "  The serving-family subcommands (serve, loadtest, stats, chaos)\n"
-      "  share typed flag sets — run `optselect <subcommand> --help` for\n"
-      "  the full generated list (serving knobs, cluster shape, store\n"
-      "  refresh, network edge). Bad flags exit with status 2.\n"
-      "\n"
-      "  help | --help | -h        this text\n");
-}
-
-int Usage() {
-  PrintUsage(stderr);
-  return 2;
-}
-
-struct Flags {
-  std::map<std::string, std::string> values;
-  std::vector<std::string> positional;
-  /// First parse problem ("--flag needs a value"), empty when clean.
-  std::string parse_error;
-
-  static Flags Parse(int argc, char** argv, int start) {
-    Flags f;
-    for (int i = start; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        if (i + 1 >= argc) {
-          if (f.parse_error.empty()) {
-            f.parse_error = std::string(argv[i]) + " needs a value";
-          }
-          continue;
-        }
-        f.values[argv[i] + 2] = argv[i + 1];
-        ++i;
-      } else {
-        f.positional.push_back(argv[i]);
-      }
-    }
-    return f;
-  }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-
-  /// Returns false (and prints the offender) when a flag is outside the
-  /// subcommand's allowed set or failed to parse.
-  bool Validate(const char* subcommand,
-                const std::vector<std::string>& allowed) const {
-    if (!parse_error.empty()) {
-      std::fprintf(stderr, "error: %s\n\n", parse_error.c_str());
-      return false;
-    }
-    for (const auto& [key, value] : values) {
-      if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-        std::fprintf(stderr, "error: unknown flag --%s for `%s`\n\n",
-                     key.c_str(), subcommand);
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-// ------------------------------------------------ serving-family options
+// ------------------------------------------------------------ options
 //
-// Each serving-family subcommand declares its typed flag surface once
-// through tools/options.h; help text, validation, and defaults all
-// derive from these declarations (`optselect serve --help` etc.).
+// Each subcommand declares its typed flag surface once; help text,
+// validation, and defaults all derive from these declarations.
+
+tools::OptionSet GenerateOptions() {
+  tools::OptionSet opts("generate", "<dir>",
+                        "Build the synthetic testbed artifacts: log.tsv, "
+                        "topics.tsv, qrels.txt, and store.bin with "
+                        "compiled query plans for the serving fast path.");
+  opts.Group("compiled plans (must match the serving flags)");
+  opts.AddInt("candidates", 200, "|R_q| the plans are compiled at");
+  opts.AddDouble("c", 0.3, "utility threshold the plans are compiled at");
+  opts.AddBool("plans", true,
+               "compile plans (0: stored queries are computed per "
+               "request)");
+  tools::AddTestbedOptions(&opts);
+  return opts;
+}
+
+tools::OptionSet MineOptions() {
+  tools::OptionSet opts("mine", "<log.tsv>",
+                        "Run Algorithm 1 over a query log and print every "
+                        "detected ambiguous query with its "
+                        "specializations.");
+  opts.AddInt("min-freq", 20, "popularity floor f(q)");
+  return opts;
+}
+
+tools::OptionSet RunOptions() {
+  tools::OptionSet opts("run", "<dir> <out.run>",
+                        "Regenerate the testbed from the testbed flags "
+                        "(<dir> is not read), diversify every topic, and "
+                        "write a TREC run file.");
+  opts.Group("diversification");
+  opts.AddString("algo", "optselect", "optselect|xquad|iaselect|mmr");
+  opts.AddDouble("c", 0.3, "utility threshold c");
+  opts.AddDouble("lambda", 0.15, "trade-off lambda");
+  opts.AddInt("k", 1000, "ranking depth");
+  tools::AddTestbedOptions(&opts);
+  return opts;
+}
+
+tools::OptionSet EvaluateOptions() {
+  return tools::OptionSet("evaluate", "<dir> <run...>",
+                          "Score run files against <dir>/topics.tsv and "
+                          "<dir>/qrels.txt (alpha-NDCG and IA-P at "
+                          "5/10/20).");
+}
 
 tools::OptionSet ServeOptions() {
   tools::OptionSet opts("serve", "<dir>",
                         "Serving node over <dir>/store.bin: interactive "
                         "REPL, or a wire-protocol TCP server with "
                         "--listen.");
-  tools::AddServingOptions(&opts);
+  tools::AddServingOptions(&opts, /*trace_every=*/1);
   tools::AddMapOptions(&opts);
   tools::AddClusterOptions(&opts);
   tools::AddRefreshOptions(&opts);
@@ -240,12 +132,12 @@ tools::OptionSet LoadtestOptions() {
                         "remote shard servers with --connect) and print "
                         "serving stats.");
   opts.Group("replay");
-  opts.AddInt("requests", 5000, "replay size");
+  opts.AddInt("requests", 5000, "replay size", 1);
   opts.AddDouble("skew", 1.0, "Zipf skew");
   opts.AddString("metrics-out", "",
                  "write the Prometheus text exposition here during and "
                  "after the replay");
-  tools::AddServingOptions(&opts);
+  tools::AddServingOptions(&opts, /*trace_every=*/64);
   tools::AddMapOptions(&opts);
   tools::AddClusterOptions(&opts);
   tools::AddRefreshOptions(&opts);
@@ -260,10 +152,13 @@ tools::OptionSet StatsOptions() {
                         "metrics dump (stage breakdown, counters, "
                         "traces).");
   opts.Group("replay");
-  opts.AddInt("requests", 2000, "replay size");
+  opts.AddInt("requests", 2000, "replay size", 1);
   opts.AddDouble("skew", 1.0, "Zipf skew");
   opts.AddString("format", "table", "output format: table|prom|json");
-  tools::AddServingOptions(&opts);
+  // Cache off by default (unlike serve/loadtest): a cache hit skips
+  // store-read and select, and the stage-sum identity only holds when
+  // every request runs the same stages.
+  tools::AddServingOptions(&opts, /*trace_every=*/16, /*cache=*/false);
   tools::AddTestbedOptions(&opts);
   return opts;
 }
@@ -274,46 +169,44 @@ tools::OptionSet ChaosOptions() {
       "Deterministic fault-injection scenario over the fault-tolerant "
       "cluster path (in-process), or — with --net <dir> — over spawned "
       "shard server processes (SIGKILL + respawn).");
+  // Something must stay alive while something dies: at least two
+  // shards and enough requests to span the fault schedule.
   opts.Group("scenario");
-  opts.AddInt("requests", 4000, "replay size (min 64; --net default 400)");
+  opts.AddInt("requests", 4000, "replay size (--net default 400)", 64);
   opts.AddDouble("skew", 1.0, "Zipf skew");
-  opts.AddInt("shards", 3, "cluster size (min 2; --net default 2)");
-  opts.AddDouble("hedge-ms", 2, "hedge delay (in-process mode)");
-  opts.AddDouble("slow-ms", 20, "injected slow-read delay (in-process)");
+  opts.AddInt("shards", 3, "cluster size (--net default 2)", 2,
+              tools::kMaxThreads);
+  opts.AddInt("replicate-hot", 2,
+              "replicate the K hottest stored queries onto every shard "
+              "(the hedge check needs replicas)");
+  const double max_ms = tools::kMaxDurationSeconds * 1000.0;
+  opts.AddDouble("hedge-ms", 2, "hedge delay (in-process mode)", 0, max_ms);
+  opts.AddDouble("slow-ms", 20, "injected slow-read delay (in-process)", 0,
+                 max_ms);
   opts.AddString("net", "",
                  "process-level mode: spawn shard servers over this "
                  "generated <dir> and kill one mid-replay");
-  tools::AddServingOptions(&opts);
-  tools::AddClusterOptions(&opts);
+  tools::AddServingOptions(&opts, /*trace_every=*/16);
   tools::AddTestbedOptions(&opts);
   return opts;
 }
 
-pipeline::TestbedConfig TestbedConfigFrom(size_t topics, uint64_t seed) {
+pipeline::TestbedConfig ConfigFor(const tools::OptionSet& opts) {
   pipeline::TestbedConfig config = pipeline::TestbedConfig::TrecShaped();
-  config.universe.num_topics = topics;
+  const uint64_t seed = static_cast<uint64_t>(opts.GetInt("seed"));
+  config.universe.num_topics = opts.GetSize("topics");
   config.universe.seed = seed;
   config.corpus.seed = seed + 1;
   config.log.seed = seed + 2;
   return config;
 }
 
-pipeline::TestbedConfig ConfigFor(const tools::OptionSet& opts) {
-  return TestbedConfigFrom(opts.GetSize("topics"),
-                           static_cast<uint64_t>(opts.GetInt("seed")));
-}
+// ------------------------------------------------- offline subcommands
 
-pipeline::TestbedConfig ConfigFor(const Flags& flags) {
-  return TestbedConfigFrom(
-      static_cast<size_t>(std::atoi(flags.Get("topics", "20").c_str())),
-      static_cast<uint64_t>(std::atoll(flags.Get("seed", "17").c_str())));
-}
-
-int CmdGenerate(const Flags& flags) {
-  if (flags.positional.empty()) return Usage();
-  const std::string dir = flags.positional[0];
+int CmdGenerate(const tools::OptionSet& opts) {
+  const std::string& dir = opts.positional()[0];
   std::printf("building testbed...\n");
-  pipeline::Testbed testbed(ConfigFor(flags));
+  pipeline::Testbed testbed(ConfigFor(opts));
 
   auto check = [](const util::Status& s) {
     if (!s.ok()) {
@@ -334,10 +227,9 @@ int CmdGenerate(const Flags& flags) {
   // Plans must be compiled at the exact (candidates, c) pair the node
   // will serve with; defaults mirror the `serve`/`loadtest` defaults.
   store::StoreBuilderOptions options;
-  options.compile_plans = flags.Get("plans", "1") != "0";
-  options.plan.num_candidates =
-      static_cast<size_t>(std::atoi(flags.Get("candidates", "200").c_str()));
-  options.plan.threshold_c = std::atof(flags.Get("c", "0.3").c_str());
+  options.compile_plans = opts.GetBool("plans");
+  options.plan.num_candidates = opts.GetSize("candidates");
+  options.plan.threshold_c = opts.GetDouble("c");
   size_t stored = store::BuildStore(
       testbed.detector(), testbed.searcher(), testbed.snippets(),
       testbed.analyzer(), testbed.corpus().store, roots, options, &built);
@@ -357,15 +249,13 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-int CmdMine(const Flags& flags) {
-  if (flags.positional.empty()) return Usage();
-  auto log = querylog::QueryLog::LoadTsv(flags.positional[0]);
+int CmdMine(const tools::OptionSet& opts) {
+  auto log = querylog::QueryLog::LoadTsv(opts.positional()[0]);
   if (!log.ok()) {
     std::fprintf(stderr, "error: %s\n", log.status().ToString().c_str());
     return 1;
   }
-  uint64_t min_freq = static_cast<uint64_t>(
-      std::atoll(flags.Get("min-freq", "20").c_str()));
+  const uint64_t min_freq = static_cast<uint64_t>(opts.GetInt("min-freq"));
 
   querylog::QueryFlowGraph graph =
       querylog::QueryFlowGraph::Build(log.value(), {});
@@ -396,9 +286,8 @@ int CmdMine(const Flags& flags) {
   return 0;
 }
 
-int CmdRun(const Flags& flags) {
-  if (flags.positional.size() < 2) return Usage();
-  auto algo_result = core::MakeDiversifier(flags.Get("algo", "optselect"));
+int CmdRun(const tools::OptionSet& opts) {
+  auto algo_result = core::MakeDiversifier(opts.GetString("algo"));
   if (!algo_result.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  algo_result.status().ToString().c_str());
@@ -407,33 +296,34 @@ int CmdRun(const Flags& flags) {
   std::unique_ptr<core::Diversifier> algo = std::move(algo_result).value();
 
   std::printf("rebuilding testbed...\n");
-  pipeline::Testbed testbed(ConfigFor(flags));
+  pipeline::Testbed testbed(ConfigFor(opts));
   pipeline::PipelineParams params;
   params.num_candidates = 1000;
-  params.threshold_c = std::atof(flags.Get("c", "0.3").c_str());
-  params.diversify.lambda = std::atof(flags.Get("lambda", "0.15").c_str());
-  params.diversify.k =
-      static_cast<size_t>(std::atoi(flags.Get("k", "1000").c_str()));
+  params.threshold_c = opts.GetDouble("c");
+  params.diversify.lambda = opts.GetDouble("lambda");
+  params.diversify.k = opts.GetSize("k");
   pipeline::DiversificationPipeline pipe(&testbed, params);
 
+  // The run is named after --c as typed (e.g. "OptSelect-c0.3").
   eval::Run run;
-  run.name = algo->name() + "-c" + flags.Get("c", "0.3");
+  run.name = algo->name() + "-c" + opts.GetString("c");
   for (const corpus::TrecTopic& topic : testbed.corpus().topics.topics()) {
     run.rankings[topic.id] = pipe.Run(topic.query, *algo).ranking;
   }
-  util::Status s = eval::SaveRun(run, flags.positional[1]);
+  const std::string& out_path = opts.positional()[1];
+  util::Status s = eval::SaveRun(run, out_path);
   if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("wrote %s (%zu topics)\n", flags.positional[1].c_str(),
+  std::printf("wrote %s (%zu topics)\n", out_path.c_str(),
               run.rankings.size());
   return 0;
 }
 
-int CmdEvaluate(const Flags& flags) {
-  if (flags.positional.size() < 2) return Usage();
-  const std::string dir = flags.positional[0];
+int CmdEvaluate(const tools::OptionSet& opts) {
+  const std::vector<std::string>& args = opts.positional();
+  const std::string& dir = args[0];
   auto topics = eval::LoadTopics(dir + "/topics.tsv");
   if (!topics.ok()) {
     std::fprintf(stderr, "error: %s\n", topics.status().ToString().c_str());
@@ -450,8 +340,8 @@ int CmdEvaluate(const Flags& flags) {
   eval::DiversityEvaluator evaluator(&topics.value(), &qrels.value(), opt);
   util::TablePrinter tp;
   tp.SetHeader({"run", "aN@5", "aN@10", "aN@20", "IA@5", "IA@10", "IA@20"});
-  for (size_t i = 1; i < flags.positional.size(); ++i) {
-    auto run = eval::LoadRun(flags.positional[i]);
+  for (size_t i = 1; i < args.size(); ++i) {
+    auto run = eval::LoadRun(args[i]);
     if (!run.ok()) {
       std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
       return 1;
@@ -468,8 +358,9 @@ int CmdEvaluate(const Flags& flags) {
   return 0;
 }
 
-/// Parses a non-negative integer flag; negative values (which would
-/// wrap when cast to size_t) fall back to `fallback`.
+// ------------------------------------------------ serving subcommands
+
+/// The per-node serving knobs (tools::AddServingOptions) as a config.
 serving::ServingConfig ServingConfigFor(const tools::OptionSet& opts) {
   serving::ServingConfig config;
   config.num_workers = opts.GetSize("workers");
@@ -517,15 +408,8 @@ void PrintServingStats(const serving::ServingStats& s) {
 /// merged across label sets (shards). The reply stage is excluded from
 /// the p50 sum because the node's e2e latency is recorded *before* the
 /// completion callback runs — both sides of the comparison leave it
-/// out. Stage histograms are populated only when tracing is compiled
-/// in; the table says so instead of printing zeros silently.
+/// out.
 void PrintStageBreakdown(const obs::MetricsRegistry& registry) {
-  if (!obs::TracingCompiledIn()) {
-    std::printf(
-        "per-stage breakdown unavailable: stage timers are compiled out "
-        "(rebuild with -DOPTSELECT_TRACING=ON, or a Debug build)\n");
-    return;
-  }
   serving::LatencyHistogram e2e;
   for (const auto& [labels, hist] :
        registry.HistogramsNamed("optselect_request_latency_seconds")) {
@@ -594,17 +478,11 @@ void PrintTraces(const obs::Tracer& tracer) {
   }
 }
 
-/// Makes the tool's tracer when this build evaluates tracing; null
-/// (and a one-line notice for interactive surfaces) otherwise.
-/// `fallback_every` applies when --trace-every was not given: serve and
-/// stats trace every request, loadtest 1-in-64, chaos 1-in-16.
-std::unique_ptr<obs::Tracer> MakeTracer(const tools::OptionSet& opts,
-                                        uint64_t fallback_every) {
-  if (!obs::TracingCompiledIn()) return nullptr;
+/// The subcommand's tracer: deterministic 1-in-N sampling, N =
+/// --trace-every.
+std::unique_ptr<obs::Tracer> MakeTracer(const tools::OptionSet& opts) {
   obs::TracerConfig config;
-  config.sample_every = opts.IsSet("trace-every")
-                            ? static_cast<uint64_t>(opts.GetInt("trace-every"))
-                            : fallback_every;
+  config.sample_every = static_cast<uint64_t>(opts.GetInt("trace-every"));
   return std::make_unique<obs::Tracer>(config);
 }
 
@@ -762,7 +640,8 @@ std::unique_ptr<store::DiversificationStore> LoadStoreOrDie(
 /// already matches what this node would serve.
 size_t RecompilePlansForServing(store::DiversificationStore* store,
                                 const pipeline::Testbed& testbed,
-                                const serving::ServingConfig& config) {
+                                const serving::ServingConfig& config,
+                                std::FILE* log) {
   store::PlanCompileOptions plan;
   plan.num_candidates = config.params.num_candidates;
   plan.threshold_c = config.params.threshold_c;
@@ -770,14 +649,15 @@ size_t RecompilePlansForServing(store::DiversificationStore* store,
       store, testbed.searcher(), testbed.snippets(), testbed.analyzer(),
       testbed.corpus().store, plan);
   if (compiled > 0) {
-    std::printf("compiled %zu query plans (store lacked plans for "
-                "candidates=%zu c=%.2f)\n",
-                compiled, plan.num_candidates, plan.threshold_c);
+    std::fprintf(log,
+                 "compiled %zu query plans (store lacked plans for "
+                 "candidates=%zu c=%.2f)\n",
+                 compiled, plan.num_candidates, plan.threshold_c);
   }
   return compiled;
 }
 
-/// Map-first store open shared by serve and loadtest. The result is
+/// Map-first store open shared by serve, loadtest and stats. The result is
 /// either a v4 mapping served zero-copy (heap == nullptr, so the node
 /// never pays the parse/materialize cost at all) or a heap store from
 /// the legacy loader (mapped == nullptr) — never both. Falls back to
@@ -795,12 +675,13 @@ struct OpenedStore {
   bool ok = false;
 };
 
-OpenedStore OpenStoreForServing(const tools::OptionSet& opts,
-                                const std::string& dir,
-                                const serving::ServingConfig& config) {
+/// `warmup_flag` is a --map-warmup value; progress lines go to `log`.
+OpenedStore OpenStoreForServing(const std::string& dir,
+                                const serving::ServingConfig& config,
+                                const std::string& warmup_flag,
+                                std::FILE* log) {
   OpenedStore out;
   store::MapWarmup warmup = store::MapWarmup::kNone;
-  const std::string warmup_flag = opts.GetString("map-warmup");
   if (!store::ParseMapWarmup(warmup_flag, &warmup)) {
     std::fprintf(stderr,
                  "error: --map-warmup expects none|madvise|mlock, got "
@@ -838,8 +719,8 @@ OpenedStore OpenStoreForServing(const tools::OptionSet& opts,
       out.mapped = std::move(mapped).value();
       const double mib = static_cast<double>(out.mapped->mapped_bytes()) /
                          (1024.0 * 1024.0);
-      std::printf("store mapped zero-copy (v4, %zu entries, %.1f MiB)\n",
-                  out.mapped->entry_count(), mib);
+      std::fprintf(log, "store mapped zero-copy (v4, %zu entries, %.1f MiB)\n",
+                   out.mapped->entry_count(), mib);
       if (warmup != store::MapWarmup::kNone) {
         store::MapWarmupOutcome w = out.mapped->Warm(warmup);
         const char* applied =
@@ -848,18 +729,18 @@ OpenedStore OpenStoreForServing(const tools::OptionSet& opts,
                 ? "madvise(MADV_WILLNEED)"
                 : "none";
         if (w.fell_back) {
-          std::printf("map warm-up: %s refused (%s); applied %s\n",
-                      warmup_flag.c_str(), w.detail.c_str(), applied);
+          std::fprintf(log, "map warm-up: %s refused (%s); applied %s\n",
+                       warmup_flag.c_str(), w.detail.c_str(), applied);
         } else {
-          std::printf("map warm-up: %s over %.1f MiB\n", applied, mib);
+          std::fprintf(log, "map warm-up: %s over %.1f MiB\n", applied, mib);
         }
       }
       out.ok = true;
       return out;
     }
   }
-  std::printf("store mapping off: %s; serving from heap parse\n",
-              fallback_reason.c_str());
+  std::fprintf(log, "store mapping off: %s; serving from heap parse\n",
+               fallback_reason.c_str());
   out.heap = LoadStoreOrDie(dir);
   out.ok = out.heap != nullptr;
   return out;
@@ -869,29 +750,40 @@ OpenedStore OpenStoreForServing(const tools::OptionSet& opts,
 volatile std::sig_atomic_t g_shutdown_requested = 0;
 void OnShutdownSignal(int) { g_shutdown_requested = 1; }
 
-/// Atomically publishes the bound port (tmp + rename), so a poller
-/// (chaos --net, the CI smoke script) never reads a half-written file.
-bool WritePortFile(const std::string& path, uint16_t port) {
+/// Atomically replaces `path` with `text` (tmp + checked close +
+/// rename), so a poller (chaos --net, the CI smoke script, a metrics
+/// scraper) never reads an empty or half-written file.
+bool WriteFileAtomic(const std::string& path, const std::string& text) {
   std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return false;
-  const bool wrote = std::fprintf(f, "%u\n", static_cast<unsigned>(port)) > 0;
-  // fclose flushes — ENOSPC surfaces here, not at fprintf; both must
-  // succeed or the poller could rename-in an empty port file.
+  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  // fclose flushes — ENOSPC surfaces here, not at fwrite; both must
+  // succeed or the poller could rename-in a truncated file.
   const bool closed = std::fclose(f) == 0;
   if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());  // never leak the tmp next to a stale port
+    std::remove(tmp.c_str());  // never leak the tmp next to a stale file
     return false;
   }
   return true;
 }
 
-int CmdServe(const tools::OptionSet& opts) {
-  if (opts.positional().empty()) {
-    opts.PrintHelp(stderr);
-    return 2;
+/// A node over `snapshot` (zero-copy over the mapping) or, when it is
+/// null, over the heap `store`.
+std::unique_ptr<serving::ServingNode> MakeNode(
+    std::shared_ptr<const store::StoreSnapshot> snapshot,
+    const store::DiversificationStore* store,
+    const pipeline::Testbed& testbed, const serving::ServingConfig& config) {
+  if (snapshot == nullptr) {
+    return std::make_unique<serving::ServingNode>(store, &testbed, config);
   }
-  const std::string dir = opts.positional()[0];
+  return std::make_unique<serving::ServingNode>(
+      std::move(snapshot), &testbed.searcher(), &testbed.snippets(),
+      &testbed.analyzer(), &testbed.corpus().store, config);
+}
+
+int CmdServe(const tools::OptionSet& opts) {
+  const std::string& dir = opts.positional()[0];
 
   const bool net_mode = opts.GetInt("listen") >= 0;
   // A shard process of a fleet serves only its slice of the store —
@@ -915,7 +807,8 @@ int CmdServe(const tools::OptionSet& opts) {
   filter.shard_index = sliced ? static_cast<size_t>(shard_index) : 0;
 
   serving::ServingConfig serving_config = ServingConfigFor(opts);
-  OpenedStore opened = OpenStoreForServing(opts, dir, serving_config);
+  OpenedStore opened = OpenStoreForServing(
+      dir, serving_config, opts.GetString("map-warmup"), stdout);
   if (!opened.ok) return 1;
   std::unique_ptr<store::DiversificationStore>& store = opened.heap;
   std::shared_ptr<const store::MappedStoreFile> mapped = opened.mapped;
@@ -926,7 +819,7 @@ int CmdServe(const tools::OptionSet& opts) {
   std::printf("rebuilding testbed retrieval stack...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
   if (store != nullptr) {
-    RecompilePlansForServing(store.get(), testbed, serving_config);
+    RecompilePlansForServing(store.get(), testbed, serving_config, stdout);
   }
 
   // The single-node snapshot: the whole mapping, or a zero-copy shard
@@ -954,8 +847,11 @@ int CmdServe(const tools::OptionSet& opts) {
   // One node, or a sharded cluster behind a router (--shards N; a
   // sliced process is always a single node — its fleet's other shards
   // are other processes). The tracer is declared before both so it
-  // outlives their worker threads.
-  std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts, 1);
+  // outlives their worker threads. A --listen server installs none:
+  // nothing in net mode reads the ring, and every request would pay
+  // for a Trace and the tracer's mutex.
+  std::unique_ptr<obs::Tracer> tracer =
+      net_mode ? nullptr : MakeTracer(opts);
   std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
   std::unique_ptr<cluster::ShardedCluster> cl =
       sliced ? nullptr
@@ -963,13 +859,7 @@ int CmdServe(const tools::OptionSet& opts) {
                            serving_config, &refreshers);
   std::unique_ptr<serving::ServingNode> node;
   if (cl == nullptr) {
-    node = snapshot != nullptr
-               ? std::make_unique<serving::ServingNode>(
-                     snapshot, &testbed.searcher(), &testbed.snippets(),
-                     &testbed.analyzer(), &testbed.corpus().store,
-                     serving_config)
-               : std::make_unique<serving::ServingNode>(store.get(), &testbed,
-                                                        serving_config);
+    node = MakeNode(snapshot, store.get(), testbed, serving_config);
     // A sliced node refreshes like a cluster shard: only the keys it
     // owns, and any persisted snapshot gets the per-shard suffix so
     // sibling processes never clobber each other.
@@ -983,12 +873,10 @@ int CmdServe(const tools::OptionSet& opts) {
                : MakeRefresher(opts, dir, node.get(), testbed);
     if (refresher != nullptr) refreshers.push_back(std::move(refresher));
   }
-  if (tracer != nullptr) {
-    if (cl != nullptr) {
-      cl->set_tracer(tracer.get());
-    } else {
-      node->set_tracer(tracer.get());
-    }
+  if (cl != nullptr) {
+    cl->set_tracer(tracer.get());
+  } else {
+    node->set_tracer(tracer.get());
   }
 
   // Either tier sits behind the same Frontend interface. A cluster's
@@ -1013,7 +901,8 @@ int CmdServe(const tools::OptionSet& opts) {
       return 1;
     }
     const std::string port_file = opts.GetString("port-file");
-    if (!port_file.empty() && !WritePortFile(port_file, server.port())) {
+    if (!port_file.empty() &&
+        !WriteFileAtomic(port_file, std::to_string(server.port()) + "\n")) {
       std::fprintf(stderr, "error: cannot write --port-file %s\n",
                    port_file.c_str());
       server.Stop();
@@ -1085,13 +974,7 @@ int CmdServe(const tools::OptionSet& opts) {
       continue;
     }
     if (query == ":traces") {
-      if (tracer == nullptr) {
-        std::printf(
-            "tracing is compiled out of this build (rebuild with "
-            "-DOPTSELECT_TRACING=ON, or a Debug build)\n");
-      } else {
-        PrintTraces(*tracer);
-      }
+      PrintTraces(*tracer);
       continue;
     }
     if (query == ":refresh") {
@@ -1213,7 +1096,7 @@ int CmdLoadtestRemote(const tools::OptionSet& opts, const std::string& dir,
   if (store == nullptr) return 1;
   std::printf("verify-local: serving the same mix in process...\n");
   serving::ServingConfig config = ServingConfigFor(opts);
-  RecompilePlansForServing(store.get(), testbed, config);
+  RecompilePlansForServing(store.get(), testbed, config, stdout);
   serving::ServingNode local(store.get(), &testbed, config);
   size_t mismatches = 0;
   for (size_t i = 0; i < mix.size(); ++i) {
@@ -1244,21 +1127,12 @@ int CmdLoadtestRemote(const tools::OptionSet& opts, const std::string& dir,
 }
 
 int CmdLoadtest(const tools::OptionSet& opts) {
-  if (opts.positional().empty()) {
-    opts.PrintHelp(stderr);
-    return 2;
-  }
-  const std::string dir = opts.positional()[0];
+  const std::string& dir = opts.positional()[0];
 
   std::printf("rebuilding testbed retrieval stack...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
 
-  long long requested = opts.GetInt("requests");
-  if (requested <= 0) {
-    std::fprintf(stderr, "error: --requests must be positive\n");
-    return 2;
-  }
-  size_t num_requests = static_cast<size_t>(requested);
+  const size_t num_requests = opts.GetSize("requests");
   double skew = opts.GetDouble("skew");
 
   if (testbed.recommender().popularity().counts().empty()) {
@@ -1277,60 +1151,49 @@ int CmdLoadtest(const tools::OptionSet& opts) {
 
   serving::ServingConfig config = ServingConfigFor(opts);
   config.queue_capacity = num_requests;
-  OpenedStore opened = OpenStoreForServing(opts, dir, config);
+  OpenedStore opened = OpenStoreForServing(
+      dir, config, opts.GetString("map-warmup"), stdout);
   if (!opened.ok) return 1;
   std::unique_ptr<store::DiversificationStore>& store = opened.heap;
   std::shared_ptr<const store::MappedStoreFile> mapped = opened.mapped;
-  if (store != nullptr) RecompilePlansForServing(store.get(), testbed, config);
+  if (store != nullptr) {
+    RecompilePlansForServing(store.get(), testbed, config, stdout);
+  }
 
-  std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts, 64);
+  std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts);
   std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
   std::unique_ptr<cluster::ShardedCluster> cl = MakeCluster(
       opts, dir, store.get(), mapped, testbed, config, &refreshers);
   std::unique_ptr<serving::ServingNode> node;
   if (cl == nullptr) {
-    node = mapped != nullptr
-               ? std::make_unique<serving::ServingNode>(
-                     store::StoreSnapshot::FromMapped(std::move(mapped)),
-                     &testbed.searcher(), &testbed.snippets(),
-                     &testbed.analyzer(), &testbed.corpus().store, config)
-               : std::make_unique<serving::ServingNode>(store.get(), &testbed,
-                                                        config);
+    node = MakeNode(
+        mapped != nullptr ? store::StoreSnapshot::FromMapped(mapped) : nullptr,
+        store.get(), testbed, config);
     auto refresher = MakeRefresher(opts, dir, node.get(), testbed);
     if (refresher != nullptr) refreshers.push_back(std::move(refresher));
-  }
-  if (tracer != nullptr) {
-    if (cl != nullptr) {
-      cl->set_tracer(tracer.get());
-    } else {
-      node->set_tracer(tracer.get());
-    }
+    node->set_tracer(tracer.get());
+  } else {
+    cl->set_tracer(tracer.get());
   }
   const obs::MetricsRegistry& registry =
       cl != nullptr ? cl->metrics() : node->metrics();
 
-  // --metrics-out: a Prometheus-text snapshot of the registry, written
-  // periodically while the replay runs (a scrape target on disk) and
-  // once more after the drain so the file always ends complete.
-  const std::string metrics_out = opts.GetString("metrics-out");
+  // --metrics-out: a Prometheus-text snapshot of the registry, replaced
+  // atomically every 250 ms while the replay runs (a scrape target on
+  // disk) and once more after the drain so the file ends complete.
+  const std::string& metrics_out = opts.GetString("metrics-out");
   auto write_metrics = [&] {
-    if (metrics_out.empty()) return;
-    std::FILE* f = std::fopen(metrics_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n",
-                   metrics_out.c_str());
-      return;
-    }
-    std::string text = registry.RenderPrometheus();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    return WriteFileAtomic(metrics_out, registry.RenderPrometheus());
   };
   std::atomic<bool> replay_done{false};
   std::thread metrics_writer;
   if (!metrics_out.empty()) {
     metrics_writer = std::thread([&] {
       while (!replay_done.load(std::memory_order_acquire)) {
-        write_metrics();
+        if (!write_metrics()) {
+          std::fprintf(stderr, "warning: cannot write --metrics-out %s\n",
+                       metrics_out.c_str());
+        }
         for (int i = 0; i < 5; ++i) {
           if (replay_done.load(std::memory_order_acquire)) break;
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -1362,10 +1225,15 @@ int CmdLoadtest(const tools::OptionSet& opts) {
     PrintServingStats(node->Stats());
   }
   PrintStageBreakdown(registry);
-  if (tracer != nullptr) PrintTraces(*tracer);
+  PrintTraces(*tracer);
   for (const auto& refresher : refreshers) PrintRefresherStats(*refresher);
-  write_metrics();  // final, post-drain snapshot
   if (!metrics_out.empty()) {
+    // The final, post-drain snapshot is the one a reader relies on.
+    if (!write_metrics()) {
+      std::fprintf(stderr, "error: cannot write --metrics-out %s\n",
+                   metrics_out.c_str());
+      return 1;
+    }
     std::printf("metrics written to %s\n", metrics_out.c_str());
   }
   return 0;
@@ -1378,15 +1246,8 @@ int CmdLoadtest(const tools::OptionSet& opts) {
 /// e2e p50 — the self-check that the stage timers actually tile a
 /// request's lifetime.
 int CmdStats(const tools::OptionSet& opts) {
-  if (opts.positional().empty()) {
-    opts.PrintHelp(stderr);
-    return 2;
-  }
-  const std::string dir = opts.positional()[0];
-  std::unique_ptr<store::DiversificationStore> store = LoadStoreOrDie(dir);
-  if (store == nullptr) return 1;
-
-  const std::string format = opts.GetString("format");
+  const std::string& dir = opts.positional()[0];
+  const std::string& format = opts.GetString("format");
   if (format != "table" && format != "prom" && format != "json") {
     std::fprintf(stderr, "error: --format must be table, prom, or json\n");
     return 2;
@@ -1396,14 +1257,18 @@ int CmdStats(const tools::OptionSet& opts) {
   // them.
   std::FILE* chatter = table ? stdout : stderr;
 
+  // The same zero-copy mapping serve and loadtest answer from, so the
+  // stage table times the mapped store path (heap only as the fallback
+  // for legacy or plan-mismatched files).
+  serving::ServingConfig config = ServingConfigFor(opts);
+  config.queue_capacity = std::max<size_t>(config.queue_capacity, 64);
+  OpenedStore opened = OpenStoreForServing(dir, config, "none", chatter);
+  if (!opened.ok) return 1;
+
   std::fprintf(chatter, "rebuilding testbed retrieval stack...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
 
-  size_t num_requests = opts.GetSize("requests");
-  if (num_requests == 0) {
-    std::fprintf(stderr, "error: --requests must be positive\n");
-    return 2;
-  }
+  const size_t num_requests = opts.GetSize("requests");
   double skew = opts.GetDouble("skew");
   if (testbed.recommender().popularity().counts().empty()) {
     std::fprintf(stderr, "error: empty query log\n");
@@ -1413,46 +1278,39 @@ int CmdStats(const tools::OptionSet& opts) {
   std::vector<std::string> mix = querylog::ZipfQueryMix(
       testbed.recommender().popularity(), num_requests, skew, &rng);
 
-  serving::ServingConfig config = ServingConfigFor(opts);
-  // Cache OFF by default (unlike serve/loadtest): a cache hit skips
-  // store-read and select, and the stage-sum identity only holds when
-  // every request runs the same stages.
-  config.enable_cache = opts.IsSet("cache") && opts.GetBool("cache");
-  config.queue_capacity = std::max<size_t>(config.queue_capacity, 64);
-  RecompilePlansForServing(store.get(), testbed, config);
-
-  std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts, 16);
-  serving::ServingNode node(store.get(), &testbed, config);
-  if (tracer != nullptr) node.set_tracer(tracer.get());
+  if (opened.heap != nullptr) {
+    RecompilePlansForServing(opened.heap.get(), testbed, config, chatter);
+  }
+  std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts);
+  std::unique_ptr<serving::ServingNode> node = MakeNode(
+      opened.mapped != nullptr
+          ? store::StoreSnapshot::FromMapped(opened.mapped)
+          : nullptr,
+      opened.heap.get(), testbed, config);
+  node->set_tracer(tracer.get());
 
   std::fprintf(chatter, "sequential replay: %zu requests (skew %.2f)...\n",
                num_requests, skew);
   serving::ReplayOutcome out =
-      serving::ReplaySequential(&node, mix, nullptr, nullptr);
+      serving::ReplaySequential(node.get(), mix, nullptr, nullptr);
   // Drain the workers before reading the registry: the reply span is
   // recorded *after* the completion callback unblocks the client, so
   // without the drain the last request's reply sample may be mid-air.
-  node.Shutdown();
+  node->Shutdown();
 
   if (format == "prom") {
-    std::printf("%s", node.metrics().RenderPrometheus().c_str());
+    std::printf("%s", node->metrics().RenderPrometheus().c_str());
     return 0;
   }
   if (format == "json") {
-    std::printf("%s\n", node.metrics().RenderJson().c_str());
+    std::printf("%s\n", node->metrics().RenderJson().c_str());
     return 0;
   }
   std::printf("replayed %zu requests in %.1f ms (%.0f QPS, sequential)\n",
               out.accepted, out.wall_ms, out.qps);
-  PrintServingStats(node.Stats());
-  PrintStageBreakdown(node.metrics());
-  if (tracer != nullptr) {
-    PrintTraces(*tracer);
-  } else {
-    std::printf(
-        "(no traces: tracing is compiled out of this build — rebuild "
-        "with -DOPTSELECT_TRACING=ON, or a Debug build)\n");
-  }
+  PrintServingStats(node->Stats());
+  PrintStageBreakdown(node->metrics());
+  PrintTraces(*tracer);
   return 0;
 }
 
@@ -1464,7 +1322,8 @@ const char* g_argv0 = "optselect";
 /// Forks one `serve --listen` shard server process over <dir> (its
 /// stdout+stderr go to <dir>/shard<i>.log). Returns the child pid, or
 /// -1 on fork failure. The child inherits the parent's testbed and
-/// serving params so its answers are bit-identical by construction.
+/// serving flags as typed, so its answers are bit-identical by
+/// construction.
 pid_t SpawnShardServer(const tools::OptionSet& opts, const std::string& dir,
                        size_t index, size_t shards,
                        const std::string& listen_port,
@@ -1478,39 +1337,24 @@ pid_t SpawnShardServer(const tools::OptionSet& opts, const std::string& dir,
     dup2(fd, 2);
     close(fd);
   }
-  char c_buf[64];
-  char lambda_buf[64];
-  std::snprintf(c_buf, sizeof(c_buf), "%g", opts.GetDouble("c"));
-  std::snprintf(lambda_buf, sizeof(lambda_buf), "%g",
-                opts.GetDouble("lambda"));
-  std::vector<std::string> args = {
-      g_argv0,
-      "serve",
-      dir,
-      "--listen",
-      listen_port,
-      "--port-file",
-      port_file,
-      "--shard-index",
-      std::to_string(index),
-      "--num-shards",
-      std::to_string(shards),
-      "--workers",
-      "1",
-      "--topics",
-      std::to_string(opts.GetSize("topics")),
-      "--seed",
-      std::to_string(opts.GetInt("seed")),
-      "--candidates",
-      std::to_string(opts.GetSize("candidates")),
-      "--c",
-      c_buf,
-      "--lambda",
-      lambda_buf,
-      "--k",
-      std::to_string(opts.GetSize("k")),
-      "--streaming",
-      opts.GetBool("streaming") ? "1" : "0"};
+  std::vector<std::string> args = {g_argv0,
+                                   "serve",
+                                   dir,
+                                   "--listen",
+                                   listen_port,
+                                   "--port-file",
+                                   port_file,
+                                   "--shard-index",
+                                   std::to_string(index),
+                                   "--num-shards",
+                                   std::to_string(shards),
+                                   "--workers",
+                                   "1"};
+  for (const char* name :
+       {"topics", "seed", "candidates", "c", "lambda", "k", "streaming"}) {
+    args.push_back(std::string("--") + name);
+    args.push_back(opts.GetString(name));
+  }
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (std::string& arg : args) {
@@ -1552,12 +1396,6 @@ bool WaitForPortFile(const std::string& path, pid_t pid, uint16_t* port) {
 int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   size_t requests = opts.IsSet("requests") ? opts.GetSize("requests") : 400;
   size_t shards = opts.IsSet("shards") ? opts.GetSize("shards") : 2;
-  if (requests < 64 || shards < 2) {
-    std::fprintf(stderr,
-                 "error: chaos needs --requests >= 64 and --shards >= 2 "
-                 "(something must stay alive while something dies)\n");
-    return 2;
-  }
   {
     auto probe = store::DiversificationStore::Load(dir + "/store.bin");
     if (!probe.ok()) {
@@ -1803,12 +1641,6 @@ int CmdChaos(const tools::OptionSet& opts) {
 
   size_t requests = opts.GetSize("requests");
   size_t shards = opts.GetSize("shards");
-  if (requests < 64 || shards < 2) {
-    std::fprintf(stderr,
-                 "error: chaos needs --requests >= 64 and --shards >= 2 "
-                 "(something must stay alive while something dies)\n");
-    return 2;
-  }
 
   std::printf("building testbed + store...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
@@ -1839,10 +1671,7 @@ int CmdChaos(const tools::OptionSet& opts) {
   chaos.zipf_skew = opts.GetDouble("skew");
   chaos.seed = static_cast<uint64_t>(opts.GetInt("seed"));
   chaos.num_shards = shards;
-  // Historical chaos default: 2 hot keys replicated (the hedge check
-  // needs replicas), while serve/loadtest default to 0.
-  chaos.replicate_hot =
-      opts.IsSet("replicate-hot") ? opts.GetSize("replicate-hot") : 2;
+  chaos.replicate_hot = opts.GetSize("replicate-hot");
   chaos.node = node;
   chaos.failover.hedge_delay = std::chrono::microseconds(
       static_cast<long long>(opts.GetDouble("hedge-ms") * 1000.0));
@@ -1850,9 +1679,7 @@ int CmdChaos(const tools::OptionSet& opts) {
       static_cast<long long>(opts.GetDouble("slow-ms") * 1000.0));
   chaos.schedule = cluster::DefaultChaosSchedule(requests, shards);
   chaos.trace_sample_every =
-      opts.IsSet("trace-every")
-          ? static_cast<uint64_t>(opts.GetInt("trace-every"))
-          : 16;
+      static_cast<uint64_t>(opts.GetInt("trace-every"));
 
   const querylog::PopularityMap& popularity =
       testbed.recommender().popularity();
@@ -1950,29 +1777,23 @@ int CmdChaos(const tools::OptionSet& opts) {
         "slow window, or --slow-ms is not >= 2x --hedge-ms)\n");
   }
 
-  // Trace invariants (only meaningful with tracing compiled in): the
-  // sampled traces must retell exactly the story the report recorded.
-  if (obs::TracingCompiledIn()) {
-    cluster::TraceVerdict tv =
-        cluster::VerifyTraceInvariants(run_a, run_b, chaos);
-    check(tv.sampled_a == tv.sampled_expected &&
-              tv.sampled_b == tv.sampled_expected,
-          "every sampled request traced exactly once",
-          tv.sampled_a + tv.sampled_b);
-    check(tv.outcome_mismatches == 0,
-          "traced outcomes match the report's outcome vector",
-          tv.outcome_mismatches);
-    check(tv.breaker_mismatches == 0,
-          "tracer breaker log mirrors the router transition log",
-          tv.breaker_mismatches);
-    check(tv.cross_run_mismatches == 0,
-          "sampled trace sequences identical across the two runs",
-          tv.cross_run_mismatches);
-  } else {
-    std::printf(
-        "SKIP: trace invariants — tracing compiled out (rebuild with "
-        "-DOPTSELECT_TRACING=ON, or a Debug build)\n");
-  }
+  // Trace invariants: the sampled traces must retell exactly the story
+  // the report recorded.
+  cluster::TraceVerdict tv =
+      cluster::VerifyTraceInvariants(run_a, run_b, chaos);
+  check(tv.sampled_a == tv.sampled_expected &&
+            tv.sampled_b == tv.sampled_expected,
+        "every sampled request traced exactly once",
+        tv.sampled_a + tv.sampled_b);
+  check(tv.outcome_mismatches == 0,
+        "traced outcomes match the report's outcome vector",
+        tv.outcome_mismatches);
+  check(tv.breaker_mismatches == 0,
+        "tracer breaker log mirrors the router transition log",
+        tv.breaker_mismatches);
+  check(tv.cross_run_mismatches == 0,
+        "sampled trace sequences identical across the two runs",
+        tv.cross_run_mismatches);
 
   // Streaming-under-chaos: the scenarios above compile plans at the
   // node's exact params, so stored queries never reach the streaming
@@ -2008,25 +1829,46 @@ int CmdChaos(const tools::OptionSet& opts) {
   return failed ? 1 : 0;
 }
 
+/// One subcommand: its flag declarations and its entry point.
+struct Subcommand {
+  tools::OptionSet (*options)();
+  int (*run)(const tools::OptionSet&);
+};
+
+const Subcommand kSubcommands[] = {
+    {GenerateOptions, CmdGenerate}, {MineOptions, CmdMine},
+    {RunOptions, CmdRun},           {EvaluateOptions, CmdEvaluate},
+    {ServeOptions, CmdServe},       {LoadtestOptions, CmdLoadtest},
+    {StatsOptions, CmdStats},       {ChaosOptions, CmdChaos},
+};
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out,
+               "optselect — OptSelect diversification testbed & serving "
+               "CLI\n\nusage: optselect <subcommand> [args] [flags]\n\n"
+               "subcommands:\n");
+  for (const Subcommand& sub : kSubcommands) {
+    tools::OptionSet opts = sub.options();
+    std::fprintf(out, "  %s\n      %s\n", opts.Usage().c_str(),
+                 opts.summary().c_str());
+  }
+  std::fprintf(out,
+               "\n`optselect <subcommand> --help` lists its flags; bad "
+               "flags exit with status 2.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   g_argv0 = argv[0];
-  if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
+  const std::string cmd = argc < 2 ? "" : argv[1];
   if (cmd == "help" || cmd == "--help" || cmd == "-h") {
     PrintUsage(stdout);
     return 0;
   }
-
-  // Serving-family subcommands parse through their typed OptionSet:
-  // generated `--help`, typed validation, exit 2 on a bad flag.
-  if (cmd == "serve" || cmd == "loadtest" || cmd == "stats" ||
-      cmd == "chaos") {
-    tools::OptionSet opts = cmd == "serve"      ? ServeOptions()
-                            : cmd == "loadtest" ? LoadtestOptions()
-                            : cmd == "stats"    ? StatsOptions()
-                                                : ChaosOptions();
+  for (const Subcommand& sub : kSubcommands) {
+    tools::OptionSet opts = sub.options();
+    if (opts.subcommand() != cmd) continue;
     if (!opts.Parse(argc, argv, 2)) {
       std::fprintf(stderr, "error: %s\n\n", opts.error().c_str());
       opts.PrintHelp(stderr);
@@ -2036,42 +1878,11 @@ int main(int argc, char** argv) {
       opts.PrintHelp(stdout);
       return 0;
     }
-    if (cmd == "serve") return CmdServe(opts);
-    if (cmd == "loadtest") return CmdLoadtest(opts);
-    if (cmd == "stats") return CmdStats(opts);
-    return CmdChaos(opts);
+    return sub.run(opts);
   }
-
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      PrintUsage(stdout);
-      return 0;
-    }
+  if (!cmd.empty()) {
+    std::fprintf(stderr, "error: unknown subcommand `%s`\n\n", cmd.c_str());
   }
-  Flags flags = Flags::Parse(argc, argv, 2);
-  if (cmd == "generate") {
-    if (!flags.Validate("generate",
-                        {"topics", "seed", "candidates", "c", "plans"})) {
-      return Usage();
-    }
-    return CmdGenerate(flags);
-  }
-  if (cmd == "mine") {
-    if (!flags.Validate("mine", {"min-freq"})) return Usage();
-    return CmdMine(flags);
-  }
-  if (cmd == "run") {
-    if (!flags.Validate("run",
-                        {"algo", "c", "lambda", "k", "topics", "seed"})) {
-      return Usage();
-    }
-    return CmdRun(flags);
-  }
-  if (cmd == "evaluate") {
-    if (!flags.Validate("evaluate", {})) return Usage();
-    return CmdEvaluate(flags);
-  }
-  std::fprintf(stderr, "error: unknown subcommand `%s`\n\n", cmd.c_str());
-  return Usage();
+  PrintUsage(stderr);
+  return 2;
 }
