@@ -11,8 +11,9 @@
 //      Σ_{d ∈ S} Ũ(d|q)  /  Σ_{d ∈ top-k(R_q)} Ũ(d|q)
 // bucketed by the number of mined specializations |S_q|. The paper
 // observes ratios of ~5–10; the shape this reproduction verifies is a
-// mean ratio well above 1 on both logs (see EXPERIMENTS.md for why the
-// magnitude is smaller against our synthetic engine substitute).
+// mean ratio well above 1 on both logs (see "Figure 1: why the ratio is
+// smaller than the paper's" in docs/BENCH.md for why the magnitude is
+// smaller against our synthetic engine substitute).
 //
 // Usage: bench_figure1_utility [--topics N]
 

@@ -77,9 +77,9 @@ int main(int argc, char** argv) {
 
   // Baseline SERP.
   std::printf("\n%-11s", "rank");
-  std::printf("%-14s", "DPH");
+  std::printf("%-20s", "DPH");
   for (const std::string& name : core::AvailableDiversifiers()) {
-    std::printf("%-14s", name.c_str());
+    std::printf("%-20s", name.c_str());
   }
   std::printf("\n");
 
@@ -93,17 +93,17 @@ int main(int argc, char** argv) {
   for (size_t rank = 0; rank < k; ++rank) {
     std::printf("%-11zu", rank + 1);
     if (rank < baseline.size()) {
-      std::printf("%-14s",
+      std::printf("%-20s",
                   SubtopicTags(testbed, *topic, baseline[rank]).c_str());
     } else {
-      std::printf("%-14s", "");
+      std::printf("%-20s", "");
     }
     for (const auto& serp : serps) {
       if (rank < serp.size()) {
-        std::printf("%-14s",
+        std::printf("%-20s",
                     SubtopicTags(testbed, *topic, serp[rank]).c_str());
       } else {
-        std::printf("%-14s", "");
+        std::printf("%-20s", "");
       }
     }
     std::printf("\n");

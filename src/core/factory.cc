@@ -12,7 +12,8 @@ namespace optselect {
 namespace core {
 
 std::vector<std::string> AvailableDiversifiers() {
-  return {"optselect", "streaming", "xquad", "iaselect", "mmr"};
+  return {"optselect", "parallel-optselect", "streaming", "xquad",
+          "iaselect", "mmr"};
 }
 
 util::Result<std::unique_ptr<Diversifier>> MakeDiversifier(

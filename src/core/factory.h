@@ -14,11 +14,11 @@
 namespace optselect {
 namespace core {
 
-/// Names accepted by MakeDiversifier.
+/// Every name MakeDiversifier accepts (in lower case).
 std::vector<std::string> AvailableDiversifiers();
 
-/// Creates a diversifier by case-insensitive name ("optselect", "xquad",
-/// "iaselect", "mmr"). Returns an error status for unknown names.
+/// Creates a diversifier by case-insensitive name (one of
+/// AvailableDiversifiers()). Returns an error status for unknown names.
 util::Result<std::unique_ptr<Diversifier>> MakeDiversifier(
     std::string_view name);
 

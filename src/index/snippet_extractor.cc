@@ -20,7 +20,6 @@ SnippetExtractor::SnippetExtractor(const text::Analyzer* analyzer,
                                    const InvertedIndex* index,
                                    Options options)
     : analyzer_(analyzer), index_(index), options_(options) {
-  if (index_ == nullptr) return;
   const double n_docs = static_cast<double>(index_->num_docs());
   idf_.resize(index_->num_terms());
   for (text::TermId id = 0; id < idf_.size(); ++id) {
@@ -59,13 +58,6 @@ std::pair<size_t, size_t> SnippetExtractor::Window(
   return {best_start, std::min(best_start + window, n)};
 }
 
-double SnippetExtractor::Weight(text::TermId id) const {
-  if (index_ == nullptr) return 1.0;
-  if (id < idf_.size()) return idf_[id];
-  // A term the vocabulary gained after the index build: df = 0.
-  return Idf(static_cast<double>(index_->num_docs()), 0);
-}
-
 std::string SnippetExtractor::Extract(
     const corpus::Document& doc,
     const std::vector<text::TermId>& query_terms) const {
@@ -88,21 +80,21 @@ std::string SnippetExtractor::Extract(
 text::TermVector SnippetExtractor::ExtractVector(
     const corpus::Document& doc,
     const std::vector<text::TermId>& query_terms) const {
-  std::vector<text::TermId> ids;
-  ids.reserve(doc.body.size() / 2 + 1);
-  analyzer_->ForEachTokenId(
-      doc.body, [&](std::string_view, text::TermId id) { ids.push_back(id); });
-  const auto [begin, end] = Window(ids, query_terms);
+  std::vector<text::TermId> title;
+  std::vector<text::TermId> body;
+  index_->DocumentTerms(doc.id, &title, &body);
+  const auto [begin, end] = Window(body, query_terms);
 
   // Title then window, the order the snippet text would analyze in.
+  // Every recorded id is below num_terms(), so idf_ covers it.
   std::vector<text::TermVector::Entry> entries;
-  entries.reserve(doc.title.size() / 2 + 1 + (end - begin));
-  auto add = [&](text::TermId id) {
-    if (id != text::kInvalidTermId) entries.emplace_back(id, Weight(id));
-  };
-  analyzer_->ForEachTokenId(
-      doc.title, [&](std::string_view, text::TermId id) { add(id); });
-  for (size_t i = begin; i < end; ++i) add(ids[i]);
+  entries.reserve(title.size() + (end - begin));
+  for (text::TermId id : title) entries.emplace_back(id, idf_[id]);
+  for (size_t i = begin; i < end; ++i) {
+    if (body[i] != text::kInvalidTermId) {
+      entries.emplace_back(body[i], idf_[body[i]]);
+    }
+  }
   return text::TermVector::FromEntries(std::move(entries));
 }
 

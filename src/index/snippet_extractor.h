@@ -27,21 +27,15 @@ class SnippetExtractor {
     size_t window_tokens = 30;
   };
 
-  /// The analyzer (and index, when given) are used read-only and must
-  /// outlive the extractor; the index must be fully built, because the
-  /// constructor reads its document frequencies into an idf table. When
-  /// an index is supplied, surrogate vectors are tf·idf-weighted —
-  /// standard vector-space practice, without which the cosine of
-  /// Equation (2) is dominated by the query terms that every retrieved
-  /// snippet shares.
+  /// The analyzer and the index are used read-only and must outlive
+  /// the extractor. The index must be built over the documents the
+  /// extractor will see, with this analyzer's vocabulary; the
+  /// constructor reads its document frequencies into an idf table.
+  /// Surrogate vectors are tf·idf-weighted — standard vector-space
+  /// practice, without which the cosine of Equation (2) is dominated by
+  /// the query terms that every retrieved snippet shares.
   SnippetExtractor(const text::Analyzer* analyzer,
                    const InvertedIndex* index, Options options);
-
-  SnippetExtractor(const text::Analyzer* analyzer, Options options)
-      : SnippetExtractor(analyzer, nullptr, options) {}
-
-  explicit SnippetExtractor(const text::Analyzer* analyzer)
-      : SnippetExtractor(analyzer, nullptr, Options{}) {}
 
   SnippetExtractor(const text::Analyzer* analyzer,
                    const InvertedIndex* index)
@@ -54,10 +48,11 @@ class SnippetExtractor {
                       const std::vector<text::TermId>& query_terms) const;
 
   /// The term vector of Extract's snippet (the surrogate representation
-  /// consumed by the utility function), built from the title's and the
-  /// window's term ids directly: equal in entries and norm bits to
-  /// analyzing the snippet text, which tokenizes to exactly the title's
-  /// tokens followed by the window's.
+  /// consumed by the utility function), built from the term ids the
+  /// index recorded for `doc.id` — the text is neither read nor
+  /// tokenized. Equal in entries and norm bits to analyzing the snippet
+  /// text, which tokenizes to exactly the title's tokens followed by the
+  /// window's, each of which analyzes to its recorded id.
   text::TermVector ExtractVector(
       const corpus::Document& doc,
       const std::vector<text::TermId>& query_terms) const;
@@ -69,11 +64,8 @@ class SnippetExtractor {
       const std::vector<text::TermId>& body_ids,
       const std::vector<text::TermId>& query_terms) const;
 
-  /// A term's surrogate weight: its idf with an index, else 1 (raw tf).
-  double Weight(text::TermId id) const;
-
   const text::Analyzer* analyzer_;
-  const InvertedIndex* index_;  // nullable: raw-tf vectors when absent
+  const InvertedIndex* index_;
   Options options_;
   std::vector<double> idf_;  // by TermId, over the index's terms
 };

@@ -60,15 +60,18 @@ TermId Analyzer::LookupToken(std::string_view token) const {
   return term.empty() ? kInvalidTermId : vocab_.Lookup(term);
 }
 
+TermId Analyzer::InternToken(std::string_view token) {
+  TermId id;
+  if (memo_.Find(token, &id)) return id;
+  const std::string term = Term(token);
+  id = term.empty() ? kInvalidTermId : vocab_.GetOrAdd(term);
+  memo_.Insert(token, id);
+  return id;
+}
+
 std::vector<TermId> Analyzer::Analyze(std::string_view raw) {
   std::vector<TermId> ids;
-  tokenizer_.ForEachToken(raw, [&](std::string_view token) {
-    TermId id;
-    if (!memo_.Find(token, &id)) {
-      const std::string term = Term(token);
-      id = term.empty() ? kInvalidTermId : vocab_.GetOrAdd(term);
-      memo_.Insert(token, id);
-    }
+  InternEachToken(raw, [&](TermId id) {
     if (id != kInvalidTermId) ids.push_back(id);
   });
   return ids;

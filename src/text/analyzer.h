@@ -3,14 +3,14 @@
 // One Analyzer instance owns the vocabulary shared by an index and the
 // query/snippet processing that must agree with it.
 //
-// Analyze also memoizes every raw token it sees (its term id, or that
-// the token is dropped), so read-only analysis of text drawn from the
-// indexed collection — snippet surrogates above all — costs one hash
-// lookup per token instead of a stopword probe, a Porter stem and a
-// vocabulary lookup. A token's result never changes once known (the
-// vocabulary is append-only and the stopword list and stemmer are
-// fixed), so the memo cannot make any analysis differ from the
-// unmemoized path.
+// Interning analysis also memoizes every raw token it sees (its term
+// id, or that the token is dropped), so read-only analysis of text
+// drawn from the indexed collection — query terms and snippet text —
+// costs one hash lookup per token instead of a stopword probe, a
+// Porter stem and a vocabulary lookup. A token's result never changes
+// once known (the vocabulary is append-only and the stopword list and
+// stemmer are fixed), so the memo cannot make any analysis differ from
+// the unmemoized path.
 
 #ifndef OPTSELECT_TEXT_ANALYZER_H_
 #define OPTSELECT_TEXT_ANALYZER_H_
@@ -30,9 +30,10 @@ namespace optselect {
 namespace text {
 
 /// Converts raw text into stemmed term-id sequences over a shared
-/// vocabulary. Not thread-safe for Analyze* (vocabulary and token-memo
-/// mutation); the const methods are safe from any number of threads
-/// once the vocabulary is frozen (no Analyze call runs concurrently).
+/// vocabulary. The non-const methods (Analyze, AnalyzeToVector,
+/// InternEachToken) mutate the vocabulary and the token memo and are not
+/// thread-safe; the const methods are safe from any number of threads
+/// once the vocabulary is frozen (no non-const call runs concurrently).
 class Analyzer {
  public:
   struct Options {
@@ -43,8 +44,17 @@ class Analyzer {
   Analyzer() : Analyzer(Options{}) {}
   explicit Analyzer(Options options) : options_(options) {}
 
-  /// Tokenizes, filters, stems, and interns the terms (growing the
-  /// vocabulary as needed), memoizing each raw token's result.
+  /// Calls visit(id) once per raw token of `raw`, in order, with the id
+  /// of its term — interned, growing the vocabulary as needed — or
+  /// kInvalidTermId where analysis drops the token (stopword, empty
+  /// stem). Memoizes each raw token's result.
+  template <typename Visit>
+  void InternEachToken(std::string_view raw, Visit&& visit) {
+    tokenizer_.ForEachToken(
+        raw, [&](std::string_view token) { visit(InternToken(token)); });
+  }
+
+  /// The kept ids of InternEachToken, in order.
   std::vector<TermId> Analyze(std::string_view raw);
 
   /// Like Analyze but never grows the vocabulary: unknown terms are
@@ -104,6 +114,10 @@ class Analyzer {
 
   /// Memo hit, else the full read-only analysis of one raw token.
   TermId LookupToken(std::string_view token) const;
+
+  /// Memo hit, else the full analysis of one raw token, interning its
+  /// term and memoizing the result.
+  TermId InternToken(std::string_view token);
 
   Options options_;
   Tokenizer tokenizer_;

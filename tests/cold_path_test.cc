@@ -11,9 +11,10 @@
 //   stream      — CandidateStream yields BuildCandidates' relevance and
 //                 surrogate for every position.
 //   concurrency — 4 threads sharing one testbed (the analyzer's token
-//                 memo, the extractor's idf table, each thread's own
-//                 scatter buffer) reproduce a single-threaded pass. CI
-//                 runs this binary under ThreadSanitizer.
+//                 memo, the direct index, the extractor's idf table,
+//                 each thread's own scatter buffer) reproduce a
+//                 single-threaded pass. CI runs this binary under
+//                 ThreadSanitizer.
 
 #include <cstdint>
 #include <cstdio>

@@ -1,13 +1,15 @@
-// Unit tests for the index module: inverted index statistics, DPH scoring
-// properties, top-k search, snippet extraction.
+// Unit tests for the index module: inverted index statistics, the direct
+// index, DPH scoring properties, top-k search, snippet extraction.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <set>
 #include <unordered_set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -339,7 +341,7 @@ TEST(ConjunctivePropertyTest, SubsetOfDisjunctiveMatches) {
 // -------------------------------------------------------- SnippetExtractor
 
 TEST_F(SmallIndexTest, SnippetContainsQueryNeighborhood) {
-  SnippetExtractor extractor(&analyzer_);
+  SnippetExtractor extractor(&analyzer_, &index_);
   std::vector<text::TermId> q = analyzer_.AnalyzeReadOnly("battle");
   std::string snippet = extractor.Extract(store_.Get(0), q);
   EXPECT_NE(snippet.find("battle"), std::string::npos);
@@ -348,7 +350,7 @@ TEST_F(SmallIndexTest, SnippetContainsQueryNeighborhood) {
 }
 
 TEST_F(SmallIndexTest, SnippetOfEmptyBodyIsTitle) {
-  SnippetExtractor extractor(&analyzer_);
+  SnippetExtractor extractor(&analyzer_, &index_);
   std::vector<text::TermId> q = analyzer_.AnalyzeReadOnly("empty");
   EXPECT_EQ(extractor.Extract(store_.Get(3), q), "empty");
 }
@@ -365,7 +367,7 @@ TEST(SnippetWindowTest, PicksDensestWindow) {
 
   SnippetExtractor::Options opt;
   opt.window_tokens = 4;
-  SnippetExtractor extractor(&analyzer, opt);
+  SnippetExtractor extractor(&analyzer, &index, opt);
   std::vector<text::TermId> q = analyzer.AnalyzeReadOnly("target nearby");
   std::string snippet = extractor.Extract(store.Get(0), q);
   EXPECT_NE(snippet.find("target"), std::string::npos);
@@ -375,7 +377,7 @@ TEST(SnippetWindowTest, PicksDensestWindow) {
 }
 
 TEST_F(SmallIndexTest, ExtractVectorMatchesSnippetTerms) {
-  SnippetExtractor extractor(&analyzer_);
+  SnippetExtractor extractor(&analyzer_, &index_);
   std::vector<text::TermId> q = analyzer_.AnalyzeReadOnly("leopard");
   text::TermVector v = extractor.ExtractVector(store_.Get(0), q);
   EXPECT_FALSE(v.empty());
@@ -383,17 +385,26 @@ TEST_F(SmallIndexTest, ExtractVectorMatchesSnippetTerms) {
   EXPECT_GT(v.WeightOf(leopard), 0.0);
 }
 
+/// The raw-tf vector of the snippet text: the contrast for the
+/// idf-weighted surrogate.
+text::TermVector RawTfVector(const text::Analyzer& analyzer,
+                             const SnippetExtractor& extractor,
+                             const corpus::Document& doc,
+                             const std::vector<text::TermId>& q) {
+  return text::TermVector::FromTermIds(
+      analyzer.AnalyzeReadOnly(extractor.Extract(doc, q)));
+}
+
 TEST_F(SmallIndexTest, IdfWeightedVectorsDemoteCommonTerms) {
   // "leopard" appears in two docs, "armor" in one: with idf weighting the
   // rarer term must carry more weight per occurrence.
-  SnippetExtractor raw(&analyzer_);
   SnippetExtractor weighted(&analyzer_, &index_);
   std::vector<text::TermId> q = analyzer_.AnalyzeReadOnly("leopard armor");
   text::TermVector v = weighted.ExtractVector(store_.Get(0), q);
   text::TermId leopard = analyzer_.vocabulary().Lookup("leopard");
   text::TermId armor = analyzer_.vocabulary().Lookup("armor");
   // Raw tf: leopard 3, armor 1. idf flips the per-occurrence weight.
-  text::TermVector r = raw.ExtractVector(store_.Get(0), q);
+  text::TermVector r = RawTfVector(analyzer_, weighted, store_.Get(0), q);
   double raw_ratio = r.WeightOf(leopard) / r.WeightOf(armor);
   double weighted_ratio = v.WeightOf(leopard) / v.WeightOf(armor);
   EXPECT_LT(weighted_ratio, raw_ratio);
@@ -402,11 +413,11 @@ TEST_F(SmallIndexTest, IdfWeightedVectorsDemoteCommonTerms) {
 TEST_F(SmallIndexTest, IdfWeightingReducesCrossTopicSimilarity) {
   // Docs 0 and 1 share only "leopard" (a common term); idf weighting
   // must shrink their cosine relative to raw tf vectors.
-  SnippetExtractor raw(&analyzer_);
   SnippetExtractor weighted(&analyzer_, &index_);
   std::vector<text::TermId> q = analyzer_.AnalyzeReadOnly("leopard");
-  double raw_cos = raw.ExtractVector(store_.Get(0), q)
-                       .Cosine(raw.ExtractVector(store_.Get(1), q));
+  double raw_cos =
+      RawTfVector(analyzer_, weighted, store_.Get(0), q)
+          .Cosine(RawTfVector(analyzer_, weighted, store_.Get(1), q));
   double wtd_cos = weighted.ExtractVector(store_.Get(0), q)
                        .Cosine(weighted.ExtractVector(store_.Get(1), q));
   EXPECT_LT(wtd_cos, raw_cos);
@@ -455,16 +466,14 @@ std::string OracleExtract(const text::Analyzer& analyzer,
 }
 
 /// Reference ExtractVector: analyze the snippet text a second time,
-/// weight by idf (when indexed), FromEntries.
+/// weight by idf, FromEntries.
 text::TermVector OracleVector(const text::Analyzer& analyzer,
-                              const InvertedIndex* index,
+                              const InvertedIndex& index,
                               const std::string& snippet) {
-  std::vector<text::TermId> ids = analyzer.AnalyzeReadOnly(snippet);
-  if (index == nullptr) return text::TermVector::FromTermIds(ids);
   std::vector<text::TermVector::Entry> entries;
-  const double n_docs = static_cast<double>(index->num_docs());
-  for (text::TermId id : ids) {
-    double df = static_cast<double>(index->DocFrequency(id));
+  const double n_docs = static_cast<double>(index.num_docs());
+  for (text::TermId id : analyzer.AnalyzeReadOnly(snippet)) {
+    double df = static_cast<double>(index.DocFrequency(id));
     entries.emplace_back(id, std::log2(1.0 + n_docs / (1.0 + df)));
   }
   return text::TermVector::FromEntries(std::move(entries));
@@ -476,48 +485,220 @@ uint64_t Bits(double d) {
   return b;
 }
 
+/// Extract equals the two-pass text, and ExtractVector equals analyzing
+/// that text, in entries and norm bits.
+void ExpectMatchesOracle(const text::Analyzer& analyzer,
+                         const InvertedIndex& index,
+                         const SnippetExtractor& extractor, size_t window,
+                         const corpus::Document& doc,
+                         const std::vector<text::TermId>& q) {
+  const std::string want_text = OracleExtract(analyzer, doc, q, window);
+  ASSERT_EQ(extractor.Extract(doc, q), want_text) << "doc " << doc.id;
+  const text::TermVector want = OracleVector(analyzer, index, want_text);
+  const text::TermVector got = extractor.ExtractVector(doc, q);
+  ASSERT_EQ(got.size(), want.size()) << "doc " << doc.id;
+  for (size_t e = 0; e < want.size(); ++e) {
+    ASSERT_EQ(got.entries()[e].first, want.entries()[e].first);
+    ASSERT_EQ(Bits(got.entries()[e].second), Bits(want.entries()[e].second));
+  }
+  ASSERT_EQ(Bits(got.norm()), Bits(want.norm())) << "doc " << doc.id;
+}
+
 TEST(SnippetOracleTest, ExtractionMatchesTheTwoPassPathOnSmallTestbed) {
   pipeline::Testbed tb(pipeline::TestbedConfig::Small());
   const text::Analyzer& analyzer = tb.analyzer();
-  SnippetExtractor::Options narrow;
-  narrow.window_tokens = 7;
   struct Setup {
     SnippetExtractor extractor;
-    const InvertedIndex* index;
     size_t window;
   };
-  const std::vector<Setup> setups = {
-      {SnippetExtractor(&analyzer, &tb.index()), &tb.index(), 30},
-      {SnippetExtractor(&analyzer), nullptr, 30},
-      {SnippetExtractor(&analyzer, narrow), nullptr, 7},
+  auto setup = [&](size_t window) {
+    SnippetExtractor::Options options;
+    options.window_tokens = window;
+    return Setup{SnippetExtractor(&analyzer, &tb.index(), options), window};
   };
+  // The default window, a narrow one, and one wider than every body.
+  const std::vector<Setup> setups = {setup(30), setup(7), setup(100000)};
   size_t pairs = 0;
   for (const auto& topic : tb.universe().topics) {
     std::vector<text::TermId> q = analyzer.AnalyzeReadOnly(topic.root_query);
     ASSERT_FALSE(q.empty()) << topic.root_query;
     for (const corpus::Document& doc : tb.corpus().store) {
-      for (const Setup& setup : setups) {
-        const std::string want_text =
-            OracleExtract(analyzer, doc, q, setup.window);
-        ASSERT_EQ(setup.extractor.Extract(doc, q), want_text)
-            << topic.root_query << " doc " << doc.id;
-        const text::TermVector want =
-            OracleVector(analyzer, setup.index, want_text);
-        const text::TermVector got = setup.extractor.ExtractVector(doc, q);
-        ASSERT_EQ(got.size(), want.size())
-            << topic.root_query << " doc " << doc.id;
-        for (size_t e = 0; e < want.size(); ++e) {
-          ASSERT_EQ(got.entries()[e].first, want.entries()[e].first);
-          ASSERT_EQ(Bits(got.entries()[e].second),
-                    Bits(want.entries()[e].second));
-        }
-        ASSERT_EQ(Bits(got.norm()), Bits(want.norm()))
-            << topic.root_query << " doc " << doc.id;
+      for (const Setup& s : setups) {
+        ExpectMatchesOracle(analyzer, tb.index(), s.extractor, s.window, doc,
+                            q);
+        if (::testing::Test::HasFatalFailure()) return;
       }
       ++pairs;
     }
   }
   EXPECT_GT(pairs, 1000u);
+}
+
+// ------------------------------------------------------------ direct index
+
+/// What the build recorded for `doc`: the title's kept ids and one id
+/// per raw body token.
+struct DirectRecord {
+  std::vector<text::TermId> title;
+  std::vector<text::TermId> body;
+};
+
+DirectRecord Record(const InvertedIndex& index, DocId doc) {
+  DirectRecord r;
+  index.DocumentTerms(doc, &r.title, &r.body);
+  return r;
+}
+
+/// The record analysis implies: ForEachTokenId over the body (dropped
+/// tokens as kInvalidTermId) and the title's kept ids.
+DirectRecord Expected(const text::Analyzer& analyzer,
+                      const corpus::Document& doc) {
+  DirectRecord r;
+  r.title = analyzer.AnalyzeReadOnly(doc.title);
+  analyzer.ForEachTokenId(doc.body, [&](std::string_view, text::TermId id) {
+    r.body.push_back(id);
+  });
+  return r;
+}
+
+TEST(DirectIndexTest, RecordsEveryTokenOfTheSmallTestbed) {
+  pipeline::Testbed tb(pipeline::TestbedConfig::Small());
+  for (const corpus::Document& doc : tb.corpus().store) {
+    const DirectRecord got = Record(tb.index(), doc.id);
+    const DirectRecord want = Expected(tb.analyzer(), doc);
+    ASSERT_EQ(got.body, want.body) << "doc " << doc.id;
+    ASSERT_EQ(got.title, want.title) << "doc " << doc.id;
+  }
+}
+
+/// The index the way it used to be built: Analyze the title and the
+/// body, merge, and aggregate each document's tfs in a std::map.
+struct ReferenceIndex {
+  std::vector<std::vector<Posting>> postings;
+  std::vector<uint64_t> collection_freq;
+  std::vector<uint32_t> doc_lengths;
+  uint64_t total_tokens = 0;
+};
+
+ReferenceIndex BuildReference(const corpus::DocumentStore& store,
+                              text::Analyzer* analyzer) {
+  ReferenceIndex ref;
+  ref.doc_lengths.resize(store.size(), 0);
+  for (const corpus::Document& doc : store) {
+    std::vector<text::TermId> terms = analyzer->Analyze(doc.title);
+    std::vector<text::TermId> body_terms = analyzer->Analyze(doc.body);
+    terms.insert(terms.end(), body_terms.begin(), body_terms.end());
+    ref.doc_lengths[doc.id] = static_cast<uint32_t>(terms.size());
+    ref.total_tokens += terms.size();
+    std::map<text::TermId, uint32_t> tfs;
+    for (text::TermId t : terms) ++tfs[t];
+    for (const auto& [term, tf] : tfs) {
+      if (ref.postings.size() <= term) {
+        ref.postings.resize(term + 1);
+        ref.collection_freq.resize(term + 1, 0);
+      }
+      ref.postings[term].push_back(Posting{doc.id, tf});
+      ref.collection_freq[term] += tf;
+    }
+  }
+  return ref;
+}
+
+TEST(DirectIndexTest, PostingsAndStatisticsMatchThePerDocumentMapBuild) {
+  pipeline::Testbed tb(pipeline::TestbedConfig::Small());
+  const corpus::DocumentStore& store = tb.corpus().store;
+  text::Analyzer ref_analyzer;
+  const ReferenceIndex ref = BuildReference(store, &ref_analyzer);
+  text::Analyzer analyzer;
+  const InvertedIndex index = InvertedIndex::Build(store, &analyzer);
+
+  ASSERT_EQ(analyzer.vocabulary().size(), ref_analyzer.vocabulary().size());
+  for (text::TermId id = 0; id < analyzer.vocabulary().size(); ++id) {
+    ASSERT_EQ(analyzer.vocabulary().term(id),
+              ref_analyzer.vocabulary().term(id));
+  }
+  ASSERT_EQ(index.num_terms(), ref.postings.size());
+  for (text::TermId term = 0; term < ref.postings.size(); ++term) {
+    const std::vector<Posting>& got = index.Postings(term);
+    const std::vector<Posting>& want = ref.postings[term];
+    ASSERT_EQ(got.size(), want.size()) << "term " << term;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].doc, want[i].doc) << "term " << term;
+      ASSERT_EQ(got[i].tf, want[i].tf) << "term " << term;
+    }
+    EXPECT_EQ(got.capacity(), want.size()) << "term " << term;
+    ASSERT_EQ(index.DocFrequency(term), want.size());
+    ASSERT_EQ(index.CollectionFrequency(term), ref.collection_freq[term]);
+  }
+  ASSERT_EQ(index.num_docs(), ref.doc_lengths.size());
+  for (DocId doc = 0; doc < ref.doc_lengths.size(); ++doc) {
+    ASSERT_EQ(index.DocLength(doc), ref.doc_lengths[doc]) << "doc " << doc;
+  }
+  EXPECT_EQ(index.total_tokens(), ref.total_tokens);
+  EXPECT_EQ(Bits(index.average_doc_length()),
+            Bits(static_cast<double>(ref.total_tokens) /
+                 static_cast<double>(ref.doc_lengths.size())));
+}
+
+size_t VarintBytes(uint32_t value) {
+  size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
+TEST(DirectIndexTest, VarintEdgeCases) {
+  corpus::DocumentStore store;
+  // 20000 distinct terms with stopwords between them: ids (+ 1) need
+  // one, two and three varint bytes, and dropped tokens store a 0.
+  std::string wide;
+  for (int i = 0; i < 20000; ++i) wide += "w" + std::to_string(i) + " the ";
+  store.Add("u0", "wide body", wide);
+  store.Add("u1", "empty body", "");
+  store.Add("u2", "the of and", "stopword only title w19999");
+  // Over-long tokens are truncated to the tokenizer's 64 characters, so
+  // two tokens that differ only past that point share one id.
+  const std::string prefix(64, 'q');
+  store.Add("u3", prefix + "xx", "intro " + prefix + "yyy " + prefix + " w7");
+  store.Add("u4", "", "");
+  text::Analyzer analyzer;
+  const InvertedIndex index = InvertedIndex::Build(store, &analyzer);
+
+  size_t want_bytes = 0;
+  text::TermId max_id = 0;
+  for (const corpus::Document& doc : store) {
+    const DirectRecord got = Record(index, doc.id);
+    const DirectRecord want = Expected(analyzer, doc);
+    ASSERT_EQ(got.body, want.body) << "doc " << doc.id;
+    ASSERT_EQ(got.title, want.title) << "doc " << doc.id;
+    want_bytes += VarintBytes(static_cast<uint32_t>(want.title.size()));
+    for (text::TermId id : want.title) want_bytes += VarintBytes(id + 1);
+    for (text::TermId id : want.body) {
+      want_bytes += VarintBytes(id == text::kInvalidTermId ? 0 : id + 1);
+      if (id != text::kInvalidTermId) max_id = std::max(max_id, id);
+    }
+  }
+  EXPECT_GE(max_id, 16384u);
+  EXPECT_EQ(index.direct_bytes(), want_bytes);
+
+  EXPECT_TRUE(Record(index, 1).body.empty());
+  EXPECT_TRUE(Record(index, 2).title.empty());  // stopwords only
+  const DirectRecord truncated = Record(index, 3);
+  ASSERT_EQ(truncated.title.size(), 1u);
+  ASSERT_EQ(truncated.body.size(), 4u);
+  EXPECT_EQ(truncated.body[1], truncated.title[0]);
+  EXPECT_EQ(truncated.body[2], truncated.title[0]);
+  EXPECT_TRUE(Record(index, 4).title.empty());
+  EXPECT_TRUE(Record(index, 4).body.empty());
+
+  // Surrogates over these records still equal the two-pass path.
+  SnippetExtractor extractor(&analyzer, &index);
+  for (const char* query : {"w19999 w7", "wide", "stopword"}) {
+    const std::vector<text::TermId> q = analyzer.AnalyzeReadOnly(query);
+    for (const corpus::Document& doc : store) {
+      ExpectMatchesOracle(analyzer, index, extractor, 30, doc, q);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

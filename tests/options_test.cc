@@ -2,8 +2,9 @@
 // defaults, typed parsing, and rejection of every malformed or
 // out-of-range value before a subcommand runs — unknown flags, missing
 // values, bad 0|1, integer and floating-point overflow, non-finite
-// numbers, and values outside a flag's declared range (ports, counts,
-// thread caps, durations). The tests only parse: no socket, no thread.
+// numbers, values outside a flag's declared range (ports, counts,
+// thread caps, durations) and strings outside a flag's declared choices.
+// The tests only parse: no socket, no thread.
 
 #include <cstdio>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.h"
 #include "tools/options.h"
 
 namespace optselect {
@@ -205,6 +207,73 @@ TEST(OptionSetTest, HelpStopsParsingAndListsEveryFlag) {
   }
   EXPECT_NE(help.find("(default -1, int in [-1, 65535])"), std::string::npos)
       << help;
+}
+
+/// The enumerated flags of run, stats and serve/loadtest.
+OptionSet WithChoices() {
+  OptionSet opts("x", "", "Choices.");
+  opts.AddChoice("algo", "optselect", core::AvailableDiversifiers(),
+                 "diversification algorithm");
+  opts.AddChoice("format", "table", {"table", "prom", "json"},
+                 "output format");
+  AddMapOptions(&opts);
+  return opts;
+}
+
+TEST(OptionSetTest, ChoicesDefaultAndParseIgnoringCase) {
+  OptionSet defaults = WithChoices();
+  ASSERT_TRUE(Parse(&defaults, {}));
+  EXPECT_EQ(defaults.GetString("algo"), "optselect");
+  EXPECT_EQ(defaults.GetString("format"), "table");
+  EXPECT_EQ(defaults.GetString("map-warmup"), "none");
+
+  OptionSet opts = WithChoices();
+  ASSERT_TRUE(Parse(&opts, {"--format", "JSON", "--map-warmup", "mlock",
+                            "--algo", "OptSelect"}))
+      << opts.error();
+  EXPECT_EQ(opts.GetString("format"), "json");  // the declared spelling
+  EXPECT_EQ(opts.GetString("map-warmup"), "mlock");
+  EXPECT_EQ(opts.GetString("algo"), "optselect");
+  EXPECT_TRUE(opts.IsSet("format"));
+}
+
+TEST(OptionSetTest, EveryDiversifierNameIsAnAlgoChoice) {
+  // MakeDiversifier's names, each as `run --algo` takes it.
+  for (const char* name : {"optselect", "parallel-optselect", "streaming",
+                           "xquad", "iaselect", "mmr", "XQUAD"}) {
+    OptionSet opts = WithChoices();
+    ASSERT_TRUE(Parse(&opts, {"--algo", name})) << opts.error();
+    EXPECT_TRUE(core::MakeDiversifier(opts.GetString("algo")).ok()) << name;
+  }
+}
+
+TEST(OptionSetTest, RejectsValuesOutsideTheChoices) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"algo", "bogus"},   {"algo", ""},          {"format", "xml"},
+      {"format", "tab"},   {"map-warmup", "bogus"}, {"map-warmup", "always"}};
+  for (const auto& [flag, value] : bad) {
+    OptionSet opts = WithChoices();
+    EXPECT_FALSE(Parse(&opts, {"--" + flag, value})) << flag << " " << value;
+    EXPECT_NE(opts.error().find("--" + flag), std::string::npos)
+        << opts.error();
+  }
+  OptionSet opts = WithChoices();
+  EXPECT_FALSE(Parse(&opts, {"--format", "xml"}));
+  EXPECT_EQ(opts.error(),
+            "--format expects one of table|prom|json, got \"xml\"");
+}
+
+TEST(OptionSetTest, HelpListsTheChoices) {
+  const std::string help = HelpText(WithChoices());
+  EXPECT_NE(help.find("(default table, one of table|prom|json)"),
+            std::string::npos)
+      << help;
+  EXPECT_NE(help.find("(default none, one of none|madvise|mlock)"),
+            std::string::npos)
+      << help;
+  for (const std::string& name : core::AvailableDiversifiers()) {
+    EXPECT_NE(help.find(name), std::string::npos) << name;
+  }
 }
 
 }  // namespace

@@ -6,10 +6,10 @@
 // derive from that single declaration. Each value is parsed once, when
 // it is given, into its type: an int outside its declared range, a
 // number that overflows, is not finite or leaves its range, a bool
-// other than 0|1, an unknown flag or a flag without a value all fail
-// Parse, so the getters only ever read checked values. Bad invocations
-// keep the historical contract: the caller prints the error and exits
-// with status 2.
+// other than 0|1, a string outside its declared choices, an unknown
+// flag or a flag without a value all fail Parse, so the getters only
+// ever read checked values. Bad invocations keep the historical
+// contract: the caller prints the error and exits with status 2.
 //
 // The flag *sets* shared by several subcommands (testbed shape, serving
 // knobs, cluster shape, store refresh, and the network edge's
@@ -21,6 +21,7 @@
 #define OPTSELECT_TOOLS_OPTIONS_H_
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cfloat>
 #include <climits>
@@ -60,6 +61,14 @@ class OptionSet {
   void AddString(const std::string& name, const std::string& fallback,
                  const std::string& help) {
     Add(New(name, Kind::kString, fallback, help));
+  }
+  /// One of `choices`, matched ignoring ASCII case; GetString returns
+  /// the choice as declared.
+  void AddChoice(const std::string& name, const std::string& fallback,
+                 std::vector<std::string> choices, const std::string& help) {
+    Option option = New(name, Kind::kChoice, fallback, help);
+    option.choices = std::move(choices);
+    Add(std::move(option));
   }
   /// An integer in [min, max]; by default any count >= 0.
   void AddInt(const std::string& name, long long fallback,
@@ -139,7 +148,7 @@ class OptionSet {
   bool IsSet(const std::string& name) const { return Get(name).is_set; }
 
   /// The value as given on the command line (or the default's text),
-  /// for a flag of any type.
+  /// for a flag of any type; a choice flag's value as declared.
   const std::string& GetString(const std::string& name) const {
     return Get(name).text;
   }
@@ -183,7 +192,7 @@ class OptionSet {
   }
 
  private:
-  enum class Kind { kString, kInt, kDouble, kBool };
+  enum class Kind { kString, kChoice, kInt, kDouble, kBool };
 
   struct Option {
     std::string name;
@@ -198,12 +207,14 @@ class OptionSet {
     long long int_max = LLONG_MAX;
     double num_min = -DBL_MAX;
     double num_max = DBL_MAX;
+    std::vector<std::string> choices;  // kChoice
     bool is_set = false;
   };
 
   static const char* KindName(Kind kind) {
     switch (kind) {
       case Kind::kString:
+      case Kind::kChoice:
         return "str";
       case Kind::kInt:
         return "int";
@@ -222,8 +233,10 @@ class OptionSet {
   }
 
   /// True when the accepted values are narrower than the kind's
-  /// default domain (int: any count >= 0; num: any finite number).
+  /// default domain (int: any count >= 0; num: any finite number; str:
+  /// any text).
   static bool Bounded(const Option& option) {
+    if (option.kind == Kind::kChoice) return true;
     if (option.kind == Kind::kInt) {
       return option.int_min != 0 || option.int_max != LLONG_MAX;
     }
@@ -248,10 +261,25 @@ class OptionSet {
                Format(option.num_max) + "]";
       case Kind::kBool:
         return "0|1";
+      case Kind::kChoice: {
+        std::string joined;
+        for (const std::string& choice : option.choices) {
+          joined += (joined.empty() ? "" : "|") + choice;
+        }
+        return "one of " + joined;
+      }
       case Kind::kString:
         break;
     }
     return "str";
+  }
+
+  static bool EqualsIgnoringCase(const std::string& a, const std::string& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+             return std::tolower(static_cast<unsigned char>(x)) ==
+                    std::tolower(static_cast<unsigned char>(y));
+           });
   }
 
   /// Parses `text` into the option's type and range. False (value
@@ -263,6 +291,14 @@ class OptionSet {
     switch (option->kind) {
       case Kind::kString:
         break;
+      case Kind::kChoice:
+        for (const std::string& choice : option->choices) {
+          if (EqualsIgnoringCase(text, choice)) {
+            option->text = choice;
+            return true;
+          }
+        }
+        return false;
       case Kind::kBool:
         if (text != "0" && text != "1") return false;
         option->int_value = text == "1";
@@ -384,9 +420,9 @@ inline void AddServingOptions(OptionSet* opts, long long trace_every,
 /// off the mapping (serve/loadtest).
 inline void AddMapOptions(OptionSet* opts) {
   opts->Group("mapped store (v4)");
-  opts->AddString("map-warmup", "none",
-                  "page warm-up for the v4 mapping: none|madvise|mlock "
-                  "(mlock falls back to madvise when refused)");
+  opts->AddChoice("map-warmup", "none", {"none", "madvise", "mlock"},
+                  "page warm-up for the v4 mapping (mlock falls back to "
+                  "madvise when refused)");
 }
 
 /// In-process sharded-cluster shape (serve/loadtest).

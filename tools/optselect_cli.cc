@@ -97,7 +97,8 @@ tools::OptionSet RunOptions() {
                         "(<dir> is not read), diversify every topic, and "
                         "write a TREC run file.");
   opts.Group("diversification");
-  opts.AddString("algo", "optselect", "optselect|xquad|iaselect|mmr");
+  opts.AddChoice("algo", "optselect", core::AvailableDiversifiers(),
+                 "diversification algorithm");
   opts.AddDouble("c", 0.3, "utility threshold c");
   opts.AddDouble("lambda", 0.15, "trade-off lambda");
   opts.AddInt("k", 1000, "ranking depth");
@@ -154,7 +155,8 @@ tools::OptionSet StatsOptions() {
   opts.Group("replay");
   opts.AddInt("requests", 2000, "replay size", 1);
   opts.AddDouble("skew", 1.0, "Zipf skew");
-  opts.AddString("format", "table", "output format: table|prom|json");
+  opts.AddChoice("format", "table", {"table", "prom", "json"},
+                 "output format");
   // Cache off by default (unlike serve/loadtest): a cache hit skips
   // store-read and select, and the stage-sum identity only holds when
   // every request runs the same stages.
@@ -287,13 +289,10 @@ int CmdMine(const tools::OptionSet& opts) {
 }
 
 int CmdRun(const tools::OptionSet& opts) {
-  auto algo_result = core::MakeDiversifier(opts.GetString("algo"));
-  if (!algo_result.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 algo_result.status().ToString().c_str());
-    return 1;
-  }
-  std::unique_ptr<core::Diversifier> algo = std::move(algo_result).value();
+  // --algo's choices are AvailableDiversifiers(), which MakeDiversifier
+  // all accepts.
+  std::unique_ptr<core::Diversifier> algo =
+      std::move(core::MakeDiversifier(opts.GetString("algo"))).value();
 
   std::printf("rebuilding testbed...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
@@ -681,14 +680,9 @@ OpenedStore OpenStoreForServing(const std::string& dir,
                                 const std::string& warmup_flag,
                                 std::FILE* log) {
   OpenedStore out;
+  // --map-warmup is declared with exactly ParseMapWarmup's values.
   store::MapWarmup warmup = store::MapWarmup::kNone;
-  if (!store::ParseMapWarmup(warmup_flag, &warmup)) {
-    std::fprintf(stderr,
-                 "error: --map-warmup expects none|madvise|mlock, got "
-                 "\"%s\"\n",
-                 warmup_flag.c_str());
-    return out;
-  }
+  store::ParseMapWarmup(warmup_flag, &warmup);
 
   const std::string path = dir + "/store.bin";
   std::string fallback_reason;
@@ -1248,10 +1242,6 @@ int CmdLoadtest(const tools::OptionSet& opts) {
 int CmdStats(const tools::OptionSet& opts) {
   const std::string& dir = opts.positional()[0];
   const std::string& format = opts.GetString("format");
-  if (format != "table" && format != "prom" && format != "json") {
-    std::fprintf(stderr, "error: --format must be table, prom, or json\n");
-    return 2;
-  }
   bool table = format == "table";
   // prom/json dumps go to stdout; progress chatter must not pollute
   // them.
