@@ -40,6 +40,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -52,6 +53,7 @@
 #include "querylog/popularity.h"
 #include "serving/latency_histogram.h"
 #include "serving/serving_node.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
@@ -158,6 +160,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: need >= 2 stored entries\n");
     return 1;
   }
+  // The clusters serve views of the store's in-memory v4 image; the
+  // single-node reference serves the heap store it was encoded from.
+  auto image = store::MappedStoreFile::FromStore(full_store);
+  if (!image.ok()) {
+    std::fprintf(stderr, "error: %s\n", image.status().ToString().c_str());
+    return 1;
+  }
+  std::shared_ptr<const store::MappedStoreFile> mapped =
+      std::move(image).value();
 
   util::Rng rng(99);
   std::vector<std::string> mix = querylog::ZipfQueryMix(
@@ -222,13 +233,13 @@ int main(int argc, char** argv) {
     cluster::ClusterConfig config = base;
     config.num_shards = shards;
     config.replicate_hot = replicate_hot;
-    cluster::ShardedCluster cl(full_store, &testbed,
+    cluster::ShardedCluster cl(mapped, &testbed,
                                &testbed.recommender().popularity(), config);
     if (replicate_hot == 0) {
       // Per-shard stores must partition the full store exactly.
       size_t sum = 0;
       for (size_t i = 0; i < cl.num_shards(); ++i) {
-        sum += cl.shard(i)->store().size();
+        sum += cl.shard(i)->snapshot()->entry_count();
       }
       if (sum != full_store.size()) {
         std::fprintf(stderr,

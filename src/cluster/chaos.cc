@@ -49,10 +49,11 @@ std::vector<ChaosEvent> DefaultChaosSchedule(size_t requests,
   return schedule;
 }
 
-namespace {
-
-/// Shared sizing for both scenario entry points.
-ClusterConfig ChaosClusterConfig(const ChaosConfig& config) {
+ChaosReport RunChaosScenario(
+    std::shared_ptr<const store::MappedStoreFile> mapped,
+    const pipeline::Testbed* testbed,
+    const querylog::PopularityMap* popularity,
+    const std::vector<std::string>& mix, const ChaosConfig& config) {
   ClusterConfig cluster_config;
   cluster_config.num_shards = std::max<size_t>(1, config.num_shards);
   cluster_config.replicate_hot = config.replicate_hot;
@@ -63,15 +64,9 @@ ClusterConfig ChaosClusterConfig(const ChaosConfig& config) {
   // injected slowdown can never turn into accidental load shedding.
   cluster_config.node.queue_capacity =
       std::max<size_t>(cluster_config.node.queue_capacity, 64);
-  return cluster_config;
-}
+  ShardedCluster cluster(std::move(mapped), testbed, popularity,
+                         cluster_config);
 
-/// The scenario body, over an already-built cluster (heap or mapped —
-/// the schedule, replay, and report are backing-agnostic, which is the
-/// point: the acceptance checks must hold bit-for-bit either way).
-ChaosReport RunChaosOnCluster(ShardedCluster& cluster,
-                              const std::vector<std::string>& mix,
-                              const ChaosConfig& config) {
   // Router-only tracer: with the sequential replay the router's trace
   // sequence number IS the request index, so sampled traces line up
   // with the outcome vector by seq. Installed on the router alone —
@@ -150,31 +145,7 @@ ChaosReport RunChaosOnCluster(ShardedCluster& cluster,
   return report;
 }
 
-}  // namespace
-
-ChaosReport RunChaosScenario(const store::DiversificationStore& full_store,
-                             const pipeline::Testbed* testbed,
-                             const querylog::PopularityMap* popularity,
-                             const std::vector<std::string>& mix,
-                             const ChaosConfig& config) {
-  ShardedCluster cluster(full_store, testbed, popularity,
-                         ChaosClusterConfig(config));
-  return RunChaosOnCluster(cluster, mix, config);
-}
-
-ChaosReport RunChaosScenario(
-    std::shared_ptr<const store::MappedStoreFile> mapped_store,
-    const pipeline::Testbed* testbed,
-    const querylog::PopularityMap* popularity,
-    const std::vector<std::string>& mix, const ChaosConfig& config) {
-  ShardedCluster cluster(std::move(mapped_store), &testbed->searcher(),
-                         &testbed->snippets(), &testbed->analyzer(),
-                         &testbed->corpus().store, popularity,
-                         ChaosClusterConfig(config));
-  return RunChaosOnCluster(cluster, mix, config);
-}
-
-size_t CountHedgeOpportunities(const store::DiversificationStore& store,
+size_t CountHedgeOpportunities(const store::MappedStoreFile& store,
                                const querylog::PopularityMap& popularity,
                                const std::vector<std::string>& mix,
                                const ChaosConfig& config) {

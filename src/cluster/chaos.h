@@ -149,22 +149,13 @@ std::vector<std::string> BuildChaosMix(
 std::vector<ChaosEvent> DefaultChaosSchedule(size_t requests,
                                              size_t num_shards);
 
-/// Runs one scenario: builds a fresh cluster over `full_store`, installs
-/// one ScriptedFaultInjector per shard, and replays the mix sequentially
-/// while applying the schedule. The cluster is torn down before
-/// returning.
-ChaosReport RunChaosScenario(const store::DiversificationStore& full_store,
-                             const pipeline::Testbed* testbed,
-                             const querylog::PopularityMap* popularity,
-                             const std::vector<std::string>& mix,
-                             const ChaosConfig& config);
-
-/// Mapped-store overload: the shards serve zero-copy views over one
-/// shared v4 mapping (ShardedCluster's mapped constructor). Outcomes
-/// must be bit-identical to a heap-backed run of the same store — the
-/// test suite asserts exactly that.
+/// Runs one scenario: builds a fresh cluster whose shards serve
+/// zero-copy views of `mapped` (a store file's mapping or an in-memory
+/// store's image), installs one ScriptedFaultInjector per shard, and
+/// replays the mix sequentially while applying the schedule. The
+/// cluster is torn down before returning.
 ChaosReport RunChaosScenario(
-    std::shared_ptr<const store::MappedStoreFile> mapped_store,
+    std::shared_ptr<const store::MappedStoreFile> mapped,
     const pipeline::Testbed* testbed,
     const querylog::PopularityMap* popularity,
     const std::vector<std::string>& mix, const ChaosConfig& config);
@@ -197,7 +188,7 @@ struct ChaosVerdict {
 /// slow_read_delay is not comfortably above hedge_delay (less than
 /// 2x), since then a hedge may legitimately never fire. The chaos CLI
 /// enforces its hedge check only when this is > 0.
-size_t CountHedgeOpportunities(const store::DiversificationStore& store,
+size_t CountHedgeOpportunities(const store::MappedStoreFile& store,
                                const querylog::PopularityMap& popularity,
                                const std::vector<std::string>& mix,
                                const ChaosConfig& config);

@@ -10,10 +10,15 @@
 namespace optselect {
 namespace cluster {
 
-namespace {
-
-std::vector<std::string> RankKeysByPopularity(
-    std::vector<std::pair<uint64_t, std::string>> ranked, size_t k) {
+std::vector<std::string> HottestStoredKeys(
+    const store::MappedStoreFile& store,
+    const querylog::PopularityMap& popularity, size_t k) {
+  std::vector<std::pair<uint64_t, std::string>> ranked;
+  ranked.reserve(store.entry_count());
+  for (const store::MappedEntry& entry : store.entries()) {
+    std::string key(entry.key);
+    ranked.emplace_back(popularity.Frequency(key), std::move(key));
+  }
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     return a.second < b.second;
@@ -25,38 +30,11 @@ std::vector<std::string> RankKeysByPopularity(
   return keys;
 }
 
-}  // namespace
-
-std::vector<std::string> HottestStoredKeys(
-    const store::DiversificationStore& store,
-    const querylog::PopularityMap& popularity, size_t k) {
-  std::vector<std::pair<uint64_t, std::string>> ranked;
-  ranked.reserve(store.entries().size());
-  for (const auto& [key, entry] : store.entries()) {
-    ranked.emplace_back(popularity.Frequency(key), key);
-  }
-  return RankKeysByPopularity(std::move(ranked), k);
-}
-
-std::vector<std::string> HottestStoredKeys(
-    const store::MappedStoreFile& store,
-    const querylog::PopularityMap& popularity, size_t k) {
-  std::vector<std::pair<uint64_t, std::string>> ranked;
-  ranked.reserve(store.entry_count());
-  for (const store::MappedEntry& entry : store.entries()) {
-    std::string key(entry.key);
-    ranked.emplace_back(popularity.Frequency(key), std::move(key));
-  }
-  return RankKeysByPopularity(std::move(ranked), k);
-}
-
-void ShardedCluster::Init(
-    const std::function<std::shared_ptr<const store::StoreSnapshot>(
-        const store::ShardFilter&)>& make_snapshot,
-    const std::function<std::vector<std::string>(size_t)>& hottest_keys,
+ShardedCluster::ShardedCluster(
+    std::shared_ptr<const store::MappedStoreFile> mapped,
     const index::Searcher* searcher, const index::SnippetExtractor* snippets,
     const text::Analyzer* analyzer, const corpus::DocumentStore* documents,
-    const querylog::PopularityMap* popularity, const ClusterConfig& config) {
+    const querylog::PopularityMap* popularity, ClusterConfig config) {
   owned_registry_ = config.registry == nullptr
                         ? std::make_unique<obs::MetricsRegistry>()
                         : nullptr;
@@ -66,7 +44,8 @@ void ShardedCluster::Init(
   // Replication only spreads load when there is more than one shard to
   // spread it over.
   if (config.replicate_hot > 0 && popularity != nullptr && n > 1) {
-    replicated_keys_ = hottest_keys(config.replicate_hot);
+    replicated_keys_ =
+        HottestStoredKeys(*mapped, *popularity, config.replicate_hot);
   }
   std::unordered_set<std::string> replicated(replicated_keys_.begin(),
                                              replicated_keys_.end());
@@ -82,8 +61,12 @@ void ShardedCluster::Init(
     serving::ServingConfig node_config = config.node;
     node_config.registry = registry_;
     node_config.metric_labels = {{"shard", std::to_string(i)}};
+    // The view's keep-predicate is a copy of the filter, so filters_
+    // and the snapshots never disagree.
+    auto view = store::StoreSnapshot::MappedShard(
+        mapped, [filter](std::string_view key) { return filter.Keeps(key); });
     shards_.push_back(std::make_unique<serving::ServingNode>(
-        make_snapshot(filter), searcher, snippets, analyzer, documents,
+        std::move(view), searcher, snippets, analyzer, documents,
         node_config));
     filters_.push_back(std::move(filter));
     endpoints.push_back(shards_.back().get());
@@ -93,49 +76,13 @@ void ShardedCluster::Init(
       registry_);
 }
 
-ShardedCluster::ShardedCluster(const store::DiversificationStore& full_store,
-                               const index::Searcher* searcher,
-                               const index::SnippetExtractor* snippets,
-                               const text::Analyzer* analyzer,
-                               const corpus::DocumentStore* documents,
-                               const querylog::PopularityMap* popularity,
-                               ClusterConfig config) {
-  Init(
-      [&full_store](const store::ShardFilter& filter) {
-        return store::StoreSnapshot::Own(SplitStore(full_store, filter));
-      },
-      [&](size_t k) { return HottestStoredKeys(full_store, *popularity, k); },
-      searcher, snippets, analyzer, documents, popularity, config);
-}
-
 ShardedCluster::ShardedCluster(
-    std::shared_ptr<const store::MappedStoreFile> mapped_store,
-    const index::Searcher* searcher, const index::SnippetExtractor* snippets,
-    const text::Analyzer* analyzer, const corpus::DocumentStore* documents,
-    const querylog::PopularityMap* popularity, ClusterConfig config) {
-  // Every shard is a key-filtered view over the one shared mapping; the
-  // ShardFilter is copied into the view's keep-predicate so the filters_
-  // vector and the snapshots never disagree.
-  Init(
-      [&mapped_store](const store::ShardFilter& filter) {
-        return store::StoreSnapshot::MappedShard(
-            mapped_store, [copy = filter](std::string_view key) {
-              return copy.Keeps(key);
-            });
-      },
-      [&](size_t k) {
-        return HottestStoredKeys(*mapped_store, *popularity, k);
-      },
-      searcher, snippets, analyzer, documents, popularity, config);
-}
-
-ShardedCluster::ShardedCluster(const store::DiversificationStore& full_store,
-                               const pipeline::Testbed* testbed,
-                               const querylog::PopularityMap* popularity,
-                               ClusterConfig config)
-    : ShardedCluster(full_store, &testbed->searcher(), &testbed->snippets(),
-                     &testbed->analyzer(), &testbed->corpus().store,
-                     popularity, config) {}
+    std::shared_ptr<const store::MappedStoreFile> mapped,
+    const pipeline::Testbed* testbed,
+    const querylog::PopularityMap* popularity, ClusterConfig config)
+    : ShardedCluster(std::move(mapped), &testbed->searcher(),
+                     &testbed->snippets(), &testbed->analyzer(),
+                     &testbed->corpus().store, popularity, config) {}
 
 ShardedCluster::~ShardedCluster() { Shutdown(); }
 

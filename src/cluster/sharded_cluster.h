@@ -3,35 +3,42 @@
 //
 // Section 4.1 sizes the diversification store for a single node; a web
 // search engine runs the same design on many machines. A ShardedCluster
-// models that deployment inside one process: the full store is carved
-// by query hash into N disjoint per-shard stores (store::SplitStore),
-// and each shard is a complete, independent `ServingNode` — its own
-// immutable snapshot, result cache, bounded queue, worker pool, and
-// (when the CLI wires one) store refresher. Nothing is shared between
-// shards except the immutable retrieval stack, which is read-only by
-// construction.
+// models that deployment inside one process. It takes one v4 mapping —
+// a store file (MappedStoreFile::Map) or an in-memory store's image
+// (MappedStoreFile::FromStore) — and gives each shard a key-filtered,
+// zero-copy view of it (StoreSnapshot::MappedShard). The views
+// partition the keys by query hash (store::ShardFilter, the same
+// FNV-1a owner a `serve --shard-index` process slices by). Each shard
+// is a complete, independent `ServingNode`: its own snapshot, result
+// cache, bounded queue, worker pool, and (when the CLI wires one)
+// store refresher. Shards share only read-only state: the mapping and
+// the retrieval stack. Startup costs one index walk per shard, and no
+// entry is copied.
 //
-//       full store ──SplitStore──> store₀  store₁ … store_{N-1}
-//                                    │       │         │
-//   request ──> QueryRouter ──────> node₀   node₁ …  node_{N-1}
-//         (hash owner; hot keys       │       │         │
-//          round-robin over the       └───────┴────┬────┘
-//          replicas; failover on            ClusterStats
-//          blocking Submit)              (summed counters +
-//                                         merged histograms)
+//                    one v4 mapping (file or image)
+//                    │        │             │
+//              MappedShard MappedShard … MappedShard   (ShardFilter i)
+//                    │        │             │
+//   request ──> QueryRouter ──> node₀    node₁  …  node_{N-1}
+//         (hash owner; hot keys  │        │             │
+//          round-robin over the  └────────┴──────┬──────┘
+//          replicas; failover on           ClusterStats
+//          blocking Submit)             (summed counters +
+//                                        merged histograms)
 //
 // The top `replicate_hot` hottest *stored* queries (by PopularityMap
-// frequency) are additionally copied onto every shard, and the router
+// frequency) are additionally visible on every shard, and the router
 // spreads their traffic round-robin — the head of the Zipf distribution
 // would otherwise serialize on one shard. Replica rankings are
-// bit-identical to the owner's: same entry bytes, same immutable index.
+// bit-identical to the owner's: same mapped entry, same immutable index.
 //
 // Refresh deltas flow through ApplyDelta: each shard applies exactly
 // the slice of the delta it holds (owner or replica), through the same
 // BuildSnapshot → ReloadStore path a single node uses, so per-shard hot
-// reload stays dirty-only and zero-downtime. Live tailing uses one
-// `StoreRefresher` per shard with `key_filter` set to the shard's
-// ShardFilter (see store_refresher.h).
+// reload stays dirty-only and zero-downtime. A shard's first delta
+// materializes its slice to a heap snapshot (reload snapshots are heap
+// stores). Live tailing uses one `StoreRefresher` per shard with
+// `key_filter` set to the shard's ShardFilter (see store_refresher.h).
 
 #ifndef OPTSELECT_CLUSTER_SHARDED_CLUSTER_H_
 #define OPTSELECT_CLUSTER_SHARDED_CLUSTER_H_
@@ -91,27 +98,14 @@ struct ClusterStats {
 /// path.
 class ShardedCluster : public serving::Frontend {
  public:
-  /// Carves `full_store` into per-shard stores and starts one node per
-  /// shard. All pointers are non-owned, used read-only, and must
-  /// outlive the cluster. `popularity` may be null when
+  /// Starts one node per shard, each over a ShardFilter view of
+  /// `mapped` (the views share the mapping, so the caller may drop its
+  /// handle). The other pointers are non-owned, used read-only, and
+  /// must outlive the cluster. `popularity` may be null when
   /// `config.replicate_hot == 0`; `config.node.num_workers` is
   /// per-shard (0 ⇒ hardware concurrency *per shard* — usually set it
   /// explicitly for clusters).
-  ShardedCluster(const store::DiversificationStore& full_store,
-                 const index::Searcher* searcher,
-                 const index::SnippetExtractor* snippets,
-                 const text::Analyzer* analyzer,
-                 const corpus::DocumentStore* documents,
-                 const querylog::PopularityMap* popularity,
-                 ClusterConfig config);
-
-  /// Zero-copy cluster over a mapped v4 store: every shard serves an
-  /// offset-filtered StoreSnapshot::MappedShard view of the *same*
-  /// shared mapping — no SplitStore, no per-shard entry copies, and
-  /// startup cost is one mmap + validate regardless of shard count.
-  /// ApplyDelta still works: a shard's first delta materializes its
-  /// slice to heap (BuildSnapshot) and swaps to a heap-backed snapshot.
-  ShardedCluster(std::shared_ptr<const store::MappedStoreFile> mapped_store,
+  ShardedCluster(std::shared_ptr<const store::MappedStoreFile> mapped,
                  const index::Searcher* searcher,
                  const index::SnippetExtractor* snippets,
                  const text::Analyzer* analyzer,
@@ -120,7 +114,7 @@ class ShardedCluster : public serving::Frontend {
                  ClusterConfig config);
 
   /// Convenience wiring from a fully built testbed.
-  ShardedCluster(const store::DiversificationStore& full_store,
+  ShardedCluster(std::shared_ptr<const store::MappedStoreFile> mapped,
                  const pipeline::Testbed* testbed,
                  const querylog::PopularityMap* popularity,
                  ClusterConfig config);
@@ -195,21 +189,6 @@ class ShardedCluster : public serving::Frontend {
   ClusterStats Stats() const;
 
  private:
-  /// Shared construction: registry, hot-replication set, filters,
-  /// nodes and the router. Heap and mapped ctors differ only in backing:
-  /// `make_snapshot` builds a shard's snapshot, `hottest_keys(k)` ranks
-  /// the store's k hottest keys.
-  void Init(const std::function<std::shared_ptr<const store::StoreSnapshot>(
-                const store::ShardFilter&)>& make_snapshot,
-            const std::function<std::vector<std::string>(size_t)>&
-                hottest_keys,
-            const index::Searcher* searcher,
-            const index::SnippetExtractor* snippets,
-            const text::Analyzer* analyzer,
-            const corpus::DocumentStore* documents,
-            const querylog::PopularityMap* popularity,
-            const ClusterConfig& config);
-
   // Declared before the shards and router so it outlives them: both
   // hold registered handles and callbacks into the registry.
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
@@ -222,12 +201,7 @@ class ShardedCluster : public serving::Frontend {
 
 /// The `k` hottest normalized store keys of `store` by `popularity`
 /// frequency (ties break lexicographically for determinism). This is
-/// the cluster's hot-replication set; exposed for the CLI and benches.
-std::vector<std::string> HottestStoredKeys(
-    const store::DiversificationStore& store,
-    const querylog::PopularityMap& popularity, size_t k);
-
-/// Mapped-store overload: same ranking over the keys of a v4 mapping.
+/// the cluster's hot-replication set; exposed for the chaos harness.
 std::vector<std::string> HottestStoredKeys(
     const store::MappedStoreFile& store,
     const querylog::PopularityMap& popularity, size_t k);

@@ -38,8 +38,9 @@ namespace pipeline {
 /// StoredEntry's heap surrogates (results) or a mapped v4 entry's SoA
 /// spans (spans) — either way, no ToProfiles copy. Exactly one of the
 /// two pointers is set; both backings produce bit-identical utilities
-/// because the span cosine (kernels::CosineAosSoa) matches
-/// TermVector::Cosine on equal term/weight/norm bits.
+/// because ComputeUtilityRow scores them with the two overloads of
+/// kernels::GatherDot (heap entries, span columns), which add the same
+/// products in the same order over equal term/weight/norm bits.
 struct SpecializationRef {
   double probability = 0.0;
   /// Surrogate vectors of R_q′ in rank order. Non-owned.

@@ -169,15 +169,6 @@ ServingNode::ServingNode(const store::DiversificationStore* store,
     : ServingNode(store::StoreSnapshot::Borrow(store), searcher, snippets,
                   analyzer, documents, config) {}
 
-ServingNode::ServingNode(store::DiversificationStore store,
-                         const index::Searcher* searcher,
-                         const index::SnippetExtractor* snippets,
-                         const text::Analyzer* analyzer,
-                         const corpus::DocumentStore* documents,
-                         ServingConfig config)
-    : ServingNode(store::StoreSnapshot::Own(std::move(store)), searcher,
-                  snippets, analyzer, documents, config) {}
-
 ServingNode::ServingNode(const store::DiversificationStore* store,
                          const pipeline::Testbed* testbed,
                          ServingConfig config)
@@ -368,7 +359,7 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
   // to the materialized fallback below either way. The select span
   // splits into scan (stream consumption + pushes) and maintain
   // (finalize + ranking assembly) sub-spans; select still covers both.
-  if (stream != nullptr && config_.streaming_cold_path) {
+  if (config_.streaming_cold_path) {
     const size_t m = entry.num_specializations();
     std::vector<pipeline::SpecializationRef> refs(m);
     std::vector<double> probs(m);
@@ -420,8 +411,8 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
     return result;
   }
 
-  // Fallback (v1/v2 store entry or plan/params mismatch), steps (b) +
-  // (c): build the problem instance from R_q and the stored S_q / R_q′
+  // Materialize-then-select (streaming_cold_path off), steps (b) + (c):
+  // build the problem instance from R_q and the stored S_q / R_q′
   // surrogates, then run OptSelect through the same view + scratch
   // machinery the plan path uses.
   core::DiversificationInput input;

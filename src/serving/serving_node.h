@@ -142,7 +142,7 @@ struct ServingStats {
   size_t cache_entries = 0;
 };
 
-/// Multithreaded serving front end over a loaded DiversificationStore.
+/// Multithreaded serving front end over an immutable store snapshot.
 class ServingNode : public Frontend {
  public:
   /// Wires the node from serving-time components. All pointers are
@@ -157,21 +157,14 @@ class ServingNode : public Frontend {
               const corpus::DocumentStore* documents,
               ServingConfig config);
 
-  /// Same, but takes ownership of a store loaded from disk
-  /// (DiversificationStore::Load) — the deployment shape of Section 4.1.
-  ServingNode(store::DiversificationStore store,
-              const index::Searcher* searcher,
-              const index::SnippetExtractor* snippets,
-              const text::Analyzer* analyzer,
-              const corpus::DocumentStore* documents,
-              ServingConfig config);
-
   /// Convenience wiring from a fully built testbed plus a store.
   ServingNode(const store::DiversificationStore* store,
               const pipeline::Testbed* testbed, ServingConfig config);
 
-  /// Hot-reload-ready wiring: starts on an explicit snapshot (e.g. from
-  /// store::BuildSnapshot or StoreSnapshot::Own of a loaded store).
+  /// Hot-reload-ready wiring: starts on an explicit snapshot — the
+  /// deployment shape of Section 4.1 is StoreSnapshot::FromMapped over
+  /// the serving store's v4 mapping (store::BuildSnapshot and
+  /// StoreSnapshot::Own give heap snapshots).
   ServingNode(std::shared_ptr<const store::StoreSnapshot> snapshot,
               const index::Searcher* searcher,
               const index::SnippetExtractor* snippets,
@@ -306,8 +299,8 @@ class ServingNode : public Frontend {
   /// `scratch` is the calling worker's reusable selection memory; the
   /// plan path runs entirely inside it (no per-request allocation
   /// beyond the result object itself). `stream` is the worker's
-  /// streaming selector state (heaps reused across requests); null
-  /// forces the materialize-then-select cold path. `stages` collects
+  /// streaming selector state (heaps reused across requests), used
+  /// when config_.streaming_cold_path is on. `stages` collects
   /// store-read / select wall time; `trace` (nullable) collects span
   /// events.
   std::shared_ptr<const Response> ComputeRanking(

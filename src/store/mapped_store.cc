@@ -123,10 +123,12 @@ bool Column(const In& in, uint64_t off, uint64_t len, const T** out) {
   return true;
 }
 
-}  // namespace
-
-util::Status MappedStoreFile::WriteV4(const DiversificationStore& store,
-                                      const std::string& path) {
+/// The v4 encoder: `store` laid out as one v4 image (header, string
+/// pool, aligned columns, descriptor tables, directory). Deterministic:
+/// entries in normalized-key order, so identical stores encode to
+/// identical bytes whether they go to a file (WriteV4) or to an
+/// anonymous mapping (FromStore).
+std::string EncodeV4(const DiversificationStore& store) {
   // Deterministic layout: entries in normalized-key order (the map key,
   // which EntryDescs must be sorted by for the reader's contract).
   std::vector<std::pair<std::string_view, const StoredEntry*>> ordered;
@@ -358,12 +360,64 @@ util::Status MappedStoreFile::WriteV4(const DiversificationStore& store,
   const uint64_t header_checksum = util::Fnv1a64(header, pos);
   put(&header_checksum, sizeof(header_checksum));
   std::memcpy(&buf[0], header, sizeof(header));
+  return std::move(buf);
+}
 
+/// Copies a mapped span into an owned TermVector. FromEntries on the
+/// already-sorted unique input reproduces the exact entries and
+/// recomputes the exact norm bits the builder stored, so copies are
+/// StoredEntriesEqual to the originals.
+std::vector<text::TermVector> ToTermVectors(
+    const std::vector<text::TermVectorSpan>& spans) {
+  std::vector<text::TermVector> out;
+  out.reserve(spans.size());
+  for (const text::TermVectorSpan& span : spans) {
+    std::vector<text::TermVector::Entry> entries;
+    entries.reserve(span.size);
+    for (uint32_t t = 0; t < span.size; ++t) {
+      entries.emplace_back(span.terms[t], span.weights[t]);
+    }
+    out.push_back(text::TermVector::FromEntries(std::move(entries)));
+  }
+  return out;
+}
+
+}  // namespace
+
+util::Status MappedStoreFile::WriteV4(const DiversificationStore& store,
+                                      const std::string& path) {
+  const std::string bytes = EncodeV4(store);
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) return util::Status::IoError("cannot open for write: " + path);
-  file.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!file) return util::Status::IoError("write failed: " + path);
   return util::Status::Ok();
+}
+
+util::Result<std::shared_ptr<const MappedStoreFile>>
+MappedStoreFile::FromStore(const DiversificationStore& store) {
+  const std::string bytes = EncodeV4(store);
+  // Anonymous mappings are page-aligned, so the 32-byte column grid of
+  // the encoding is absolute alignment here too, exactly as in a file.
+  void* base = ::mmap(nullptr, bytes.size(), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) {
+    return util::Status::IoError(std::string("anonymous mmap failed: ") +
+                                 std::strerror(errno));
+  }
+  std::memcpy(base, bytes.data(), bytes.size());
+  std::shared_ptr<MappedStoreFile> image(new MappedStoreFile());
+  image->data_ = static_cast<const char*>(base);
+  image->size_ = bytes.size();
+  // Read-only from here on, like a mapped file: a stray write faults
+  // instead of corrupting what every snapshot and span reads.
+  if (::mprotect(base, bytes.size(), PROT_READ) != 0) {
+    return util::Status::IoError(std::string("mprotect failed: ") +
+                                 std::strerror(errno));  // dtor unmaps
+  }
+  util::Status status = image->BuildIndex();
+  if (!status.ok()) return status;
+  return std::shared_ptr<const MappedStoreFile>(std::move(image));
 }
 
 util::Result<std::shared_ptr<const MappedStoreFile>> MappedStoreFile::Map(
@@ -709,20 +763,7 @@ DiversificationStore MappedStoreFile::Materialize() const {
       StoredSpecialization sp;
       sp.query = std::string(ms.query);
       sp.probability = ms.probability;
-      sp.surrogates.reserve(ms.surrogates.size());
-      for (const text::TermVectorSpan& span : ms.surrogates) {
-        std::vector<text::TermVector::Entry> vec_entries;
-        vec_entries.reserve(span.size);
-        for (uint32_t t = 0; t < span.size; ++t) {
-          vec_entries.emplace_back(span.terms[t], span.weights[t]);
-        }
-        // FromEntries on already-sorted unique input reproduces the
-        // exact entries and recomputes the exact norm bits the builder
-        // stored — materialized twins are StoredEntriesEqual to the
-        // originals.
-        sp.surrogates.push_back(
-            text::TermVector::FromEntries(std::move(vec_entries)));
-      }
+      sp.surrogates = ToTermVectors(ms.surrogates);
       entry.specializations.push_back(std::move(sp));
     }
     if (me.has_plan) {
@@ -759,16 +800,7 @@ std::vector<core::SpecializationProfile> EntryRef::ToProfiles() const {
     core::SpecializationProfile p;
     p.query = std::string(ms.query);
     p.probability = ms.probability;
-    p.results.reserve(ms.surrogates.size());
-    for (const text::TermVectorSpan& span : ms.surrogates) {
-      std::vector<text::TermVector::Entry> vec_entries;
-      vec_entries.reserve(span.size);
-      for (uint32_t t = 0; t < span.size; ++t) {
-        vec_entries.emplace_back(span.terms[t], span.weights[t]);
-      }
-      p.results.push_back(
-          text::TermVector::FromEntries(std::move(vec_entries)));
-    }
+    p.results = ToTermVectors(ms.surrogates);
     profiles.push_back(std::move(p));
   }
   return profiles;

@@ -58,6 +58,10 @@
 // Writers: DiversificationStore::Save emits this format (WriteV4);
 // Load mmaps v4 files and materializes them (older formats parse
 // through the legacy stream reader), so v1–v3 upgrade on save.
+// FromStore encodes an in-memory store into the same bytes inside an
+// anonymous read-only mapping, so a store that was never saved (an
+// in-process build, a legacy file, a file whose plans were compiled
+// for other serving params) is served through the same mapped view.
 
 #ifndef OPTSELECT_STORE_MAPPED_STORE_H_
 #define OPTSELECT_STORE_MAPPED_STORE_H_
@@ -152,12 +156,13 @@ struct MapWarmupOutcome {
   std::string detail;      ///< strerror text of the refusal, when any
 };
 
-/// An immutable, validated mmap of one v4 store file plus its
-/// pointer-only index. Create with Map; share via shared_ptr (snapshots,
-/// shard views, and in-flight requests all hold references — the
-/// mapping is released when the last one drops). The mapping is
-/// MAP_SHARED + PROT_READ: separate processes mapping the same file
-/// share physical pages through the page cache.
+/// An immutable, validated mmap of one v4 store image plus its
+/// pointer-only index. Create with Map (a file) or FromStore (an
+/// in-memory store); share via shared_ptr (snapshots, shard views, and
+/// in-flight requests all hold references — the mapping is released
+/// when the last one drops). A file mapping is MAP_SHARED + PROT_READ:
+/// separate processes mapping the same file share physical pages
+/// through the page cache. An image is private to its process.
 class MappedStoreFile {
  public:
   /// Opens, mmaps (PROT_READ, MAP_SHARED) and fully validates `path`:
@@ -172,7 +177,7 @@ class MappedStoreFile {
 
   /// True when the file's first bytes are the v4 magic — i.e. the file
   /// *claims* this format. Lets a caller tell "legacy stream, not ours
-  /// to map" (fall back to the heap parser) from "claims v4 but Map
+  /// to map" (parse it with the legacy reader) from "claims v4 but Map
   /// failed" (corruption — a hard error, never a silent downgrade).
   static bool LooksLikeV4(const std::string& path);
 
@@ -181,6 +186,14 @@ class MappedStoreFile {
   /// normalized-key order).
   static util::Status WriteV4(const DiversificationStore& store,
                               const std::string& path);
+
+  /// Encodes `store` into the v4 layout inside an anonymous,
+  /// page-aligned, PROT_READ mapping and indexes it with Map's
+  /// validation: the bytes are the ones WriteV4 would write, so the
+  /// entries, spans and plans equal what Save + Map give. kIoError
+  /// when the OS refuses the mapping.
+  static util::Result<std::shared_ptr<const MappedStoreFile>> FromStore(
+      const DiversificationStore& store);
 
   ~MappedStoreFile();
   MappedStoreFile(const MappedStoreFile&) = delete;
@@ -202,6 +215,8 @@ class MappedStoreFile {
   DiversificationStore Materialize() const;
 
   size_t mapped_bytes() const { return size_; }
+  /// The whole mapped v4 image.
+  std::string_view bytes() const { return {data_, size_}; }
 
   /// Entries whose compiled plan is absent or incompatible with the
   /// given serving params. Zero means a node can serve this mapping

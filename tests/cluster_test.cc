@@ -1,11 +1,13 @@
 // Tests for the sharded serving cluster: ShardFilter / SplitStore
 // partitioning, router ownership + hot-key round-robin, bit-identity of
-// cluster rankings against the single-node path (including replicas
-// served from non-owner shards), degenerate shard counts (1 shard ==
-// single node, empty shards, all traffic on one shard), dirty-only
-// ApplyDelta reloads, and cluster-level stats aggregation.
+// cluster rankings (shards over views of the store's in-memory v4
+// image) against the single-node heap path (including replicas served
+// from non-owner shards), degenerate shard counts (1 shard == single
+// node, empty shards, all traffic on one shard), dirty-only ApplyDelta
+// reloads, and cluster-level stats aggregation.
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "pipeline/testbed.h"
 #include "serving/cache_key.h"
 #include "serving/serving_node.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
 
 namespace optselect {
@@ -62,18 +65,22 @@ class ClusterTest : public ::testing::Test {
       roots.push_back(topic.root_query);
     }
     // Default builder options: plans compiled at the default pipeline
-    // params, so the cluster tests also cover plans surviving the
-    // SplitStore copy (plan_served through a shard).
+    // params, so the cluster tests also cover plans surviving the v4
+    // image (plan_served through a shard view).
     store::BuildStore(testbed_->detector(), testbed_->searcher(),
                       testbed_->snippets(), testbed_->analyzer(),
                       testbed_->corpus().store, roots, {}, store_);
     ASSERT_GE(store_->size(), 2u);
+    auto image = store::MappedStoreFile::FromStore(*store_);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    mapped_ = std::move(image).value();
     for (const auto& [key, entry] : store_->entries()) {
       stored_keys_->push_back(key);
     }
     std::sort(stored_keys_->begin(), stored_keys_->end());
   }
   static void TearDownTestSuite() {
+    mapped_.reset();
     delete store_;
     delete testbed_;
     store_ = nullptr;
@@ -104,11 +111,14 @@ class ClusterTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
+  /// store_'s in-memory v4 image, the cluster's only input shape.
+  static std::shared_ptr<const store::MappedStoreFile> mapped_;
   static std::vector<std::string>* stored_keys_;
 };
 
 pipeline::Testbed* ClusterTest::testbed_ = nullptr;
 store::DiversificationStore* ClusterTest::store_ = nullptr;
+std::shared_ptr<const store::MappedStoreFile> ClusterTest::mapped_;
 std::vector<std::string>* ClusterTest::stored_keys_ =
     new std::vector<std::string>();
 
@@ -153,7 +163,7 @@ TEST_F(ClusterTest, SplitStoreReplicatesListedKeys) {
 // ------------------------------------------------- degenerate shard counts
 
 TEST_F(ClusterTest, SingleShardDegeneratesToSingleNode) {
-  ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(1));
+  ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(1));
   serving::ServingNode node = SingleNode();
   ASSERT_EQ(cl.num_shards(), 1u);
   EXPECT_EQ(cl.shard(0)->store().size(), store_->size());
@@ -186,7 +196,7 @@ TEST_F(ClusterTest, ClusterRankingsBitIdenticalAcrossShardCounts) {
   queries.push_back(NoiseQuery());
 
   for (size_t n : {size_t{2}, size_t{3}, size_t{5}}) {
-    ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(n));
+    ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(n));
     for (const std::string& q : queries) {
       serving::Response via_cluster = cl.Submit(serving::Request(q));
       serving::Response via_node = node.Submit(serving::Request(q));
@@ -217,7 +227,7 @@ TEST_F(ClusterTest, EmptyShardStillServesItsTraffic) {
   }
   ASSERT_GT(n, 0u) << "no empty shard up to 64 shards?";
 
-  ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(n));
+  ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(n));
   EXPECT_TRUE(cl.shard(empty_shard)->store().empty());
 
   // A query owned by the empty shard must still be answered (it cannot
@@ -252,7 +262,7 @@ TEST_F(ClusterTest, EmptyShardStillServesItsTraffic) {
 
 TEST_F(ClusterTest, AllTrafficHashingToOneShardLeavesOthersIdle) {
   const size_t n = 3;
-  ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(n));
+  ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(n));
   serving::ServingNode node = SingleNode();
 
   // The largest same-owner group of stored keys: every request in it
@@ -287,7 +297,7 @@ TEST_F(ClusterTest, ReplicatedQueryServedFromEveryShardBitIdentical) {
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 2;
-  ShardedCluster cl(*store_, testbed_,
+  ShardedCluster cl(mapped_, testbed_,
                     &testbed_->recommender().popularity(), config);
   ASSERT_FALSE(cl.replicated_keys().empty());
   serving::ServingNode node = SingleNode();
@@ -329,7 +339,7 @@ TEST_F(ClusterTest, ReplicatedQueryServedFromEveryShardBitIdentical) {
 
 TEST_F(ClusterTest, ApplyDeltaReloadsOnlyTheOwningShard) {
   const size_t n = 3;
-  ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(n));
+  ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(n));
   const std::string& target = stored_keys_->front();
   size_t owner = cl.router().OwnerOf(target);
 
@@ -381,7 +391,7 @@ TEST_F(ClusterTest, ApplyDeltaUpdatesEveryReplicaOfAHotKey) {
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
-  ShardedCluster cl(*store_, testbed_,
+  ShardedCluster cl(mapped_, testbed_,
                     &testbed_->recommender().popularity(), config);
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
@@ -417,7 +427,7 @@ TEST_F(ClusterTest, ApplyDeltaUpdatesEveryReplicaOfAHotKey) {
 
 TEST_F(ClusterTest, StatsAggregateAcrossShards) {
   const size_t n = 3;
-  ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(n));
+  ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(n));
 
   size_t served = 0;
   for (int rep = 0; rep < 2; ++rep) {

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "serving/fault_injector.h"
 #include "serving/serving_node.h"
 #include "serving/store_refresher.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
 
@@ -44,12 +46,16 @@ class FaultInjectionTest : public ::testing::Test {
                       testbed_->snippets(), testbed_->analyzer(),
                       testbed_->corpus().store, roots, {}, store_);
     ASSERT_GE(store_->size(), 2u);
+    auto image = store::MappedStoreFile::FromStore(*store_);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    mapped_ = std::move(image).value();
     for (const auto& [key, entry] : store_->entries()) {
       stored_keys_->push_back(key);
     }
     std::sort(stored_keys_->begin(), stored_keys_->end());
   }
   static void TearDownTestSuite() {
+    mapped_.reset();
     delete store_;
     delete testbed_;
     store_ = nullptr;
@@ -76,11 +82,14 @@ class FaultInjectionTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
+  /// store_'s in-memory v4 image, what every cluster here serves.
+  static std::shared_ptr<const store::MappedStoreFile> mapped_;
   static std::vector<std::string>* stored_keys_;
 };
 
 pipeline::Testbed* FaultInjectionTest::testbed_ = nullptr;
 store::DiversificationStore* FaultInjectionTest::store_ = nullptr;
+std::shared_ptr<const store::MappedStoreFile> FaultInjectionTest::mapped_;
 std::vector<std::string>* FaultInjectionTest::stored_keys_ =
     new std::vector<std::string>();
 
@@ -95,7 +104,7 @@ TEST(BreakerStateNameTest, NamesAllStates) {
 // ------------------------------------------------- healthy-path identity
 
 TEST_F(FaultInjectionTest, FailoverPathIsBitIdenticalWhenHealthy) {
-  ShardedCluster cl(*store_, testbed_, nullptr, BaseConfig(3));
+  ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(3));
   serving::ServingNode single(store_, testbed_, BaseConfig(1).node);
 
   std::vector<std::string> queries = *stored_keys_;
@@ -123,7 +132,7 @@ TEST_F(FaultInjectionTest, DeadOwnerDegradesAndBreakerOpensThenProbes) {
   ClusterConfig config = BaseConfig(n);
   config.failover.breaker_threshold = 3;
   config.failover.breaker_probe_after = 4;
-  ShardedCluster cl(*store_, testbed_, nullptr, config);
+  ShardedCluster cl(mapped_, testbed_, nullptr, config);
 
   // Prefer a victim whose diversified ranking visibly differs from the
   // plain DPH order, so "degraded" is observable in the bytes too.
@@ -188,7 +197,7 @@ TEST_F(FaultInjectionTest, ReplicatedKeyFailsOverToReplicasBitIdentical) {
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
-  ShardedCluster cl(*store_, testbed_,
+  ShardedCluster cl(mapped_, testbed_,
                     &testbed_->recommender().popularity(), config);
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
@@ -292,7 +301,7 @@ TEST_F(FaultInjectionTest, TransientFaultsOpenBreakerThenRecoveryCloses) {
   ClusterConfig config = BaseConfig(n);
   config.failover.breaker_threshold = 2;
   config.failover.breaker_probe_after = 3;
-  ShardedCluster cl(*store_, testbed_, nullptr, config);
+  ShardedCluster cl(mapped_, testbed_, nullptr, config);
 
   const std::string& key = stored_keys_->front();
   const size_t owner = cl.router().OwnerOf(key);
@@ -338,7 +347,7 @@ TEST_F(FaultInjectionTest, OwnerReachedInFallbackSweepIsNotTaggedDegraded) {
   ClusterConfig config = BaseConfig(2);
   config.failover.breaker_threshold = 2;
   config.failover.breaker_probe_after = 8;
-  ShardedCluster cl(*store_, testbed_, nullptr, config);
+  ShardedCluster cl(mapped_, testbed_, nullptr, config);
 
   const std::string& key = stored_keys_->front();
   const size_t owner = cl.router().OwnerOf(key);
@@ -374,7 +383,7 @@ TEST_F(FaultInjectionTest, ApplyDeltaSurfacesRefusedReloadAndRetries) {
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
-  ShardedCluster cl(*store_, testbed_,
+  ShardedCluster cl(mapped_, testbed_,
                     &testbed_->recommender().popularity(), config);
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
@@ -469,7 +478,7 @@ TEST_F(FaultInjectionTest, HedgedRetryWinsOnSlowReplica) {
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
   config.failover.hedge_delay = std::chrono::microseconds(2000);
-  ShardedCluster cl(*store_, testbed_,
+  ShardedCluster cl(mapped_, testbed_,
                     &testbed_->recommender().popularity(), config);
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
@@ -523,11 +532,11 @@ TEST_F(FaultInjectionTest, MiniChaosScenarioIsDeterministicAndLossless) {
   ChaosConfig calm = chaos;
   calm.schedule.clear();
   ChaosReport no_fault =
-      RunChaosScenario(*store_, testbed_, &popularity, mix, calm);
+      RunChaosScenario(mapped_, testbed_, &popularity, mix, calm);
   ChaosReport run_a =
-      RunChaosScenario(*store_, testbed_, &popularity, mix, chaos);
+      RunChaosScenario(mapped_, testbed_, &popularity, mix, chaos);
   ChaosReport run_b =
-      RunChaosScenario(*store_, testbed_, &popularity, mix, chaos);
+      RunChaosScenario(mapped_, testbed_, &popularity, mix, chaos);
 
   EXPECT_TRUE(no_fault.transitions.empty());
   EXPECT_EQ(no_fault.degraded, 0u);

@@ -17,6 +17,7 @@
 #include "serving/frontend.h"
 #include "serving/replay.h"
 #include "serving/serving_node.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
 #include "util/hash.h"
 
@@ -41,8 +42,12 @@ class FrontendTest : public ::testing::Test {
                       testbed_->snippets(), testbed_->analyzer(),
                       testbed_->corpus().store, roots, {}, store_);
     ASSERT_GE(store_->size(), 2u);
+    auto image = store::MappedStoreFile::FromStore(*store_);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    mapped_ = std::move(image).value();
   }
   static void TearDownTestSuite() {
+    mapped_.reset();
     delete store_;
     delete testbed_;
     store_ = nullptr;
@@ -67,10 +72,13 @@ class FrontendTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
+  /// store_'s in-memory v4 image, what the in-process cluster serves.
+  static std::shared_ptr<const store::MappedStoreFile> mapped_;
 };
 
 pipeline::Testbed* FrontendTest::testbed_ = nullptr;
 store::DiversificationStore* FrontendTest::store_ = nullptr;
+std::shared_ptr<const store::MappedStoreFile> FrontendTest::mapped_;
 
 TEST_F(FrontendTest, NodeAndClusterAnswerIdenticallyThroughTheInterface) {
   ServingNode node(store_, testbed_, NodeConfig());
@@ -78,7 +86,7 @@ TEST_F(FrontendTest, NodeAndClusterAnswerIdenticallyThroughTheInterface) {
   cc.num_shards = 2;
   cc.replicate_hot = 0;
   cc.node = NodeConfig();
-  cluster::ShardedCluster cluster(*store_, testbed_, nullptr, cc);
+  cluster::ShardedCluster cluster(mapped_, testbed_, nullptr, cc);
 
   // Callers hold only the interface — the tiers are interchangeable.
   Frontend* tiers[] = {&node, &cluster};
@@ -130,7 +138,7 @@ TEST_F(FrontendTest, ReplayMixDrivesAnyFrontend) {
   cluster::ClusterConfig cc;
   cc.num_shards = 2;
   cc.node = NodeConfig();
-  cluster::ShardedCluster cluster(*store_, testbed_, nullptr, cc);
+  cluster::ShardedCluster cluster(mapped_, testbed_, nullptr, cc);
 
   std::vector<std::string> mix = Mix();
   for (Frontend* frontend :

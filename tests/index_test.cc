@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <unordered_set>
 #include <string>
 #include <string_view>
@@ -504,34 +506,83 @@ void ExpectMatchesOracle(const text::Analyzer& analyzer,
   ASSERT_EQ(Bits(got.norm()), Bits(want.norm())) << "doc " << doc.id;
 }
 
+/// `docs` with stopwords interleaved into every body: after its i-th
+/// word come i % 3 of them, so a window covers runs of 0, 1 and 2
+/// tokens that analysis drops.
+corpus::DocumentStore WithStopwords(const corpus::DocumentStore& docs) {
+  static const char* const kStopwords[] = {"the", "of", "and", "to", "in"};
+  corpus::DocumentStore out;
+  size_t next = 0;
+  for (const corpus::Document& doc : docs) {
+    std::istringstream words(doc.body);
+    std::string word;
+    std::string body;
+    for (size_t i = 0; words >> word; ++i) {
+      if (!body.empty()) body.push_back(' ');
+      body += word;
+      for (size_t s = 0; s < i % 3; ++s) {
+        body.push_back(' ');
+        body += kStopwords[next++ % std::size(kStopwords)];
+      }
+    }
+    out.Add(doc.url, doc.title, body);
+  }
+  return out;
+}
+
 TEST(SnippetOracleTest, ExtractionMatchesTheTwoPassPathOnSmallTestbed) {
   pipeline::Testbed tb(pipeline::TestbedConfig::Small());
-  const text::Analyzer& analyzer = tb.analyzer();
-  struct Setup {
-    SnippetExtractor extractor;
-    size_t window;
+  // The testbed as built, and its documents with stopwords interleaved
+  // (the synthetic corpus has none), indexed here with a fresh analyzer
+  // so the window also slides over dropped tokens.
+  const corpus::DocumentStore stopword_docs = WithStopwords(tb.corpus().store);
+  text::Analyzer stopword_analyzer;
+  const InvertedIndex stopword_index =
+      InvertedIndex::Build(stopword_docs, &stopword_analyzer);
+  size_t dropped = 0;
+  stopword_analyzer.ForEachTokenId(
+      stopword_docs.Get(0).body, [&](std::string_view, text::TermId id) {
+        dropped += id == text::kInvalidTermId;
+      });
+  ASSERT_GT(dropped, 0u);
+
+  struct Input {
+    const text::Analyzer* analyzer;
+    const InvertedIndex* index;
+    const corpus::DocumentStore* docs;
   };
-  auto setup = [&](size_t window) {
-    SnippetExtractor::Options options;
-    options.window_tokens = window;
-    return Setup{SnippetExtractor(&analyzer, &tb.index(), options), window};
-  };
-  // The default window, a narrow one, and one wider than every body.
-  const std::vector<Setup> setups = {setup(30), setup(7), setup(100000)};
-  size_t pairs = 0;
-  for (const auto& topic : tb.universe().topics) {
-    std::vector<text::TermId> q = analyzer.AnalyzeReadOnly(topic.root_query);
-    ASSERT_FALSE(q.empty()) << topic.root_query;
-    for (const corpus::Document& doc : tb.corpus().store) {
-      for (const Setup& s : setups) {
-        ExpectMatchesOracle(analyzer, tb.index(), s.extractor, s.window, doc,
-                            q);
-        if (::testing::Test::HasFatalFailure()) return;
+  const Input inputs[] = {
+      {&tb.analyzer(), &tb.index(), &tb.corpus().store},
+      {&stopword_analyzer, &stopword_index, &stopword_docs}};
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.docs == &stopword_docs ? "stopword input" : "testbed");
+    struct Setup {
+      SnippetExtractor extractor;
+      size_t window;
+    };
+    auto setup = [&](size_t window) {
+      SnippetExtractor::Options options;
+      options.window_tokens = window;
+      return Setup{SnippetExtractor(in.analyzer, in.index, options), window};
+    };
+    // The default window, a narrow one, and one wider than every body.
+    const std::vector<Setup> setups = {setup(30), setup(7), setup(100000)};
+    size_t pairs = 0;
+    for (const auto& topic : tb.universe().topics) {
+      std::vector<text::TermId> q =
+          in.analyzer->AnalyzeReadOnly(topic.root_query);
+      ASSERT_FALSE(q.empty()) << topic.root_query;
+      for (const corpus::Document& doc : *in.docs) {
+        for (const Setup& s : setups) {
+          ExpectMatchesOracle(*in.analyzer, *in.index, s.extractor, s.window,
+                              doc, q);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        ++pairs;
       }
-      ++pairs;
     }
+    EXPECT_GT(pairs, 1000u);
   }
-  EXPECT_GT(pairs, 1000u);
 }
 
 // ------------------------------------------------------------ direct index

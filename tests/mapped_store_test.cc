@@ -4,19 +4,25 @@
 //
 //   bytes  — WriteV4 → Map → Materialize round-trips content, plans,
 //            and the store version bit-identically; mapped spans view
-//            the exact term/weight/norm bits of their heap twins.
+//            the exact term/weight/norm bits of their heap twins;
+//            FromStore's anonymous image holds exactly the bytes Save
+//            writes.
 //   views  — FromMapped/MappedShard snapshots resolve lookups zero-copy
 //            through EntryRef; shard views partition the file exactly
 //            like SplitStore partitions a heap store; the mapping's
 //            shared_ptr lifetime outlives any snapshot or unlink.
-//   serving — a node on a mapped snapshot answers bit-identically to a
-//            node on the equivalent heap snapshot, across the plan,
-//            streaming, and passthrough paths; hot reload retires a
-//            mapped snapshot RCU-style (pinned readers keep the old
-//            pages); an injected reload fault leaves the node serving
-//            the old mapping.
+//   serving — a node on a mapped snapshot (file or image) answers
+//            bit-identically to a node on the equivalent heap
+//            snapshot, across the plan, streaming, materialized and
+//            passthrough paths; hot reload retires a mapped snapshot
+//            RCU-style (pinned readers keep the old pages); an
+//            injected reload fault leaves the node serving the old
+//            mapping.
+
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -100,6 +106,39 @@ std::string SaveToTemp(const DiversificationStore& store,
   std::string path = ::testing::TempDir() + "/" + name;
   EXPECT_TRUE(store.Save(path).ok());
   return path;
+}
+
+/// The file Save writes for `store`, read back whole.
+std::string SavedBytes(const DiversificationStore& store,
+                       const std::string& name) {
+  std::string path = SaveToTemp(store, name);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// FromStore(store) must map exactly the bytes Save(store) writes, on a
+/// page-aligned base, and index them like Map does.
+void ExpectImageMatchesSave(const DiversificationStore& store,
+                            const std::string& name) {
+  auto image = MappedStoreFile::FromStore(store);
+  ASSERT_TRUE(image.ok()) << name << ": " << image.status().ToString();
+  const MappedStoreFile& file = *image.value();
+  const std::string saved = SavedBytes(store, name);
+  EXPECT_EQ(file.mapped_bytes(), saved.size()) << name;
+  EXPECT_TRUE(file.bytes() == saved) << name << ": image bytes differ";
+  const auto base = reinterpret_cast<uintptr_t>(file.bytes().data());
+  EXPECT_EQ(base % static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE)), 0u)
+      << name;
+  EXPECT_EQ(file.store_version(), store.version()) << name;
+  ASSERT_EQ(file.entry_count(), store.size()) << name;
+  for (const auto& [key, entry] : store.entries()) {
+    const MappedEntry* mapped = file.FindEntry(key);
+    ASSERT_NE(mapped, nullptr) << name << ": " << key;
+    EXPECT_EQ(mapped->has_plan, !entry.plan.empty()) << name << ": " << key;
+  }
 }
 
 // ------------------------------------------------------------- bytes
@@ -420,10 +459,11 @@ class MappedServingTest : public ::testing::Test {
   }
 
   static std::unique_ptr<serving::ServingNode> MakeNode(
-      std::shared_ptr<const StoreSnapshot> snapshot) {
+      std::shared_ptr<const StoreSnapshot> snapshot,
+      serving::ServingConfig config = Config()) {
     return std::make_unique<serving::ServingNode>(
         std::move(snapshot), &testbed_->searcher(), &testbed_->snippets(),
-        &testbed_->analyzer(), &testbed_->corpus().store, Config());
+        &testbed_->analyzer(), &testbed_->corpus().store, config);
   }
 
   static pipeline::Testbed* testbed_;
@@ -464,6 +504,72 @@ TEST_F(MappedServingTest, MappedServingIsBitIdenticalToHeap) {
   EXPECT_GE(diversified, 2u) << "test must exercise the diversified path";
   EXPECT_EQ(mapped_node->Stats().store_version,
             heap_node->Stats().store_version);
+}
+
+TEST_F(MappedServingTest, FromStoreImagesTheBytesSaveWrites) {
+  // The Small-testbed store with plans (version 5), the same entries
+  // with plans off, the empty store (a header and a directory only)
+  // and the hand-built store (version 21, one plan).
+  DiversificationStore plans_off;
+  for (const auto& [key, entry] : store_->entries()) {
+    StoredEntry copy = entry;
+    copy.plan = QueryPlan();
+    ASSERT_TRUE(plans_off.Put(std::move(copy)).ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectImageMatchesSave(*store_, "image_small.bin"));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectImageMatchesSave(plans_off, "image_plans_off.bin"));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectImageMatchesSave(DiversificationStore(), "image_empty.bin"));
+  ASSERT_NO_FATAL_FAILURE(ExpectImageMatchesSave(MakeStore(), "image.bin"));
+}
+
+TEST_F(MappedServingTest, ImageNodeIsBitIdenticalToHeapNode) {
+  auto image = MappedStoreFile::FromStore(*store_);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+  std::vector<std::string> queries;
+  for (const auto& [key, entry] : store_->entries()) queries.push_back(key);
+  const size_t stored = queries.size();
+  for (const std::string& noise : testbed_->universe().noise_queries) {
+    queries.push_back(noise);
+  }
+
+  // The plans were compiled at the default 200 candidates: at 200 the
+  // stored queries are plan-served, at Config()'s 100 they take the
+  // streaming cold path, and with streaming off the materialized one.
+  serving::ServingConfig plan_config = Config();
+  plan_config.params.num_candidates = 200;
+  serving::ServingConfig materialized_config = Config();
+  materialized_config.streaming_cold_path = false;
+  for (const serving::ServingConfig& config :
+       {plan_config, Config(), materialized_config}) {
+    auto image_node = MakeNode(StoreSnapshot::FromMapped(image.value()),
+                               config);
+    auto heap_node = MakeNode(StoreSnapshot::Borrow(store_), config);
+    ASSERT_TRUE(image_node->snapshot()->mapped());
+    size_t diversified = 0, plan_served = 0, streaming_served = 0;
+    for (const std::string& q : queries) {
+      serving::Response from_image = image_node->Submit(serving::Request(q));
+      serving::Response from_heap = heap_node->Submit(serving::Request(q));
+      ASSERT_TRUE(from_image.ok) << q;
+      ASSERT_TRUE(from_heap.ok) << q;
+      EXPECT_EQ(from_image.diversified, from_heap.diversified) << q;
+      EXPECT_EQ(from_image.plan_served, from_heap.plan_served) << q;
+      EXPECT_EQ(from_image.streaming_served, from_heap.streaming_served)
+          << q;
+      EXPECT_EQ(from_image.ranking, from_heap.ranking) << q;
+      diversified += from_image.diversified;
+      plan_served += from_image.plan_served;
+      streaming_served += from_image.streaming_served;
+    }
+    const bool plans = config.params.num_candidates == 200;
+    EXPECT_EQ(diversified, stored);
+    EXPECT_EQ(plan_served, plans ? stored : 0u);
+    EXPECT_EQ(streaming_served,
+              !plans && config.streaming_cold_path ? stored : 0u);
+    EXPECT_EQ(image_node->Stats().store_version, 5u);
+  }
 }
 
 TEST_F(MappedServingTest, SlicedServingZeroCopyMatchesHeapSplit) {

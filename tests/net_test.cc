@@ -35,6 +35,7 @@
 #include "serving/frontend.h"
 #include "serving/replay.h"
 #include "serving/serving_node.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
 #include "util/hash.h"
 
@@ -623,8 +624,12 @@ class NetServingTest : public ::testing::Test {
                       testbed_->snippets(), testbed_->analyzer(),
                       testbed_->corpus().store, roots, {}, store_);
     ASSERT_GE(store_->size(), 2u);
+    auto image = store::MappedStoreFile::FromStore(*store_);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    mapped_ = std::move(image).value();
   }
   static void TearDownTestSuite() {
+    mapped_.reset();
     delete store_;
     delete testbed_;
     store_ = nullptr;
@@ -671,10 +676,13 @@ class NetServingTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
+  /// store_'s in-memory v4 image, what the in-process cluster serves.
+  static std::shared_ptr<const store::MappedStoreFile> mapped_;
 };
 
 pipeline::Testbed* NetServingTest::testbed_ = nullptr;
 store::DiversificationStore* NetServingTest::store_ = nullptr;
+std::shared_ptr<const store::MappedStoreFile> NetServingTest::mapped_;
 
 TEST_F(NetServingTest, RemoteNodeBitIdenticalToLocalNode) {
   serving::ServingNode local(store_, testbed_, NodeConfig());
@@ -710,7 +718,7 @@ TEST_F(NetServingTest, RemoteShardFleetBitIdenticalToInProcessCluster) {
   cluster_config.num_shards = kShards;
   cluster_config.replicate_hot = 0;
   cluster_config.node = NodeConfig();
-  cluster::ShardedCluster cluster(*store_, testbed_, nullptr, cluster_config);
+  cluster::ShardedCluster cluster(mapped_, testbed_, nullptr, cluster_config);
 
   RemoteFleet fleet;
   ASSERT_NO_FATAL_FAILURE(StartFleet(kShards, &fleet));

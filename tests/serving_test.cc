@@ -298,22 +298,6 @@ TEST_F(ServingNodeTest, StreamingColdPathBitIdenticalToMaterialized) {
   EXPECT_EQ(materialized.Stats().streaming_served, 0u);
 }
 
-TEST_F(ServingNodeTest, OwningStoreConstructorServesIdentically) {
-  // The deployment shape: the node owns a store loaded from disk. A
-  // copy of the shared store stands in for DiversificationStore::Load.
-  store::DiversificationStore loaded = *store_;
-  ServingNode owning(std::move(loaded), &testbed_->searcher(),
-                     &testbed_->snippets(), &testbed_->analyzer(),
-                     &testbed_->corpus().store, BaseConfig());
-  ServingNode borrowing(store_, testbed_, BaseConfig());
-  Response a = owning.Submit(Request(StoredQuery()));
-  Response b = borrowing.Submit(Request(StoredQuery()));
-  EXPECT_TRUE(a.ok);
-  EXPECT_TRUE(a.diversified);
-  EXPECT_EQ(a.ranking, b.ranking);
-  EXPECT_EQ(owning.store().size(), store_->size());
-}
-
 TEST_F(ServingNodeTest, NormalizedQueriesShareACacheSlot) {
   ServingNode node(store_, testbed_, BaseConfig());
   std::string q = StoredQuery();

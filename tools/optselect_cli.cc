@@ -573,13 +573,10 @@ void PrintClusterStats(const cluster::ClusterStats& cs) {
   if (cs.router.failover_serves > 0) PrintFailoverStats(cs.router);
 }
 
-/// Builds a cluster (when --shards > 1) plus its per-shard refreshers.
-/// A non-null `mapped` makes every shard a zero-copy view over the one
-/// shared v4 mapping instead of a SplitStore copy; `store` is the heap
-/// fallback and may be null whenever `mapped` is set.
+/// Builds a cluster (when --shards > 1) plus its per-shard refreshers;
+/// every shard is a zero-copy view over the one `mapped` store.
 std::unique_ptr<cluster::ShardedCluster> MakeCluster(
     const tools::OptionSet& opts, const std::string& dir,
-    const store::DiversificationStore* store,
     std::shared_ptr<const store::MappedStoreFile> mapped,
     const pipeline::Testbed& testbed,
     const serving::ServingConfig& serving_config,
@@ -590,14 +587,8 @@ std::unique_ptr<cluster::ShardedCluster> MakeCluster(
   cc.num_shards = shards;
   cc.replicate_hot = opts.GetSize("replicate-hot");
   cc.node = serving_config;
-  auto cl =
-      mapped != nullptr
-          ? std::make_unique<cluster::ShardedCluster>(
-                std::move(mapped), &testbed.searcher(), &testbed.snippets(),
-                &testbed.analyzer(), &testbed.corpus().store,
-                &testbed.recommender().popularity(), cc)
-          : std::make_unique<cluster::ShardedCluster>(
-                *store, &testbed, &testbed.recommender().popularity(), cc);
+  auto cl = std::make_unique<cluster::ShardedCluster>(
+      std::move(mapped), &testbed, &testbed.recommender().popularity(), cc);
   for (size_t i = 0; i < cl->num_shards(); ++i) {
     // Each shard refreshes independently, applying only the slice of
     // the mined delta it holds (owner or hot replica).
@@ -617,127 +608,103 @@ std::unique_ptr<cluster::ShardedCluster> MakeCluster(
   return cl;
 }
 
-/// Rebuilds the retrieval stack and loads <dir>/store.bin. Returns
-/// nullptr (after printing the error) on failure.
-std::unique_ptr<store::DiversificationStore> LoadStoreOrDie(
-    const std::string& dir) {
-  auto loaded = store::DiversificationStore::Load(dir + "/store.bin");
-  if (!loaded.ok()) {
-    std::fprintf(stderr,
-                 "error: %s (run `optselect generate %s` first)\n",
-                 loaded.status().ToString().c_str(), dir.c_str());
-    return nullptr;
-  }
-  return std::make_unique<store::DiversificationStore>(
-      std::move(loaded).value());
-}
-
-/// v2 → v3 upgrade on load: compiles query plans for every entry that
-/// lacks one compatible with this node's serving params (a v3 store
-/// generated with matching --candidates/--c compiles nothing here).
-/// Returns the number of plans compiled — 0 means the file on disk
-/// already matches what this node would serve.
-size_t RecompilePlansForServing(store::DiversificationStore* store,
-                                const pipeline::Testbed& testbed,
-                                const serving::ServingConfig& config,
-                                std::FILE* log) {
-  store::PlanCompileOptions plan;
-  plan.num_candidates = config.params.num_candidates;
-  plan.threshold_c = config.params.threshold_c;
-  size_t compiled = store::CompilePlans(
-      store, testbed.searcher(), testbed.snippets(), testbed.analyzer(),
-      testbed.corpus().store, plan);
-  if (compiled > 0) {
-    std::fprintf(log,
-                 "compiled %zu query plans (store lacked plans for "
-                 "candidates=%zu c=%.2f)\n",
-                 compiled, plan.num_candidates, plan.threshold_c);
-  }
-  return compiled;
-}
-
-/// Map-first store open shared by serve, loadtest and stats. The result is
-/// either a v4 mapping served zero-copy (heap == nullptr, so the node
-/// never pays the parse/materialize cost at all) or a heap store from
-/// the legacy loader (mapped == nullptr) — never both. Falls back to
-/// the heap parse with a printed reason when:
-///   - the file is not v4 (legacy v1–v3 stream, or missing);
-///   - the file is v4 but its compiled plans don't match this node's
-///     --candidates/--c (the mapping is immutable; the heap path
-///     recompiles them instead).
-/// A file that *claims* v4 but fails Map's validation is a hard error
-/// (ok == false): corruption must never silently downgrade to a slower
-/// path that happens to parse the same bytes differently.
-struct OpenedStore {
+/// The one store open shared by every serving entry (serve, loadtest,
+/// stats). A v4 <dir>/store.bin whose compiled plans match this node's
+/// --candidates/--c is mapped and served zero-copy. Anything else — a
+/// legacy v1–v3 stream, or a v4 file with plans for other params — is
+/// parsed to heap, gets plans compiled for this node, and is served
+/// from an in-memory v4 image (MappedStoreFile::FromStore), so every
+/// node, shard and slice downstream takes the same mapped shape. A file
+/// that *claims* v4 but fails Map's validation is a hard error (null):
+/// corruption must never silently downgrade to a path that happens to
+/// parse the same bytes differently. `warmup_flag` is a --map-warmup
+/// value; progress lines go to `log`.
+std::shared_ptr<const store::MappedStoreFile> OpenStoreForServing(
+    const std::string& dir, const pipeline::Testbed& testbed,
+    const serving::ServingConfig& config, const std::string& warmup_flag,
+    std::FILE* log) {
+  const std::string path = dir + "/store.bin";
+  const size_t candidates = config.params.num_candidates;
+  const double c = config.params.threshold_c;
   std::shared_ptr<const store::MappedStoreFile> mapped;
-  std::unique_ptr<store::DiversificationStore> heap;
-  bool ok = false;
-};
+  std::string image_reason;  // why the file itself is not served
+  if (!store::MappedStoreFile::LooksLikeV4(path)) {
+    image_reason = "store.bin is a legacy v1-v3 stream";
+  } else {
+    auto file = store::MappedStoreFile::Map(path);
+    if (!file.ok()) {
+      std::fprintf(stderr,
+                   "error: %s claims store format v4 but failed to map: "
+                   "%s\nrefusing to reparse a corrupt file — regenerate "
+                   "the store\n",
+                   path.c_str(), file.status().ToString().c_str());
+      return nullptr;
+    }
+    mapped = std::move(file).value();
+    const size_t missing = mapped->MissingPlanCount(candidates, c);
+    if (missing > 0) {
+      image_reason = std::to_string(missing) +
+                     " entries lack plans for these params (regenerate "
+                     "with matching flags to serve the file zero-copy)";
+    }
+  }
 
-/// `warmup_flag` is a --map-warmup value; progress lines go to `log`.
-OpenedStore OpenStoreForServing(const std::string& dir,
-                                const serving::ServingConfig& config,
-                                const std::string& warmup_flag,
-                                std::FILE* log) {
-  OpenedStore out;
+  const double mib_scale = 1.0 / (1024.0 * 1024.0);
+  if (image_reason.empty()) {
+    std::fprintf(log, "store mapped zero-copy (v4, %zu entries, %.1f MiB)\n",
+                 mapped->entry_count(), mapped->mapped_bytes() * mib_scale);
+  } else {
+    store::DiversificationStore heap;
+    if (mapped != nullptr) {
+      heap = mapped->Materialize();
+    } else {
+      auto loaded = store::DiversificationStore::Load(path);
+      if (!loaded.ok()) {
+        std::fprintf(stderr,
+                     "error: %s (run `optselect generate %s` first)\n",
+                     loaded.status().ToString().c_str(), dir.c_str());
+        return nullptr;
+      }
+      heap = std::move(loaded).value();
+    }
+    store::PlanCompileOptions plan;
+    plan.num_candidates = candidates;
+    plan.threshold_c = c;
+    const size_t compiled = store::CompilePlans(
+        &heap, testbed.searcher(), testbed.snippets(), testbed.analyzer(),
+        testbed.corpus().store, plan);
+    auto image = store::MappedStoreFile::FromStore(heap);
+    if (!image.ok()) {
+      std::fprintf(stderr, "error: %s\n", image.status().ToString().c_str());
+      return nullptr;
+    }
+    mapped = std::move(image).value();
+    std::fprintf(log,
+                 "store served from an in-memory v4 image: %s; compiled "
+                 "%zu query plans for candidates=%zu c=%.2f (%zu entries, "
+                 "%.1f MiB)\n",
+                 image_reason.c_str(), compiled, candidates, c,
+                 mapped->entry_count(), mapped->mapped_bytes() * mib_scale);
+  }
+
   // --map-warmup is declared with exactly ParseMapWarmup's values.
   store::MapWarmup warmup = store::MapWarmup::kNone;
   store::ParseMapWarmup(warmup_flag, &warmup);
-
-  const std::string path = dir + "/store.bin";
-  std::string fallback_reason;
-  if (!store::MappedStoreFile::LooksLikeV4(path)) {
-    fallback_reason = "store.bin is not v4 (legacy stream, or missing)";
-  } else {
-    auto mapped = store::MappedStoreFile::Map(path);
-    if (!mapped.ok()) {
-      std::fprintf(stderr,
-                   "error: %s claims store format v4 but failed to map: "
-                   "%s\nrefusing the heap fallback for a corrupt file — "
-                   "regenerate the store\n",
-                   path.c_str(), mapped.status().ToString().c_str());
-      return out;
-    }
-    size_t missing = mapped.value()->MissingPlanCount(
-        config.params.num_candidates, config.params.threshold_c);
-    if (missing > 0) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "%zu entries lack plans compiled for candidates=%zu "
-                    "c=%.2f (regenerate with matching flags to serve "
-                    "zero-copy)",
-                    missing, config.params.num_candidates,
-                    config.params.threshold_c);
-      fallback_reason = buf;
+  if (warmup != store::MapWarmup::kNone) {
+    store::MapWarmupOutcome w = mapped->Warm(warmup);
+    const char* applied = w.applied == store::MapWarmup::kMlock ? "mlock"
+                          : w.applied == store::MapWarmup::kMadvise
+                              ? "madvise(MADV_WILLNEED)"
+                              : "none";
+    if (w.fell_back) {
+      std::fprintf(log, "map warm-up: %s refused (%s); applied %s\n",
+                   warmup_flag.c_str(), w.detail.c_str(), applied);
     } else {
-      out.mapped = std::move(mapped).value();
-      const double mib = static_cast<double>(out.mapped->mapped_bytes()) /
-                         (1024.0 * 1024.0);
-      std::fprintf(log, "store mapped zero-copy (v4, %zu entries, %.1f MiB)\n",
-                   out.mapped->entry_count(), mib);
-      if (warmup != store::MapWarmup::kNone) {
-        store::MapWarmupOutcome w = out.mapped->Warm(warmup);
-        const char* applied =
-            w.applied == store::MapWarmup::kMlock ? "mlock"
-            : w.applied == store::MapWarmup::kMadvise
-                ? "madvise(MADV_WILLNEED)"
-                : "none";
-        if (w.fell_back) {
-          std::fprintf(log, "map warm-up: %s refused (%s); applied %s\n",
-                       warmup_flag.c_str(), w.detail.c_str(), applied);
-        } else {
-          std::fprintf(log, "map warm-up: %s over %.1f MiB\n", applied, mib);
-        }
-      }
-      out.ok = true;
-      return out;
+      std::fprintf(log, "map warm-up: %s over %.1f MiB\n", applied,
+                   mapped->mapped_bytes() * mib_scale);
     }
   }
-  std::fprintf(log, "store mapping off: %s; serving from heap parse\n",
-               fallback_reason.c_str());
-  out.heap = LoadStoreOrDie(dir);
-  out.ok = out.heap != nullptr;
-  return out;
+  return mapped;
 }
 
 /// Set by SIGINT/SIGTERM: the network serve loop drains and exits.
@@ -762,30 +729,15 @@ bool WriteFileAtomic(const std::string& path, const std::string& text) {
   return true;
 }
 
-/// A node over `snapshot` (zero-copy over the mapping) or, when it is
-/// null, over the heap `store`.
-std::unique_ptr<serving::ServingNode> MakeNode(
-    std::shared_ptr<const store::StoreSnapshot> snapshot,
-    const store::DiversificationStore* store,
-    const pipeline::Testbed& testbed, const serving::ServingConfig& config) {
-  if (snapshot == nullptr) {
-    return std::make_unique<serving::ServingNode>(store, &testbed, config);
-  }
-  return std::make_unique<serving::ServingNode>(
-      std::move(snapshot), &testbed.searcher(), &testbed.snippets(),
-      &testbed.analyzer(), &testbed.corpus().store, config);
-}
-
 int CmdServe(const tools::OptionSet& opts) {
   const std::string& dir = opts.positional()[0];
 
   const bool net_mode = opts.GetInt("listen") >= 0;
   // A shard process of a fleet serves only its slice of the store —
   // the same FNV-1a partition ShardedCluster applies in process, so a
-  // remote fleet and a local cluster pick identical owners. Over a v4
-  // store the slice is a MappedShard *view* of the one shared mapping
-  // (every process on the host shares the physical pages); only the
-  // legacy heap path still pays for a SplitStore copy.
+  // remote fleet and a local cluster pick identical owners. The slice
+  // is a MappedShard *view* of the opened mapping (for a store.bin
+  // served zero-copy, every process on the host shares its pages).
   long long shard_index = opts.GetInt("shard-index");
   size_t num_shards = opts.GetSize("num-shards");
   const bool sliced = shard_index >= 0 && num_shards > 1;
@@ -801,41 +753,26 @@ int CmdServe(const tools::OptionSet& opts) {
   filter.shard_index = sliced ? static_cast<size_t>(shard_index) : 0;
 
   serving::ServingConfig serving_config = ServingConfigFor(opts);
-  OpenedStore opened = OpenStoreForServing(
-      dir, serving_config, opts.GetString("map-warmup"), stdout);
-  if (!opened.ok) return 1;
-  std::unique_ptr<store::DiversificationStore>& store = opened.heap;
-  std::shared_ptr<const store::MappedStoreFile> mapped = opened.mapped;
-  if (sliced && store != nullptr) {
-    *store = store::SplitStore(*store, filter);
-  }
-
   std::printf("rebuilding testbed retrieval stack...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
-  if (store != nullptr) {
-    RecompilePlansForServing(store.get(), testbed, serving_config, stdout);
-  }
+  std::shared_ptr<const store::MappedStoreFile> mapped = OpenStoreForServing(
+      dir, testbed, serving_config, opts.GetString("map-warmup"), stdout);
+  if (mapped == nullptr) return 1;
 
   // The single-node snapshot: the whole mapping, or a zero-copy shard
-  // view over it (MakeCluster's make_snapshot lambda builds the same
-  // shapes per shard); null on the heap path (the heap node ctor).
-  std::shared_ptr<const store::StoreSnapshot> snapshot;
-  if (mapped != nullptr) {
-    snapshot = sliced ? store::StoreSnapshot::MappedShard(
-                            mapped,
-                            [filter](std::string_view key) {
-                              return filter.Keeps(key);
-                            })
-                      : store::StoreSnapshot::FromMapped(mapped);
-  }
-  const size_t stored_entries =
-      snapshot != nullptr ? snapshot->entry_count() : store->size();
+  // view over it (ShardedCluster builds the same views per shard).
+  std::shared_ptr<const store::StoreSnapshot> snapshot =
+      sliced ? store::StoreSnapshot::MappedShard(
+                   mapped,
+                   [filter](std::string_view key) {
+                     return filter.Keeps(key);
+                   })
+             : store::StoreSnapshot::FromMapped(mapped);
+  const size_t stored_entries = snapshot->entry_count();
   if (sliced) {
-    std::printf("serving shard %lld/%zu: %zu stored entries%s\n",
-                shard_index, num_shards, stored_entries,
-                mapped != nullptr
-                    ? " (zero-copy view over the shared mapping)"
-                    : "");
+    std::printf("serving shard %lld/%zu: %zu stored entries (zero-copy "
+                "view of the mapping)\n",
+                shard_index, num_shards, stored_entries);
   }
 
   // One node, or a sharded cluster behind a router (--shards N; a
@@ -849,11 +786,13 @@ int CmdServe(const tools::OptionSet& opts) {
   std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
   std::unique_ptr<cluster::ShardedCluster> cl =
       sliced ? nullptr
-             : MakeCluster(opts, dir, store.get(), mapped, testbed,
-                           serving_config, &refreshers);
+             : MakeCluster(opts, dir, mapped, testbed, serving_config,
+                           &refreshers);
   std::unique_ptr<serving::ServingNode> node;
   if (cl == nullptr) {
-    node = MakeNode(snapshot, store.get(), testbed, serving_config);
+    node = std::make_unique<serving::ServingNode>(
+        std::move(snapshot), &testbed.searcher(), &testbed.snippets(),
+        &testbed.analyzer(), &testbed.corpus().store, serving_config);
     // A sliced node refreshes like a cluster shard: only the keys it
     // owns, and any persisted snapshot gets the per-shard suffix so
     // sibling processes never clobber each other.
@@ -1086,12 +1025,15 @@ int CmdLoadtestRemote(const tools::OptionSet& opts, const std::string& dir,
 
   if (!opts.GetBool("verify-local")) return failed == 0 ? 0 : 1;
 
-  std::unique_ptr<store::DiversificationStore> store = LoadStoreOrDie(dir);
-  if (store == nullptr) return 1;
   std::printf("verify-local: serving the same mix in process...\n");
   serving::ServingConfig config = ServingConfigFor(opts);
-  RecompilePlansForServing(store.get(), testbed, config, stdout);
-  serving::ServingNode local(store.get(), &testbed, config);
+  std::shared_ptr<const store::MappedStoreFile> mapped =
+      OpenStoreForServing(dir, testbed, config, "none", stdout);
+  if (mapped == nullptr) return 1;
+  serving::ServingNode local(store::StoreSnapshot::FromMapped(mapped),
+                             &testbed.searcher(), &testbed.snippets(),
+                             &testbed.analyzer(), &testbed.corpus().store,
+                             config);
   size_t mismatches = 0;
   for (size_t i = 0; i < mix.size(); ++i) {
     if (!responses[i].ok) {
@@ -1145,24 +1087,20 @@ int CmdLoadtest(const tools::OptionSet& opts) {
 
   serving::ServingConfig config = ServingConfigFor(opts);
   config.queue_capacity = num_requests;
-  OpenedStore opened = OpenStoreForServing(
-      dir, config, opts.GetString("map-warmup"), stdout);
-  if (!opened.ok) return 1;
-  std::unique_ptr<store::DiversificationStore>& store = opened.heap;
-  std::shared_ptr<const store::MappedStoreFile> mapped = opened.mapped;
-  if (store != nullptr) {
-    RecompilePlansForServing(store.get(), testbed, config, stdout);
-  }
+  std::shared_ptr<const store::MappedStoreFile> mapped = OpenStoreForServing(
+      dir, testbed, config, opts.GetString("map-warmup"), stdout);
+  if (mapped == nullptr) return 1;
 
   std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts);
   std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
-  std::unique_ptr<cluster::ShardedCluster> cl = MakeCluster(
-      opts, dir, store.get(), mapped, testbed, config, &refreshers);
+  std::unique_ptr<cluster::ShardedCluster> cl =
+      MakeCluster(opts, dir, mapped, testbed, config, &refreshers);
   std::unique_ptr<serving::ServingNode> node;
   if (cl == nullptr) {
-    node = MakeNode(
-        mapped != nullptr ? store::StoreSnapshot::FromMapped(mapped) : nullptr,
-        store.get(), testbed, config);
+    node = std::make_unique<serving::ServingNode>(
+        store::StoreSnapshot::FromMapped(mapped), &testbed.searcher(),
+        &testbed.snippets(), &testbed.analyzer(), &testbed.corpus().store,
+        config);
     auto refresher = MakeRefresher(opts, dir, node.get(), testbed);
     if (refresher != nullptr) refreshers.push_back(std::move(refresher));
     node->set_tracer(tracer.get());
@@ -1247,16 +1185,15 @@ int CmdStats(const tools::OptionSet& opts) {
   // them.
   std::FILE* chatter = table ? stdout : stderr;
 
-  // The same zero-copy mapping serve and loadtest answer from, so the
-  // stage table times the mapped store path (heap only as the fallback
-  // for legacy or plan-mismatched files).
   serving::ServingConfig config = ServingConfigFor(opts);
   config.queue_capacity = std::max<size_t>(config.queue_capacity, 64);
-  OpenedStore opened = OpenStoreForServing(dir, config, "none", chatter);
-  if (!opened.ok) return 1;
-
   std::fprintf(chatter, "rebuilding testbed retrieval stack...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
+  // The same mapping serve and loadtest answer from, so the stage table
+  // times the store path they serve.
+  std::shared_ptr<const store::MappedStoreFile> mapped =
+      OpenStoreForServing(dir, testbed, config, "none", chatter);
+  if (mapped == nullptr) return 1;
 
   const size_t num_requests = opts.GetSize("requests");
   double skew = opts.GetDouble("skew");
@@ -1268,15 +1205,11 @@ int CmdStats(const tools::OptionSet& opts) {
   std::vector<std::string> mix = querylog::ZipfQueryMix(
       testbed.recommender().popularity(), num_requests, skew, &rng);
 
-  if (opened.heap != nullptr) {
-    RecompilePlansForServing(opened.heap.get(), testbed, config, chatter);
-  }
   std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts);
-  std::unique_ptr<serving::ServingNode> node = MakeNode(
-      opened.mapped != nullptr
-          ? store::StoreSnapshot::FromMapped(opened.mapped)
-          : nullptr,
-      opened.heap.get(), testbed, config);
+  auto node = std::make_unique<serving::ServingNode>(
+      store::StoreSnapshot::FromMapped(mapped), &testbed.searcher(),
+      &testbed.snippets(), &testbed.analyzer(), &testbed.corpus().store,
+      config);
   node->set_tracer(tracer.get());
 
   std::fprintf(chatter, "sequential replay: %zu requests (skew %.2f)...\n",
@@ -1386,13 +1319,14 @@ bool WaitForPortFile(const std::string& path, pid_t pid, uint16_t* port) {
 int CmdChaosNet(const tools::OptionSet& opts, const std::string& dir) {
   size_t requests = opts.IsSet("requests") ? opts.GetSize("requests") : 400;
   size_t shards = opts.IsSet("shards") ? opts.GetSize("shards") : 2;
-  {
-    auto probe = store::DiversificationStore::Load(dir + "/store.bin");
-    if (!probe.ok()) {
-      std::fprintf(stderr, "error: %s (run `optselect generate %s` first)\n",
-                   probe.status().ToString().c_str(), dir.c_str());
-      return 1;
-    }
+  // Each shard process opens (and validates) the store itself; fail
+  // fast here only when there is nothing to open.
+  if (access((dir + "/store.bin").c_str(), R_OK) != 0) {
+    std::fprintf(stderr,
+                 "error: cannot read %s/store.bin (run `optselect generate "
+                 "%s` first)\n",
+                 dir.c_str(), dir.c_str());
+    return 1;
   }
 
   std::printf("rebuilding testbed retrieval stack...\n");
@@ -1642,17 +1576,29 @@ int CmdChaos(const tools::OptionSet& opts) {
   for (const auto& topic : testbed.universe().topics) {
     roots.push_back(topic.root_query);
   }
+  // Each build is served from its in-memory v4 image, the shape every
+  // serving entry takes.
+  auto build_image = [&](const store::StoreBuilderOptions& options) {
+    store::DiversificationStore built;
+    store::BuildStore(testbed.detector(), testbed.searcher(),
+                      testbed.snippets(), testbed.analyzer(),
+                      testbed.corpus().store, roots, options, &built);
+    auto image = store::MappedStoreFile::FromStore(built);
+    if (!image.ok()) {
+      std::fprintf(stderr, "error: %s\n", image.status().ToString().c_str());
+      std::exit(1);
+    }
+    return std::move(image).value();
+  };
   store::StoreBuilderOptions store_opts;
   store_opts.plan.num_candidates = node.params.num_candidates;
   store_opts.plan.threshold_c = node.params.threshold_c;
-  store::DiversificationStore store;
-  store::BuildStore(testbed.detector(), testbed.searcher(),
-                    testbed.snippets(), testbed.analyzer(),
-                    testbed.corpus().store, roots, store_opts, &store);
-  if (store.size() < 2) {
+  std::shared_ptr<const store::MappedStoreFile> mapped =
+      build_image(store_opts);
+  if (mapped->entry_count() < 2) {
     std::fprintf(stderr, "error: testbed mined %zu stored entries; need "
                          ">= 2 (raise --topics)\n",
-                 store.size());
+                 mapped->entry_count());
     return 1;
   }
 
@@ -1680,7 +1626,7 @@ int CmdChaos(const tools::OptionSet& opts) {
   // unlucky mix, or delays that make hedging moot, report instead of
   // failing.
   size_t hedge_opportunities =
-      cluster::CountHedgeOpportunities(store, popularity, mix, chaos);
+      cluster::CountHedgeOpportunities(*mapped, popularity, mix, chaos);
 
   // Per-query passthrough references: what a store-less node answers —
   // the exact ranking a degraded (dead-owner) answer must carry.
@@ -1692,14 +1638,14 @@ int CmdChaos(const tools::OptionSet& opts) {
   std::printf("no-fault reference run (%zu requests, %zu shards)...\n",
               requests, shards);
   cluster::ChaosReport no_fault = cluster::RunChaosScenario(
-      store, &testbed, &popularity, mix, calm);
+      mapped, &testbed, &popularity, mix, calm);
   std::printf("chaos run A (%zu scheduled events)...\n",
               chaos.schedule.size());
   cluster::ChaosReport run_a = cluster::RunChaosScenario(
-      store, &testbed, &popularity, mix, chaos);
+      mapped, &testbed, &popularity, mix, chaos);
   std::printf("chaos run B (same seed)...\n");
   cluster::ChaosReport run_b = cluster::RunChaosScenario(
-      store, &testbed, &popularity, mix, chaos);
+      mapped, &testbed, &popularity, mix, chaos);
 
   cluster::ChaosVerdict verdict = cluster::VerifyChaosRuns(
       run_a, run_b, no_fault, mix, passthrough);
@@ -1794,10 +1740,8 @@ int CmdChaos(const tools::OptionSet& opts) {
   std::printf("streaming cold-path scenario (plans-off store)...\n");
   store::StoreBuilderOptions cold_opts;
   cold_opts.compile_plans = false;
-  store::DiversificationStore cold_store;
-  store::BuildStore(testbed.detector(), testbed.searcher(),
-                    testbed.snippets(), testbed.analyzer(),
-                    testbed.corpus().store, roots, cold_opts, &cold_store);
+  std::shared_ptr<const store::MappedStoreFile> cold_store =
+      build_image(cold_opts);
   cluster::ChaosReport cold_a = cluster::RunChaosScenario(
       cold_store, &testbed, &popularity, mix, chaos);
   cluster::ChaosReport cold_b = cluster::RunChaosScenario(
