@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace optselect {
 namespace index {
@@ -32,21 +33,23 @@ std::pair<size_t, size_t> SnippetExtractor::Window(
     const std::vector<text::TermId>& query_terms) const {
   const size_t n = body_ids.size();
   const size_t window = std::min(options_.window_tokens, n);
-  auto hit = [&](size_t i) {
+  // Each token is tested for a query hit once; the slide reads the
+  // flag twice, entering and leaving the window.
+  thread_local std::vector<uint8_t> hit;
+  hit.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     const text::TermId id = body_ids[i];
-    return id != text::kInvalidTermId &&
-                   std::find(query_terms.begin(), query_terms.end(), id) !=
-                       query_terms.end()
-               ? 1
-               : 0;
-  };
+    hit[i] = id != text::kInvalidTermId &&
+             std::find(query_terms.begin(), query_terms.end(), id) !=
+                 query_terms.end();
+  }
   // Sliding-window maximum of query-term density.
   size_t best_start = 0;
   int best_hits = -1;
   int current = 0;
   for (size_t i = 0; i < n; ++i) {
-    current += hit(i);
-    if (i >= window) current -= hit(i - window);
+    current += hit[i];
+    if (i >= window) current -= hit[i - window];
     if (i + 1 >= window) {
       size_t start = i + 1 - window;
       if (current > best_hits) {
@@ -80,22 +83,38 @@ std::string SnippetExtractor::Extract(
 text::TermVector SnippetExtractor::ExtractVector(
     const corpus::Document& doc,
     const std::vector<text::TermId>& query_terms) const {
-  std::vector<text::TermId> title;
-  std::vector<text::TermId> body;
-  index_->DocumentTerms(doc.id, &title, &body);
+  // Per-thread decode buffers, as long as the longest record this
+  // thread has decoded.
+  thread_local std::vector<text::TermId> ids;
+  thread_local std::vector<text::TermId> body;
+  index_->DocumentTerms(doc.id, &ids, &body);
   const auto [begin, end] = Window(body, query_terms);
 
-  // Title then window, the order the snippet text would analyze in.
-  // Every recorded id is below num_terms(), so idf_ covers it.
-  std::vector<text::TermVector::Entry> entries;
-  entries.reserve(title.size() + (end - begin));
-  for (text::TermId id : title) entries.emplace_back(id, idf_[id]);
+  // The title's ids, then the window's: the ids the snippet text would
+  // analyze to. Sorted, each run of equal ids becomes one entry whose
+  // weight adds idf[id] once per occurrence, left to right — the sums
+  // FromEntries forms over (id, idf[id]) pairs, since every addend of
+  // a run is the same double. A zero sum is dropped, as FromEntries
+  // drops it. Every recorded id is below num_terms(), so idf_ covers
+  // it.
   for (size_t i = begin; i < end; ++i) {
-    if (body[i] != text::kInvalidTermId) {
-      entries.emplace_back(body[i], idf_[body[i]]);
-    }
+    if (body[i] != text::kInvalidTermId) ids.push_back(body[i]);
   }
-  return text::TermVector::FromEntries(std::move(entries));
+  std::sort(ids.begin(), ids.end());
+  size_t distinct = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    distinct += i == 0 || ids[i] != ids[i - 1];
+  }
+  std::vector<text::TermVector::Entry> entries;
+  entries.reserve(distinct);
+  for (size_t i = 0; i < ids.size();) {
+    const text::TermId id = ids[i];
+    const double idf = idf_[id];
+    double weight = idf;
+    for (++i; i < ids.size() && ids[i] == id; ++i) weight += idf;
+    if (weight != 0.0) entries.emplace_back(id, weight);
+  }
+  return text::TermVector::FromSortedEntries(std::move(entries));
 }
 
 }  // namespace index

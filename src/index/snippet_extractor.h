@@ -52,7 +52,10 @@ class SnippetExtractor {
   /// index recorded for `doc.id` — the text is neither read nor
   /// tokenized. Equal in entries and norm bits to analyzing the snippet
   /// text, which tokenizes to exactly the title's tokens followed by the
-  /// window's, each of which analyzes to its recorded id.
+  /// window's, each of which analyzes to its recorded id. Decodes into
+  /// per-thread buffers and sums each term's weight from its sorted
+  /// ids, so the vector is built with one allocation; safe to call
+  /// from any number of threads at once.
   text::TermVector ExtractVector(
       const corpus::Document& doc,
       const std::vector<text::TermId>& query_terms) const;

@@ -1,11 +1,17 @@
 #include "store/store_builder.h"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 
-#include "core/utility.h"
+#include "core/kernels/kernels.h"
+#include "core/select_view.h"
+#include "pipeline/candidate_stream.h"
 #include "pipeline/diversification_pipeline.h"
 #include "util/hash.h"
 #include "util/strings.h"
@@ -40,6 +46,28 @@ DiversificationStore SplitStore(const DiversificationStore& store,
 }
 
 namespace {
+
+/// Runs work(i) once for every i in [0, count), on min(hardware
+/// threads, count) threads counting the caller, each taking the next
+/// index as it finishes one. `work` must be safe to run concurrently
+/// for distinct i. An exception from any thread reaches the caller
+/// once every thread has stopped (a std::async future waits in its
+/// destructor).
+template <typename Work>
+void ParallelFor(size_t count, const Work& work) {
+  const size_t threads = std::min<size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), count);
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t i = next++; i < count; i = next++) work(i);
+  };
+  std::vector<std::future<void>> helpers;
+  for (size_t t = 1; t < threads; ++t) {
+    helpers.push_back(std::async(std::launch::async, drain));
+  }
+  drain();
+  for (std::future<void>& helper : helpers) helper.get();
+}
 
 /// Materializes the stored entry for one detected ambiguous query:
 /// specializations with P(q′|q) plus their R_q′ surrogate vectors.
@@ -90,46 +118,46 @@ QueryPlan CompileQueryPlan(const StoredEntry& entry,
       static_cast<uint32_t>(options.num_candidates);
   plan.threshold_c = options.threshold_c;
 
-  // Same normalized query, same retrieval, same candidate
-  // materialization (pipeline::BuildCandidates — one shared
-  // definition), same utility code as the serving fallback — so the
-  // compiled blocks are bit-identical to what a request would compute.
+  // Same normalized query, same retrieval and same candidate
+  // materialization (pipeline::BuildCandidates) as the serving
+  // fallback; the rows come from the streaming path's
+  // ComputeUtilityRow, bit-identical to UtilityComputer::Compute — so
+  // the compiled blocks are what a request would compute.
   std::vector<text::TermId> query_terms =
       analyzer.AnalyzeReadOnly(util::NormalizeQueryText(entry.query));
   index::ResultList rq =
       searcher.SearchTerms(query_terms, options.num_candidates);
   if (rq.empty()) return plan;  // empty plan ⇒ serve-time fallback
 
-  core::DiversificationInput input;
-  input.query = entry.query;
-  input.candidates =
+  std::vector<core::Candidate> candidates =
       pipeline::BuildCandidates(rq, snippets, documents, query_terms);
-  input.specializations = DiversificationStore::ToProfiles(entry);
+  const size_t n = candidates.size();
+  const size_t m = entry.specializations.size();
+  // The entry's own surrogates, scored in place.
+  std::vector<pipeline::SpecializationRef> refs(m);
+  plan.probability.reserve(m);
+  for (size_t j = 0; j < m; ++j) {
+    refs[j].probability = entry.specializations[j].probability;
+    refs[j].results = &entry.specializations[j].surrogates;
+    plan.probability.push_back(refs[j].probability);
+  }
+  const std::vector<double> inv_harmonic = pipeline::InverseHarmonics(refs);
 
-  core::UtilityComputer computer(
-      core::UtilityComputer::Options{options.threshold_c});
-  core::UtilityMatrix matrix = computer.Compute(input);
-
-  const size_t n = input.candidates.size();
-  const size_t m = input.specializations.size();
   plan.docs.reserve(n);
   plan.relevance.reserve(n);
-  for (const core::Candidate& c : input.candidates) {
-    plan.docs.push_back(c.doc);
-    plan.relevance.push_back(c.relevance);
-  }
-  plan.probability.reserve(m);
-  for (const core::SpecializationProfile& sp : input.specializations) {
-    plan.probability.push_back(sp.probability);
-  }
-  plan.utilities.assign(matrix.data(), matrix.data() + n * m);
-  // The λ-independent half of Eq. 9; WeightedRowSum runs the kernels'
-  // canonical blocked accumulation — the same order the serve-time row
-  // scan uses — so the compiled sums match serve-time bitwise.
+  plan.utilities.resize(n * m);
   plan.weighted.reserve(n);
   for (size_t i = 0; i < n; ++i) {
+    plan.docs.push_back(candidates[i].doc);
+    plan.relevance.push_back(candidates[i].relevance);
+    double* row = plan.utilities.data() + i * m;
+    pipeline::ComputeUtilityRow(candidates[i].vector, refs, inv_harmonic,
+                                options.threshold_c, row);
+    // The λ-independent half of Eq. 9, by the kernels' canonical
+    // blocked accumulation — the order the serve-time row scan uses —
+    // so the compiled sums match serve-time bitwise.
     plan.weighted.push_back(
-        matrix.WeightedRowSum(i, plan.probability.data()));
+        core::kernels::WeightedRowSum(row, plan.probability.data(), m));
   }
   // "the k specializations with the largest probabilities" (3.1.3) —
   // the full order is compiled; selection truncates to its k.
@@ -148,26 +176,29 @@ size_t CompilePlans(DiversificationStore* store,
                     const text::Analyzer& analyzer,
                     const corpus::DocumentStore& documents,
                     const PlanCompileOptions& options) {
-  // Two phases (collect, then Put) because Put mutates the map being
-  // iterated. Entries with a compatible plan are skipped — the
-  // incremental property the reload path relies on.
-  std::vector<StoredEntry> updated;
+  // Collect, compile in parallel, then Put in collection order — Put
+  // mutates the map being iterated. Entries with a compatible plan are
+  // skipped — the incremental property the reload path relies on.
+  std::vector<StoredEntry> stale;
   for (const auto& [key, entry] : store->entries()) {
     if (!entry.plan.empty() &&
         entry.plan.CompatibleWith(options.num_candidates,
                                   options.threshold_c)) {
       continue;
     }
-    StoredEntry copy = entry;
-    copy.plan = CompileQueryPlan(entry, searcher, snippets, analyzer,
-                                 documents, options);
-    if (copy.plan.empty()) continue;  // retrieval found nothing
-    updated.push_back(std::move(copy));
+    stale.push_back(entry);
   }
-  for (StoredEntry& entry : updated) {
+  ParallelFor(stale.size(), [&](size_t i) {
+    stale[i].plan = CompileQueryPlan(stale[i], searcher, snippets, analyzer,
+                                     documents, options);
+  });
+  size_t compiled = 0;
+  for (StoredEntry& entry : stale) {
+    if (entry.plan.empty()) continue;  // retrieval found nothing
     store->Put(std::move(entry)).IgnoreError();
+    ++compiled;
   }
-  return updated.size();
+  return compiled;
 }
 
 size_t BuildStore(const recommend::AmbiguityDetector& detector,
@@ -178,13 +209,20 @@ size_t BuildStore(const recommend::AmbiguityDetector& detector,
                   const std::vector<std::string>& candidate_queries,
                   const StoreBuilderOptions& options,
                   DiversificationStore* out) {
-  size_t stored = 0;
-  for (const std::string& query : candidate_queries) {
+  // Each query's work reads only the immutable mining and retrieval
+  // stacks, so queries run in parallel; Put then takes the entries in
+  // input order, which leaves the store a sequential build would.
+  std::vector<std::optional<StoredEntry>> built(candidate_queries.size());
+  ParallelFor(candidate_queries.size(), [&](size_t i) {
+    const std::string& query = candidate_queries[i];
     recommend::SpecializationSet set = detector.Detect(query);
-    if (!set.ambiguous()) continue;
-    StoredEntry entry = MaterializeEntry(set, query, searcher, snippets,
-                                         analyzer, documents, options);
-    if (out->Put(std::move(entry)).ok()) ++stored;
+    if (!set.ambiguous()) return;
+    built[i] = MaterializeEntry(set, query, searcher, snippets, analyzer,
+                                documents, options);
+  });
+  size_t stored = 0;
+  for (std::optional<StoredEntry>& entry : built) {
+    if (entry && out->Put(std::move(*entry)).ok()) ++stored;
   }
   return stored;
 }

@@ -69,7 +69,9 @@ DiversificationStore SplitStore(const DiversificationStore& store,
 /// Runs Algorithm 1 on every query in `candidate_queries`, and for each
 /// detected ambiguous query materializes the specializations with their
 /// R_q′ surrogate vectors. Queries that are not ambiguous are skipped.
-/// Returns the number of entries stored.
+/// Works the queries on min(hardware threads, queries) threads and
+/// stores the entries in input order, so `out` ends up byte-for-byte
+/// what a sequential build gives. Returns the number of entries stored.
 size_t BuildStore(const recommend::AmbiguityDetector& detector,
                   const index::Searcher& searcher,
                   const index::SnippetExtractor& snippets,
@@ -87,6 +89,8 @@ size_t BuildStore(const recommend::AmbiguityDetector& detector,
 /// dirty set is first widened with every base entry that *references* a
 /// dirty query as one of its specializations — their P(q′|q)
 /// denominators changed too. Feed the result to store::BuildSnapshot.
+/// Runs on the calling thread only: a refresh tick re-mines about one
+/// entry, beside serving threads that already fill the cores.
 StoreDelta MineDelta(const recommend::AmbiguityDetector& detector,
                      const index::Searcher& searcher,
                      const index::SnippetExtractor& snippets,
@@ -100,8 +104,11 @@ StoreDelta MineDelta(const recommend::AmbiguityDetector& detector,
 /// serving retrieval stack: retrieves R_q at options.num_candidates,
 /// extracts the candidate surrogates, computes the thresholded utility
 /// matrix plus the λ-independent weighted sums, and records the
-/// probability-sorted specialization order. Runs exactly the code the
-/// serving node's fallback path runs, so plan-served rankings are
+/// probability-sorted specialization order. Candidates come from the
+/// serving fallback's pipeline::BuildCandidates and utility rows from
+/// the streaming cold path's pipeline::ComputeUtilityRow, scoring the
+/// entry's surrogates in place; those rows are bit-identical to
+/// UtilityComputer::Compute's, so plan-served rankings are
 /// bit-identical to computing per request. Returns an empty plan when
 /// retrieval finds nothing (the node then falls back, cheaply).
 QueryPlan CompileQueryPlan(const StoredEntry& entry,
@@ -115,7 +122,8 @@ QueryPlan CompileQueryPlan(const StoredEntry& entry,
 /// every entry whose plan is missing or incompatible with `options`.
 /// Entries that already carry a compatible plan are left untouched —
 /// this is what makes a post-reload recompile touch only the dirty
-/// queries. Returns the number of plans compiled.
+/// queries. Compiles on min(hardware threads, stale entries) threads.
+/// Returns the number of plans compiled.
 size_t CompilePlans(DiversificationStore* store,
                     const index::Searcher& searcher,
                     const index::SnippetExtractor& snippets,

@@ -1,6 +1,7 @@
 #include "text/term_vector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace optselect {
@@ -24,6 +25,17 @@ TermVector TermVector::FromEntries(std::vector<Entry> entries) {
       std::remove_if(tv.entries_.begin(), tv.entries_.end(),
                      [](const Entry& e) { return e.second == 0.0; }),
       tv.entries_.end());
+  tv.RecomputeNorm();
+  return tv;
+}
+
+TermVector TermVector::FromSortedEntries(std::vector<Entry> entries) {
+  assert(std::adjacent_find(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.first >= b.first;
+                            }) == entries.end());
+  TermVector tv;
+  tv.entries_ = std::move(entries);
   tv.RecomputeNorm();
   return tv;
 }

@@ -42,6 +42,12 @@ class TermVector {
   /// summed, zero weights dropped, result sorted by term id.
   static TermVector FromEntries(std::vector<Entry> entries);
 
+  /// Builds from entries already in FromEntries' output shape (ids
+  /// strictly ascending, weights non-zero): the vector keeps
+  /// `entries`' buffer as is and only computes the norm, in the order
+  /// FromEntries computes it.
+  static TermVector FromSortedEntries(std::vector<Entry> entries);
+
   /// Builds a raw term-frequency vector from a token-id sequence.
   static TermVector FromTermIds(const std::vector<TermId>& ids);
 

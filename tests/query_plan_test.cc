@@ -1,5 +1,6 @@
 // Tests for store-v3 compiled query plans: compile correctness against
-// the live utility computation, bit-identical plan-served rankings,
+// the live utility computation, a parallel build byte-identical to a
+// sequential one, bit-identical plan-served rankings,
 // binary round-tripping, v2-format backcompat with recompile-on-load,
 // stale-plan rejection, and plan preservation through delta snapshot
 // builds (only dirty entries recompile).
@@ -18,6 +19,7 @@
 #include "pipeline/testbed.h"
 #include "serving/serving_node.h"
 #include "store/diversification_store.h"
+#include "store/mapped_store.h"
 #include "store/query_plan.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
@@ -52,10 +54,11 @@ class QueryPlanTest : public ::testing::Test {
   }
 
   /// Builds the store from the testbed roots, with or without plans.
-  static DiversificationStore Build(bool with_plans) {
+  static DiversificationStore Build(
+      bool with_plans, const PlanCompileOptions& plan = PlanOpts()) {
     StoreBuilderOptions options;
     options.compile_plans = with_plans;
-    options.plan = PlanOpts();
+    options.plan = plan;
     DiversificationStore store;
     BuildStore(testbed_->detector(), testbed_->searcher(),
                testbed_->snippets(), testbed_->analyzer(),
@@ -82,65 +85,111 @@ pipeline::Testbed* QueryPlanTest::testbed_ = nullptr;
 std::vector<std::string>* QueryPlanTest::roots_ = nullptr;
 
 TEST_F(QueryPlanTest, CompiledBlocksMatchLiveComputation) {
-  DiversificationStore store = Build(/*with_plans=*/true);
-  ASSERT_GE(store.size(), 2u);
+  // The compiler fills its blocks with ComputeUtilityRow, as the
+  // streaming cold path does; the merge-cosine UtilityComputer::Compute
+  // is the independent reference here. Every entry, at the fixture's
+  // c = 0 and at a c that zeroes part of the blocks.
+  PlanCompileOptions thresholded = PlanOpts();
+  thresholded.threshold_c = 0.3;
+  size_t zeros_at[2] = {0, 0};
+  for (const PlanCompileOptions& opts : {PlanOpts(), thresholded}) {
+    SCOPED_TRACE("c = " + std::to_string(opts.threshold_c));
+    DiversificationStore store = Build(/*with_plans=*/true, opts);
+    ASSERT_GE(store.size(), 2u);
+    size_t& zeros = zeros_at[opts.threshold_c > 0 ? 1 : 0];
 
-  size_t checked = 0;
-  for (const auto& [key, entry] : store.entries()) {
-    const QueryPlan& plan = entry.plan;
-    ASSERT_FALSE(plan.empty()) << key;
-    ASSERT_TRUE(plan.SizesConsistent());
-    EXPECT_TRUE(plan.CompatibleWith(PlanOpts().num_candidates,
-                                    PlanOpts().threshold_c));
-    const size_t n = plan.num_candidates();
-    const size_t m = plan.num_specializations();
-    ASSERT_EQ(m, entry.specializations.size());
+    for (const auto& [key, entry] : store.entries()) {
+      const QueryPlan& plan = entry.plan;
+      ASSERT_FALSE(plan.empty()) << key;
+      ASSERT_TRUE(plan.SizesConsistent());
+      EXPECT_TRUE(plan.CompatibleWith(opts.num_candidates,
+                                      opts.threshold_c));
+      const size_t n = plan.num_candidates();
+      const size_t m = plan.num_specializations();
+      ASSERT_EQ(m, entry.specializations.size());
 
-    // Recompute what the serving fallback would: same retrieval, same
-    // surrogates, same utility code.
-    std::vector<text::TermId> terms = testbed_->analyzer().AnalyzeReadOnly(
-        util::NormalizeQueryText(entry.query));
-    index::ResultList rq = testbed_->searcher().SearchTerms(
-        terms, PlanOpts().num_candidates);
-    ASSERT_EQ(rq.size(), n);
+      // Recompute what the materialized serving fallback would: same
+      // retrieval, same surrogates, the merge-cosine utility code.
+      std::vector<text::TermId> terms = testbed_->analyzer().AnalyzeReadOnly(
+          util::NormalizeQueryText(entry.query));
+      index::ResultList rq =
+          testbed_->searcher().SearchTerms(terms, opts.num_candidates);
+      ASSERT_EQ(rq.size(), n);
 
-    core::DiversificationInput input;
-    double max_score = rq.front().score;
-    for (const auto& hit : rq) max_score = std::max(max_score, hit.score);
-    for (size_t i = 0; i < n; ++i) {
-      core::Candidate c;
-      c.doc = rq[i].doc;
-      c.relevance = max_score > 0 ? rq[i].score / max_score : 0.0;
-      c.vector = testbed_->snippets().ExtractVector(
-          testbed_->corpus().store.Get(rq[i].doc), terms);
-      EXPECT_EQ(plan.docs[i], c.doc);
-      EXPECT_EQ(plan.relevance[i], c.relevance);
-      input.candidates.push_back(std::move(c));
-    }
-    input.specializations = DiversificationStore::ToProfiles(entry);
-
-    core::UtilityMatrix matrix =
-        core::UtilityComputer(
-            core::UtilityComputer::Options{PlanOpts().threshold_c})
-            .Compute(input);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        ASSERT_EQ(plan.utilities[i * m + j], matrix.At(i, j));
+      core::DiversificationInput input;
+      double max_score = rq.front().score;
+      for (const auto& hit : rq) max_score = std::max(max_score, hit.score);
+      for (size_t i = 0; i < n; ++i) {
+        core::Candidate c;
+        c.doc = rq[i].doc;
+        c.relevance = max_score > 0 ? rq[i].score / max_score : 0.0;
+        c.vector = testbed_->snippets().ExtractVector(
+            testbed_->corpus().store.Get(rq[i].doc), terms);
+        EXPECT_EQ(plan.docs[i], c.doc);
+        EXPECT_EQ(plan.relevance[i], c.relevance);
+        input.candidates.push_back(std::move(c));
       }
-      EXPECT_EQ(plan.weighted[i],
-                matrix.WeightedRowSum(i, plan.probability.data()));
+      input.specializations = DiversificationStore::ToProfiles(entry);
+
+      core::UtilityMatrix matrix =
+          core::UtilityComputer(
+              core::UtilityComputer::Options{opts.threshold_c})
+              .Compute(input);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < m; ++j) {
+          ASSERT_EQ(plan.utilities[i * m + j], matrix.At(i, j))
+              << key << " [" << i << "][" << j << "]";
+          zeros += plan.utilities[i * m + j] == 0.0;
+        }
+        EXPECT_EQ(plan.weighted[i],
+                  matrix.WeightedRowSum(i, plan.probability.data()));
+      }
+      // spec_order: probability descending, ties by index ascending.
+      for (size_t j = 0; j + 1 < m; ++j) {
+        double pa = plan.probability[plan.spec_order[j]];
+        double pb = plan.probability[plan.spec_order[j + 1]];
+        EXPECT_TRUE(pa > pb || (pa == pb &&
+                                plan.spec_order[j] < plan.spec_order[j + 1]));
+      }
     }
-    // spec_order: probability descending, ties by index ascending.
-    for (size_t j = 0; j + 1 < m; ++j) {
-      double pa = plan.probability[plan.spec_order[j]];
-      double pb = plan.probability[plan.spec_order[j + 1]];
-      EXPECT_TRUE(pa > pb ||
-                  (pa == pb && plan.spec_order[j] < plan.spec_order[j + 1]));
-    }
-    ++checked;
-    if (checked >= 3) break;  // three entries are plenty
   }
-  EXPECT_GE(checked, 2u);
+  // The threshold really cut cells, so the c > 0 branch was compared.
+  EXPECT_GT(zeros_at[1], zeros_at[0]);
+}
+
+TEST_F(QueryPlanTest, ParallelBuildIsByteIdenticalToSequentialBuild) {
+  // BuildStore and CompilePlans work on several threads; BuildStore
+  // over one root works on the calling thread alone. Both must write
+  // the same store image.
+  auto image_bytes = [](const DiversificationStore& store) {
+    auto image = MappedStoreFile::FromStore(store);
+    EXPECT_TRUE(image.ok()) << image.status().ToString();
+    return image.ok() ? std::string(image.value()->bytes()) : std::string();
+  };
+  std::string with_plans_bytes;
+  for (bool with_plans : {false, true}) {
+    SCOPED_TRACE(with_plans ? "plans on" : "plans off");
+    StoreBuilderOptions options;
+    options.compile_plans = with_plans;
+    options.plan = PlanOpts();
+    DiversificationStore sequential;
+    for (const std::string& root : *roots_) {
+      BuildStore(testbed_->detector(), testbed_->searcher(),
+                 testbed_->snippets(), testbed_->analyzer(),
+                 testbed_->corpus().store, {root}, options, &sequential);
+    }
+    ASSERT_GE(sequential.size(), 2u);
+    const std::string want = image_bytes(sequential);
+    EXPECT_TRUE(image_bytes(Build(with_plans)) == want);
+    if (with_plans) with_plans_bytes = want;
+  }
+
+  DiversificationStore upgraded = Build(/*with_plans=*/false);
+  EXPECT_EQ(CompilePlans(&upgraded, testbed_->searcher(),
+                         testbed_->snippets(), testbed_->analyzer(),
+                         testbed_->corpus().store, PlanOpts()),
+            upgraded.size());
+  EXPECT_TRUE(image_bytes(upgraded) == with_plans_bytes);
 }
 
 TEST_F(QueryPlanTest, PlanServedRankingsBitIdenticalToColdPath) {

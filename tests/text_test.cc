@@ -293,6 +293,17 @@ TEST(TermVectorTest, DropsZeroWeights) {
   EXPECT_TRUE(cancel.empty());
 }
 
+TEST(TermVectorTest, FromSortedEntriesEqualsFromEntries) {
+  const std::vector<TermVector::Entry> sorted = {
+      {2, 0.1}, {5, 1.0 / 3.0}, {9, 7.25}, {40, 1e-9}};
+  TermVector want = TermVector::FromEntries({sorted[2], sorted[0],
+                                             sorted[3], sorted[1]});
+  TermVector got = TermVector::FromSortedEntries(sorted);
+  EXPECT_EQ(got.entries(), want.entries());
+  EXPECT_EQ(got.norm(), want.norm());
+  EXPECT_TRUE(TermVector::FromSortedEntries({}).empty());
+}
+
 TEST(TermVectorTest, NormMatchesEuclidean) {
   TermVector tv = TermVector::FromEntries({{0, 3.0}, {1, 4.0}});
   EXPECT_DOUBLE_EQ(tv.norm(), 5.0);
