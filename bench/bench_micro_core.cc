@@ -1,7 +1,6 @@
-// Micro-benchmarks of the SIMD selection kernels (core/kernels) — the
-// per-primitive numbers behind the plan-serving speedups: weighted row
-// sums and overall-score fusion over weighted sums or raw rows, each
-// timed for the scalar reference AND the runtime-dispatched table
+// Micro-benchmark of the SIMD selection kernel (core/kernels): the
+// weighted utility row sum the plan compiler and StreamingTopK::Push
+// run, timed for the scalar reference AND the runtime-dispatched table
 // (AVX2/NEON where the host has them).
 //
 // Every dispatched timing doubles as a determinism check: the timed
@@ -155,70 +154,6 @@ int main(int argc, char** argv) {
       return bad;
     };
     Record(ctx, "weighted_row_sum",
-           {{"n", static_cast<double>(n)}, {"m", static_cast<double>(m)}},
-           run, check);
-  }
-
-  // ---- overall_from_weighted: the plan-serving fusion loop -----------
-  {
-    const size_t n = 4096;
-    const double lambda = 0.5, m_scale = 8.0;
-    std::vector<double> rel = RandomDoubles(&rng, n);
-    std::vector<double> weighted = RandomDoubles(&rng, n);
-    std::vector<double> out(n);
-    auto run = [&](const core::kernels::Ops& ops) {
-      return TimeKernel(ops, scaled(8000), n,
-                        [&](const core::kernels::Ops& o) {
-                          o.overall_from_weighted(rel.data(),
-                                                  weighted.data(), n, lambda,
-                                                  m_scale, out.data());
-                          return out[0] + out[n - 1];
-                        });
-    };
-    auto check = [&] {
-      std::vector<double> want(n), got(n);
-      core::kernels::Scalar().overall_from_weighted(
-          rel.data(), weighted.data(), n, lambda, m_scale, want.data());
-      core::kernels::Active().overall_from_weighted(
-          rel.data(), weighted.data(), n, lambda, m_scale, got.data());
-      size_t bad = 0;
-      for (size_t i = 0; i < n; ++i) bad += got[i] != want[i];
-      return bad;
-    };
-    Record(ctx, "overall_from_weighted", {{"n", static_cast<double>(n)}},
-           run, check);
-  }
-
-  // ---- overall_from_rows: streaming cold path's fused row scorer -----
-  {
-    const size_t n = 512, m = 16;
-    const double lambda = 0.7;
-    std::vector<double> rel = RandomDoubles(&rng, n);
-    std::vector<double> rows = RandomDoubles(&rng, n * m);
-    std::vector<double> prob = RandomDoubles(&rng, m);
-    std::vector<double> out(n);
-    auto run = [&](const core::kernels::Ops& ops) {
-      return TimeKernel(ops, scaled(4000), n,
-                        [&](const core::kernels::Ops& o) {
-                          o.overall_from_rows(rel.data(), rows.data(),
-                                              prob.data(), n, m, lambda,
-                                              out.data());
-                          return out[0] + out[n - 1];
-                        });
-    };
-    auto check = [&] {
-      std::vector<double> want(n), got(n);
-      core::kernels::Scalar().overall_from_rows(rel.data(), rows.data(),
-                                                prob.data(), n, m, lambda,
-                                                want.data());
-      core::kernels::Active().overall_from_rows(rel.data(), rows.data(),
-                                                prob.data(), n, m, lambda,
-                                                got.data());
-      size_t bad = 0;
-      for (size_t i = 0; i < n; ++i) bad += got[i] != want[i];
-      return bad;
-    };
-    Record(ctx, "overall_from_rows",
            {{"n", static_cast<double>(n)}, {"m", static_cast<double>(m)}},
            run, check);
   }

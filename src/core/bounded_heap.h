@@ -72,8 +72,8 @@ class BoundedTopK {
 
   /// Read-only view of the retained entries in internal heap order
   /// (unsorted). Lets a non-destructive drain sort a *copy* while the
-  /// heap keeps accepting pushes — the streaming selector's
-  /// Finalize/Extend primitive.
+  /// heap keeps accepting pushes — StreamingTopK's Finalize/Extend
+  /// primitive.
   const std::vector<Entry>& entries() const { return heap_; }
 
   /// Extracts all retained entries ordered best-first (key descending,
@@ -85,22 +85,14 @@ class BoundedTopK {
     return out;
   }
 
-  /// Sorts the retained entries best-first *in place* and returns them,
-  /// keeping the backing allocation (unlike ExtractDescending, which
-  /// moves it away). The heap invariant is destroyed: the only valid
-  /// operation afterwards is Reset. This is the drain primitive of the
-  /// scratch-reuse selection path.
-  const std::vector<Entry>& SortDescending() {
-    std::sort(heap_.begin(), heap_.end(), Better);
-    return heap_;
-  }
-
- private:
-  /// Strict total order: true iff a ranks ahead of b.
+  /// Strict total order: true iff a ranks ahead of b. Sorting entries()
+  /// with it yields ExtractDescending's order.
   static bool Better(const Entry& a, const Entry& b) {
     if (a.key != b.key) return a.key > b.key;
     return a.value < b.value;
   }
+
+ private:
   /// std::push_heap comparator ("less"): the worst entry becomes the
   /// heap top.
   static bool WorstLast(const Entry& a, const Entry& b) {

@@ -4,7 +4,6 @@
 #include "core/mmr.h"
 #include "core/optselect.h"
 #include "core/parallel_optselect.h"
-#include "core/streaming_select.h"
 #include "core/xquad.h"
 #include "util/strings.h"
 
@@ -12,8 +11,7 @@ namespace optselect {
 namespace core {
 
 std::vector<std::string> AvailableDiversifiers() {
-  return {"optselect", "parallel-optselect", "streaming", "xquad",
-          "iaselect", "mmr"};
+  return {"optselect", "parallel-optselect", "xquad", "iaselect", "mmr"};
 }
 
 util::Result<std::unique_ptr<Diversifier>> MakeDiversifier(
@@ -24,9 +22,6 @@ util::Result<std::unique_ptr<Diversifier>> MakeDiversifier(
   }
   if (lower == "parallel-optselect") {
     return std::unique_ptr<Diversifier>(new ParallelOptSelectDiversifier());
-  }
-  if (lower == "streaming") {
-    return std::unique_ptr<Diversifier>(new StreamingDiversifier());
   }
   if (lower == "xquad") {
     return std::unique_ptr<Diversifier>(new XQuadDiversifier());

@@ -22,28 +22,7 @@ double WeightedRowSumScalar(const double* row, const double* prob,
   return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-void OverallFromWeightedScalar(const double* relevance,
-                               const double* weighted, size_t n,
-                               double lambda, double m_scale, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = CombineOverall(relevance[i], weighted[i], lambda, m_scale);
-  }
-}
-
-void OverallFromRowsScalar(const double* relevance, const double* rows,
-                           const double* prob, size_t n, size_t m,
-                           double lambda, double* out) {
-  const double m_scale = static_cast<double>(m);
-  for (size_t i = 0; i < n; ++i) {
-    double w = WeightedRowSumScalar(rows + i * m, prob, m);
-    out[i] = CombineOverall(relevance[i], w, lambda, m_scale);
-  }
-}
-
-const Ops kScalarOps = {
-    "scalar", WeightedRowSumScalar, OverallFromWeightedScalar,
-    OverallFromRowsScalar,
-};
+const Ops kScalarOps = {"scalar", WeightedRowSumScalar};
 
 /// Resolves the dispatch target once. Unknown or unavailable explicit
 /// requests warn to stderr and fall back to scalar — a test asking for

@@ -2,16 +2,17 @@
 //
 // The paper argues OptSelect's scan structure is data-parallel (their
 // demonstration is on GPUs); this layer finishes that thought on CPU.
-// Three loops dominate selection: the weighted utility row sum (the
-// λ-independent half of Eq. 9) and the per-candidate overall-utility
-// evaluation feeding the OptSelect/StreamingTopK scans, over
-// precompiled weighted sums or over raw utility rows. Each has a scalar
-// reference implementation and optional AVX2/NEON variants selected
-// ONCE at startup. The sparse dot products between a candidate
-// surrogate and a specialization's stored surrogates (the cold path's
-// utility rows) are gather loops whose adds must stay in ascending term
-// order, so they have one undispatched form; they live here so they
-// share the kernels' rounding rules.
+// One loop is dispatched: the weighted utility row sum Σ_j P_j·Ũ_ij
+// (the λ-independent half of Eq. 9) that the plan compiler bakes into
+// each plan's weighted block and StreamingTopK::Push computes for
+// plan-less candidates. It has a scalar reference implementation and
+// optional AVX2/NEON variants selected ONCE at startup; the Eq. 9
+// combine on top of it is the one inline CombineOverall below. The
+// sparse dot products between a candidate surrogate and a
+// specialization's stored surrogates (the cold path's utility rows)
+// are gather loops whose adds must stay in ascending term order, so
+// they have one undispatched form; they live here so they share the
+// kernels' rounding rules.
 //
 // Determinism contract: every variant produces bit-identical doubles to
 // the scalar reference, run-to-run and across lane widths. Two rules
@@ -61,19 +62,6 @@ struct Ops {
   /// (acc0+acc1)+(acc2+acc3).
   double (*weighted_row_sum)(const double* row, const double* prob,
                              size_t m);
-
-  /// out[i] = (1−λ)·m_scale·rel[i] + λ·weighted[i] — the Eq. 9 combine
-  /// over a precompiled weighted block (the plan-served scan).
-  void (*overall_from_weighted)(const double* relevance,
-                                const double* weighted, size_t n,
-                                double lambda, double m_scale,
-                                double* out);
-
-  /// out[i] = (1−λ)·m_scale·rel[i] + λ·Σ_j prob[j]·rows[i·m+j] — the
-  /// Eq. 9 combine with an inline blocked row sum (the plan-less scan).
-  void (*overall_from_rows)(const double* relevance, const double* rows,
-                            const double* prob, size_t n, size_t m,
-                            double lambda, double* out);
 };
 
 /// The scalar reference table (always available; the oracle every other
@@ -98,10 +86,11 @@ const Ops* NeonOrNull();
 
 /// The Eq. 9 combine for one candidate:
 ///   (1−λ)·m_scale·relevance + λ·weighted
-/// evaluated left-to-right. Shared by every kernel and by header-inline
-/// single-candidate call sites so the expression tree is identical
-/// everywhere. (Plain f64 mul/add cannot be FMA-contracted on targets
-/// without FMA codegen, and kernel TUs additionally force
+/// evaluated left-to-right. The one definition every overall-utility
+/// evaluation uses (StreamingTopK's pushes, the reference
+/// OptSelectDiversifier::OverallUtility), so the expression tree is
+/// identical everywhere. (Plain f64 mul/add cannot be FMA-contracted on
+/// targets without FMA codegen, and kernel TUs additionally force
 /// -ffp-contract=off.)
 inline double CombineOverall(double relevance, double weighted,
                              double lambda, double m_scale) {

@@ -41,42 +41,7 @@ double WeightedRowSumAvx2(const double* row, const double* prob,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void OverallFromWeightedAvx2(const double* relevance,
-                             const double* weighted, size_t n,
-                             double lambda, double m_scale, double* out) {
-  // Elementwise — no reduction, so lanes are independent and identical
-  // to scalar by construction. The two scale factors are computed once
-  // with the same expressions CombineOverall uses.
-  const double rel_scale = (1.0 - lambda) * m_scale;
-  const __m256d vrel_scale = _mm256_set1_pd(rel_scale);
-  const __m256d vlambda = _mm256_set1_pd(lambda);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d r = _mm256_loadu_pd(relevance + i);
-    __m256d w = _mm256_loadu_pd(weighted + i);
-    __m256d v = _mm256_add_pd(_mm256_mul_pd(vrel_scale, r),
-                              _mm256_mul_pd(vlambda, w));
-    _mm256_storeu_pd(out + i, v);
-  }
-  for (; i < n; ++i) {
-    out[i] = CombineOverall(relevance[i], weighted[i], lambda, m_scale);
-  }
-}
-
-void OverallFromRowsAvx2(const double* relevance, const double* rows,
-                         const double* prob, size_t n, size_t m,
-                         double lambda, double* out) {
-  const double m_scale = static_cast<double>(m);
-  for (size_t i = 0; i < n; ++i) {
-    double w = WeightedRowSumAvx2(rows + i * m, prob, m);
-    out[i] = CombineOverall(relevance[i], w, lambda, m_scale);
-  }
-}
-
-const Ops kAvx2Ops = {
-    "avx2", WeightedRowSumAvx2, OverallFromWeightedAvx2,
-    OverallFromRowsAvx2,
-};
+const Ops kAvx2Ops = {"avx2", WeightedRowSumAvx2};
 
 }  // namespace
 

@@ -37,38 +37,7 @@ double WeightedRowSumNeon(const double* row, const double* prob,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void OverallFromWeightedNeon(const double* relevance,
-                             const double* weighted, size_t n,
-                             double lambda, double m_scale, double* out) {
-  const double rel_scale = (1.0 - lambda) * m_scale;
-  const float64x2_t vrel_scale = vdupq_n_f64(rel_scale);
-  const float64x2_t vlambda = vdupq_n_f64(lambda);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    float64x2_t r = vld1q_f64(relevance + i);
-    float64x2_t w = vld1q_f64(weighted + i);
-    vst1q_f64(out + i, vaddq_f64(vmulq_f64(vrel_scale, r),
-                                 vmulq_f64(vlambda, w)));
-  }
-  for (; i < n; ++i) {
-    out[i] = CombineOverall(relevance[i], weighted[i], lambda, m_scale);
-  }
-}
-
-void OverallFromRowsNeon(const double* relevance, const double* rows,
-                         const double* prob, size_t n, size_t m,
-                         double lambda, double* out) {
-  const double m_scale = static_cast<double>(m);
-  for (size_t i = 0; i < n; ++i) {
-    double w = WeightedRowSumNeon(rows + i * m, prob, m);
-    out[i] = CombineOverall(relevance[i], w, lambda, m_scale);
-  }
-}
-
-const Ops kNeonOps = {
-    "neon", WeightedRowSumNeon, OverallFromWeightedNeon,
-    OverallFromRowsNeon,
-};
+const Ops kNeonOps = {"neon", WeightedRowSumNeon};
 
 }  // namespace
 

@@ -1,106 +1,11 @@
 #include "core/optselect.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/kernels/kernels.h"
-#include "core/optselect_stages.h"
 
 namespace optselect {
 namespace core {
-
-namespace internal {
-
-void PrepareHeaps(const DiversificationView& view, size_t k,
-                  SelectScratch* scratch) {
-  const size_t m = view.num_specializations;
-
-  // "if |S_q| > k we select from S_q the k specializations with the
-  // largest probabilities" (Section 3.1.3). A compiled plan carries the
-  // full probability-sorted order; otherwise sort here.
-  scratch->spec_order.resize(m);
-  if (view.spec_order != nullptr) {
-    for (size_t j = 0; j < m; ++j) {
-      scratch->spec_order[j] = view.spec_order[j];
-    }
-  } else {
-    for (size_t j = 0; j < m; ++j) scratch->spec_order[j] = j;
-    SortSpecOrderByProbability(view.probability, &scratch->spec_order);
-  }
-  if (scratch->spec_order.size() > k) scratch->spec_order.resize(k);
-
-  const size_t retained = scratch->spec_order.size();
-  scratch->global.Reset(k);
-  scratch->quota.resize(retained);
-  if (scratch->per_spec.size() < retained) {
-    scratch->per_spec.resize(retained);
-  }
-  for (size_t jj = 0; jj < retained; ++jj) {
-    double p = view.probability[scratch->spec_order[jj]];
-    scratch->quota[jj] =
-        static_cast<size_t>(std::floor(static_cast<double>(k) * p));
-    scratch->per_spec[jj].Reset(scratch->quota[jj] + 1);
-  }
-}
-
-void ScanRange(const DiversificationView& view, const double* overall,
-               size_t begin, size_t end, SelectScratch* scratch) {
-  const size_t retained = scratch->spec_order.size();
-  for (size_t i = begin; i < end; ++i) {
-    scratch->global.Push(overall[i], i);
-    for (size_t jj = 0; jj < retained; ++jj) {
-      if (view.UtilityAt(i, scratch->spec_order[jj]) > 0.0) {
-        scratch->per_spec[jj].Push(overall[i], i);
-      }
-    }
-  }
-}
-
-void DrainAndFill(const double* overall, size_t n, size_t k,
-                  SelectScratch* scratch, std::vector<size_t>* out) {
-  std::vector<size_t>& selected = *out;
-  selected.clear();
-  selected.reserve(k);
-  scratch->taken.assign(n, 0);
-
-  // Drain per-specialization heaps: quota each (≥ 1 for coverage), most
-  // probable specialization first (Algorithm 2 lines 07-09 generalized to
-  // the ⌊k·P⌋ coverage constraint).
-  for (size_t jj = 0;
-       jj < scratch->spec_order.size() && selected.size() < k; ++jj) {
-    size_t want = std::max<size_t>(scratch->quota[jj], 1);
-    size_t got = 0;
-    for (const auto& entry : scratch->per_spec[jj].SortDescending()) {
-      if (got >= want || selected.size() >= k) break;
-      if (scratch->taken[entry.value]) {
-        // A document useful for several specializations counts for each
-        // of them; it consumes this specialization's quota without being
-        // re-added.
-        ++got;
-        continue;
-      }
-      scratch->taken[entry.value] = 1;
-      selected.push_back(entry.value);
-      ++got;
-    }
-  }
-
-  // Fill the remainder from the global heap (Algorithm 2 lines 10-12).
-  for (const auto& entry : scratch->global.SortDescending()) {
-    if (selected.size() >= k) break;
-    if (scratch->taken[entry.value]) continue;
-    scratch->taken[entry.value] = 1;
-    selected.push_back(entry.value);
-  }
-
-  // The SERP is ordered by overall utility (ties: original rank).
-  std::sort(selected.begin(), selected.end(), [&](size_t a, size_t b) {
-    if (overall[a] != overall[b]) return overall[a] > overall[b];
-    return a < b;
-  });
-}
-
-}  // namespace internal
 
 double OptSelectDiversifier::OverallUtility(
     const DiversificationInput& input, const UtilityMatrix& utilities,
@@ -134,26 +39,11 @@ void OptSelectDiversifier::SelectInto(const DiversificationView& view,
   const size_t k = std::min(params.k, n);
   if (k == 0) return;
 
-  // Ũ(d|q) for every candidate in one batched kernel call — the
-  // weighted-block combine when the view carries the compiled block,
-  // the blocked row-sum scan otherwise. Both are bit-identical to
-  // per-candidate view.OverallUtility calls.
-  const size_t m = view.num_specializations;
-  scratch->overall.resize(n);
-  const kernels::Ops& ops = kernels::Active();
-  if (view.weighted != nullptr) {
-    ops.overall_from_weighted(view.relevance, view.weighted, n,
-                              params.lambda, static_cast<double>(m),
-                              scratch->overall.data());
-  } else {
-    ops.overall_from_rows(view.relevance, view.utilities,
-                          view.probability, n, m, params.lambda,
-                          scratch->overall.data());
-  }
-
-  internal::PrepareHeaps(view, k, scratch);
-  internal::ScanRange(view, scratch->overall.data(), 0, n, scratch);
-  internal::DrainAndFill(scratch->overall.data(), n, k, scratch, out);
+  StreamingTopK& stream = scratch->stream;
+  stream.Begin(view.probability, view.num_specializations, k,
+               params.lambda, view.spec_order);
+  stream.PushRange(view, 0, n);
+  stream.Finalize(k, out);
 }
 
 }  // namespace core

@@ -13,7 +13,10 @@
 // Ũ(d|q). Selection then drains each M_q′ up to its quota — the printed
 // pseudocode pops a single element per specialization; we pop up to
 // ⌊k·P(q′|q)⌋ (and at least one) to honor the coverage constraint stated
-// in the problem definition — and fills the remainder of S from M.
+// in the problem definition — and fills the remainder of S from M. The
+// heap set is core::StreamingTopK (core/streaming_select.h), kept in the
+// caller's SelectScratch; its relevance bound skips candidates that can
+// no longer enter any heap.
 //
 // Cost: n·|S_q| bounded-heap pushes of log₂k each ⇒ O(n·|S_q|·log₂k);
 // with |S_q| constant, O(n·log₂k) (Table 1).

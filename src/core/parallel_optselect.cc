@@ -1,10 +1,9 @@
 #include "core/parallel_optselect.h"
 
 #include <algorithm>
-#include <thread>
+#include <future>
 
-#include "core/kernels/kernels.h"
-#include "core/optselect_stages.h"
+#include "util/cpus.h"
 
 namespace optselect {
 namespace core {
@@ -17,80 +16,43 @@ void ParallelOptSelectDiversifier::SelectInto(
   const size_t k = std::min(params.k, n);
   if (k == 0) return;
 
-  size_t threads = num_threads_;
-  if (threads == 0) {
-    threads = std::max<unsigned>(1, std::thread::hardware_concurrency());
-  }
+  size_t threads = num_threads_ > 0 ? num_threads_ : util::AvailableCpus();
   threads = std::min(threads, std::max<size_t>(n / 1024, 1));
 
-  const size_t m = view.num_specializations;
-  const kernels::Ops& ops = kernels::Active();
-  // Batched Eq. 9 evaluation over a candidate subrange; per-element
-  // identical to view.OverallUtility, so the sharded scan's overall
-  // array matches the serial one bitwise.
-  auto eval_overall = [&](size_t begin, size_t end, double* overall) {
-    if (view.weighted != nullptr) {
-      ops.overall_from_weighted(view.relevance + begin,
-                                view.weighted + begin, end - begin,
-                                params.lambda, static_cast<double>(m),
-                                overall + begin);
-    } else {
-      ops.overall_from_rows(view.relevance + begin,
-                            view.utilities + begin * m, view.probability,
-                            end - begin, m, params.lambda,
-                            overall + begin);
-    }
+  auto begin = [&](StreamingTopK* stream) {
+    stream->Begin(view.probability, view.num_specializations, k,
+                  params.lambda, view.spec_order);
   };
-
-  scratch->overall.resize(n);
-  internal::PrepareHeaps(view, k, scratch);
-
-  if (threads <= 1) {
-    eval_overall(0, n, scratch->overall.data());
-    internal::ScanRange(view, scratch->overall.data(), 0, n, scratch);
-    internal::DrainAndFill(scratch->overall.data(), n, k, scratch, out);
-    return;
+  // Shard 0 streams on the calling thread into the caller's scratch, so
+  // the one-thread case is exactly OptSelect's loop.
+  StreamingTopK& merged = scratch->stream;
+  begin(&merged);
+  const size_t chunk = (n + threads - 1) / threads;
+  // The other shards stream on their own threads into per-call streams
+  // (the sharded regime only starts at n ≥ 2048, where their cost is
+  // noise); a shard past the end of R_q streams nothing. A std::async
+  // future waits for its thread in its destructor and get() rethrows
+  // the thread's exception, so no path leaves a shard thread running.
+  std::vector<StreamingTopK> shards(threads - 1);
+  std::vector<std::future<void>> workers;
+  workers.reserve(shards.size());
+  for (size_t t = 1; t < threads; ++t) {
+    const size_t lo = std::min(n, t * chunk);
+    const size_t hi = std::min(n, lo + chunk);
+    StreamingTopK* shard = &shards[t - 1];
+    workers.push_back(
+        std::async(std::launch::async, [&begin, &view, shard, lo, hi] {
+          begin(shard);
+          shard->PushRange(view, lo, hi);
+        }));
   }
+  merged.PushRange(view, 0, std::min(n, chunk));
+  for (std::future<void>& worker : workers) worker.get();
 
-  // Shard the scan: each worker computes overall utilities and fills its
-  // own heap set over a contiguous candidate range. Shard scratches are
-  // per-call (the sharded regime only triggers for n ≥ 2048, where their
-  // cost is noise); the caller's scratch holds the merged set.
-  std::vector<SelectScratch> shards(threads);
-  for (size_t t = 0; t < threads; ++t) {
-    internal::PrepareHeaps(view, k, &shards[t]);
-  }
-  double* overall = scratch->overall.data();
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const size_t chunk = (n + threads - 1) / threads;
-    for (size_t t = 0; t < threads; ++t) {
-      size_t begin = t * chunk;
-      size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      workers.emplace_back([&, t, begin, end]() {
-        eval_overall(begin, end, overall);
-        internal::ScanRange(view, overall, begin, end, &shards[t]);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
-
-  // Merge: push every retained entry into the final heap set. Bounded
-  // heaps are order-independent (total-ordered keys), so the merged
-  // retained sets equal what a serial scan would have kept.
-  for (SelectScratch& shard : shards) {
-    for (const auto& entry : shard.global.SortDescending()) {
-      scratch->global.Push(entry.key, entry.value);
-    }
-    for (size_t jj = 0; jj < shard.spec_order.size(); ++jj) {
-      for (const auto& entry : shard.per_spec[jj].SortDescending()) {
-        scratch->per_spec[jj].Push(entry.key, entry.value);
-      }
-    }
-  }
-  internal::DrainAndFill(overall, n, k, scratch, out);
+  // Bounded heaps are order-independent (total-ordered keys), so the
+  // merged retained sets equal what one serial scan would have kept.
+  for (const StreamingTopK& shard : shards) merged.MergeFrom(shard);
+  merged.Finalize(k, out);
 }
 
 }  // namespace core

@@ -3,10 +3,10 @@
 // with the document scoring phase".
 //
 // OptSelect's single pass over R_q is embarrassingly parallel: shard the
-// candidates, build per-shard bounded heaps (per specialization plus
-// global), then merge the shards' heaps — heap merging costs
-// O(shards · (k + |S_q|·k) · log k), independent of n. The selection
-// stage over merged heaps is identical to the serial algorithm, so the
+// candidates, fill one StreamingTopK per shard (per-specialization plus
+// global bounded heaps), then fold the shards into one with MergeFrom —
+// heap merging costs O(shards · (k + |S_q|·k) · log k), independent of
+// n. Finalize over the merged heaps is the serial algorithm's, so the
 // output is *bit-identical* to the serial OptSelect (ties break on
 // candidate rank in both).
 //
@@ -30,7 +30,9 @@ namespace core {
 /// Multi-threaded drop-in replacement for OptSelectDiversifier.
 class ParallelOptSelectDiversifier : public Diversifier {
  public:
-  /// `num_threads` = 0 picks std::thread::hardware_concurrency().
+  /// `num_threads` = 0 picks util::AvailableCpus(). Inputs under 2048
+  /// candidates, and every input at one thread, run OptSelect's serial
+  /// loop on the calling thread.
   explicit ParallelOptSelectDiversifier(size_t num_threads = 0)
       : num_threads_(num_threads) {}
 

@@ -7,8 +7,9 @@
 // in a store-compiled QueryPlan's flat blocks (the serving path). A
 // DiversificationView is a non-owning bundle of spans over whichever
 // backing storage is at hand; a SelectScratch is the reusable working
-// memory (heaps, taken-bitmap, overall vector) a worker thread keeps
-// across requests so the hot path allocates nothing.
+// memory (OptSelect's heap stream, taken-bitmap, per-candidate buffers)
+// a worker thread keeps across requests so the hot path allocates
+// nothing.
 
 #ifndef OPTSELECT_CORE_SELECT_VIEW_H_
 #define OPTSELECT_CORE_SELECT_VIEW_H_
@@ -18,9 +19,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bounded_heap.h"
 #include "core/candidate.h"
-#include "core/kernels/kernels.h"
+#include "core/streaming_select.h"
 
 namespace optselect {
 namespace core {
@@ -43,12 +43,12 @@ struct DiversificationView {
   const double* utilities = nullptr;
   /// Optional [n] precomputed Σ_j P(q′_j|q)·Ũ(d_i|R_{q′_j}) — the
   /// λ-independent half of Eq. 9, compiled into store-v3 query plans.
-  /// When null, OverallUtility falls back to an O(m) row scan.
+  /// When null, OptSelect computes it with an O(m) row scan.
   const double* weighted = nullptr;
   /// Optional [m] specialization indices sorted by probability
   /// descending (ties: index ascending) — compiled into query plans so
-  /// selection skips the per-request sort. When null, algorithms sort
-  /// into their scratch.
+  /// selection skips the per-request sort. When null,
+  /// StreamingTopK::Begin sorts.
   const uint32_t* spec_order = nullptr;
   /// Optional [n] candidate records; carries the surrogate term vectors
   /// that pairwise-distance algorithms (MMR) need. Null on the
@@ -58,44 +58,21 @@ struct DiversificationView {
   double UtilityAt(size_t candidate, size_t specialization) const {
     return utilities[candidate * num_specializations + specialization];
   }
-
-  /// The overall per-document utility Ũ(d|q) of Eq. 9:
-  /// (1−λ)·m·P(d|q) + λ·Σ_j P(q′_j|q)·Ũ(d|R_{q′_j}). Uses the
-  /// precomputed weighted block when present; the fallback row scan
-  /// runs the dispatched kernel's canonical blocked reduction — the
-  /// same order the plan compiler and every batch scan use, so all
-  /// paths are bit-identical.
-  double OverallUtility(size_t candidate, double lambda) const {
-    double w = weighted != nullptr
-                   ? weighted[candidate]
-                   : kernels::WeightedRowSum(
-                         utilities + candidate * num_specializations,
-                         probability, num_specializations);
-    return kernels::CombineOverall(
-        relevance[candidate], w, lambda,
-        static_cast<double>(num_specializations));
-  }
 };
 
 /// Reusable working memory for SelectInto. One instance per worker
 /// thread; safe to reuse across calls and across algorithms (each call
-/// re-Prepares exactly the state it touches). Never shared concurrently.
+/// resets exactly the state it touches). Never shared concurrently.
 class SelectScratch {
  public:
-  // --- OptSelect stage state (core/optselect_stages.h) ---------------
-  /// The global heap M of Algorithm 2 (capacity k).
-  BoundedTopK<size_t> global{0};
-  /// One M_q′ per retained specialization (capacity ⌊k·P⌋+1).
-  std::vector<BoundedTopK<size_t>> per_spec;
-  /// Retained specialization indices, probability-descending, ≤ k.
-  std::vector<size_t> spec_order;
-  /// ⌊k·P(q′|q)⌋ per retained specialization.
-  std::vector<size_t> quota;
+  /// Algorithm 2's heap set: OptSelect's one selection engine, also
+  /// the serving cold path's stream.
+  StreamingTopK stream;
 
   // --- shared per-candidate / per-specialization buffers -------------
-  /// [n] overall utilities (OptSelect); max-similarity-to-selected (MMR).
+  /// [n] max-similarity-to-selected (MMR).
   std::vector<double> overall;
-  /// [n] selected-bitmap shared by every algorithm.
+  /// [n] selected-bitmap (xQuAD, IASelect, MMR, ranking assembly).
   std::vector<char> taken;
   /// [m] coverage products Π(1−Ũ) (xQuAD, IASelect).
   std::vector<double> coverage;

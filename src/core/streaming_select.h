@@ -1,18 +1,19 @@
-// Streaming diversified top-k maintenance — the cold-path counterpart
-// of the materialize-then-select OptSelect flow.
+// Algorithm 2's heap set, maintained incrementally — the one OptSelect
+// selection engine.
 //
-// OptSelect (core/optselect.cc) assumes the full candidate block R_q is
-// materialized before selection starts: every surrogate extracted,
-// every utility row computed, then one scan fills the bounded heaps.
-// For queries served out of the store that is the right shape — the
-// blocks are precompiled — but on the cold path the materialization
-// *is* the cost: snippet extraction plus O(m·|R_q′|) cosine sums per
-// candidate, for candidates that mostly never reach the top k.
-//
-// StreamingTopK maintains Algorithm 2's heap set incrementally as
-// candidates arrive from the index scan, with two additions in the
-// spirit of the incremental algorithms of Qin et al., "Diversifying
-// Top-K Results" (div-astar / div-dp):
+// OptSelect fills the bounded heaps M (capacity k) and M_q′ (capacity
+// ⌊k·P(q′|q)⌋+1, only candidates useful for q′) in one pass over R_q,
+// drains a ⌊k·P(q′|q)⌋ quota from each M_q′ and fills the rest from M.
+// StreamingTopK is that procedure as a stream: Begin sizes the heaps,
+// each candidate is pushed as it arrives, Finalize drains. Every
+// OptSelect path runs on it — OptSelectDiversifier over a view's
+// candidates (compiled plan blocks or a materialized matrix),
+// ParallelOptSelectDiversifier with one stream per shard combined by
+// MergeFrom, and the serving cold path straight off the index scan,
+// where materializing a candidate (snippet extraction plus O(m·|R_q′|)
+// cosine sums) is the real cost. Two additions in the spirit of the
+// incremental algorithms of Qin et al., "Diversifying Top-K Results"
+// (div-astar / div-dp):
 //
 //   1. A sound pruning bound. Ũ(d|R_q′) ∈ [0,1] (Definition 2), so
 //
@@ -24,55 +25,61 @@
 //      heap is full, a candidate with UB strictly below every heap's
 //      minimum retained key provably cannot displace anything (the
 //      heaps' tie-break is key-then-index, and UB < min beats any tie),
-//      so the scan skips its materialization entirely. Because index
-//      scans deliver candidates in descending relevance order, the
-//      bound turns monotone and the tail of R_q is skipped wholesale.
+//      so the scan skips it entirely. Because index scans deliver
+//      candidates in descending relevance order, the bound turns
+//      monotone and the tail of R_q is skipped wholesale.
 //
 //   2. Capacity reserve for incremental extension. Begin(max_k) sizes
-//      the heaps for max_k; Finalize(k) then reproduces the
-//      materialized selection *bit-identically* for any k ≤ max_k, and
-//      is non-destructive — a pager's Extend(k → k+Δ) is just a second
+//      the heaps for max_k; Finalize(k) then returns exactly the
+//      selection a stream begun at k would, for any k ≤ max_k, and is
+//      non-destructive — a pager's Extend(k → k+Δ) is just a second
 //      Finalize on the retained state, with zero new candidate
 //      materializations (pushed() does not move).
 //
-// Bit-identity argument (vs OptSelectDiversifier::SelectInto at k):
+// Why Finalize(k) on a max_k reserve equals a fresh run at k:
 // BoundedTopK's retained set is a pure function of the push multiset
 // under the total order (key desc, index asc). A capacity-c₂ heap with
 // c₂ ≥ c₁ retains a superset of the capacity-c₁ heap whose sorted
 // prefix of length min(size, c₁) is exactly the c₁ heap's sorted
 // content. Finalize(k) drains only those prefixes: per-specialization
 // at most want = max(⌊k·P⌋, 1) ≤ ⌊k·P⌋+1 entries, global at most k —
-// so every entry it visits, in the order it visits them, matches the
-// materialized DrainAndFill at k. Pruned candidates were provably
-// rejected by every heap, so skipping them changes nothing.
+// so every entry it visits, in the order it visits them, is the one a
+// capacity-k heap set would yield. Pruned candidates were provably
+// rejected by every heap, so skipping them changes nothing. The same
+// order-independence makes MergeFrom exact: the union of per-shard
+// retained sets, re-pushed, keeps what one serial scan would have kept.
 
 #ifndef OPTSELECT_CORE_STREAMING_SELECT_H_
 #define OPTSELECT_CORE_STREAMING_SELECT_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/bounded_heap.h"
-#include "core/diversifier.h"
 
 namespace optselect {
 namespace core {
 
+struct DiversificationView;
+
 /// Incremental bounded-state maintenance of Algorithm 2's heap set.
-/// One instance per worker thread; Begin resets it for a new problem
-/// while keeping every backing allocation, so steady-state requests
-/// allocate nothing inside the state itself.
+/// One instance per worker thread (SelectScratch carries one); Begin
+/// resets it for a new problem while keeping every backing allocation,
+/// and Finalize draws its working memory from buffers the stream keeps,
+/// so steady-state requests allocate nothing.
 class StreamingTopK {
  public:
   /// Starts a new problem instance: `probability` has one P(q′|q) per
   /// specialization (original index order, length m). Heaps are sized
   /// for Finalize at any k ≤ max_k: global capacity max_k, one heap of
   /// capacity ⌊max_k·P⌋+1 for each of the min(m, max_k) most probable
-  /// specializations (SortSpecOrderByProbability order).
+  /// specializations (SortSpecOrderByProbability order). `spec_order`,
+  /// when given, is that order already sorted (a compiled plan's block
+  /// of m indices), and Begin skips the sort.
   void Begin(const double* probability, size_t num_specializations,
-             size_t max_k, double lambda);
+             size_t max_k, double lambda,
+             const uint32_t* spec_order = nullptr);
 
   /// Upper bound UB(d) on the overall utility of a candidate with this
   /// relevance (header doc). Sound whenever utilities are normalized to
@@ -92,8 +99,8 @@ class StreamingTopK {
 
   /// Offers candidate `index` with its thresholded utility row (length
   /// m, original specialization order). Computes the Eq. 9 overall
-  /// utility with the same ascending-j accumulation as
-  /// DiversificationView::OverallUtility and returns it.
+  /// utility with the dispatched kernel's blocked row sum — the order
+  /// the plan compiler's weighted block uses — and returns it.
   double Push(size_t index, double relevance, const double* utility_row);
 
   /// Same, with the weighted sum Σ_j P_j·Ũ_ij precomputed (compiled
@@ -102,6 +109,12 @@ class StreamingTopK {
   double PushWeighted(size_t index, double relevance, double weighted,
                       const double* utility_row);
 
+  /// Offers candidates [begin, end) of `view` in index order: Skip
+  /// when CanPrune holds, otherwise PushWeighted when the view carries
+  /// a weighted block and Push when it does not.
+  void PushRange(const DiversificationView& view, size_t begin,
+                 size_t end);
+
   /// Records a candidate that was offered but pruned, keeping the
   /// effective-k clamp in Finalize (k ≤ candidates offered) correct.
   void Skip() {
@@ -109,13 +122,19 @@ class StreamingTopK {
     ++pruned_;
   }
 
-  /// Drains the retained state into `*out` (cleared first) exactly as
-  /// the materialized path would at this k: per-specialization quota
+  /// Folds `other`'s retained entries and counts into this stream, as
+  /// if its candidates had been offered here. Both streams must have
+  /// been begun with the same arguments; `other` is left unchanged.
+  /// The parallel scan's shard combine.
+  void MergeFrom(const StreamingTopK& other);
+
+  /// Drains the retained state into `*out` (cleared first): quota
   /// drain over the min(m, k) most probable specializations, global
   /// fill, final order by overall utility (ties: candidate index).
-  /// Non-destructive and callable repeatedly — Extend(k → k+Δ) is
-  /// Finalize(k+Δ) on the same state. Requires k ≤ max_k (clamped).
-  void Finalize(size_t k, std::vector<size_t>* out) const;
+  /// Non-destructive and callable repeatedly — the heaps are left as
+  /// they were, so Extend(k → k+Δ) is Finalize(k+Δ) on the same state.
+  /// Requires k ≤ max_k (clamped).
+  void Finalize(size_t k, std::vector<size_t>* out);
 
   /// Candidates offered so far (Push* + Skip).
   size_t offered() const { return offered_; }
@@ -134,6 +153,8 @@ class StreamingTopK {
   size_t retained_bound() const;
 
  private:
+  using Entry = BoundedTopK<size_t>::Entry;
+
   /// One retained specialization: original index, probability, and its
   /// bounded heap M_q′.
   struct SpecSlot {
@@ -141,6 +162,12 @@ class StreamingTopK {
     double prob = 0.0;
     BoundedTopK<size_t> heap;
   };
+
+  /// Copies `heap`'s entries into sorted_ best-first, truncated to
+  /// `limit`.
+  void SortPrefix(const BoundedTopK<size_t>& heap, size_t limit);
+  /// Appends the candidate to selected_ unless it is already taken.
+  void Take(const Entry& entry);
 
   double lambda_ = 0.0;
   size_t num_specializations_ = 0;
@@ -151,8 +178,8 @@ class StreamingTopK {
   /// Begin (the stream outlives per-request store reads).
   std::vector<double> probability_;
   /// Retained specializations, probability-descending; only the first
-  /// `retained_specs_` slots are live (grow-only, like SelectScratch's
-  /// per_spec, to keep heap allocations across requests).
+  /// `retained_specs_` slots are live (grow-only, to keep heap
+  /// allocations across requests).
   std::vector<SpecSlot> slots_;
   size_t retained_specs_ = 0;
   /// The global heap M, capacity max_k.
@@ -161,26 +188,18 @@ class StreamingTopK {
   size_t offered_ = 0;
   size_t pushed_ = 0;
   size_t pruned_ = 0;
+  /// One past the largest pushed candidate index: the size taken_
+  /// needs to cover every index a heap can hold.
+  size_t index_limit_ = 0;
 
-  /// Scratch for Begin's specialization sort.
+  /// Begin's specialization order before it fills the slots.
   std::vector<size_t> order_;
-};
-
-/// Diversifier facade over StreamingTopK: SelectInto streams the view's
-/// candidates (in index order, pruning with the relevance bound) and
-/// Finalizes at k. Selections are bit-identical to OptSelect for the
-/// same view; registered in the factory as "streaming". Unlike the
-/// other backends it keeps a small amount of call-local state (the
-/// stream itself), so it allocates beyond the scratch — callers that
-/// need allocation-free steady state (the serving cold path) drive a
-/// per-worker StreamingTopK directly instead.
-class StreamingDiversifier : public Diversifier {
- public:
-  std::string name() const override { return "StreamingOptSelect"; }
-
-  void SelectInto(const DiversificationView& view,
-                  const DiversifyParams& params, SelectScratch* scratch,
-                  std::vector<size_t>* out) const override;
+  /// Finalize's reused working memory: the sorted copy of the heap
+  /// being drained, the selection as (overall, index) entries, and a
+  /// taken bitmap over candidate indices that Finalize leaves all-zero.
+  std::vector<Entry> sorted_;
+  std::vector<Entry> selected_;
+  std::vector<char> taken_;
 };
 
 }  // namespace core

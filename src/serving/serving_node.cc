@@ -9,6 +9,7 @@
 #include "core/utility.h"
 #include "pipeline/candidate_stream.h"
 #include "serving/cache_key.h"
+#include "util/cpus.h"
 #include "util/hash.h"
 
 namespace optselect {
@@ -16,8 +17,7 @@ namespace serving {
 namespace {
 
 size_t ResolveWorkers(size_t requested) {
-  if (requested > 0) return requested;
-  return std::max<unsigned>(1, std::thread::hardware_concurrency());
+  return requested > 0 ? requested : util::AvailableCpus();
 }
 
 obs::Labels WithStage(obs::Labels labels, const char* stage) {
@@ -286,8 +286,7 @@ Response ServingNode::Submit(const Request& request) {
 std::shared_ptr<const Response> ServingNode::ComputeRanking(
     const std::string& normalized_query,
     const store::StoreSnapshot& snapshot, core::SelectScratch* scratch,
-    core::StreamingTopK* stream, obs::StageTimes* stages,
-    obs::Trace* trace) const {
+    obs::StageTimes* stages, obs::Trace* trace) const {
   auto result = std::make_shared<Response>();
   result->ok = true;
   result->store_version = snapshot.version();
@@ -376,6 +375,7 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
     pipeline::CandidateStream candidates(&rq, snippets_, documents_,
                                          &query_terms);
     std::vector<double> row(m);
+    core::StreamingTopK* stream = &scratch->stream;
     {
       obs::TraceSpan scan_span(trace, obs::TraceStage::kScan, 0,
                                &stages->scan_us);
@@ -442,12 +442,12 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
 std::shared_ptr<const Response> ServingNode::LookupOrCompute(
     const std::string& cache_key, const std::string& normalized_query,
     const std::shared_ptr<const store::StoreSnapshot>& snapshot,
-    core::SelectScratch* scratch, core::StreamingTopK* stream,
-    bool* cache_hit, obs::StageTimes* stages, obs::Trace* trace) {
+    core::SelectScratch* scratch, bool* cache_hit, obs::StageTimes* stages,
+    obs::Trace* trace) {
   *cache_hit = false;
   if (!config_.enable_cache) {
-    return ComputeRanking(normalized_query, *snapshot, scratch, stream,
-                          stages, trace);
+    return ComputeRanking(normalized_query, *snapshot, scratch, stages,
+                          trace);
   }
   std::shared_ptr<const Response> cached;
   {
@@ -459,8 +459,8 @@ std::shared_ptr<const Response> ServingNode::LookupOrCompute(
     *cache_hit = true;
     return cached;
   }
-  auto computed = ComputeRanking(normalized_query, *snapshot, scratch,
-                                 stream, stages, trace);
+  auto computed =
+      ComputeRanking(normalized_query, *snapshot, scratch, stages, trace);
   // Fill guard: if a reload swapped the snapshot while we computed,
   // this result may belong to a key the reload just invalidated — drop
   // the fill (the request itself still answers on its pinned version).
@@ -527,14 +527,11 @@ void ServingNode::Finish(QueuedRequest* request, const Response& result) {
 
 void ServingNode::WorkerLoop() {
   std::vector<QueuedRequest> batch;
-  // Per-worker selection scratch: heaps, bitmaps and gather buffers are
-  // reused across every request this worker ever computes, so the
-  // plan-served hot path performs no per-request allocation.
+  // Per-worker selection scratch: the heap stream, bitmaps and gather
+  // buffers are reused across every request this worker ever computes
+  // (plan-served or streamed cold), so selection performs no
+  // per-request allocation.
   core::SelectScratch scratch;
-  // Per-worker streaming selector: its bounded heaps are reused across
-  // every cold-path request this worker computes (Begin keeps backing
-  // allocations), matching the scratch's allocation-free contract.
-  core::StreamingTopK stream;
   // Payloads already computed in this batch, keyed like the cache:
   // duplicate queries drained in one wakeup are computed exactly once
   // even with the cache disabled (micro-batching's amortization).
@@ -583,9 +580,8 @@ void ServingNode::WorkerLoop() {
         dedup = true;
         batch_dedup_hits_->Add();
       } else {
-        payload =
-            LookupOrCompute(key, normalized, snapshot, &scratch, &stream,
-                            &cache_hit, &stages, req.trace.get());
+        payload = LookupOrCompute(key, normalized, snapshot, &scratch,
+                                  &cache_hit, &stages, req.trace.get());
         if (batch.size() > 1) batch_local.emplace(key, payload);
       }
 

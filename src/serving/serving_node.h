@@ -78,7 +78,7 @@ namespace serving {
 
 /// Node configuration.
 struct ServingConfig {
-  /// Worker threads in the pool (0 ⇒ hardware_concurrency).
+  /// Worker threads in the pool (0 ⇒ util::AvailableCpus()).
   size_t num_workers = 0;
   /// Bounded request queue capacity; Submit sheds load beyond this.
   size_t queue_capacity = 1024;
@@ -297,17 +297,14 @@ class ServingNode : public Frontend {
   FaultDecision EvaluateFault(FaultSite site, std::string_view key) const;
   /// Compute for one normalized query against a pinned snapshot.
   /// `scratch` is the calling worker's reusable selection memory; the
-  /// plan path runs entirely inside it (no per-request allocation
-  /// beyond the result object itself). `stream` is the worker's
-  /// streaming selector state (heaps reused across requests), used
-  /// when config_.streaming_cold_path is on. `stages` collects
-  /// store-read / select wall time; `trace` (nullable) collects span
-  /// events.
+  /// plan path and the streaming cold path both select inside its
+  /// StreamingTopK (no per-request selection allocation beyond the
+  /// result object itself). `stages` collects store-read / select wall
+  /// time; `trace` (nullable) collects span events.
   std::shared_ptr<const Response> ComputeRanking(
       const std::string& normalized_query,
       const store::StoreSnapshot& snapshot, core::SelectScratch* scratch,
-      core::StreamingTopK* stream, obs::StageTimes* stages,
-      obs::Trace* trace) const;
+      obs::StageTimes* stages, obs::Trace* trace) const;
   /// Full per-request flow: cache lookup, compute, cache fill. The
   /// fill is skipped when the active snapshot moved past `snapshot`
   /// mid-compute, so a stale ranking can never repopulate a key that a
@@ -315,8 +312,8 @@ class ServingNode : public Frontend {
   std::shared_ptr<const Response> LookupOrCompute(
       const std::string& cache_key, const std::string& normalized_query,
       const std::shared_ptr<const store::StoreSnapshot>& snapshot,
-      core::SelectScratch* scratch, core::StreamingTopK* stream,
-      bool* cache_hit, obs::StageTimes* stages, obs::Trace* trace);
+      core::SelectScratch* scratch, bool* cache_hit,
+      obs::StageTimes* stages, obs::Trace* trace);
   void Finish(QueuedRequest* request, const Response& result);
 
   ServingConfig config_;

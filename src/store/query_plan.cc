@@ -18,8 +18,8 @@ bool QueryPlan::SizesConsistent() const {
   }
   // spec_order must be a permutation of [0, m): this is the only gate
   // between untrusted file bytes and the pointer arithmetic of the
-  // serving hot path (PrepareHeaps indexes probability/utilities with
-  // these values unchecked).
+  // serving hot path (StreamingTopK::Begin and its pushes index
+  // probability/utilities with these values unchecked).
   std::vector<bool> seen(m, false);
   for (uint32_t j : spec_order) {
     if (j >= m || seen[j]) return false;

@@ -6,13 +6,13 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "core/kernels/kernels.h"
 #include "core/select_view.h"
 #include "pipeline/candidate_stream.h"
 #include "pipeline/diversification_pipeline.h"
+#include "util/cpus.h"
 #include "util/hash.h"
 #include "util/strings.h"
 
@@ -47,16 +47,15 @@ DiversificationStore SplitStore(const DiversificationStore& store,
 
 namespace {
 
-/// Runs work(i) once for every i in [0, count), on min(hardware
-/// threads, count) threads counting the caller, each taking the next
+/// Runs work(i) once for every i in [0, count), on min(available
+/// CPUs, count) threads counting the caller, each taking the next
 /// index as it finishes one. `work` must be safe to run concurrently
 /// for distinct i. An exception from any thread reaches the caller
 /// once every thread has stopped (a std::async future waits in its
 /// destructor).
 template <typename Work>
 void ParallelFor(size_t count, const Work& work) {
-  const size_t threads = std::min<size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), count);
+  const size_t threads = std::min(util::AvailableCpus(), count);
   std::atomic<size_t> next{0};
   auto drain = [&] {
     for (size_t i = next++; i < count; i = next++) work(i);
@@ -85,12 +84,8 @@ StoredEntry MaterializeEntry(const recommend::SpecializationSet& set,
     stored_sp.query = sp.query;
     stored_sp.probability = sp.probability;
     std::vector<text::TermId> terms = analyzer.AnalyzeReadOnly(sp.query);
-    index::ResultList results =
-        options.conjunctive_reference_lists
-            ? searcher.SearchTermsConjunctive(
-                  terms, options.results_per_specialization)
-            : searcher.SearchTerms(terms,
-                                   options.results_per_specialization);
+    index::ResultList results = searcher.SearchTermsConjunctive(
+        terms, options.results_per_specialization);
     stored_sp.surrogates.reserve(results.size());
     for (const index::SearchResult& hit : results) {
       stored_sp.surrogates.push_back(

@@ -24,10 +24,9 @@ namespace store {
 
 /// Builder options.
 struct StoreBuilderOptions {
-  /// |R_q′| surrogates kept per specialization (paper: 20).
+  /// |R_q′| surrogates kept per specialization (paper: 20), retrieved
+  /// conjunctively (every specialization term must match).
   size_t results_per_specialization = 20;
-  /// Use conjunctive (AND) retrieval for the reference lists.
-  bool conjunctive_reference_lists = true;
   /// Compile a serving QueryPlan (store v3) into every materialized
   /// entry. Off ⇒ entries serve via per-request computation (the v2
   /// behaviour).

@@ -68,51 +68,6 @@ TEST(KernelsTest, WeightedRowSumUsesTheBlockedOrder) {
             want);
 }
 
-TEST(KernelsTest, OverallFromWeightedMatchesScalarBitwise) {
-  std::mt19937_64 rng(4321);
-  for (size_t n : {0u, 1u, 3u, 4u, 5u, 17u, 64u, 200u}) {
-    std::vector<double> rel = RandomRow(&rng, n);
-    std::vector<double> weighted = RandomRow(&rng, n);
-    std::vector<double> got(n, -1.0), want(n, -2.0);
-    const double lambda = 0.5, m_scale = 3.0;
-    Active().overall_from_weighted(rel.data(), weighted.data(), n, lambda,
-                                   m_scale, got.data());
-    Scalar().overall_from_weighted(rel.data(), weighted.data(), n, lambda,
-                                   m_scale, want.data());
-    EXPECT_EQ(got, want) << "n=" << n;
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(want[i],
-                CombineOverall(rel[i], weighted[i], lambda, m_scale));
-    }
-  }
-}
-
-TEST(KernelsTest, OverallFromRowsMatchesScalarBitwise) {
-  std::mt19937_64 rng(99);
-  for (size_t n : {0u, 1u, 4u, 9u, 40u}) {
-    for (size_t m : {1u, 2u, 3u, 4u, 5u, 8u, 21u}) {
-      std::vector<double> rel = RandomRow(&rng, n);
-      std::vector<double> rows = RandomRow(&rng, n * m);
-      std::vector<double> prob = RandomRow(&rng, m);
-      std::vector<double> got(n, -1.0), want(n, -2.0);
-      const double lambda = 0.7;
-      Active().overall_from_rows(rel.data(), rows.data(), prob.data(), n, m,
-                                 lambda, got.data());
-      Scalar().overall_from_rows(rel.data(), rows.data(), prob.data(), n, m,
-                                 lambda, want.data());
-      EXPECT_EQ(got, want) << "n=" << n << " m=" << m;
-      // And the composition law: overall_from_rows == combine over
-      // weighted_row_sum, bitwise.
-      for (size_t i = 0; i < n; ++i) {
-        double w = Scalar().weighted_row_sum(rows.data() + i * m,
-                                             prob.data(), m);
-        EXPECT_EQ(want[i], CombineOverall(rel[i], w, lambda,
-                                          static_cast<double>(m)));
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace kernels
 }  // namespace core

@@ -239,8 +239,8 @@ TEST(OptionSetTest, ChoicesDefaultAndParseIgnoringCase) {
 
 TEST(OptionSetTest, EveryDiversifierNameIsAnAlgoChoice) {
   // MakeDiversifier's names, each as `run --algo` takes it.
-  for (const char* name : {"optselect", "parallel-optselect", "streaming",
-                           "xquad", "iaselect", "mmr", "XQUAD"}) {
+  for (const char* name : {"optselect", "parallel-optselect", "xquad",
+                           "iaselect", "mmr", "XQUAD"}) {
     OptionSet opts = WithChoices();
     ASSERT_TRUE(Parse(&opts, {"--algo", name})) << opts.error();
     EXPECT_TRUE(core::MakeDiversifier(opts.GetString("algo")).ok()) << name;
@@ -249,8 +249,10 @@ TEST(OptionSetTest, EveryDiversifierNameIsAnAlgoChoice) {
 
 TEST(OptionSetTest, RejectsValuesOutsideTheChoices) {
   const std::vector<std::pair<std::string, std::string>> bad = {
-      {"algo", "bogus"},   {"algo", ""},          {"format", "xml"},
-      {"format", "tab"},   {"map-warmup", "bogus"}, {"map-warmup", "always"}};
+      {"algo", "bogus"},      {"algo", ""},
+      {"algo", "streaming"},  {"format", "xml"},
+      {"format", "tab"},      {"map-warmup", "bogus"},
+      {"map-warmup", "always"}};
   for (const auto& [flag, value] : bad) {
     OptionSet opts = WithChoices();
     EXPECT_FALSE(Parse(&opts, {"--" + flag, value})) << flag << " " << value;

@@ -17,11 +17,14 @@
 // and the greedy selection must score within the (1 − 1/e) submodular
 // approximation bound of that brute-force optimum [Nemhauser 1978].
 //
-// The streaming selector (core/streaming_select.h) claims *bit*
-// identity with the materialized OptSelect path — same heaps, same
-// quotas, same tie rule — plus an incremental Extend(k → k+Δ) that
-// must equal a fresh k+Δ run without re-materializing any candidate.
-// Both claims are checked across every one of the 500 instances.
+// OptSelect's one engine, the heap stream of core/streaming_select.h,
+// also promises an incremental Extend(k → k+Δ): a stream reserved at
+// k+Δ answers k and then k+Δ exactly like the oracle at each, without
+// re-materializing any candidate. That is checked on every one of the
+// 500 instances. A second sweep runs OptSelect, the sharded
+// ParallelOptSelect and Extend at serving scale (n in [2048, 8000],
+// k up to 1000) against the same oracle, where the heaps are far
+// smaller than R_q and the relevance bound prunes.
 
 #include <algorithm>
 #include <cmath>
@@ -33,6 +36,7 @@
 #include "core/candidate.h"
 #include "core/iaselect.h"
 #include "core/optselect.h"
+#include "core/parallel_optselect.h"
 #include "core/streaming_select.h"
 #include "core/utility.h"
 #include "core/xquad.h"
@@ -48,13 +52,12 @@ struct Instance {
   DiversifyParams params;
 };
 
-/// Random instance with n <= 12. Odd trials quantize every value to
-/// eighths so exact ties (in relevance, probability, and utility) are
-/// common — the regime where tie-breaking bugs live.
-Instance MakeInstance(util::Rng* rng, bool quantize) {
+/// Random instance with n candidates and m specializations. With
+/// `quantize` every value is a multiple of 1/8 (probabilities up to
+/// normalization), so exact ties in relevance, probability and utility
+/// are common — the regime where tie-breaking bugs live.
+Instance MakeInstance(util::Rng* rng, bool quantize, size_t n, size_t m) {
   Instance instance;
-  const size_t n = 2 + rng->Uniform(11);  // 2..12
-  const size_t m = 2 + rng->Uniform(4);   // 2..5
   instance.params.k = 1 + rng->Uniform(n);
   const double lambdas[] = {0.0, 0.15, 0.5, 1.0};
   instance.params.lambda = lambdas[rng->Uniform(4)];
@@ -101,15 +104,16 @@ struct ByScoreDesc {
   }
 };
 
-/// Naive OptSelect: the Section 3.1.3 selection rule with full sorted
-/// lists in place of bounded heaps (same quota semantics: a document
-/// useful for several specializations consumes each one's quota).
-std::vector<size_t> OracleOptSelect(const Instance& instance) {
+/// Naive OptSelect at `k`: the Section 3.1.3 selection rule with full
+/// sorted lists in place of bounded heaps (same quota semantics: a
+/// document useful for several specializations consumes each one's
+/// quota).
+std::vector<size_t> OracleOptSelect(const Instance& instance, size_t k) {
   const DiversificationInput& input = instance.input;
   const UtilityMatrix& matrix = instance.utilities;
   const size_t n = input.candidates.size();
   const size_t m = input.specializations.size();
-  const size_t k = std::min(instance.params.k, n);
+  k = std::min(k, n);
   if (k == 0) return {};
 
   std::vector<double> overall(n);
@@ -272,6 +276,29 @@ void StreamInstance(const Instance& instance, size_t max_k,
   }
 }
 
+/// Extend: a stream reserved at k+Δ answers Finalize(k) like the
+/// oracle at k, then Finalize(k+Δ) like the oracle at k+Δ — with zero
+/// new candidate materializations in between. Returns how many
+/// candidates the relevance bound pruned.
+size_t ExpectExtendMatchesTheOracle(const Instance& instance,
+                                    size_t delta) {
+  const size_t k = instance.params.k;
+  StreamingTopK stream;
+  StreamInstance(instance, k + delta, &stream);
+  const size_t pushed_before = stream.pushed();
+  std::vector<size_t> at_k;
+  std::vector<size_t> extended;
+  stream.Finalize(k, &at_k);
+  stream.Finalize(k + delta, &extended);
+  EXPECT_EQ(at_k, OracleOptSelect(instance, k))
+      << "reserved stream diverged at k";
+  EXPECT_EQ(stream.pushed(), pushed_before)
+      << "Extend re-materialized candidates";
+  EXPECT_EQ(extended, OracleOptSelect(instance, k + delta))
+      << "Extend diverged from the oracle at k+delta=" << k + delta;
+  return stream.pruned();
+}
+
 /// Brute-force optimum of the Eq. 4 objective over all C(n, k) subsets
 /// (n <= 12 ⇒ at most 4096 masks).
 double BruteForceIaOptimum(const Instance& instance) {
@@ -294,13 +321,15 @@ double BruteForceIaOptimum(const Instance& instance) {
 TEST(OracleDiffTest, FiveHundredSeededInstancesMatchTheOracles) {
   util::Rng rng(20260727);
   OptSelectDiversifier optselect;
-  StreamingDiversifier streaming;
   XQuadDiversifier xquad;
   IaSelectDiversifier iaselect;
   const double kSubmodularBound = 1.0 - 1.0 / std::exp(1.0);
 
   for (int trial = 0; trial < 500; ++trial) {
-    Instance instance = MakeInstance(&rng, /*quantize=*/trial % 2 == 1);
+    const size_t n = 2 + rng.Uniform(11);  // 2..12
+    const size_t m = 2 + rng.Uniform(4);   // 2..5
+    Instance instance =
+        MakeInstance(&rng, /*quantize=*/trial % 2 == 1, n, m);
     SCOPED_TRACE("trial " + std::to_string(trial) + " n=" +
                  std::to_string(instance.input.candidates.size()) + " m=" +
                  std::to_string(instance.input.specializations.size()) +
@@ -309,34 +338,9 @@ TEST(OracleDiffTest, FiveHundredSeededInstancesMatchTheOracles) {
 
     std::vector<size_t> got_opt = optselect.Select(
         instance.input, instance.utilities, instance.params);
-    EXPECT_EQ(got_opt, OracleOptSelect(instance));
+    EXPECT_EQ(got_opt, OracleOptSelect(instance, instance.params.k));
 
-    // Streaming selection must equal the materialized path *bit*-
-    // identically (not just the oracle's semantics): same candidates,
-    // same order, pruning and all.
-    std::vector<size_t> got_stream = streaming.Select(
-        instance.input, instance.utilities, instance.params);
-    EXPECT_EQ(got_stream, got_opt) << "streaming diverged from OptSelect";
-
-    // Extend: a stream reserved at k+Δ answers Finalize(k) identically
-    // to the fresh k run, then Finalize(k+Δ) identically to a fresh
-    // k+Δ run — with zero new candidate materializations in between.
-    const size_t delta = 1 + trial % 4;
-    StreamingTopK stream;
-    StreamInstance(instance, instance.params.k + delta, &stream);
-    const size_t pushed_before = stream.pushed();
-    std::vector<size_t> at_k;
-    std::vector<size_t> extended;
-    stream.Finalize(instance.params.k, &at_k);
-    stream.Finalize(instance.params.k + delta, &extended);
-    EXPECT_EQ(at_k, got_opt) << "reserved stream diverged at k";
-    EXPECT_EQ(stream.pushed(), pushed_before)
-        << "Extend re-materialized candidates";
-    DiversifyParams wider = instance.params;
-    wider.k += delta;
-    EXPECT_EQ(extended,
-              optselect.Select(instance.input, instance.utilities, wider))
-        << "Extend diverged from a fresh k+delta run";
+    ExpectExtendMatchesTheOracle(instance, 1 + trial % 4);
 
     std::vector<size_t> got_xquad =
         xquad.Select(instance.input, instance.utilities, instance.params);
@@ -361,7 +365,6 @@ TEST(OracleDiffTest, FiveHundredSeededInstancesMatchTheOracles) {
 /// Degenerate shapes the random sweep may miss.
 TEST(OracleDiffTest, DegenerateInstancesStillAgree) {
   OptSelectDiversifier optselect;
-  StreamingDiversifier streaming;
   XQuadDiversifier xquad;
   IaSelectDiversifier iaselect;
 
@@ -385,10 +388,7 @@ TEST(OracleDiffTest, DegenerateInstancesStillAgree) {
 
   EXPECT_EQ(optselect.Select(instance.input, instance.utilities,
                              instance.params),
-            OracleOptSelect(instance));
-  EXPECT_EQ(streaming.Select(instance.input, instance.utilities,
-                             instance.params),
-            OracleOptSelect(instance));
+            OracleOptSelect(instance, instance.params.k));
   EXPECT_EQ(xquad.Select(instance.input, instance.utilities,
                          instance.params),
             OracleXQuad(instance));
@@ -400,10 +400,53 @@ TEST(OracleDiffTest, DegenerateInstancesStillAgree) {
   instance.params.k = 12;
   EXPECT_EQ(optselect.Select(instance.input, instance.utilities,
                              instance.params),
-            OracleOptSelect(instance));
-  EXPECT_EQ(streaming.Select(instance.input, instance.utilities,
-                             instance.params),
-            OracleOptSelect(instance));
+            OracleOptSelect(instance, instance.params.k));
+}
+
+TEST(OracleDiffTest, OptSelectAtScaleMatchesTheOracle) {
+  // Serving-scale instances: R_q is 2-8 thousand candidates, so the
+  // heaps hold a sliver of it, the relevance bound prunes, and
+  // ParallelOptSelect(4) shards the scan 2-4 ways (one shard per 1024
+  // candidates, at most four) and merges the shard streams. Half the
+  // instances arrive in descending relevance, the index scan's order,
+  // where the bound skips the tail wholesale.
+  util::Rng rng(20261018);
+  OptSelectDiversifier serial;
+  ParallelOptSelectDiversifier parallel(4);
+  int trial = 0;
+  size_t pruned = 0;
+  for (size_t k : {size_t{1}, size_t{10}, size_t{200}, size_t{1000}}) {
+    for (int variant = 0; variant < 4; ++variant, ++trial) {
+      const size_t n = 2048 + rng.Uniform(8000 - 2048 + 1);
+      const size_t m = 2 + rng.Uniform(7);  // 2..8
+      const bool quantize = variant % 2 == 1;
+      Instance instance = MakeInstance(&rng, quantize, n, m);
+      instance.params.k = k;
+      if (variant >= 2) {
+        std::vector<Candidate>& candidates = instance.input.candidates;
+        std::stable_sort(candidates.begin(), candidates.end(),
+                         [](const Candidate& a, const Candidate& b) {
+                           return a.relevance > b.relevance;
+                         });
+      }
+      SCOPED_TRACE("trial " + std::to_string(trial) + " n=" +
+                   std::to_string(n) + " m=" + std::to_string(m) +
+                   " k=" + std::to_string(k) +
+                   " lambda=" + std::to_string(instance.params.lambda) +
+                   (quantize ? " quantized" : " continuous"));
+
+      const std::vector<size_t> want = OracleOptSelect(instance, k);
+      EXPECT_EQ(serial.Select(instance.input, instance.utilities,
+                              instance.params),
+                want);
+      EXPECT_EQ(parallel.Select(instance.input, instance.utilities,
+                                instance.params),
+                want);
+      pruned += ExpectExtendMatchesTheOracle(instance, 1 + rng.Uniform(50));
+    }
+  }
+  // The sweep must exercise the bound, or it proves nothing about it.
+  EXPECT_GT(pruned, 0u);
 }
 
 }  // namespace

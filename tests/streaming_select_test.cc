@@ -1,8 +1,9 @@
 // Property tests for the streaming selector (core/streaming_select.h).
 //
-// The oracle differential test (oracle_diff_test.cc) pins the streaming
-// selection to the materialized OptSelect path bit-for-bit; this file
-// checks the properties the streaming design *itself* promises:
+// The oracle differential test (oracle_diff_test.cc) pins every
+// selection the stream makes — OptSelect, ParallelOptSelect, Extend —
+// to a naive oracle; this file checks the properties the streaming
+// design *itself* promises:
 //
 //   - arrival-order invariance: the bounded heaps' retained set is a
 //     pure function of the push multiset, so any permutation of the
@@ -12,19 +13,25 @@
 //     many candidates have streamed by;
 //   - pruning soundness: a scan that skips CanPrune candidates selects
 //     exactly what a scan that pushes everything selects;
-//   - degenerate shapes: empty stream, one candidate, all-ties.
+//   - degenerate shapes: empty stream, one candidate, all-ties;
+//   - shard merging: streams folded with MergeFrom answer like one;
+//   - steady state: a warmed-up stream, and OptSelect over a plan-shaped
+//     view on a reused SelectScratch, allocate nothing.
 
 #include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/candidate.h"
-#include "core/factory.h"
+#include "core/kernels/kernels.h"
 #include "core/optselect.h"
+#include "core/parallel_optselect.h"
+#include "core/select_view.h"
 #include "core/streaming_select.h"
-#include "core/utility.h"
 #include "util/rng.h"
 
 namespace optselect {
@@ -200,7 +207,7 @@ TEST(StreamingSelectTest, SingleCandidateIsSelectedForAnyK) {
 TEST(StreamingSelectTest, AllTiesBreakByCandidateIndex) {
   // Identical relevance, identical utility rows: the selection must be
   // the k lowest indices in ascending order (the library's universal
-  // tie rule), and must match the materialized path exactly.
+  // tie rule), whatever the arrival order.
   const size_t n = 12;
   const size_t m = 3;
   const size_t k = 5;
@@ -225,45 +232,188 @@ TEST(StreamingSelectTest, AllTiesBreakByCandidateIndex) {
   EXPECT_EQ(RunStream(fi, arrival, k, /*prune=*/false, &stream), got);
 }
 
-TEST(StreamingSelectTest, FactoryExposesTheStreamingBackend) {
-  auto names = AvailableDiversifiers();
-  EXPECT_NE(std::find(names.begin(), names.end(), "streaming"),
-            names.end());
-  auto made = MakeDiversifier("streaming");
-  ASSERT_TRUE(made.ok());
-  EXPECT_EQ(made.value()->name(), "StreamingOptSelect");
+TEST(StreamingSelectTest, MergedShardStreamsEqualOneStream) {
+  // ParallelOptSelect's combine: shards streamed separately (pruning
+  // against their own heaps) and folded with MergeFrom answer every
+  // Finalize exactly like one stream over all candidates.
+  util::Rng rng(7024);
+  StreamingTopK whole;
+  StreamingTopK merged;
+  StreamingTopK shard;
+  for (int trial = 0; trial < 200; ++trial) {
+    FlatInstance fi = MakeFlat(&rng, trial % 2 == 1);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t max_k = fi.k + 1 + trial % 3;
+    std::vector<size_t> arrival(fi.n);
+    std::iota(arrival.begin(), arrival.end(), size_t{0});
+    RunStream(fi, arrival, max_k, /*prune=*/true, &whole);
+
+    const size_t cut1 = rng.Uniform(fi.n + 1);
+    const size_t cut2 = cut1 + rng.Uniform(fi.n - cut1 + 1);
+    auto stream_range = [&](size_t lo, size_t hi, StreamingTopK* stream) {
+      stream->Begin(fi.probability.data(), fi.m, max_k, fi.lambda);
+      for (size_t i = lo; i < hi; ++i) {
+        if (stream->CanPrune(fi.relevance[i])) {
+          stream->Skip();
+          continue;
+        }
+        stream->Push(i, fi.relevance[i], fi.utilities.data() + i * fi.m);
+      }
+    };
+    stream_range(0, cut1, &merged);
+    stream_range(cut1, cut2, &shard);
+    merged.MergeFrom(shard);
+    stream_range(cut2, fi.n, &shard);
+    merged.MergeFrom(shard);
+    EXPECT_EQ(merged.offered(), fi.n);
+
+    for (size_t k : {fi.k, max_k}) {
+      std::vector<size_t> want;
+      std::vector<size_t> got;
+      whole.Finalize(k, &want);
+      merged.Finalize(k, &got);
+      EXPECT_EQ(got, want) << "k=" << k;
+    }
+  }
 }
 
-/// The Diversifier facade must clamp and degenerate exactly like
-/// OptSelect: k = 0, k > n, zero-utility views.
-TEST(StreamingSelectTest, FacadeMatchesOptSelectOnDegenerateViews) {
-  OptSelectDiversifier optselect;
-  StreamingDiversifier streaming;
-  DiversificationInput input;
-  input.query = "q";
-  for (size_t j = 0; j < 2; ++j) {
-    SpecializationProfile profile;
-    profile.query = "s" + std::to_string(j);
-    profile.probability = 0.5;
-    input.specializations.push_back(std::move(profile));
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    Candidate c;
-    c.doc = static_cast<DocId>(i);
-    c.relevance = 0.25 * static_cast<double>(4 - i);
-    input.candidates.push_back(std::move(c));
-  }
-  UtilityMatrix utilities(4, 2);  // all zeros
+// ---------------------------------------------------- allocation count
 
-  for (size_t k : {size_t{0}, size_t{2}, size_t{4}, size_t{9}}) {
-    DiversifyParams params;
-    params.k = k;
-    EXPECT_EQ(streaming.Select(input, utilities, params),
-              optselect.Select(input, utilities, params))
-        << "k=" << k;
+/// operator new calls on this thread while `counting` is set. The
+/// replacement operators below count into it; everything else about
+/// them is plain malloc/free.
+thread_local bool counting = false;
+thread_local size_t allocations = 0;
+
+/// Counts the allocations `body` makes on the calling thread.
+template <typename Body>
+size_t CountAllocations(const Body& body) {
+  allocations = 0;
+  counting = true;
+  body();
+  counting = false;
+  return allocations;
+}
+
+/// A plan-shaped view (what QueryPlan::View hands the serving node):
+/// candidates in descending relevance, the compiled weighted block and
+/// the probability-sorted spec_order, over buffers that outlive it.
+struct PlanShape {
+  FlatInstance fi;
+  std::vector<double> weighted;
+  std::vector<uint32_t> spec_order;
+
+  DiversificationView View() const {
+    DiversificationView view;
+    view.num_candidates = fi.n;
+    view.num_specializations = fi.m;
+    view.relevance = fi.relevance.data();
+    view.probability = fi.probability.data();
+    view.utilities = fi.utilities.data();
+    view.weighted = weighted.data();
+    view.spec_order = spec_order.data();
+    return view;
   }
+};
+
+PlanShape MakePlanShape(uint64_t seed, size_t n, size_t m) {
+  util::Rng rng(seed);
+  PlanShape plan;
+  FlatInstance& fi = plan.fi;
+  fi.n = n;
+  fi.m = m;
+  fi.k = 10;
+  fi.probability.resize(m);
+  double norm = 0.0;
+  for (double& p : fi.probability) {
+    p = rng.UniformDouble() + 0.05;
+    norm += p;
+  }
+  for (double& p : fi.probability) p /= norm;
+  fi.relevance.resize(n);
+  for (double& r : fi.relevance) r = rng.UniformDouble();
+  std::sort(fi.relevance.begin(), fi.relevance.end(), std::greater<>());
+  fi.utilities.assign(n * m, 0.0);
+  for (double& u : fi.utilities) {
+    if (rng.Bernoulli(0.5)) u = rng.UniformDouble();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    plan.weighted.push_back(kernels::WeightedRowSum(
+        fi.utilities.data() + i * m, fi.probability.data(), m));
+  }
+  plan.spec_order.resize(m);
+  std::iota(plan.spec_order.begin(), plan.spec_order.end(), 0u);
+  SortSpecOrderByProbability(fi.probability.data(), &plan.spec_order);
+  return plan;
+}
+
+TEST(StreamingSelectTest, PlanPathSelectionAllocatesNothingAfterWarmUp) {
+  const PlanShape plan = MakePlanShape(7025, 200, 4);
+  const DiversificationView view = plan.View();
+  DiversifyParams params;
+  params.k = plan.fi.k;
+  SelectScratch scratch;
+  OptSelectDiversifier optselect;
+  ParallelOptSelectDiversifier serving(1);  // the serving node's backend
+
+  optselect.SelectInto(view, params, &scratch, &scratch.picks);
+  const std::vector<size_t> warm = scratch.picks;
+  EXPECT_EQ(CountAllocations([&] {
+              optselect.SelectInto(view, params, &scratch, &scratch.picks);
+            }),
+            0u);
+  EXPECT_EQ(scratch.picks, warm);
+  EXPECT_EQ(CountAllocations([&] {
+              serving.SelectInto(view, params, &scratch, &scratch.picks);
+            }),
+            0u);
+  EXPECT_EQ(scratch.picks, warm);
+}
+
+TEST(StreamingSelectTest, ReusedStreamAllocatesNothingAfterWarmUp) {
+  const PlanShape plan = MakePlanShape(7026, 300, 6);
+  const FlatInstance& fi = plan.fi;
+  StreamingTopK stream;
+  std::vector<size_t> at_k;
+  std::vector<size_t> extended;
+  // Begin / Push / Finalize(k) / Extend to k + 5, as a pager would.
+  auto pass = [&] {
+    stream.Begin(fi.probability.data(), fi.m, fi.k + 5, fi.lambda);
+    for (size_t i = 0; i < fi.n; ++i) {
+      if (stream.CanPrune(fi.relevance[i])) {
+        stream.Skip();
+        continue;
+      }
+      stream.Push(i, fi.relevance[i], fi.utilities.data() + i * fi.m);
+    }
+    stream.Finalize(fi.k, &at_k);
+    stream.Finalize(fi.k + 5, &extended);
+  };
+  pass();
+  const std::vector<size_t> warm_k = at_k;
+  const std::vector<size_t> warm_extended = extended;
+  EXPECT_EQ(CountAllocations(pass), 0u);
+  EXPECT_EQ(at_k, warm_k);
+  EXPECT_EQ(extended, warm_extended);
+  EXPECT_EQ(at_k.size(), fi.k);
+  EXPECT_EQ(extended.size(), fi.k + 5);
 }
 
 }  // namespace
 }  // namespace core
 }  // namespace optselect
+
+// Replacement global allocation operators for the counting above.
+// operator new counts into the calling thread's tally while counting
+// is on; new and delete both go straight to malloc/free so every pair
+// matches.
+void* operator new(std::size_t size) {
+  if (optselect::core::counting) ++optselect::core::allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

@@ -1,5 +1,5 @@
 // Unit tests for the util module: Status/Result, strings, RNG, Zipf,
-// math helpers, and the table printer.
+// math helpers, the CPU count, and the table printer.
 
 #include <algorithm>
 #include <cmath>
@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "util/cpus.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -339,6 +344,33 @@ TEST(TimerTest, AccumulatorMean) {
   EXPECT_EQ(acc.count(), 2);
   acc.Reset();
   EXPECT_EQ(acc.count(), 0);
+}
+
+// ------------------------------------------------------------------ CPUs
+
+TEST(CpusTest, AvailableCpusIsPositive) { EXPECT_GE(AvailableCpus(), 1u); }
+
+TEST(CpusTest, AvailableCpusFollowsTheAffinityMask) {
+#if defined(__linux__)
+  // Pin this thread to the first CPU of its mask (what `taskset -c`
+  // does to a process), expect a count of one, then restore the mask.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &original)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned = AvailableCpus();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(AvailableCpus(), static_cast<size_t>(CPU_COUNT(&original)));
+#else
+  GTEST_SKIP() << "no affinity mask on this platform";
+#endif
 }
 
 // ---------------------------------------------------------- TablePrinter
