@@ -103,7 +103,7 @@ class ShardedCluster : public serving::Frontend {
   /// handle). The other pointers are non-owned, used read-only, and
   /// must outlive the cluster. `popularity` may be null when
   /// `config.replicate_hot == 0`; `config.node.num_workers` is
-  /// per-shard (0 ⇒ hardware concurrency *per shard* — usually set it
+  /// per-shard (0 ⇒ util::AvailableCpus() *per shard* — usually set it
   /// explicitly for clusters).
   ShardedCluster(std::shared_ptr<const store::MappedStoreFile> mapped,
                  const index::Searcher* searcher,

@@ -1,130 +1,11 @@
 #include "store/diversification_store.h"
 
-#include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <iterator>
-
 #include "store/mapped_store.h"
-#include "util/hash.h"
 #include "util/strings.h"
 
 namespace optselect {
 namespace store {
 namespace {
-
-// Legacy binary layout, formats v1–v3 (little-endian, as written by
-// this process). The current format is v4 — a flat mmap-able columnar
-// layout owned by store/mapped_store.h ("OSV4" magic); Save writes it
-// and Load dispatches on the magic, so everything below is read-only
-// compatibility code for files written by older builds:
-//   magic "OSDS" | u32 format_version | [v2+: u64 store_version]
-//                | u64 entry_count
-//   per entry:   u32 query_len | bytes | u32 spec_count
-//   per spec:    u32 query_len | bytes | f64 probability | u32 n_surrogates
-//   per vector:  u32 n_entries | (u32 term, f64 weight)*
-//   [v3+: per entry, after its specs — the compiled query plan]
-//     u8 has_plan; when 1:
-//       u32 num_candidates_requested | f64 threshold_c | u32 n | u32 m
-//       n×u32 docs | n×f64 relevance | m×f64 probability
-//       m×u32 spec_order | (n·m)×f64 utilities | n×f64 weighted
-//   trailer:     u64 fnv1a checksum of everything after the header magic.
-//
-// Format v1 (the original `store.bin`) has no store_version field and
-// is checksummed with the legacy basis below; it still loads (as
-// content version 0). Format v2 adds the monotonic store_version that
-// the snapshot-rebuild lifecycle bumps on every swap, and moves to the
-// standard FNV-1a offset basis. Format v3 appends the compiled query
-// plan blocks (store/query_plan.h) after each entry's specializations;
-// v1/v2 files load with empty plans and serve via per-request
-// computation until store::CompilePlans upgrades them.
-constexpr char kMagic[4] = {'O', 'S', 'D', 'S'};
-constexpr uint32_t kLegacyVersion = 1;
-constexpr uint32_t kV2Version = 2;
-constexpr uint32_t kVersion = 3;
-
-class Writer {
- public:
-  void U8(uint8_t v) { Raw(&v, sizeof(v)); }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-  void U32Array(const uint32_t* p, size_t count) {
-    if (count > 0) Raw(p, count * sizeof(uint32_t));
-  }
-  void F64Array(const double* p, size_t count) {
-    if (count > 0) Raw(p, count * sizeof(double));
-  }
-  const std::string& buffer() const { return buf_; }
-
- private:
-  void Raw(const void* p, size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  std::string buf_;
-};
-
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool U8(uint8_t* v) { return Raw(v, sizeof(*v)); }
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool F64(double* v) { return Raw(v, sizeof(*v)); }
-  bool U32Array(std::vector<uint32_t>* out, size_t count) {
-    out->clear();
-    if (count == 0) return true;
-    if (count > (size_ - pos_) / sizeof(uint32_t)) return false;
-    out->resize(count);
-    return Raw(out->data(), count * sizeof(uint32_t));
-  }
-  bool F64Array(std::vector<double>* out, size_t count) {
-    out->clear();
-    if (count == 0) return true;
-    if (count > (size_ - pos_) / sizeof(double)) return false;
-    out->resize(count);
-    return Raw(out->data(), count * sizeof(double));
-  }
-  bool Str(std::string* s) {
-    uint32_t len = 0;
-    if (!U32(&len)) return false;
-    if (pos_ + len > size_) return false;
-    s->assign(data_ + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  size_t pos() const { return pos_; }
-
- private:
-  bool Raw(void* p, size_t n) {
-    if (pos_ + n > size_) return false;
-    std::memcpy(p, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-// Historical quirk, kept for reading v1 files: they were checksummed
-// with this offset basis (the standard FNV-1a basis with its last
-// decimal digit dropped). v2 files use the standard basis; the reader
-// picks the basis from the format version it finds in the body.
-constexpr uint64_t kV1ChecksumBasis = 1469598103934665603ull;
-
-uint64_t ChecksumFor(uint32_t format_version, const char* data,
-                     size_t size) {
-  uint64_t basis = format_version <= kLegacyVersion
-                       ? kV1ChecksumBasis
-                       : util::kFnv1aOffsetBasis;
-  return util::Fnv1a64(data, size, basis);
-}
 
 // A plan is valid for its entry iff its blocks are internally
 // consistent and its probability copy matches the entry's mined
@@ -223,182 +104,16 @@ uint64_t DiversificationStore::SurrogatePayloadBytes() const {
 }
 
 util::Status DiversificationStore::Save(const std::string& path) const {
-  // The current on-disk format is v4 (store/mapped_store.h): flat,
-  // checksummed, mmap-able. Loading any older format and saving is the
-  // upgrade path — same content, new layout.
+  // The on-disk format is v4 (store/mapped_store.h): flat, checksummed,
+  // mmap-able.
   return MappedStoreFile::WriteV4(*this, path);
-}
-
-util::Status DiversificationStore::SaveLegacyV3(
-    const std::string& path) const {
-  Writer w;
-  w.U32(kVersion);
-  w.U64(version_);
-  w.U64(entries_.size());
-  // Deterministic order: sort keys (useful for byte-identical snapshots).
-  std::vector<const StoredEntry*> ordered;
-  ordered.reserve(entries_.size());
-  for (const auto& [query, entry] : entries_) ordered.push_back(&entry);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const StoredEntry* a, const StoredEntry* b) {
-              return a->query < b->query;
-            });
-  for (const StoredEntry* entry : ordered) {
-    w.Str(entry->query);
-    w.U32(static_cast<uint32_t>(entry->specializations.size()));
-    for (const StoredSpecialization& sp : entry->specializations) {
-      w.Str(sp.query);
-      w.F64(sp.probability);
-      w.U32(static_cast<uint32_t>(sp.surrogates.size()));
-      for (const text::TermVector& v : sp.surrogates) {
-        w.U32(static_cast<uint32_t>(v.entries().size()));
-        for (const auto& [term, weight] : v.entries()) {
-          w.U32(term);
-          w.F64(weight);
-        }
-      }
-    }
-    const QueryPlan& plan = entry->plan;
-    w.U8(plan.empty() ? 0 : 1);
-    if (!plan.empty()) {
-      w.U32(plan.num_candidates_requested);
-      w.F64(plan.threshold_c);
-      w.U32(static_cast<uint32_t>(plan.num_candidates()));
-      w.U32(static_cast<uint32_t>(plan.num_specializations()));
-      w.U32Array(plan.docs.data(), plan.docs.size());
-      w.F64Array(plan.relevance.data(), plan.relevance.size());
-      w.F64Array(plan.probability.data(), plan.probability.size());
-      w.U32Array(plan.spec_order.data(), plan.spec_order.size());
-      w.F64Array(plan.utilities.data(), plan.utilities.size());
-      w.F64Array(plan.weighted.data(), plan.weighted.size());
-    }
-  }
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return util::Status::IoError("cannot open for write: " + path);
-  out.write(kMagic, sizeof(kMagic));
-  const std::string& body = w.buffer();
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  uint64_t checksum = ChecksumFor(kVersion, body.data(), body.size());
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  if (!out) return util::Status::IoError("write failed: " + path);
-  return util::Status::Ok();
 }
 
 util::Result<DiversificationStore> DiversificationStore::Load(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::IoError("cannot open for read: " + path);
-  // Dispatch on the magic: v4 files ("OSV4") go through the mmap
-  // reader + materialize (one shared parse/validate implementation);
-  // v1–v3 ("OSDS") through the legacy stream reader below.
-  {
-    char probe[4] = {0, 0, 0, 0};
-    in.read(probe, sizeof(probe));
-    if (in.gcount() == sizeof(probe) &&
-        std::memcmp(probe, "OSV4", sizeof(probe)) == 0) {
-      auto mapped = MappedStoreFile::Map(path);
-      if (!mapped.ok()) return mapped.status();
-      return mapped.value()->Materialize();
-    }
-    in.clear();
-    in.seekg(0);
-  }
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (blob.size() < sizeof(kMagic) + sizeof(uint64_t)) {
-    return util::Status::Corruption("file too short: " + path);
-  }
-  if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
-    return util::Status::Corruption("bad magic: " + path);
-  }
-  size_t body_size = blob.size() - sizeof(kMagic) - sizeof(uint64_t);
-  const char* body = blob.data() + sizeof(kMagic);
-  uint64_t stored_checksum;
-  std::memcpy(&stored_checksum, body + body_size, sizeof(stored_checksum));
-
-  // The format version picks the checksum basis, so read it (it is the
-  // first body field) before verifying the trailer.
-  Reader r(body, body_size);
-  uint32_t version = 0;
-  if (!r.U32(&version)) return util::Status::Corruption("truncated header");
-  if (version != kLegacyVersion && version != kV2Version &&
-      version != kVersion) {
-    return util::Status::Corruption(
-        util::StrFormat("unsupported version %u", version));
-  }
-  if (ChecksumFor(version, body, body_size) != stored_checksum) {
-    return util::Status::Corruption("checksum mismatch: " + path);
-  }
-
-  uint64_t store_version = 0;
-  if (version >= kV2Version && !r.U64(&store_version)) {
-    return util::Status::Corruption("truncated store version");
-  }
-  uint64_t count = 0;
-  if (!r.U64(&count)) return util::Status::Corruption("truncated count");
-
-  DiversificationStore store;
-  store.set_version(store_version);
-  for (uint64_t e = 0; e < count; ++e) {
-    StoredEntry entry;
-    if (!r.Str(&entry.query)) return util::Status::Corruption("entry query");
-    uint32_t n_specs = 0;
-    if (!r.U32(&n_specs)) return util::Status::Corruption("spec count");
-    for (uint32_t s = 0; s < n_specs; ++s) {
-      StoredSpecialization sp;
-      if (!r.Str(&sp.query) || !r.F64(&sp.probability)) {
-        return util::Status::Corruption("spec header");
-      }
-      uint32_t n_surrogates = 0;
-      if (!r.U32(&n_surrogates)) {
-        return util::Status::Corruption("surrogate count");
-      }
-      for (uint32_t v = 0; v < n_surrogates; ++v) {
-        uint32_t n_entries = 0;
-        if (!r.U32(&n_entries)) {
-          return util::Status::Corruption("vector size");
-        }
-        std::vector<text::TermVector::Entry> vec_entries;
-        vec_entries.reserve(n_entries);
-        for (uint32_t t = 0; t < n_entries; ++t) {
-          uint32_t term = 0;
-          double weight = 0;
-          if (!r.U32(&term) || !r.F64(&weight)) {
-            return util::Status::Corruption("vector entry");
-          }
-          vec_entries.emplace_back(static_cast<text::TermId>(term), weight);
-        }
-        sp.surrogates.push_back(
-            text::TermVector::FromEntries(std::move(vec_entries)));
-      }
-      entry.specializations.push_back(std::move(sp));
-    }
-    if (version >= kVersion) {
-      uint8_t has_plan = 0;
-      if (!r.U8(&has_plan)) return util::Status::Corruption("plan flag");
-      if (has_plan != 0) {
-        QueryPlan& plan = entry.plan;
-        uint32_t n = 0, m = 0;
-        if (!r.U32(&plan.num_candidates_requested) ||
-            !r.F64(&plan.threshold_c) || !r.U32(&n) || !r.U32(&m)) {
-          return util::Status::Corruption("plan header");
-        }
-        if (!r.U32Array(&plan.docs, n) || !r.F64Array(&plan.relevance, n) ||
-            !r.F64Array(&plan.probability, m) ||
-            !r.U32Array(&plan.spec_order, m) ||
-            !r.F64Array(&plan.utilities,
-                        static_cast<size_t>(n) * static_cast<size_t>(m)) ||
-            !r.F64Array(&plan.weighted, n)) {
-          return util::Status::Corruption("plan blocks");
-        }
-        // Put re-validates the plan against the entry and drops a
-        // mismatch, so a file with stale plans loads as plan-less.
-      }
-    }
-    OPTSELECT_RETURN_IF_ERROR(store.Put(std::move(entry)));
-  }
-  return store;
+  auto mapped = MappedStoreFile::Map(path);
+  if (!mapped.ok()) return mapped.status();
+  return mapped.value()->Materialize();
 }
 
 }  // namespace store

@@ -43,11 +43,12 @@ struct StoredSpecialization {
 struct StoredEntry {
   std::string query;
   std::vector<StoredSpecialization> specializations;
-  /// Compiled selection blocks (store v3). Empty when the entry was
-  /// loaded from a v1/v2 file or built with plan compilation off;
-  /// serving then computes utilities per request. Derived data — Put
-  /// drops a plan that no longer matches the mined content above, and
-  /// StoredEntriesEqual deliberately ignores it.
+  /// Compiled selection blocks (store v3 and later). Empty when the
+  /// entry was built with plan compilation off (or read from a v1/v2
+  /// file by store::ReadLegacyStore); serving then computes utilities
+  /// per request. Derived data — Put drops a plan that no longer matches
+  /// the mined content above, and StoredEntriesEqual deliberately
+  /// ignores it.
   QueryPlan plan;
 };
 
@@ -80,8 +81,8 @@ class DiversificationStore {
   /// Monotonic build version of this store's *contents* — bumped by
   /// every snapshot rebuild (store::BuildSnapshot), persisted by Save,
   /// and surfaced by the serving tier so a swap is observable. This is
-  /// independent of the on-disk *format* version: a legacy (format v1)
-  /// file loads as content version 0.
+  /// independent of the on-disk *format* version (a format-v1 file,
+  /// which predates it, converts as content version 0).
   uint64_t version() const { return version_; }
   void set_version(uint64_t version) { version_ = version; }
 
@@ -102,19 +103,12 @@ class DiversificationStore {
   /// Deterministic: identical stores produce identical bytes.
   util::Status Save(const std::string& path) const;
 
-  /// Writes the frozen legacy v3 stream format — kept only so tests
-  /// and the fixture generator can produce old-format files; production
-  /// code saves v4.
-  util::Status SaveLegacyV3(const std::string& path) const;
-
-  /// Loads a store written by Save — the current v4 format (parsed via
-  /// the mmap reader, then materialized to heap entries) or the legacy
-  /// v3 / v2 (no plan blocks) / v1 (pre-versioning; loads with
-  /// version() == 0) stream formats. v1/v2 entries load with empty
-  /// plans; store::CompilePlans recompiles them against a retrieval
-  /// stack. Loading any older format and saving upgrades the file to
-  /// v4 with bit-identical content. Fails with kCorruption on
-  /// format-version mismatch, truncation, or checksum failure.
+  /// Loads a store written by Save: maps the v4 file with
+  /// MappedStoreFile::Map (the one parse/validate implementation) and
+  /// materializes it into heap entries. Any other bytes, the v1–v3
+  /// stream formats included, fail like a corrupt file (kCorruption);
+  /// `optselect upgrade` converts those (store/legacy_store.h). A file
+  /// that cannot be opened is kIoError.
   static util::Result<DiversificationStore> Load(const std::string& path);
 
   /// Iteration support (read-only).

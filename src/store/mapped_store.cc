@@ -453,14 +453,6 @@ util::Result<std::shared_ptr<const MappedStoreFile>> MappedStoreFile::Map(
   return std::shared_ptr<const MappedStoreFile>(std::move(file));
 }
 
-bool MappedStoreFile::LooksLikeV4(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  char magic[sizeof(kV4Magic)] = {0};
-  file.read(magic, sizeof(magic));
-  return file.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-         std::memcmp(magic, kV4Magic, sizeof(magic)) == 0;
-}
-
 size_t MappedStoreFile::MissingPlanCount(size_t num_candidates,
                                          double threshold_c) const {
   size_t missing = 0;

@@ -1,13 +1,13 @@
 // Store format v4 — one flat mmap-able file, served zero-copy.
 //
-// Formats v1–v3 are streams: Load parses the byte stream into heap
-// StoredEntry maps, duplicating every surrogate into std::vector-backed
-// TermVectors (and SplitStore copies them again, once per shard). v4
-// is a *layout*: the same information arranged as 32-byte-aligned
-// typed columns plus fixed-size descriptor tables, so a serving node
-// mmaps the file, validates the checksums, builds a pointer-only index,
-// and serves straight off the mapped pages — no per-entry parse, no
-// surrogate copies, and one physical mapping shared by every shard.
+// The retired formats v1–v3 were streams: a reader parsed the bytes
+// into heap StoredEntry maps, duplicating every surrogate into
+// std::vector-backed TermVectors. v4 is a *layout*: the same
+// information arranged as 32-byte-aligned typed columns plus
+// fixed-size descriptor tables, so a serving node mmaps the file,
+// validates the checksums, builds a pointer-only index, and serves
+// straight off the mapped pages — no per-entry parse, no surrogate
+// copies, and one physical mapping shared by every shard.
 //
 // On-disk layout (little-endian, as written by this process):
 //
@@ -55,13 +55,15 @@
 // in the destructor, i.e. only after the last reader drops — a hot
 // reload can retire a snapshot while requests still read old pages.
 //
-// Writers: DiversificationStore::Save emits this format (WriteV4);
-// Load mmaps v4 files and materializes them (older formats parse
-// through the legacy stream reader), so v1–v3 upgrade on save.
-// FromStore encodes an in-memory store into the same bytes inside an
-// anonymous read-only mapping, so a store that was never saved (an
-// in-process build, a legacy file, a file whose plans were compiled
-// for other serving params) is served through the same mapped view.
+// Readers and writers: DiversificationStore::Save emits this format
+// (WriteV4) and Load maps it and materializes it. v4 is the only
+// format Map, Load and serving read: any other bytes fail Map as
+// corruption, and `optselect upgrade` converts a v1–v3 file
+// (store/legacy_store.h). FromStore encodes an in-memory store into
+// the same bytes inside an anonymous read-only mapping, so a store
+// that was never saved (an in-process build, a file whose plans were
+// compiled for other serving params) is served through the same
+// mapped view.
 
 #ifndef OPTSELECT_STORE_MAPPED_STORE_H_
 #define OPTSELECT_STORE_MAPPED_STORE_H_
@@ -166,20 +168,14 @@ struct MapWarmupOutcome {
 class MappedStoreFile {
  public:
   /// Opens, mmaps (PROT_READ, MAP_SHARED) and fully validates `path`:
-  /// header magic/
-  /// version/endianness/alignment, both checksums, every descriptor and
-  /// column offset bounds- and alignment-checked, ≥ 2 specializations
-  /// per entry, and plan blocks consistent with their entry (size and
-  /// probability equality — the PlanMatchesEntry rule). Returns
-  /// kCorruption for any structural violation, kIoError for OS errors.
+  /// header magic/version/endianness/alignment, both checksums, every
+  /// descriptor and column offset bounds- and alignment-checked, ≥ 2
+  /// specializations per entry, and plan blocks consistent with their
+  /// entry (size and probability equality — the PlanMatchesEntry
+  /// rule). Returns kCorruption for any structural violation (a v1–v3
+  /// stream file included: it has no v4 magic), kIoError for OS errors.
   static util::Result<std::shared_ptr<const MappedStoreFile>> Map(
       const std::string& path);
-
-  /// True when the file's first bytes are the v4 magic — i.e. the file
-  /// *claims* this format. Lets a caller tell "legacy stream, not ours
-  /// to map" (parse it with the legacy reader) from "claims v4 but Map
-  /// failed" (corruption — a hard error, never a silent downgrade).
-  static bool LooksLikeV4(const std::string& path);
 
   /// Serializes `store` into the v4 layout at `path`. Deterministic:
   /// identical stores produce identical bytes (entries are laid out in

@@ -17,7 +17,8 @@
 // serving node runs with. DiversificationStore::Put drops plans that
 // disagree with their entry, and ServingNode falls back to on-the-fly
 // computation when the plan is absent or parameter-incompatible — so
-// v1/v2 stores keep serving correctly, just without the shortcut.
+// a store built with plans off keeps serving correctly, just without
+// the shortcut.
 
 #ifndef OPTSELECT_STORE_QUERY_PLAN_H_
 #define OPTSELECT_STORE_QUERY_PLAN_H_

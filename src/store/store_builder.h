@@ -28,8 +28,7 @@ struct StoreBuilderOptions {
   /// conjunctively (every specialization term must match).
   size_t results_per_specialization = 20;
   /// Compile a serving QueryPlan (store v3) into every materialized
-  /// entry. Off ⇒ entries serve via per-request computation (the v2
-  /// behaviour).
+  /// entry. Off ⇒ entries serve via per-request computation.
   bool compile_plans = true;
   /// Plan-compile knobs; must match the serving node's pipeline params
   /// (num_candidates, threshold_c) or the node ignores the plans.
@@ -68,7 +67,7 @@ DiversificationStore SplitStore(const DiversificationStore& store,
 /// Runs Algorithm 1 on every query in `candidate_queries`, and for each
 /// detected ambiguous query materializes the specializations with their
 /// R_q′ surrogate vectors. Queries that are not ambiguous are skipped.
-/// Works the queries on min(hardware threads, queries) threads and
+/// Works the queries on min(available CPUs, queries) threads and
 /// stores the entries in input order, so `out` ends up byte-for-byte
 /// what a sequential build gives. Returns the number of entries stored.
 size_t BuildStore(const recommend::AmbiguityDetector& detector,
@@ -117,11 +116,11 @@ QueryPlan CompileQueryPlan(const StoredEntry& entry,
                            const corpus::DocumentStore& documents,
                            const PlanCompileOptions& options);
 
-/// Upgrades a store in place (the v2 → v3 path): compiles a plan for
-/// every entry whose plan is missing or incompatible with `options`.
+/// Compiles plans in place: one for every entry whose plan is missing
+/// (a store built with plans off) or incompatible with `options`.
 /// Entries that already carry a compatible plan are left untouched —
 /// this is what makes a post-reload recompile touch only the dirty
-/// queries. Compiles on min(hardware threads, stale entries) threads.
+/// queries. Compiles on min(available CPUs, stale entries) threads.
 /// Returns the number of plans compiled.
 size_t CompilePlans(DiversificationStore* store,
                     const index::Searcher& searcher,

@@ -158,7 +158,8 @@ struct SnapshotBuildResult {
 /// Algorithm 1's "not ambiguous ⇒ not stored". Content-identical
 /// upserts are skipped without invalidating (their cached rankings are
 /// still exact), except that a compiled query plan on the upsert is
-/// adopted when the base entry had none — a free v2 → v3 upgrade.
+/// adopted when the base entry had none (a plan-less base gains plans
+/// without invalidating anything).
 SnapshotBuildResult BuildSnapshot(const StoreSnapshot* base,
                                   const StoreDelta& delta);
 

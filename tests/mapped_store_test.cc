@@ -312,37 +312,6 @@ TEST(MappedStoreTest, MappedShardViewsPartitionTheStore) {
   std::remove(path.c_str());
 }
 
-TEST(MappedStoreTest, LooksLikeV4DistinguishesLegacyFromV4) {
-  DiversificationStore store = MakeStore();
-  std::string path = SaveToTemp(store, "magic_v4.bin");
-  EXPECT_TRUE(MappedStoreFile::LooksLikeV4(path));
-
-  // A legacy/garbage file is "not ours to map", not corruption.
-  std::string legacy = ::testing::TempDir() + "/magic_legacy.bin";
-  std::FILE* f = std::fopen(legacy.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("OSTORE2 something else entirely", f);
-  std::fclose(f);
-  EXPECT_FALSE(MappedStoreFile::LooksLikeV4(legacy));
-  EXPECT_FALSE(MappedStoreFile::LooksLikeV4(path + ".does-not-exist"));
-
-  // A truncated v4 file still *claims* v4 — Map must reject it, and the
-  // claim is what turns that rejection into a hard error upstream.
-  std::string truncated = ::testing::TempDir() + "/magic_truncated.bin";
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  std::ofstream out(truncated, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  out.close();
-  EXPECT_TRUE(MappedStoreFile::LooksLikeV4(truncated));
-  EXPECT_FALSE(MappedStoreFile::Map(truncated).ok());
-
-  std::remove(path.c_str());
-  std::remove(legacy.c_str());
-  std::remove(truncated.c_str());
-}
-
 TEST(MappedStoreTest, MissingPlanCountMatchesServingCompatibility) {
   DiversificationStore store = MakeStore();  // only "jaguar" has a plan
   std::string path = SaveToTemp(store, "plans_v4.bin");

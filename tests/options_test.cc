@@ -101,11 +101,13 @@ TEST(OptionSetTest, SubcommandDefaultIsTheDeclaredDefault) {
 }
 
 TEST(OptionSetTest, RejectsUnknownFlag) {
-  OptionSet opts = ServeLike();
-  EXPECT_FALSE(Parse(&opts, {"dir", "--nope", "1"}));
-  EXPECT_NE(opts.error().find("unknown flag --nope for `serve`"),
-            std::string::npos)
-      << opts.error();
+  for (const std::string flag : {"nope", "streaming"}) {
+    OptionSet opts = ServeLike();
+    EXPECT_FALSE(Parse(&opts, {"dir", "--" + flag, "1"})) << flag;
+    EXPECT_NE(opts.error().find("unknown flag --" + flag + " for `serve`"),
+              std::string::npos)
+        << opts.error();
+  }
 }
 
 TEST(OptionSetTest, RejectsMissingValue) {

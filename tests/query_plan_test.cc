@@ -252,13 +252,13 @@ TEST_F(QueryPlanTest, SaveLoadRoundTripsPlansBitwise) {
 }
 
 // v1/v2-format *bytes* are covered by the checked-in golden fixtures in
-// tests/store_backcompat_test.cc (tests/data/store_v*.bin), which froze
-// and replaced the hand-crafted in-test byte writer that lived here.
+// tests/store_backcompat_test.cc (tests/data/store_v*.bin).
 
 TEST_F(QueryPlanTest, CompilePlansUpgradesPlanLessStoreOnLoad) {
-  // A plan-less store (what loading a v2 file yields) round-tripped
-  // through disk, then upgraded in place with CompilePlans — the
-  // v2 → v3 migration a serving node runs at startup.
+  // A plan-less store (a plans-off build, or a v1/v2 file converted
+  // by `optselect upgrade`) round-tripped through disk, then given
+  // plans in place with CompilePlans — what a serving node runs at
+  // startup.
   DiversificationStore v2_content = Build(/*with_plans=*/false);
   std::string path = ::testing::TempDir() + "/store_v2_content.bin";
   ASSERT_TRUE(v2_content.Save(path).ok());

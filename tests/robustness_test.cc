@@ -4,7 +4,9 @@
 // crash, hang, or return out-of-contract values.
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -15,9 +17,11 @@
 #include "eval/trec_io.h"
 #include "querylog/query_log.h"
 #include "store/diversification_store.h"
+#include "store/legacy_store.h"
 #include "text/analyzer.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace optselect {
@@ -128,12 +132,59 @@ TEST_F(GarbageFileTest, QueryLogLoaderNeverCrashes) {
 }
 
 TEST_F(GarbageFileTest, StoreLoaderNeverCrashes) {
+  // The v1–v3 reader behind `optselect upgrade`. Even rounds are random
+  // bytes after the magic, which the checksum stops. Odd rounds take a
+  // golden v1/v2/v3 fixture, overwrite a few bytes past its format
+  // version (single bytes, or a u32 length/count, often a huge one),
+  // and recompute the checksum with the format's basis, so the parser
+  // body runs on the damaged lengths. Any outcome but a crash is fine.
   util::Rng rng(5);
   for (int round = 0; round < 30; ++round) {
-    std::string blob = "OSDS" + RandomBytes(&rng, rng.Uniform(2000));
+    const bool valid_trailer = round % 2 == 1;
+    std::string blob;
+    if (!valid_trailer) {
+      blob = "OSDS" + RandomBytes(&rng, rng.Uniform(2000));
+    } else {
+      const uint32_t version = 1 + static_cast<uint32_t>(round / 2 % 3);
+      std::ifstream in(std::string(OPTSELECT_TEST_DATA_DIR) + "/store_v" +
+                           std::to_string(version) + ".bin",
+                       std::ios::binary);
+      blob.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+      ASSERT_GT(blob.size(), 24u);
+      blob.resize(blob.size() - sizeof(uint64_t));  // drop the checksum
+      for (size_t hits = 1 + rng.Uniform(3); hits > 0; --hits) {
+        const size_t at = 8 + rng.Uniform(blob.size() - 8 - 4);
+        uint32_t value = static_cast<uint32_t>(rng.Uniform(1ull << 32));
+        if (rng.Uniform(2) == 0) value |= 0xFFFF0000u;
+        std::memcpy(&blob[at], &value, rng.Uniform(2) == 0 ? 1 : 4);
+      }
+      const uint64_t basis =
+          version == 1 ? 1469598103934665603ull : util::kFnv1aOffsetBasis;
+      const uint64_t checksum =
+          util::Fnv1a64(blob.data() + 4, blob.size() - 4, basis);
+      blob.append(reinterpret_cast<const char*>(&checksum),
+                  sizeof(checksum));
+    }
     std::string path = WriteGarbage("garbage_store.bin", blob);
+    auto result = store::ReadLegacyStore(path);
+    if (!valid_trailer) {
+      EXPECT_FALSE(result.ok()) << "random bytes must not checksum-validate";
+    } else if (!result.ok()) {
+      // A corrupt stream, or an entry Put refuses (< 2 specializations).
+      EXPECT_TRUE(result.status().code() == util::StatusCode::kCorruption ||
+                  result.status().code() == util::StatusCode::kInvalidArgument)
+          << result.status().ToString();
+    }
+    std::remove(path.c_str());
+  }
+  // The v4 reader: "OSV4" and random bytes fail Map's validation.
+  for (int round = 0; round < 30; ++round) {
+    std::string path = WriteGarbage(
+        "garbage_store.bin", "OSV4" + RandomBytes(&rng, rng.Uniform(2000)));
     auto result = store::DiversificationStore::Load(path);
-    EXPECT_FALSE(result.ok()) << "random bytes must not checksum-validate";
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
     std::remove(path.c_str());
   }
 }

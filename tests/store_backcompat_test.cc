@@ -1,21 +1,21 @@
-// Golden-file backward-compatibility tests for the store.bin formats.
+// Golden-file tests for the store.bin formats and the v1–v3 converter.
 //
 // tests/data/ holds tiny checked-in fixtures — store_v1.bin through
-// store_v4.bin — written by tools/make_store_fixtures.cc with identical
-// hand-chosen mined content in each of the four on-disk layouts the
-// loader supports. Loading real frozen bytes replaces the hand-crafted
-// in-test byte writers the v1/v2 tests used to carry, and catches what
-// those couldn't: an accidental change to the *writer* (Save must
-// byte-reproduce the v4 fixture, SaveLegacyV3 the v3 one) or to the
-// loader's handling of bytes produced by older releases, not by this
-// build.
-//
-// "Upgrade on load" is exercised two ways: store::BuildSnapshot's plan
-// adoption (applying the v3 entries as a delta onto a loaded v1/v2 base
-// must yield entries bit-identical to the v3 fixture's), and the
-// upgrade-on-save path (loading any older format and calling Save must
-// byte-reproduce the v4 fixture — the v4 writer is deterministic and
-// the loaded content is bit-identical across formats).
+// store_v4.bin — with identical hand-chosen mined content in each of
+// the four on-disk layouts. They are frozen: no code in the repository
+// writes v1–v3, so these bytes are the reference for what older
+// releases wrote. v4 is the format Load, Map and serving read; the
+// v1–v3 files are read only by store::ReadLegacyStore, the reader
+// behind `optselect upgrade`. The tests pin:
+//   - the content each layout holds (all four carry the same entries),
+//   - the writer: Save must byte-reproduce the v4 fixture, and a v3
+//     file converted to v4 must give exactly those bytes,
+//   - the split: Load and Map reject v1–v3 bytes as corruption,
+//   - plan adoption: store::BuildSnapshot applying the v3 entries as a
+//     delta onto a plan-less v1/v2 base must yield entries
+//     bit-identical to the v3 fixture's,
+//   - the legacy reader's rejection of truncated, flipped and crafted
+//     bytes, without crashing.
 
 #include <cstdint>
 #include <cstdio>
@@ -24,11 +24,13 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "store/diversification_store.h"
+#include "store/legacy_store.h"
 #include "store/mapped_store.h"
 #include "store/store_snapshot.h"
 #include "util/hash.h"
@@ -43,20 +45,33 @@ std::string FixturePath(const std::string& name) {
 
 std::string ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << "missing fixture " << path
-                  << " (regenerate with optselect_make_fixtures)";
+  EXPECT_TRUE(in) << "missing fixture " << path;
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
 }
 
-DiversificationStore LoadFixture(const std::string& name) {
-  auto loaded = DiversificationStore::Load(FixturePath(name));
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+DiversificationStore ExpectRead(util::Result<DiversificationStore> loaded,
+                                const std::string& name) {
   EXPECT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
   return loaded.ok() ? std::move(loaded).value() : DiversificationStore();
 }
 
-/// The golden mined content — literal mirror of
-/// tools/make_store_fixtures.cc's GoldenEntries().
+/// store_v4.bin, read the way serving reads it.
+DiversificationStore LoadFixture(const std::string& name) {
+  return ExpectRead(DiversificationStore::Load(FixturePath(name)), name);
+}
+
+/// store_v{1,2,3}.bin, read by the converter's reader.
+DiversificationStore ReadLegacyFixture(const std::string& name) {
+  return ExpectRead(ReadLegacyStore(FixturePath(name)), name);
+}
+
+/// The golden mined content every fixture holds.
 void ExpectGoldenContent(const DiversificationStore& store,
                          const std::string& label) {
   EXPECT_EQ(store.size(), 2u) << label;
@@ -102,9 +117,9 @@ void ExpectPlansEqual(const QueryPlan& a, const QueryPlan& b,
 }
 
 TEST(StoreBackcompatTest, AllFourFormatsLoadTheGoldenContent) {
-  DiversificationStore v1 = LoadFixture("store_v1.bin");
-  DiversificationStore v2 = LoadFixture("store_v2.bin");
-  DiversificationStore v3 = LoadFixture("store_v3.bin");
+  DiversificationStore v1 = ReadLegacyFixture("store_v1.bin");
+  DiversificationStore v2 = ReadLegacyFixture("store_v2.bin");
+  DiversificationStore v3 = ReadLegacyFixture("store_v3.bin");
   DiversificationStore v4 = LoadFixture("store_v4.bin");
 
   // Pre-versioning files load as content version 0; v2+ carry it.
@@ -153,14 +168,14 @@ TEST(StoreBackcompatTest, AllFourFormatsLoadTheGoldenContent) {
 }
 
 TEST(StoreBackcompatTest, PlanUpgradeOnLoadIsBitIdenticalAcrossFormats) {
-  DiversificationStore v3 = LoadFixture("store_v3.bin");
+  DiversificationStore v3 = ReadLegacyFixture("store_v3.bin");
 
   // Upgrade a loaded v1 and a loaded v2 base with the v3 entries as a
   // delta: content-identical upserts are skipped, but the compiled plan
   // is adopted where the base had none — the free v2 → v3 migration.
   for (const char* fixture : {"store_v1.bin", "store_v2.bin"}) {
     std::shared_ptr<const StoreSnapshot> base =
-        StoreSnapshot::Own(LoadFixture(fixture));
+        StoreSnapshot::Own(ReadLegacyFixture(fixture));
     StoreDelta delta;
     for (const auto& [key, entry] : v3.entries()) {
       delta.upserts.push_back(entry);
@@ -186,28 +201,11 @@ TEST(StoreBackcompatTest, PlanUpgradeOnLoadIsBitIdenticalAcrossFormats) {
   }
 }
 
-TEST(StoreBackcompatTest, SaveLegacyV3ByteReproducesTheV3Fixture) {
-  // Legacy-format freeze: the v3 writer is kept only for fixtures and
-  // tests, and must never drift. A diff here means SaveLegacyV3
-  // changed — it must not; it is frozen.
-  DiversificationStore v3 = LoadFixture("store_v3.bin");
-  std::string path = ::testing::TempDir() + "/store_v3_resave.bin";
-  ASSERT_TRUE(v3.SaveLegacyV3(path).ok());
-  std::string golden = ReadBytes(FixturePath("store_v3.bin"));
-  std::string resaved = ReadBytes(path);
-  ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(resaved.size(), golden.size());
-  EXPECT_TRUE(resaved == golden)
-      << "SaveLegacyV3() no longer reproduces the frozen v3 layout";
-  std::remove(path.c_str());
-}
-
 TEST(StoreBackcompatTest, SaveByteReproducesTheV4Fixture) {
   // Current-format freeze: load the v4 fixture, save it again, and the
   // bytes must match exactly (the v4 writer is deterministic — entries
   // in normalized-key order, fixed padding). A diff here means the
-  // writer changed — bump the format version, add a new fixture, keep
-  // loading the old ones.
+  // writer changed — bump the format version and add a new fixture.
   DiversificationStore v4 = LoadFixture("store_v4.bin");
   std::string path = ::testing::TempDir() + "/store_v4_resave.bin";
   ASSERT_TRUE(v4.Save(path).ok());
@@ -221,40 +219,51 @@ TEST(StoreBackcompatTest, SaveByteReproducesTheV4Fixture) {
 }
 
 TEST(StoreBackcompatTest, OlderFormatsUpgradeToTheV4BytesOnSave) {
-  // Upgrade-on-save: loading any older format and saving must produce
-  // the exact v4 fixture bytes — same content, same version, same
-  // deterministic layout. (v1 differs: it loads with version 0, so its
-  // upgrade is byte-identical only after restamping the version.)
+  // What `optselect upgrade` does — ReadLegacyStore, then Save — read
+  // back the way serving reads it: the golden content at the file's own
+  // content version (v1 predates it and converts as 0). v3 must give
+  // exactly the v4 fixture's bytes: same content, same version, same
+  // deterministic layout. v1/v2 carry no plans, so their v4 bytes
+  // legitimately differ from the plan-carrying fixture.
   std::string golden = ReadBytes(FixturePath("store_v4.bin"));
   ASSERT_FALSE(golden.empty());
-  for (const char* fixture :
-       {"store_v1.bin", "store_v2.bin", "store_v3.bin"}) {
-    DiversificationStore loaded = LoadFixture(fixture);
-    loaded.set_version(13);  // v1 loads as 0; v2/v3 already carry 13
-    if (loaded.Find("jaguar")->plan.empty()) {
-      // v1/v2 entries have no plan, so their v4 bytes legitimately
-      // differ from the plan-carrying fixture; assert only the
-      // round-trip (save → load → identical content, plans aside).
-      std::string path = ::testing::TempDir() + "/upgrade_roundtrip.bin";
-      ASSERT_TRUE(loaded.Save(path).ok()) << fixture;
-      auto reloaded = DiversificationStore::Load(path);
-      ASSERT_TRUE(reloaded.ok()) << fixture;
-      EXPECT_EQ(reloaded.value().version(), 13u) << fixture;
-      for (const auto& [key, entry] : loaded.entries()) {
-        const StoredEntry* re = reloaded.value().Find(key);
-        ASSERT_NE(re, nullptr) << fixture << " " << key;
-        EXPECT_TRUE(StoredEntriesEqual(*re, entry)) << fixture << " " << key;
-      }
-      std::remove(path.c_str());
-      continue;
+  const std::pair<std::string, uint64_t> cases[] = {
+      {"store_v1.bin", 0}, {"store_v2.bin", 13}, {"store_v3.bin", 13}};
+  for (const auto& [fixture, version] : cases) {
+    std::string path = ::testing::TempDir() + "/upgraded_v4.bin";
+    ASSERT_TRUE(ReadLegacyFixture(fixture).Save(path).ok()) << fixture;
+    DiversificationStore upgraded =
+        ExpectRead(DiversificationStore::Load(path), fixture);
+    EXPECT_EQ(upgraded.version(), version) << fixture;
+    ExpectGoldenContent(upgraded, fixture);
+    if (fixture == "store_v3.bin") {
+      EXPECT_TRUE(ReadBytes(path) == golden)
+          << fixture << " did not upgrade to the exact v4 bytes";
+    } else {
+      EXPECT_TRUE(upgraded.Find("jaguar")->plan.empty()) << fixture;
     }
-    std::string path = ::testing::TempDir() + "/upgrade_v4.bin";
-    ASSERT_TRUE(loaded.Save(path).ok()) << fixture;
-    std::string upgraded = ReadBytes(path);
-    EXPECT_TRUE(upgraded == golden)
-        << fixture << " did not upgrade to the exact v4 bytes";
     std::remove(path.c_str());
   }
+}
+
+TEST(StoreBackcompatTest, LoadAndMapRejectTheLegacyFormats) {
+  // v4 is the only format Load and Map read: a v1–v3 stream fails like
+  // any corrupt file, and serving names the converter instead.
+  for (const char* fixture :
+       {"store_v1.bin", "store_v2.bin", "store_v3.bin"}) {
+    auto loaded = DiversificationStore::Load(FixturePath(fixture));
+    ASSERT_FALSE(loaded.ok()) << fixture;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kCorruption)
+        << fixture << ": " << loaded.status().ToString();
+    auto mapped = MappedStoreFile::Map(FixturePath(fixture));
+    ASSERT_FALSE(mapped.ok()) << fixture;
+    EXPECT_EQ(mapped.status().code(), util::StatusCode::kCorruption)
+        << fixture << ": " << mapped.status().ToString();
+  }
+  // And the converter's reader takes only the legacy streams.
+  auto v4 = ReadLegacyStore(FixturePath("store_v4.bin"));
+  ASSERT_FALSE(v4.ok());
+  EXPECT_EQ(v4.status().code(), util::StatusCode::kCorruption);
 }
 
 TEST(StoreBackcompatTest, TruncatedAndCorruptedFixturesAreRejected) {
@@ -262,24 +271,51 @@ TEST(StoreBackcompatTest, TruncatedAndCorruptedFixturesAreRejected) {
   ASSERT_GT(golden.size(), 32u);
 
   std::string dir = ::testing::TempDir();
-  {
-    std::ofstream out(dir + "/truncated.bin", std::ios::binary);
-    out.write(golden.data(),
-              static_cast<std::streamsize>(golden.size() / 2));
-  }
-  EXPECT_FALSE(DiversificationStore::Load(dir + "/truncated.bin").ok());
+  WriteBytes(dir + "/truncated.bin", golden.substr(0, golden.size() / 2));
+  EXPECT_FALSE(ReadLegacyStore(dir + "/truncated.bin").ok());
 
   std::string flipped = golden;
   flipped[golden.size() / 2] =
       static_cast<char>(flipped[golden.size() / 2] ^ 0x5a);
-  {
-    std::ofstream out(dir + "/flipped.bin", std::ios::binary);
-    out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
-  }
-  EXPECT_FALSE(DiversificationStore::Load(dir + "/flipped.bin").ok())
+  WriteBytes(dir + "/flipped.bin", flipped);
+  EXPECT_FALSE(ReadLegacyStore(dir + "/flipped.bin").ok())
       << "a flipped byte must fail the checksum";
   std::remove((dir + "/truncated.bin").c_str());
   std::remove((dir + "/flipped.bin").c_str());
+}
+
+TEST(StoreBackcompatTest, OversizedVectorLengthIsCorruptionNotACrash) {
+  // 62 bytes with a valid v2 checksum: one entry, two specializations
+  // declared, and the first one's only surrogate claims 0xFFFFFFFF
+  // (term, weight) pairs with no bytes left. Sizing an allocation by
+  // that length asks for 64 GiB; the reader must reject it instead.
+  std::string body;
+  auto u32 = [&](uint32_t v) { body.append(reinterpret_cast<char*>(&v), 4); };
+  auto u64 = [&](uint64_t v) { body.append(reinterpret_cast<char*>(&v), 8); };
+  u32(2);   // format version
+  u64(13);  // store version
+  u64(1);   // entry count
+  u32(1);
+  body += "q";
+  u32(2);  // specializations
+  u32(1);
+  body += "a";
+  const double probability = 0.5;
+  body.append(reinterpret_cast<const char*>(&probability), 8);
+  u32(1);            // surrogates
+  u32(0xFFFFFFFFu);  // entries in the surrogate
+  const uint64_t checksum = util::Fnv1a64(body.data(), body.size());
+  std::string bytes = "OSDS" + body;
+  bytes.append(reinterpret_cast<const char*>(&checksum), 8);
+  ASSERT_EQ(bytes.size(), 62u);
+
+  std::string path = ::testing::TempDir() + "/oversized_vector.bin";
+  WriteBytes(path, bytes);
+  auto read = ReadLegacyStore(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), util::StatusCode::kCorruption)
+      << read.status().ToString();
+  std::remove(path.c_str());
 }
 
 TEST(StoreBackcompatTest, CorruptedV4FilesAreRejected) {

@@ -1,5 +1,5 @@
-// Tests for the live store lifecycle: versioned snapshots (v2 binary
-// format + legacy v1 read), delta snapshot builds with changed-key
+// Tests for the live store lifecycle: versioned snapshots (the content
+// version Save persists), delta snapshot builds with changed-key
 // tracking, ServingNode hot reload (per-key cache invalidation,
 // bit-identical unchanged rankings, zero failures under concurrent
 // swaps), and the StoreRefresher ingest → mine → swap tick.
@@ -68,8 +68,7 @@ TEST(StoreVersionTest, SaveLoadRoundTripsContentVersion) {
 
 // Legacy v1-format *bytes* (including the legacy checksum basis) are
 // covered by the checked-in golden fixture tests/data/store_v1.bin in
-// tests/store_backcompat_test.cc, which froze and replaced the
-// hand-crafted in-test byte writer that lived here.
+// tests/store_backcompat_test.cc.
 
 TEST(StoreVersionTest, RemoveDropsNormalizedKey) {
   DiversificationStore store;

@@ -401,8 +401,8 @@ inline void AddTestbedOptions(OptionSet* opts) {
 inline void AddServingOptions(OptionSet* opts, long long trace_every,
                               bool cache = true) {
   opts->Group("serving");
-  opts->AddInt("workers", 0, "worker threads (0 = hw concurrency)", 0,
-               kMaxThreads);
+  opts->AddInt("workers", 0, "worker threads (0 = one per available CPU)",
+               0, kMaxThreads);
   opts->AddInt("batch", 8, "micro-batch size (1 disables)");
   opts->AddBool("cache", cache, "result cache");
   opts->AddInt("cache-capacity", 4096, "cached rankings");
@@ -410,8 +410,6 @@ inline void AddServingOptions(OptionSet* opts, long long trace_every,
   opts->AddInt("k", 10, "ranking depth");
   opts->AddDouble("c", 0.3, "utility threshold c");
   opts->AddDouble("lambda", 0.15, "trade-off lambda");
-  opts->AddBool("streaming", true,
-                "streaming cold path for plan-less stored queries");
   opts->AddInt("trace-every", trace_every,
                "deterministic 1-in-N request trace sampling");
 }

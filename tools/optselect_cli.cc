@@ -1,7 +1,8 @@
 // optselect — command-line front end for the library.
 //
 // Subcommands: generate, mine, run, evaluate (the offline experiment
-// loop) and serve, loadtest, stats, chaos (the serving tier). Each one
+// loop), upgrade (converts a v1–v3 store.bin to v4), and serve,
+// loadtest, stats, chaos (the serving tier). Each one
 // declares its flags once through tools/options.h: `optselect` alone
 // lists the subcommands, `optselect <subcommand> --help` prints the
 // generated flag list, and a bad flag or value exits with status 2
@@ -52,6 +53,7 @@
 #include "tools/options.h"
 #include "util/hash.h"
 #include "store/diversification_store.h"
+#include "store/legacy_store.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
 #include "util/rng.h"
@@ -80,6 +82,13 @@ tools::OptionSet GenerateOptions() {
                "request)");
   tools::AddTestbedOptions(&opts);
   return opts;
+}
+
+tools::OptionSet UpgradeOptions() {
+  return tools::OptionSet("upgrade", "<in> <out>",
+                          "Convert a store.bin in the v1-v3 stream formats "
+                          "to store format v4, the only one serving reads "
+                          "(same content; plans as the file has them).");
 }
 
 tools::OptionSet MineOptions() {
@@ -251,6 +260,32 @@ int CmdGenerate(const tools::OptionSet& opts) {
   return 0;
 }
 
+int CmdUpgrade(const tools::OptionSet& opts) {
+  const std::string& in = opts.positional()[0];
+  const std::string& out = opts.positional()[1];
+  auto legacy = store::ReadLegacyStore(in);
+  if (!legacy.ok()) {
+    std::fprintf(stderr, "error: %s\n", legacy.status().ToString().c_str());
+    return 1;
+  }
+  const store::DiversificationStore& converted = legacy.value();
+  util::Status saved = converted.Save(out);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "error: %s\n", saved.ToString().c_str());
+    return 1;
+  }
+  size_t plans = 0;
+  for (const auto& [key, entry] : converted.entries()) {
+    if (!entry.plan.empty()) ++plans;
+  }
+  std::printf(
+      "wrote %s (store format v4, content version %llu, %zu entries, %zu "
+      "compiled plans)\n",
+      out.c_str(), static_cast<unsigned long long>(converted.version()),
+      converted.size(), plans);
+  return 0;
+}
+
 int CmdMine(const tools::OptionSet& opts) {
   auto log = querylog::QueryLog::LoadTsv(opts.positional()[0]);
   if (!log.ok()) {
@@ -370,7 +405,6 @@ serving::ServingConfig ServingConfigFor(const tools::OptionSet& opts) {
   config.params.threshold_c = opts.GetDouble("c");
   config.params.diversify.lambda = opts.GetDouble("lambda");
   config.params.diversify.k = opts.GetSize("k");
-  config.streaming_cold_path = opts.GetBool("streaming");
   return config;
 }
 
@@ -609,16 +643,15 @@ std::unique_ptr<cluster::ShardedCluster> MakeCluster(
 }
 
 /// The one store open shared by every serving entry (serve, loadtest,
-/// stats). A v4 <dir>/store.bin whose compiled plans match this node's
-/// --candidates/--c is mapped and served zero-copy. Anything else — a
-/// legacy v1–v3 stream, or a v4 file with plans for other params — is
-/// parsed to heap, gets plans compiled for this node, and is served
-/// from an in-memory v4 image (MappedStoreFile::FromStore), so every
-/// node, shard and slice downstream takes the same mapped shape. A file
-/// that *claims* v4 but fails Map's validation is a hard error (null):
-/// corruption must never silently downgrade to a path that happens to
-/// parse the same bytes differently. `warmup_flag` is a --map-warmup
-/// value; progress lines go to `log`.
+/// stats). <dir>/store.bin must map as store format v4: any other
+/// bytes, a v1–v3 stream included, fail MappedStoreFile::Map and stop
+/// start-up (null) with an error naming `optselect upgrade`. A file
+/// whose compiled plans match this node's --candidates/--c is served
+/// zero-copy. One with plans for other params is materialized, gets
+/// plans compiled for this node, and is served from an in-memory v4
+/// image (MappedStoreFile::FromStore), so every node, shard and slice
+/// downstream takes the same mapped shape. `warmup_flag` is a
+/// --map-warmup value; progress lines go to `log`.
 std::shared_ptr<const store::MappedStoreFile> OpenStoreForServing(
     const std::string& dir, const pipeline::Testbed& testbed,
     const serving::ServingConfig& config, const std::string& warmup_flag,
@@ -626,47 +659,30 @@ std::shared_ptr<const store::MappedStoreFile> OpenStoreForServing(
   const std::string path = dir + "/store.bin";
   const size_t candidates = config.params.num_candidates;
   const double c = config.params.threshold_c;
-  std::shared_ptr<const store::MappedStoreFile> mapped;
-  std::string image_reason;  // why the file itself is not served
-  if (!store::MappedStoreFile::LooksLikeV4(path)) {
-    image_reason = "store.bin is a legacy v1-v3 stream";
-  } else {
-    auto file = store::MappedStoreFile::Map(path);
-    if (!file.ok()) {
+  auto file = store::MappedStoreFile::Map(path);
+  if (!file.ok()) {
+    if (file.status().code() == util::StatusCode::kIoError) {
+      std::fprintf(stderr, "error: %s (run `optselect generate %s` first)\n",
+                   file.status().ToString().c_str(), dir.c_str());
+    } else {
       std::fprintf(stderr,
-                   "error: %s claims store format v4 but failed to map: "
-                   "%s\nrefusing to reparse a corrupt file — regenerate "
-                   "the store\n",
+                   "error: %s: %s; serving reads store format v4 only "
+                   "(convert a v1-v3 store with `optselect upgrade <in> "
+                   "<out>`, or regenerate it)\n",
                    path.c_str(), file.status().ToString().c_str());
-      return nullptr;
     }
-    mapped = std::move(file).value();
-    const size_t missing = mapped->MissingPlanCount(candidates, c);
-    if (missing > 0) {
-      image_reason = std::to_string(missing) +
-                     " entries lack plans for these params (regenerate "
-                     "with matching flags to serve the file zero-copy)";
-    }
+    return nullptr;
   }
+  std::shared_ptr<const store::MappedStoreFile> mapped =
+      std::move(file).value();
 
   const double mib_scale = 1.0 / (1024.0 * 1024.0);
-  if (image_reason.empty()) {
+  const size_t missing = mapped->MissingPlanCount(candidates, c);
+  if (missing == 0) {
     std::fprintf(log, "store mapped zero-copy (v4, %zu entries, %.1f MiB)\n",
                  mapped->entry_count(), mapped->mapped_bytes() * mib_scale);
   } else {
-    store::DiversificationStore heap;
-    if (mapped != nullptr) {
-      heap = mapped->Materialize();
-    } else {
-      auto loaded = store::DiversificationStore::Load(path);
-      if (!loaded.ok()) {
-        std::fprintf(stderr,
-                     "error: %s (run `optselect generate %s` first)\n",
-                     loaded.status().ToString().c_str(), dir.c_str());
-        return nullptr;
-      }
-      heap = std::move(loaded).value();
-    }
+    store::DiversificationStore heap = mapped->Materialize();
     store::PlanCompileOptions plan;
     plan.num_candidates = candidates;
     plan.threshold_c = c;
@@ -680,11 +696,13 @@ std::shared_ptr<const store::MappedStoreFile> OpenStoreForServing(
     }
     mapped = std::move(image).value();
     std::fprintf(log,
-                 "store served from an in-memory v4 image: %s; compiled "
-                 "%zu query plans for candidates=%zu c=%.2f (%zu entries, "
-                 "%.1f MiB)\n",
-                 image_reason.c_str(), compiled, candidates, c,
-                 mapped->entry_count(), mapped->mapped_bytes() * mib_scale);
+                 "store served from an in-memory v4 image: %zu entries "
+                 "lack plans for these params (regenerate with matching "
+                 "flags to serve the file zero-copy); compiled %zu query "
+                 "plans for candidates=%zu c=%.2f (%zu entries, %.1f "
+                 "MiB)\n",
+                 missing, compiled, candidates, c, mapped->entry_count(),
+                 mapped->mapped_bytes() * mib_scale);
   }
 
   // --map-warmup is declared with exactly ParseMapWarmup's values.
@@ -883,7 +901,7 @@ int CmdServe(const tools::OptionSet& opts) {
   };
 
   // Resolved per-node config (ServingNode rewrites num_workers == 0 to
-  // the hardware concurrency).
+  // util::AvailableCpus(), the CPUs in the affinity mask).
   const serving::ServingConfig& resolved =
       cl != nullptr ? cl->shard(0)->config() : node->config();
   std::printf(
@@ -1274,7 +1292,7 @@ pid_t SpawnShardServer(const tools::OptionSet& opts, const std::string& dir,
                                    "--workers",
                                    "1"};
   for (const char* name :
-       {"topics", "seed", "candidates", "c", "lambda", "k", "streaming"}) {
+       {"topics", "seed", "candidates", "c", "lambda", "k"}) {
     args.push_back(std::string("--") + name);
     args.push_back(opts.GetString(name));
   }
@@ -1772,8 +1790,9 @@ struct Subcommand {
 const Subcommand kSubcommands[] = {
     {GenerateOptions, CmdGenerate}, {MineOptions, CmdMine},
     {RunOptions, CmdRun},           {EvaluateOptions, CmdEvaluate},
-    {ServeOptions, CmdServe},       {LoadtestOptions, CmdLoadtest},
-    {StatsOptions, CmdStats},       {ChaosOptions, CmdChaos},
+    {UpgradeOptions, CmdUpgrade},   {ServeOptions, CmdServe},
+    {LoadtestOptions, CmdLoadtest}, {StatsOptions, CmdStats},
+    {ChaosOptions, CmdChaos},
 };
 
 void PrintUsage(std::FILE* out) {
