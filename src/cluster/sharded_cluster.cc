@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "serving/latency_histogram.h"
-#include "util/strings.h"
 
 namespace optselect {
 namespace cluster {
@@ -95,46 +94,6 @@ void ShardedCluster::set_tracer(obs::Tracer* tracer) {
   for (auto& shard : shards_) shard->set_tracer(tracer);
 }
 
-ShardedCluster::ApplyOutcome ShardedCluster::ApplyDelta(
-    const store::StoreDelta& delta) {
-  ApplyOutcome out;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    // The shard's slice: exactly the changes whose key it holds. A
-    // replicated key lands in every slice, keeping replicas in sync.
-    store::StoreDelta slice;
-    for (const store::StoredEntry& upsert : delta.upserts) {
-      if (filters_[i].Keeps(util::NormalizeQueryText(upsert.query))) {
-        slice.upserts.push_back(upsert);
-      }
-    }
-    for (const std::string& removal : delta.removals) {
-      if (filters_[i].Keeps(util::NormalizeQueryText(removal))) {
-        slice.removals.push_back(removal);
-      }
-    }
-    if (slice.empty()) continue;
-
-    std::shared_ptr<const store::StoreSnapshot> base = shards_[i]->snapshot();
-    store::SnapshotBuildResult built =
-        store::BuildSnapshot(base.get(), slice);
-    if (built.changed_keys.empty()) continue;  // content-identical slice
-    serving::ServingNode::ReloadOutcome reload =
-        shards_[i]->ReloadStore(built.snapshot, built.changed_keys);
-    if (!reload.ok) {
-      // Swap refused (injected kReload fault): this shard's slice did
-      // not land. Surface it — counting it as applied would hide a
-      // replica divergence — and let the caller retry with the same
-      // delta (up-to-date shards skip as content-identical).
-      ++out.shards_failed;
-      continue;
-    }
-    ++out.shards_reloaded;
-    out.invalidated += reload.invalidated;
-    out.changes_applied += built.upserts_applied + built.removals_applied;
-  }
-  return out;
-}
-
 ClusterStats ShardedCluster::Stats() const {
   ClusterStats cs;
   cs.num_shards = shards_.size();
@@ -149,6 +108,7 @@ ClusterStats ShardedCluster::Stats() const {
     total.completed += s.completed;
     total.diversified += s.diversified;
     total.plan_served += s.plan_served;
+    total.streaming_served += s.streaming_served;
     total.passthrough += s.passthrough;
     total.cache_hits += s.cache_hits;
     total.cache_misses += s.cache_misses;

@@ -32,13 +32,13 @@
 // would otherwise serialize on one shard. Replica rankings are
 // bit-identical to the owner's: same mapped entry, same immutable index.
 //
-// Refresh deltas flow through ApplyDelta: each shard applies exactly
-// the slice of the delta it holds (owner or replica), through the same
-// BuildSnapshot → ReloadStore path a single node uses, so per-shard hot
-// reload stays dirty-only and zero-downtime. A shard's first delta
-// materializes its slice to a heap snapshot (reload snapshots are heap
-// stores). Live tailing uses one `StoreRefresher` per shard with
-// `key_filter` set to the shard's ShardFilter (see store_refresher.h).
+// A cluster refreshes with one `StoreRefresher` per shard whose
+// `key_filter` is the shard's ShardFilter (see store_refresher.h): each
+// shard applies exactly the slice of the mined delta it holds (owner or
+// replica), through the same BuildSnapshot → ReloadStore path a single
+// node uses, so per-shard hot reload stays dirty-only and
+// zero-downtime. A shard's first swap materializes its slice to a heap
+// snapshot (reload snapshots are heap stores).
 
 #ifndef OPTSELECT_CLUSTER_SHARDED_CLUSTER_H_
 #define OPTSELECT_CLUSTER_SHARDED_CLUSTER_H_
@@ -140,31 +140,6 @@ class ShardedCluster : public serving::Frontend {
 
   /// Stops admission on every shard and drains them. Idempotent.
   void Shutdown();
-
-  /// Outcome of one ApplyDelta call.
-  struct ApplyOutcome {
-    /// Shards that actually swapped a snapshot (held a changed key).
-    size_t shards_reloaded = 0;
-    /// Shards whose reload was refused (injected kReload fault): their
-    /// slice did NOT land — replicas may briefly diverge from the
-    /// owner's content until the retry. Re-calling ApplyDelta with the
-    /// same delta is the retry: shards already up to date build a
-    /// content-identical slice and skip, only the failed shards swap.
-    size_t shards_failed = 0;
-    /// Cache entries invalidated across all shards.
-    size_t invalidated = 0;
-    /// Upserts + removals applied, summed over shards (a replicated
-    /// key counts once per holding shard).
-    size_t changes_applied = 0;
-  };
-
-  /// Applies one mined StoreDelta cluster-wide: each shard receives
-  /// exactly the upserts/removals whose normalized key it holds (owner
-  /// or replica), built into the next snapshot of *its* store and
-  /// hot-swapped dirty-only (per-key cache invalidation). Shards whose
-  /// slice is empty — or changes nothing — do not reload at all. Safe
-  /// to call concurrently with traffic; not with itself.
-  ApplyOutcome ApplyDelta(const store::StoreDelta& delta);
 
   size_t num_shards() const { return shards_.size(); }
   serving::ServingNode* shard(size_t i) { return shards_[i].get(); }

@@ -18,12 +18,6 @@ void UtilityMatrix::ThresholdInPlace(double c) {
   }
 }
 
-UtilityMatrix UtilityMatrix::Thresholded(double c) const {
-  UtilityMatrix out = *this;
-  out.ThresholdInPlace(c);
-  return out;
-}
-
 double UtilityComputer::RawUtility(
     const text::TermVector& doc,
     const std::vector<text::TermVector>& rq_prime) {

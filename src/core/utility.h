@@ -54,11 +54,6 @@ class UtilityMatrix {
   /// original), so ascending sweeps can reuse one working copy.
   void ThresholdInPlace(double c);
 
-  /// Copy with every value below `c` forced to 0 — lets experiments sweep
-  /// the threshold (Table 3) without recomputing the cosine sums. Prefer
-  /// ThresholdInPlace when the pre-threshold values are not needed again.
-  UtilityMatrix Thresholded(double c) const;
-
  private:
   size_t n_ = 0;
   size_t m_ = 0;

@@ -11,11 +11,6 @@ ResultList Searcher::Search(std::string_view query, size_t k) const {
   return SearchTerms(analyzer_->AnalyzeReadOnly(query), k);
 }
 
-ResultList Searcher::SearchConjunctive(std::string_view query,
-                                       size_t k) const {
-  return SearchTermsConjunctive(analyzer_->AnalyzeReadOnly(query), k);
-}
-
 ResultList Searcher::SearchTerms(const std::vector<text::TermId>& terms,
                                  size_t k) const {
   if (terms.empty() || k == 0) return {};

@@ -47,9 +47,6 @@ class Searcher {
   ResultList SearchTermsConjunctive(const std::vector<text::TermId>& terms,
                                     size_t k) const;
 
-  /// Conjunctive retrieval from raw query text.
-  ResultList SearchConjunctive(std::string_view query, size_t k) const;
-
  private:
   const InvertedIndex* index_;
   const text::Analyzer* analyzer_;

@@ -9,11 +9,7 @@
 namespace optselect {
 namespace querylog {
 
-LogIngestor::LogIngestor(std::string path)
-    : LogIngestor(std::move(path), Options{}) {}
-
-LogIngestor::LogIngestor(std::string path, Options options)
-    : path_(std::move(path)), options_(options) {}
+LogIngestor::LogIngestor(std::string path) : path_(std::move(path)) {}
 
 util::Status LogIngestor::SkipToEnd() {
   std::ifstream in(path_, std::ios::binary | std::ios::ate);
@@ -64,8 +60,7 @@ util::Result<IngestDelta> LogIngestor::Poll() {
       continue;
     }
     QueryRecord r = std::move(record).value();
-    popularity_.Increment(
-        r.query, ClickMass(options_.click_weight, r.clicks.size()));
+    popularity_.Increment(r.query);
     dirty.insert(r.query);
     delta.log.Add(std::move(r));
   }

@@ -52,15 +52,7 @@ struct IngestDelta {
 /// Tails one TSV query-log file incrementally.
 class LogIngestor {
  public:
-  struct Options {
-    /// Click-through weight folded into the popularity increments
-    /// (matches PopularityMap(log, click_weight); 0 counts submissions
-    /// only).
-    double click_weight = 0.0;
-  };
-
   explicit LogIngestor(std::string path);
-  LogIngestor(std::string path, Options options);
 
   /// Reads every complete line between the current offset and EOF.
   /// Returns the delta (possibly empty — polling an unchanged file is
@@ -75,7 +67,8 @@ class LogIngestor {
   util::Status SkipToEnd();
 
   /// Cumulative popularity over everything ingested so far, maintained
-  /// by pure increments (never recomputed from the full log).
+  /// by pure increments (never recomputed from the full log): equal to
+  /// PopularityMap over the ingested records.
   const PopularityMap& popularity() const { return popularity_; }
 
   /// Byte offset of the next unread record.
@@ -89,7 +82,6 @@ class LogIngestor {
 
  private:
   std::string path_;
-  Options options_;
   uint64_t offset_ = 0;
   uint64_t records_ingested_ = 0;
   uint64_t malformed_lines_ = 0;

@@ -8,20 +8,8 @@
 namespace optselect {
 namespace querylog {
 
-PopularityMap::PopularityMap(const QueryLog& log, double click_weight) {
-  if (click_weight <= 0.0) {
-    for (const QueryRecord& r : log.records()) Increment(r.query);
-    return;
-  }
-  // Accumulate fractional mass per query, then round once.
-  std::unordered_map<std::string, double> mass;
-  for (const QueryRecord& r : log.records()) {
-    mass[r.query] +=
-        1.0 + click_weight * static_cast<double>(r.clicks.size());
-  }
-  for (const auto& [query, m] : mass) {
-    Increment(query, static_cast<uint64_t>(m + 0.5));
-  }
+PopularityMap::PopularityMap(const QueryLog& log) {
+  for (const QueryRecord& r : log.records()) Increment(r.query);
 }
 
 uint64_t PopularityMap::Frequency(std::string_view query) const {

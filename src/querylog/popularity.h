@@ -16,22 +16,14 @@
 namespace optselect {
 namespace querylog {
 
-/// Frequency table of distinct query strings in a log.
-///
-/// Optionally click-weighted (the paper's future work (ii): "the use of
-/// click-through data to improve our effectiveness results"): a record
-/// with clicks signals a satisfied information need, so each click adds
-/// `click_weight` to the query's mass on top of the submission count.
+/// Frequency table of distinct query strings in a log: f(q) is the
+/// number of records submitting q. Clicks do not count.
 class PopularityMap {
  public:
   PopularityMap() = default;
 
-  /// Counts every record in `log`; clicks are ignored.
-  explicit PopularityMap(const QueryLog& log) : PopularityMap(log, 0.0) {}
-
-  /// Counts every record, adding `click_weight` per clicked result.
-  /// Weighted frequencies are rounded to the nearest integer.
-  PopularityMap(const QueryLog& log, double click_weight);
+  /// Counts every record in `log`.
+  explicit PopularityMap(const QueryLog& log);
 
   /// Frequency f(q); 0 for unseen queries.
   uint64_t Frequency(std::string_view query) const;
@@ -53,19 +45,6 @@ class PopularityMap {
   std::unordered_map<std::string, uint64_t> counts_;
   uint64_t total_ = 0;
 };
-
-/// Popularity mass of one record under per-record rounding: the
-/// submission itself plus `click_weight` per clicked result, rounded
-/// to the nearest integer. Shared by the incremental ingestion paths
-/// (LogIngestor, ShortcutsRecommender::TrainIncremental) so their
-/// counts can never drift apart; the batch PopularityMap constructor
-/// instead accumulates fractional mass per query and rounds once,
-/// which may differ by ±0.5 per query (documented at the call sites).
-inline uint64_t ClickMass(double click_weight, size_t num_clicks) {
-  if (click_weight <= 0.0) return 1;
-  return static_cast<uint64_t>(
-      1.0 + click_weight * static_cast<double>(num_clicks) + 0.5);
-}
 
 /// Replay traffic for load tests and serving benchmarks: draws
 /// `num_requests` queries by sampling Zipf(skew)-distributed ranks over

@@ -36,14 +36,13 @@ QueryFlowGraph QueryFlowGraph::Build(const QueryLog& log,
   };
 
   // Raw counts: out_count[u][v], plus per-node totals including terminal
-  // transitions (stream end or window break counts as terminal).
+  // transitions (stream end or window break counts as terminal), so a
+  // node's chaining probabilities leave room for abandoning the chain.
   std::vector<std::unordered_map<QueryNodeId, uint32_t>> counts;
-  std::vector<uint32_t> terminal_counts;
   std::vector<uint32_t> total_counts;
   auto ensure = [&](QueryNodeId id) {
     if (counts.size() <= id) {
       counts.resize(id + 1);
-      terminal_counts.resize(id + 1, 0);
       total_counts.resize(id + 1, 0);
     }
   };
@@ -70,10 +69,7 @@ QueryFlowGraph QueryFlowGraph::Build(const QueryLog& log,
           chained = true;
         }
       }
-      if (!chained) {
-        ++terminal_counts[u];
-        ++total_counts[u];
-      }
+      if (!chained) ++total_counts[u];
     }
   }
 
@@ -82,12 +78,10 @@ QueryFlowGraph QueryFlowGraph::Build(const QueryLog& log,
 
   // Normalize into chaining probabilities, blending in lexical affinity.
   g.adjacency_.assign(g.queries_.size(), {});
-  g.termination_.assign(g.queries_.size(), 1.0);
   const double lw = options.lexical_weight;
   for (QueryNodeId u = 0; u < g.queries_.size(); ++u) {
     if (u >= counts.size() || total_counts[u] == 0) continue;
     double total = static_cast<double>(total_counts[u]);
-    g.termination_[u] = static_cast<double>(terminal_counts[u]) / total;
     auto& edges = g.adjacency_[u];
     edges.reserve(counts[u].size());
     for (const auto& [v, c] : counts[u]) {
@@ -122,12 +116,6 @@ double QueryFlowGraph::ChainingProbability(std::string_view q1,
       [](const Edge& e, QueryNodeId target) { return e.to < target; });
   if (it == edges.end() || it->to != v) return 0.0;
   return it->chain_prob;
-}
-
-double QueryFlowGraph::TerminationProbability(std::string_view q) const {
-  QueryNodeId u = NodeOf(q);
-  if (u == kInvalidQueryNode) return 1.0;
-  return termination_[u];
 }
 
 }  // namespace querylog

@@ -67,10 +67,6 @@ class QueryFlowGraph {
   /// segmenter thresholds on.
   double ChainingProbability(std::string_view q1, std::string_view q2) const;
 
-  /// Probability mass of "the user abandons the chain after q" (terminal
-  /// transition of the Markov model).
-  double TerminationProbability(std::string_view q) const;
-
   /// Jaccard similarity of the whitespace token sets of two queries —
   /// the lexical-affinity feature. Exposed for tests.
   static double LexicalAffinity(std::string_view q1, std::string_view q2);
@@ -79,7 +75,6 @@ class QueryFlowGraph {
   std::unordered_map<std::string, QueryNodeId> node_index_;
   std::vector<std::string> queries_;
   std::vector<std::vector<Edge>> adjacency_;
-  std::vector<double> termination_;  // per node
   size_t num_edges_ = 0;
 };
 

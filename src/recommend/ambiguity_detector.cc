@@ -34,10 +34,7 @@ SpecializationSet AmbiguityDetector::Detect(std::string_view query) const {
   for (const Suggestion& cand : candidates) {
     if (static_cast<double>(cand.frequency) < threshold) continue;
     if (cand.frequency == 0) continue;
-    if (options_.require_term_superset &&
-        !IsTermSuperset(cand.query, query)) {
-      continue;
-    }
+    if (!IsTermSuperset(cand.query, query)) continue;
     Specialization sp;
     sp.query = cand.query;
     sp.frequency = cand.frequency;

@@ -4,6 +4,10 @@
 //   2. Sq ← { q′ ∈ Ŝq | f(q′) ≥ f(q)/s }  (popularity filter)
 //   3. if |Sq| ≥ 2 return Sq else ∅
 //
+// Step 2 also keeps only candidates that contain every term of q (the
+// "stated more precisely" reading of [6]): A is the Shortcuts
+// recommender, whose followers include unrelated session jumps.
+//
 // plus the probability estimate of Definition 1:
 //   P(q′|q) = f(q′) / Σ_{q″∈Sq} f(q″).
 
@@ -15,7 +19,7 @@
 #include <string_view>
 #include <vector>
 
-#include "recommend/recommender.h"
+#include "recommend/shortcuts_recommender.h"
 
 namespace optselect {
 namespace recommend {
@@ -48,16 +52,12 @@ class AmbiguityDetector {
     /// the most probable ones are kept ("if |Sq| > k we select from Sq
     /// the k specializations with the largest probabilities").
     size_t max_specializations = 32;
-    /// Require every specialization to contain all terms of the root
-    /// query (the "stated more precisely" reading of [6]); disable to
-    /// accept any related query as a facet.
-    bool require_term_superset = true;
   };
 
-  AmbiguityDetector(const Recommender* recommender, Options options)
+  AmbiguityDetector(const ShortcutsRecommender* recommender, Options options)
       : recommender_(recommender), options_(options) {}
 
-  explicit AmbiguityDetector(const Recommender* recommender)
+  explicit AmbiguityDetector(const ShortcutsRecommender* recommender)
       : AmbiguityDetector(recommender, Options{}) {}
 
   /// Runs Algorithm 1 for `query`. The returned set is empty when the
@@ -67,7 +67,7 @@ class AmbiguityDetector {
   const Options& options() const { return options_; }
 
  private:
-  const Recommender* recommender_;  // not owned
+  const ShortcutsRecommender* recommender_;  // not owned
   Options options_;
 };
 

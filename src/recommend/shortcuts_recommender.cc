@@ -10,7 +10,7 @@ void ShortcutsRecommender::Train(
     const querylog::QueryLog& log,
     const std::vector<querylog::Session>& sessions) {
   model_.clear();
-  popularity_ = querylog::PopularityMap(log, options_.click_weight);
+  popularity_ = querylog::PopularityMap(log);
   max_pair_weight_ = 1.0;
   AccumulateSessions(log, sessions);
 }
@@ -19,9 +19,7 @@ void ShortcutsRecommender::TrainIncremental(
     const querylog::QueryLog& delta,
     const std::vector<querylog::Session>& delta_sessions) {
   for (const querylog::QueryRecord& r : delta.records()) {
-    popularity_.Increment(
-        r.query, querylog::ClickMass(options_.click_weight,
-                                     r.clicks.size()));
+    popularity_.Increment(r.query);
   }
   AccumulateSessions(delta, delta_sessions);
 }

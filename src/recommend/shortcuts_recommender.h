@@ -10,6 +10,8 @@
 // candidate q′ for q aggregates (a) how often q′ followed q across
 // sessions, discounted by the in-session distance, and (b) the global
 // popularity of q′. Candidates are returned most-scored first.
+// It is the algorithm A of Algorithm 1, and its popularity map is the
+// f(·) there (recommend/ambiguity_detector.h).
 
 #ifndef OPTSELECT_RECOMMEND_SHORTCUTS_RECOMMENDER_H_
 #define OPTSELECT_RECOMMEND_SHORTCUTS_RECOMMENDER_H_
@@ -23,13 +25,19 @@
 #include "querylog/popularity.h"
 #include "querylog/query_log.h"
 #include "querylog/session_segmenter.h"
-#include "recommend/recommender.h"
 
 namespace optselect {
 namespace recommend {
 
+/// One suggestion produced by the recommender.
+struct Suggestion {
+  std::string query;       ///< suggested query string (present in the log)
+  double score = 0.0;      ///< model score (higher = better)
+  uint64_t frequency = 0;  ///< global popularity f(q′) in the training log
+};
+
 /// Session-trained query recommender.
-class ShortcutsRecommender : public Recommender {
+class ShortcutsRecommender {
  public:
   struct Options {
     /// Positional discount base: a follower at distance d contributes
@@ -40,10 +48,6 @@ class ShortcutsRecommender : public Recommender {
     double cooccurrence_weight = 0.8;
     /// Drop (q, q′) pairs observed fewer times than this.
     uint32_t min_pair_support = 2;
-    /// Click-through weighting of the popularity function f(·) — the
-    /// paper's future work (ii). 0 disables; w adds w per clicked result
-    /// to a query's frequency mass.
-    double click_weight = 0.0;
   };
 
   ShortcutsRecommender() : ShortcutsRecommender(Options{}) {}
@@ -59,20 +63,17 @@ class ShortcutsRecommender : public Recommender {
   /// model without retraining: popularity and pair weights are pure
   /// accumulations, so new sessions simply add their increments.
   /// `delta_sessions` must index into `delta`, not into any earlier
-  /// log. With a non-zero click_weight the per-record popularity mass
-  /// is rounded per record instead of per query batch — a ±0.5
-  /// difference versus a full Train, which the incremental store
-  /// refresh accepts for never re-reading the full log.
+  /// log.
   void TrainIncremental(const querylog::QueryLog& delta,
                         const std::vector<querylog::Session>& delta_sessions);
 
   /// Returns up to `max_suggestions` suggestions for `query`, best first.
   /// Unknown queries get an empty list.
   std::vector<Suggestion> Recommend(std::string_view query,
-                                    size_t max_suggestions) const override;
+                                    size_t max_suggestions) const;
 
   /// Global frequency of a query in the training log (f(·)).
-  uint64_t Frequency(std::string_view query) const override {
+  uint64_t Frequency(std::string_view query) const {
     return popularity_.Frequency(query);
   }
 

@@ -88,11 +88,5 @@ void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
                  std::memory_order_relaxed);
 }
 
-void LatencyHistogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace serving
 }  // namespace optselect

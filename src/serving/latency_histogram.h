@@ -48,9 +48,6 @@ class LatencyHistogram {
   /// Returns the midpoint of the bucket containing the q-th observation.
   double PercentileMicros(double q) const;
 
-  /// Resets every counter to zero (not atomic with concurrent writers).
-  void Reset();
-
   /// Adds every observation of `other` into this histogram (bucketwise;
   /// both use the same fixed layout). Used to aggregate per-shard
   /// latency into cluster-level quantiles. Concurrent writers on either

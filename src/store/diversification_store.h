@@ -12,8 +12,8 @@
 // R_q′. It is built offline from the mining stack + index, serialized to
 // a compact binary file, and loaded by serving nodes that then answer
 // "is q ambiguous, and what is its diversification input?" with no
-// query-log or recommender in memory. MaxFootprintBytes (core/footprint)
-// gives the paper's back-of-the-envelope bound for its size.
+// query-log or recommender in memory. SurrogatePayloadBytes measures
+// the size the paper bounds by N·|S_q̂|·|R_q̂′|·L bytes.
 
 #ifndef OPTSELECT_STORE_DIVERSIFICATION_STORE_H_
 #define OPTSELECT_STORE_DIVERSIFICATION_STORE_H_

@@ -11,20 +11,8 @@ double HarmonicNumber(size_t n) {
   return h;
 }
 
-std::vector<double> HarmonicTable(size_t n) {
-  std::vector<double> table(n + 1, 0.0);
-  for (size_t i = 1; i <= n; ++i) {
-    table[i] = table[i - 1] + 1.0 / static_cast<double>(i);
-  }
-  return table;
-}
-
 double Log2Discount(size_t rank_one_based) {
   return std::log2(1.0 + static_cast<double>(rank_one_based));
-}
-
-double SafeDiv(double x, double y, double fallback) {
-  return y == 0.0 ? fallback : x / y;
 }
 
 double Mean(const std::vector<double>& xs) {
@@ -32,27 +20,6 @@ double Mean(const std::vector<double>& xs) {
   double s = 0.0;
   for (double x : xs) s += x;
   return s / static_cast<double>(xs.size());
-}
-
-double StdDev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = Mean(xs);
-  double ss = 0.0;
-  for (double x : xs) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(xs.size() - 1));
-}
-
-double OlsSlope(const std::vector<double>& x, const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return 0.0;
-  double mx = Mean(x);
-  double my = Mean(y);
-  double num = 0.0;
-  double den = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    num += (x[i] - mx) * (y[i] - my);
-    den += (x[i] - mx) * (x[i] - mx);
-  }
-  return den == 0.0 ? 0.0 : num / den;
 }
 
 }  // namespace util

@@ -1,4 +1,4 @@
-// Numeric helpers: harmonic numbers, log2, safe division, means.
+// Numeric helpers: harmonic numbers, the log2 rank discount, means.
 
 #ifndef OPTSELECT_UTIL_MATH_UTIL_H_
 #define OPTSELECT_UTIL_MATH_UTIL_H_
@@ -13,24 +13,11 @@ namespace util {
 /// normalization constant of the utility function (Definition 2).
 double HarmonicNumber(size_t n);
 
-/// Precomputes H_0..H_n for repeated lookups.
-std::vector<double> HarmonicTable(size_t n);
-
 /// log2(1 + rank) discount used by nDCG-family metrics.
 double Log2Discount(size_t rank_one_based);
 
-/// x / y, or `fallback` when y == 0.
-double SafeDiv(double x, double y, double fallback = 0.0);
-
 /// Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& xs);
-
-/// Sample standard deviation; 0 for fewer than 2 elements.
-double StdDev(const std::vector<double>& xs);
-
-/// Ordinary least-squares slope of y over x (fits y = a + b x; returns b).
-/// Used by benchmarks to verify linear scaling. Returns 0 for < 2 points.
-double OlsSlope(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace util
 }  // namespace optselect

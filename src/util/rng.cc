@@ -1,7 +1,6 @@
 #include "util/rng.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace optselect {
 namespace util {
@@ -57,26 +56,10 @@ double Rng::UniformDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::UniformDouble(double lo, double hi) {
-  return lo + (hi - lo) * UniformDouble();
-}
-
 bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return UniformDouble() < p;
-}
-
-double Rng::Gaussian() {
-  // Box–Muller; discards the second variate for simplicity.
-  double u1 = UniformDouble();
-  double u2 = UniformDouble();
-  if (u1 < 1e-300) u1 = 1e-300;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
-double Rng::Gaussian(double mean, double stddev) {
-  return mean + stddev * Gaussian();
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
@@ -91,21 +74,6 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
     x -= w;
   }
   return weights.size() - 1;
-}
-
-std::vector<size_t> Rng::SampleWithoutReplacement(size_t universe, size_t n) {
-  assert(n <= universe);
-  // Floyd's algorithm: O(n) expected insertions.
-  std::vector<size_t> picked;
-  picked.reserve(n);
-  std::vector<bool> in(universe, false);
-  for (size_t j = universe - n; j < universe; ++j) {
-    size_t t = static_cast<size_t>(Uniform(j + 1));
-    if (in[t]) t = j;
-    in[t] = true;
-    picked.push_back(t);
-  }
-  return picked;
 }
 
 }  // namespace util

@@ -34,17 +34,8 @@ class Rng {
   /// Uniform double in [0, 1).
   double UniformDouble();
 
-  /// Uniform double in [lo, hi).
-  double UniformDouble(double lo, double hi);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool Bernoulli(double p);
-
-  /// Standard normal via Box–Muller.
-  double Gaussian();
-
-  /// Gaussian with the given mean and standard deviation.
-  double Gaussian(double mean, double stddev);
 
   /// Samples an index from an unnormalized non-negative weight vector.
   /// Returns weights.size() - 1 on degenerate (all-zero) input.
@@ -60,9 +51,6 @@ class Rng {
       swap((*c)[i], (*c)[j]);
     }
   }
-
-  /// Samples `n` distinct indices from [0, universe) (n <= universe).
-  std::vector<size_t> SampleWithoutReplacement(size_t universe, size_t n);
 
  private:
   uint64_t s_[4];

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
 
 namespace optselect {
 namespace util {
@@ -27,16 +28,6 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
     size_t start = i;
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
     if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
   }
   return out;
 }
@@ -76,15 +67,6 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
@@ -99,6 +81,20 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+std::string FormatBytes(uint64_t bytes) {
+  const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
+  double value = static_cast<double>(bytes);
+  size_t unit = 0;
+  while (value >= 1024.0 && unit + 1 < std::size(units)) {
+    value /= 1024.0;
+    ++unit;
+  }
+  if (unit == 0) {
+    return StrFormat("%llu B", static_cast<unsigned long long>(bytes));
+  }
+  return StrFormat("%.1f %s", value, units[unit]);
 }
 
 }  // namespace util

@@ -3,6 +3,7 @@
 #ifndef OPTSELECT_UTIL_STRINGS_H_
 #define OPTSELECT_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,9 +16,6 @@ std::vector<std::string> Split(std::string_view s, char sep);
 
 /// Splits on any whitespace run; drops empty fields.
 std::vector<std::string> SplitWhitespace(std::string_view s);
-
-/// Joins pieces with `sep`.
-std::string Join(const std::vector<std::string>& pieces, std::string_view sep);
 
 /// ASCII lowercase copy.
 std::string ToLower(std::string_view s);
@@ -32,12 +30,13 @@ std::string NormalizeQueryText(std::string_view raw);
 /// Strips leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Human-readable byte count in binary units ("512 B", "2.0 KiB",
+/// "1.5 GiB").
+std::string FormatBytes(uint64_t bytes);
 
 }  // namespace util
 }  // namespace optselect

@@ -33,26 +33,6 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Accumulates repeated timed sections (used when averaging over queries).
-class TimerAccumulator {
- public:
-  void Add(double millis) {
-    total_ms_ += millis;
-    ++count_;
-  }
-  double total_ms() const { return total_ms_; }
-  int64_t count() const { return count_; }
-  double mean_ms() const { return count_ == 0 ? 0.0 : total_ms_ / count_; }
-  void Reset() {
-    total_ms_ = 0;
-    count_ = 0;
-  }
-
- private:
-  double total_ms_ = 0;
-  int64_t count_ = 0;
-};
-
 }  // namespace util
 }  // namespace optselect
 

@@ -3,13 +3,18 @@
 // cluster rankings (shards over views of the store's in-memory v4
 // image) against the single-node heap path (including replicas served
 // from non-owner shards), degenerate shard counts (1 shard == single
-// node, empty shards, all traffic on one shard), dirty-only ApplyDelta
-// reloads, and cluster-level stats aggregation.
+// node, empty shards, all traffic on one shard), dirty-only refreshes
+// through one key-filtered StoreRefresher per shard (the CLI's wiring),
+// and cluster-level stats aggregation.
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +24,10 @@
 #include "pipeline/testbed.h"
 #include "serving/cache_key.h"
 #include "serving/serving_node.h"
+#include "serving/store_refresher.h"
 #include "store/mapped_store.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 
 namespace optselect {
 namespace cluster {
@@ -107,6 +114,57 @@ class ClusterTest : public ::testing::Test {
 
   static std::string NoiseQuery() {
     return testbed_->universe().noise_queries[0];
+  }
+
+  /// A temp copy of the testbed log: the file every refresher tails.
+  static std::string SaveTestbedLog(const std::string& name) {
+    std::string path = ::testing::TempDir() + "/" + name;
+    EXPECT_TRUE(testbed_->log_result().log.SaveTsv(path).ok());
+    return path;
+  }
+
+  /// Appends 400 submissions of the least probable specialization of
+  /// the stored entry `key`, which shifts that entry's P(q′|q), then
+  /// one of the root itself. The root is then dirty on every shard's
+  /// refresher, so only the key filter keeps the shards that do not
+  /// hold it from inserting it.
+  static void AppendBoost(const std::string& path, const std::string& key) {
+    const store::StoredEntry& entry = *store_->Find(key);
+    const std::string& boosted = entry.specializations.back().query;
+    std::ofstream out(path, std::ios::app);
+    for (int i = 0; i < 400; ++i) {
+      out << boosted << "\t9999\t" << (2000000000 + i) << "\t1,2\t\n";
+    }
+    out << entry.query << "\t9998\t2000000000\t\t\n";
+  }
+
+  /// A refresher over `node` tailing `log_path`, seeded with the log
+  /// the store was mined from; `key_filter` null keeps every change.
+  static std::unique_ptr<serving::StoreRefresher> MakeRefresher(
+      serving::ServingNode* node, const std::string& log_path,
+      std::function<bool(const std::string&)> key_filter) {
+    serving::StoreRefresherConfig rc;
+    rc.log_path = log_path;
+    rc.key_filter = std::move(key_filter);
+    return std::make_unique<serving::StoreRefresher>(
+        node, &testbed_->searcher(), &testbed_->snippets(),
+        &testbed_->analyzer(), &testbed_->corpus().store,
+        testbed_->log_result().log, rc);
+  }
+
+  /// One refresher per shard keyed by the shard's filter, as the CLI's
+  /// MakeCluster wires a cluster.
+  static std::vector<std::unique_ptr<serving::StoreRefresher>>
+  ShardRefreshers(ShardedCluster* cl, const std::string& log_path) {
+    std::vector<std::unique_ptr<serving::StoreRefresher>> out;
+    for (size_t i = 0; i < cl->num_shards(); ++i) {
+      out.push_back(MakeRefresher(
+          cl->shard(i), log_path,
+          [filter = cl->filter(i)](const std::string& key) {
+            return filter.Keeps(key);
+          }));
+    }
+    return out;
   }
 
   static pipeline::Testbed* testbed_;
@@ -335,13 +393,19 @@ TEST_F(ClusterTest, ReplicatedQueryServedFromEveryShardBitIdentical) {
   }
 }
 
-// ------------------------------------------------------------ ApplyDelta
+// ------------------------------------------------------ per-shard refresh
 
-TEST_F(ClusterTest, ApplyDeltaReloadsOnlyTheOwningShard) {
+TEST_F(ClusterTest, ShardRefreshersReloadOnlyShardsHoldingAChangedKey) {
   const size_t n = 3;
+  const std::string log_path = SaveTestbedLog("cluster_refresh_log.tsv");
   ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(n));
-  const std::string& target = stored_keys_->front();
-  size_t owner = cl.router().OwnerOf(target);
+  auto refreshers = ShardRefreshers(&cl, log_path);
+  // The single-node reference: the same mapping and tail, no filter.
+  serving::ServingNode node(store::StoreSnapshot::FromMapped(mapped_),
+                            &testbed_->searcher(), &testbed_->snippets(),
+                            &testbed_->analyzer(), &testbed_->corpus().store,
+                            BaseConfig(1).node);
+  auto reference = MakeRefresher(&node, log_path, nullptr);
 
   // Warm every stored ranking (and the per-shard caches).
   std::vector<std::vector<DocId>> before;
@@ -349,45 +413,53 @@ TEST_F(ClusterTest, ApplyDeltaReloadsOnlyTheOwningShard) {
     before.push_back(cl.Submit(serving::Request(key)).ranking);
   }
 
-  // Perturb the target's specialization distribution — the shape of a
-  // refresh-mined change. The stale compiled plan is dropped by Put.
-  store::StoreDelta delta;
-  store::StoredEntry perturbed = *store_->Find(target);
-  perturbed.specializations[0].probability *= 0.25;
-  double norm = 0;
-  for (const auto& sp : perturbed.specializations) norm += sp.probability;
-  for (auto& sp : perturbed.specializations) sp.probability /= norm;
-  delta.upserts.push_back(perturbed);
+  const std::string& target = stored_keys_->front();
+  AppendBoost(log_path, target);
+  ASSERT_TRUE(reference->TickOnce().ok());
+  ASSERT_EQ(reference->stats().ingested_records, 401u);
+  for (auto& refresher : refreshers) ASSERT_TRUE(refresher->TickOnce().ok());
 
-  ShardedCluster::ApplyOutcome outcome = cl.ApplyDelta(delta);
-  EXPECT_EQ(outcome.shards_reloaded, 1u);
-  EXPECT_EQ(outcome.changes_applied, 1u);
+  // The keys the single node's tick changed, new or removed ones too.
+  const store::DiversificationStore& after = node.snapshot()->store();
+  std::set<std::string> keys(stored_keys_->begin(), stored_keys_->end());
+  for (const auto& [key, entry] : after.entries()) keys.insert(key);
+  std::set<std::string> changed;
+  for (const std::string& key : keys) {
+    const store::StoredEntry* old_entry = store_->Find(key);
+    const store::StoredEntry* new_entry = after.Find(key);
+    if (old_entry == nullptr || new_entry == nullptr ||
+        !store::StoredEntriesEqual(*old_entry, *new_entry)) {
+      changed.insert(key);
+    }
+  }
+  ASSERT_EQ(changed.count(target), 1u);
+
+  size_t swapped = 0;
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(cl.shard(i)->Stats().reloads, i == owner ? 1u : 0u);
+    bool holds_changed = false;
+    for (const std::string& key : changed) {
+      holds_changed |= cl.filter(i).Keeps(key);
+    }
+    EXPECT_EQ(cl.shard(i)->Stats().reloads, holds_changed ? 1u : 0u) << i;
+    swapped += holds_changed ? 1 : 0;
   }
-  const store::StoredEntry* after_entry =
-      cl.shard(owner)->snapshot()->store().Find(target);
-  ASSERT_NE(after_entry, nullptr);
-  EXPECT_DOUBLE_EQ(after_entry->specializations[0].probability,
-                   perturbed.specializations[0].probability);
-  EXPECT_TRUE(after_entry->plan.empty());  // stale plan dropped
+  EXPECT_LT(swapped, n) << "a shard holding no changed key must not swap";
 
-  // Unchanged keys: bit-identical, still cached.
+  // Every key serves the single node's ranking; keys the tick did not
+  // change keep their cached, bit-identical rankings.
   for (size_t i = 0; i < stored_keys_->size(); ++i) {
-    if ((*stored_keys_)[i] == target) continue;
-    serving::Response r = cl.Submit(serving::Request((*stored_keys_)[i]));
-    EXPECT_EQ(r.ranking, before[i]) << (*stored_keys_)[i];
-    EXPECT_TRUE(r.cache_hit) << (*stored_keys_)[i];
+    const std::string& key = (*stored_keys_)[i];
+    serving::Response r = cl.Submit(serving::Request(key));
+    EXPECT_EQ(r.ranking, node.Submit(serving::Request(key)).ranking) << key;
+    if (changed.count(key) == 0) {
+      EXPECT_EQ(r.ranking, before[i]) << key;
+      EXPECT_TRUE(r.cache_hit) << key;
+    }
   }
-
-  // A content-identical delta reloads nothing anywhere.
-  store::StoreDelta same;
-  same.upserts.push_back(perturbed);
-  ShardedCluster::ApplyOutcome noop = cl.ApplyDelta(same);
-  EXPECT_EQ(noop.shards_reloaded, 0u);
+  std::remove(log_path.c_str());
 }
 
-TEST_F(ClusterTest, ApplyDeltaUpdatesEveryReplicaOfAHotKey) {
+TEST_F(ClusterTest, ShardRefreshersUpdateEveryReplicaOfAHotKey) {
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
@@ -395,32 +467,28 @@ TEST_F(ClusterTest, ApplyDeltaUpdatesEveryReplicaOfAHotKey) {
                     &testbed_->recommender().popularity(), config);
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
+  const std::string log_path = SaveTestbedLog("cluster_replica_log.tsv");
+  auto refreshers = ShardRefreshers(&cl, log_path);
 
-  store::StoreDelta delta;
-  store::StoredEntry perturbed = *store_->Find(hot);
-  perturbed.specializations[0].probability *= 0.25;
-  double norm = 0;
-  for (const auto& sp : perturbed.specializations) norm += sp.probability;
-  for (auto& sp : perturbed.specializations) sp.probability /= norm;
-  delta.upserts.push_back(perturbed);
+  AppendBoost(log_path, hot);
+  for (auto& refresher : refreshers) ASSERT_TRUE(refresher->TickOnce().ok());
 
-  ShardedCluster::ApplyOutcome outcome = cl.ApplyDelta(delta);
-  EXPECT_EQ(outcome.shards_reloaded, n);  // every replica holder
   std::vector<DocId> reference;
   for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(cl.shard(i)->Stats().reloads, 1u) << "replica " << i;
     const store::StoredEntry* replica =
         cl.shard(i)->snapshot()->store().Find(hot);
     ASSERT_NE(replica, nullptr);
-    EXPECT_DOUBLE_EQ(replica->specializations[0].probability,
-                     perturbed.specializations[0].probability);
+    EXPECT_FALSE(store::StoredEntriesEqual(*replica, *store_->Find(hot)));
     std::vector<DocId> ranking =
         cl.shard(i)->Submit(serving::Request(hot)).ranking;
     if (i == 0) {
       reference = ranking;
     } else {
-      EXPECT_EQ(ranking, reference) << "replicas diverged after delta";
+      EXPECT_EQ(ranking, reference) << "replicas diverged after refresh";
     }
   }
+  std::remove(log_path.c_str());
 }
 
 // ------------------------------------------------------ stats aggregation
@@ -462,6 +530,21 @@ TEST_F(ClusterTest, StatsAggregateAcrossShards) {
   uint64_t sum_routed = 0;
   for (uint64_t r : cs.router.per_shard) sum_routed += r;
   EXPECT_EQ(sum_routed, served);
+
+  // Candidates other than the plans' make every shard ignore the
+  // plans, so stored queries take the streaming cold path.
+  ClusterConfig cold = BaseConfig(n);
+  cold.node.params.num_candidates = 100;
+  ShardedCluster cold_cl(mapped_, testbed_, nullptr, cold);
+  for (const std::string& key : *stored_keys_) {
+    ASSERT_TRUE(cold_cl.Submit(serving::Request(key)).ok);
+  }
+  ClusterStats cold_cs = cold_cl.Stats();
+  uint64_t sum_streaming = 0;
+  for (const auto& s : cold_cs.per_shard) sum_streaming += s.streaming_served;
+  EXPECT_EQ(sum_streaming, stored_keys_->size());
+  EXPECT_EQ(cold_cs.total.streaming_served, sum_streaming);
+  EXPECT_EQ(cold_cs.total.plan_served, 0u);
 }
 
 }  // namespace

@@ -206,21 +206,6 @@ TEST(UtilityMatrixTest, WeightedRowSum) {
   EXPECT_NEAR(m.WeightedRowSum(1, probs.data()), 0.3, 1e-12);
 }
 
-TEST(UtilityMatrixTest, ThresholdedCopyZeroesSmallValues) {
-  UtilityMatrix m(2, 2);
-  m.Set(0, 0, 0.6);
-  m.Set(0, 1, 0.2);
-  m.Set(1, 0, 0.35);
-  m.Set(1, 1, 0.0);
-  UtilityMatrix t = m.Thresholded(0.3);
-  EXPECT_DOUBLE_EQ(t.At(0, 0), 0.6);
-  EXPECT_DOUBLE_EQ(t.At(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(t.At(1, 0), 0.35);
-  EXPECT_DOUBLE_EQ(t.At(1, 1), 0.0);
-  // Original untouched.
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 0.2);
-}
-
 TEST(UtilityMatrixTest, ThresholdedMatchesDirectCompute) {
   DiversificationInput input = TinyInput();
   input.specializations[1].results = {
@@ -228,7 +213,8 @@ TEST(UtilityMatrixTest, ThresholdedMatchesDirectCompute) {
   const double c = 0.5;
   UtilityMatrix direct =
       UtilityComputer(UtilityComputer::Options{c}).Compute(input);
-  UtilityMatrix post = UtilityComputer().Compute(input).Thresholded(c);
+  UtilityMatrix post = UtilityComputer().Compute(input);
+  post.ThresholdInPlace(c);
   for (size_t i = 0; i < direct.num_candidates(); ++i) {
     for (size_t j = 0; j < direct.num_specializations(); ++j) {
       EXPECT_DOUBLE_EQ(direct.At(i, j), post.At(i, j));

@@ -1,173 +1,19 @@
-// Tests for the paper's Section 6 future-work features implemented as
-// extensions: click-weighted popularity (ii), personalized detection (i),
-// parallel OptSelect (iii), and the Section 4.1 footprint estimate.
+// Tests for parallel OptSelect, the paper's Section 6 future work (iii):
+// bit-identical to serial OptSelect at every thread count, reachable
+// through the diversifier factory, and safe on inputs too small to
+// split.
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/factory.h"
-#include "core/footprint.h"
 #include "core/optselect.h"
 #include "core/parallel_optselect.h"
-#include "querylog/popularity.h"
-#include "querylog/session_segmenter.h"
-#include "recommend/personalized_detector.h"
-#include "recommend/shortcuts_recommender.h"
 #include "util/rng.h"
 
 namespace optselect {
 namespace {
-
-querylog::QueryRecord Rec(const std::string& q, querylog::UserId u,
-                          int64_t ts, size_t clicks = 0) {
-  querylog::QueryRecord r;
-  r.query = q;
-  r.user = u;
-  r.timestamp = ts;
-  for (size_t i = 0; i < clicks; ++i) {
-    r.results.push_back(static_cast<querylog::DocUrlId>(i));
-    r.clicks.push_back(static_cast<querylog::DocUrlId>(i));
-  }
-  return r;
-}
-
-// -------------------------------------------- Click-weighted popularity
-
-TEST(ClickWeightTest, ZeroWeightMatchesPlainCounts) {
-  querylog::QueryLog log;
-  log.Add(Rec("a", 1, 1, 3));
-  log.Add(Rec("a", 2, 2, 0));
-  querylog::PopularityMap plain(log);
-  querylog::PopularityMap weighted(log, 0.0);
-  EXPECT_EQ(plain.Frequency("a"), 2u);
-  EXPECT_EQ(weighted.Frequency("a"), 2u);
-}
-
-TEST(ClickWeightTest, ClicksAddMass) {
-  querylog::QueryLog log;
-  log.Add(Rec("clicked", 1, 1, 4));   // 1 + 0.5·4 = 3
-  log.Add(Rec("plain", 1, 2, 0));     // 1
-  querylog::PopularityMap pop(log, 0.5);
-  EXPECT_EQ(pop.Frequency("clicked"), 3u);
-  EXPECT_EQ(pop.Frequency("plain"), 1u);
-}
-
-TEST(ClickWeightTest, ChangesDetectorProbabilities) {
-  // Two specializations with equal submission counts; one gets clicks.
-  querylog::QueryLog log;
-  int64_t ts = 0;
-  for (int i = 0; i < 6; ++i) {
-    querylog::UserId u = static_cast<querylog::UserId>(i + 1);
-    log.Add(Rec("root", u, ts));
-    log.Add(Rec(i % 2 == 0 ? "root left" : "root right", u, ts + 30,
-                i % 2 == 0 ? 5 : 0));
-    ts += 10000;
-  }
-  auto sessions = querylog::SessionSegmenter().Segment(log, nullptr);
-
-  recommend::ShortcutsRecommender::Options opt;
-  opt.click_weight = 1.0;
-  recommend::ShortcutsRecommender rec(opt);
-  rec.Train(log, sessions);
-  recommend::AmbiguityDetector detector(&rec);
-  recommend::SpecializationSet set = detector.Detect("root");
-  ASSERT_TRUE(set.ambiguous());
-  // The clicked specialization must carry more probability mass.
-  ASSERT_EQ(set.items[0].query, "root left");
-  EXPECT_GT(set.items[0].probability, set.items[1].probability);
-}
-
-// ------------------------------------------------ Personalized detection
-
-class PersonalizedTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    int64_t ts = 0;
-    // Global traffic: "tank" twice as popular as "pictures" (8 vs 4),
-    // and user 42's own history (3 more "pictures") keeps tank dominant
-    // globally: f(tank) = 8 > f(pictures) = 7.
-    for (int i = 0; i < 12; ++i) {
-      querylog::UserId u = static_cast<querylog::UserId>(i + 1);
-      log_.Add(Rec("leopard", u, ts));
-      log_.Add(Rec(i % 3 == 2 ? "leopard pictures" : "leopard tank", u,
-                   ts + 30));
-      ts += 10000;
-    }
-    // User 42's own history: all about pictures.
-    for (int i = 0; i < 3; ++i) {
-      log_.Add(Rec("leopard pictures", 42, ts));
-      ts += 10000;
-    }
-    sessions_ = querylog::SessionSegmenter().Segment(log_, nullptr);
-    recommender_.Train(log_, sessions_);
-    profiles_ = recommend::UserProfileStore(log_);
-  }
-
-  querylog::QueryLog log_;
-  std::vector<querylog::Session> sessions_;
-  recommend::ShortcutsRecommender recommender_;
-  recommend::UserProfileStore profiles_;
-};
-
-TEST_F(PersonalizedTest, ProfileCountsPerUser) {
-  EXPECT_EQ(profiles_.Frequency(42, "leopard pictures"), 3u);
-  EXPECT_EQ(profiles_.Frequency(42, "leopard tank"), 0u);
-  EXPECT_EQ(profiles_.Frequency(1, "leopard"), 1u);
-  EXPECT_EQ(profiles_.Frequency(999, "leopard"), 0u);
-}
-
-TEST_F(PersonalizedTest, BetaZeroMatchesGlobal) {
-  recommend::AmbiguityDetector base(&recommender_);
-  recommend::PersonalizedDetector personalized(
-      &base, &profiles_, recommend::PersonalizedDetector::Options{0.0});
-  recommend::SpecializationSet global = base.Detect("leopard");
-  recommend::SpecializationSet user = personalized.Detect(42, "leopard");
-  ASSERT_EQ(global.size(), user.size());
-  for (size_t i = 0; i < global.size(); ++i) {
-    EXPECT_EQ(global.items[i].query, user.items[i].query);
-    EXPECT_DOUBLE_EQ(global.items[i].probability,
-                     user.items[i].probability);
-  }
-}
-
-TEST_F(PersonalizedTest, HistoryBoostsUsersPreferredIntent) {
-  recommend::AmbiguityDetector base(&recommender_);
-  recommend::PersonalizedDetector personalized(
-      &base, &profiles_, recommend::PersonalizedDetector::Options{2.0});
-
-  recommend::SpecializationSet global = base.Detect("leopard");
-  ASSERT_TRUE(global.ambiguous());
-  ASSERT_EQ(global.items[0].query, "leopard tank");
-
-  recommend::SpecializationSet user = personalized.Detect(42, "leopard");
-  ASSERT_TRUE(user.ambiguous());
-  double p_pictures_global = 0;
-  double p_pictures_user = 0;
-  for (const auto& sp : global.items) {
-    if (sp.query == "leopard pictures") p_pictures_global = sp.probability;
-  }
-  for (const auto& sp : user.items) {
-    if (sp.query == "leopard pictures") p_pictures_user = sp.probability;
-  }
-  EXPECT_GT(p_pictures_user, p_pictures_global);
-
-  // Probabilities still sum to 1.
-  double sum = 0;
-  for (const auto& sp : user.items) sum += sp.probability;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-
-  // A user with no history sees the global distribution.
-  recommend::SpecializationSet anon = personalized.Detect(777, "leopard");
-  for (size_t i = 0; i < anon.size(); ++i) {
-    EXPECT_NEAR(anon.items[i].probability, global.items[i].probability,
-                1e-12);
-  }
-}
-
-// -------------------------------------------------- Parallel OptSelect
 
 core::UtilityMatrix RandomUtilities(util::Rng* rng,
                                     core::DiversificationInput* input,
@@ -234,36 +80,6 @@ TEST(ParallelOptSelectTest2, SmallInputFallsBackGracefully) {
   core::DiversifyParams params;
   params.k = 5;
   EXPECT_EQ(parallel.Select(input, u, params).size(), 5u);
-}
-
-// ------------------------------------------------------------ Footprint
-
-TEST(FootprintTest, MatchesSection41Formula) {
-  core::FootprintParams p;
-  p.num_ambiguous_queries = 1000;
-  p.max_specializations = 8;
-  p.results_per_specialization = 20;
-  p.surrogate_bytes = 256;
-  EXPECT_EQ(core::MaxFootprintBytes(p), 1000ull * 8 * 20 * 256);
-}
-
-TEST(FootprintTest, FormatBytesUnits) {
-  EXPECT_EQ(core::FormatBytes(512), "512 B");
-  EXPECT_EQ(core::FormatBytes(2048), "2.0 KiB");
-  EXPECT_EQ(core::FormatBytes(5ull * 1024 * 1024), "5.0 MiB");
-  EXPECT_EQ(core::FormatBytes(3ull * 1024 * 1024 * 1024), "3.0 GiB");
-}
-
-TEST(FootprintTest, PaperScaleIsSmall) {
-  // A million ambiguous queries, 8 specializations, 20 surrogates of
-  // 200 bytes: ~30 GiB upper bound across a whole engine — or per the
-  // paper's framing, trivially shardable; 100k queries fit in ~3 GiB.
-  core::FootprintParams p;
-  p.num_ambiguous_queries = 100000;
-  p.max_specializations = 8;
-  p.results_per_specialization = 20;
-  p.surrogate_bytes = 200;
-  EXPECT_LT(core::MaxFootprintBytes(p), 4ull * 1024 * 1024 * 1024);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // ScriptedFaultInjector (the hooks are compiled into every build).
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -376,10 +377,11 @@ TEST_F(FaultInjectionTest, OwnerReachedInFallbackSweepIsNotTaggedDegraded) {
   cl.shard(owner)->set_fault_injector(nullptr);
 }
 
-TEST_F(FaultInjectionTest, ApplyDeltaSurfacesRefusedReloadAndRetries) {
-  // A shard whose reload is refused must be reported, not counted as
-  // applied — and a second ApplyDelta with the same delta must bring
-  // exactly that shard back in sync (replica bit-identity restored).
+TEST_F(FaultInjectionTest, ShardRefresherRetriesRefusedReloadFromPending) {
+  // One refresher per shard keyed by the shard's filter, as the CLI
+  // wires a cluster. A shard whose reload is refused keeps its built
+  // snapshot pending while the other replicas swap; its next tick, with
+  // no new records, swaps it in and the replicas agree again.
   const size_t n = 3;
   ClusterConfig config = BaseConfig(n);
   config.replicate_hot = 1;
@@ -388,30 +390,47 @@ TEST_F(FaultInjectionTest, ApplyDeltaSurfacesRefusedReloadAndRetries) {
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
 
-  store::StoreDelta delta;
-  store::StoredEntry perturbed = *store_->Find(hot);
-  perturbed.specializations[0].probability *= 0.25;
-  double norm = 0;
-  for (const auto& sp : perturbed.specializations) norm += sp.probability;
-  for (auto& sp : perturbed.specializations) sp.probability /= norm;
-  delta.upserts.push_back(perturbed);
+  std::string log_path = ::testing::TempDir() + "/fault_shard_log.tsv";
+  ASSERT_TRUE(testbed_->log_result().log.SaveTsv(log_path).ok());
+  std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
+  for (size_t i = 0; i < n; ++i) {
+    serving::StoreRefresherConfig rc;
+    rc.log_path = log_path;
+    rc.key_filter = [filter = cl.filter(i)](const std::string& key) {
+      return filter.Keeps(key);
+    };
+    refreshers.push_back(std::make_unique<serving::StoreRefresher>(
+        cl.shard(i), &testbed_->searcher(), &testbed_->snippets(),
+        &testbed_->analyzer(), &testbed_->corpus().store,
+        testbed_->log_result().log, rc));
+  }
+  {
+    // Fresh traffic that shifts the hot entry's distribution.
+    const std::string boosted =
+        store_->Find(hot)->specializations.back().query;
+    std::ofstream out(log_path, std::ios::app);
+    for (int i = 0; i < 400; ++i) {
+      out << boosted << "\t9999\t" << (2000000000 + i) << "\t1,2\t\n";
+    }
+  }
 
   serving::ScriptedFaultInjector injector;
   cl.shard(0)->set_fault_injector(&injector);
   injector.SetFailReloads(true);
-  ShardedCluster::ApplyOutcome refused = cl.ApplyDelta(delta);
-  EXPECT_EQ(refused.shards_reloaded, n - 1) << "every replica but shard 0";
-  EXPECT_EQ(refused.shards_failed, 1u);
+  EXPECT_FALSE(refreshers[0]->TickOnce().ok()) << "refused swap is an error";
+  for (size_t i = 1; i < n; ++i) EXPECT_TRUE(refreshers[i]->TickOnce().ok());
   EXPECT_EQ(cl.shard(0)->Stats().reloads, 0u);
   EXPECT_EQ(cl.shard(0)->Stats().reload_failures, 1u);
+  for (size_t i = 1; i < n; ++i) {
+    EXPECT_EQ(cl.shard(i)->Stats().reloads, 1u) << i;
+  }
 
-  // Retry with the same delta: up-to-date shards skip (their slice is
-  // content-identical), only the refused shard swaps.
+  // No new records: only the refused shard has anything to swap.
   injector.SetFailReloads(false);
-  ShardedCluster::ApplyOutcome retried = cl.ApplyDelta(delta);
-  EXPECT_EQ(retried.shards_failed, 0u);
-  EXPECT_EQ(retried.shards_reloaded, 1u);
-  EXPECT_EQ(cl.shard(0)->Stats().reloads, 1u);
+  for (auto& refresher : refreshers) EXPECT_TRUE(refresher->TickOnce().ok());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(cl.shard(i)->Stats().reloads, 1u) << i;
+  }
 
   // Replicas converged: every shard serves the identical new ranking.
   std::vector<DocId> reference =
@@ -421,6 +440,7 @@ TEST_F(FaultInjectionTest, ApplyDeltaSurfacesRefusedReloadAndRetries) {
         << i;
   }
   cl.shard(0)->set_fault_injector(nullptr);
+  std::remove(log_path.c_str());
 }
 
 TEST_F(FaultInjectionTest, RefresherRetriesPendingSwapAfterReloadFault) {

@@ -40,6 +40,14 @@ class SmallIndexTest : public ::testing::Test {
     index_ = InvertedIndex::Build(store_, &analyzer_);
   }
 
+  /// Conjunctive retrieval of raw query text, analyzed the way the
+  /// store builder analyzes a specialization.
+  ResultList Conjunctive(const Searcher& searcher, std::string_view query,
+                         size_t k) const {
+    return searcher.SearchTermsConjunctive(analyzer_.AnalyzeReadOnly(query),
+                                           k);
+  }
+
   corpus::DocumentStore store_;
   text::Analyzer analyzer_;
   InvertedIndex index_;
@@ -258,7 +266,7 @@ TEST(SearcherRetrievalQualityTest, PlantedDocsRankAboveBackground) {
 TEST_F(SmallIndexTest, ConjunctiveRequiresAllTerms) {
   Searcher searcher(&index_, &analyzer_);
   // "leopard tank": only doc 0 contains both.
-  ResultList results = searcher.SearchConjunctive("leopard tank", 10);
+  ResultList results = Conjunctive(searcher, "leopard tank", 10);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].doc, 0u);
   // Disjunctive over the same query returns both leopard docs.
@@ -268,17 +276,16 @@ TEST_F(SmallIndexTest, ConjunctiveRequiresAllTerms) {
 TEST_F(SmallIndexTest, ConjunctiveEmptyIntersectionIsEmpty) {
   Searcher searcher(&index_, &analyzer_);
   // "leopard" and "walnut" occur in disjoint documents.
-  EXPECT_TRUE(searcher.SearchConjunctive("leopard walnut", 10).empty());
-  EXPECT_TRUE(searcher.SearchConjunctive("", 10).empty());
+  EXPECT_TRUE(Conjunctive(searcher, "leopard walnut", 10).empty());
+  EXPECT_TRUE(Conjunctive(searcher, "", 10).empty());
   // Unknown terms are dropped by read-only analysis (consistent with the
   // disjunctive path), so the remaining terms still match.
-  EXPECT_FALSE(
-      searcher.SearchConjunctive("leopard unicornxyz", 10).empty());
+  EXPECT_FALSE(Conjunctive(searcher, "leopard unicornxyz", 10).empty());
 }
 
 TEST_F(SmallIndexTest, ConjunctiveSingleTermEqualsDisjunctive) {
   Searcher searcher(&index_, &analyzer_);
-  ResultList conj = searcher.SearchConjunctive("leopard", 10);
+  ResultList conj = Conjunctive(searcher, "leopard", 10);
   ResultList disj = searcher.Search("leopard", 10);
   ASSERT_EQ(conj.size(), disj.size());
   for (size_t i = 0; i < conj.size(); ++i) {
@@ -289,7 +296,7 @@ TEST_F(SmallIndexTest, ConjunctiveSingleTermEqualsDisjunctive) {
 
 TEST_F(SmallIndexTest, ConjunctiveScoresSumBothTerms) {
   Searcher searcher(&index_, &analyzer_);
-  ResultList conj = searcher.SearchConjunctive("leopard tank", 10);
+  ResultList conj = Conjunctive(searcher, "leopard tank", 10);
   ResultList root_only = searcher.Search("leopard", 10);
   ASSERT_FALSE(conj.empty());
   // Conjunctive score (both terms) exceeds the single-term score of the
@@ -315,13 +322,12 @@ TEST(ConjunctivePropertyTest, SubsetOfDisjunctiveMatches) {
 
   for (const auto& topic : universe.topics) {
     for (const auto& intent : topic.intents) {
-      ResultList conj =
-          searcher.SearchConjunctive(intent.query, 1000);
+      std::vector<text::TermId> terms =
+          analyzer.AnalyzeReadOnly(intent.query);
+      ResultList conj = searcher.SearchTermsConjunctive(terms, 1000);
       ResultList disj = searcher.Search(intent.query, 100000);
       std::set<DocId> disj_docs;
       for (const SearchResult& r : disj) disj_docs.insert(r.doc);
-      std::vector<text::TermId> terms =
-          analyzer.AnalyzeReadOnly(intent.query);
       for (const SearchResult& r : conj) {
         EXPECT_TRUE(disj_docs.count(r.doc));
         // Every conjunctive hit contains every query term.

@@ -500,16 +500,6 @@ TEST_F(FlowGraphTest, UnknownQueriesHaveZeroProbability) {
   EXPECT_DOUBLE_EQ(graph_.ChainingProbability("leopard", "ghost"), 0.0);
 }
 
-TEST_F(FlowGraphTest, TerminationProbabilityBounds) {
-  // "leopard tank" always ends its stream → termination 1.
-  EXPECT_DOUBLE_EQ(graph_.TerminationProbability("leopard tank"), 1.0);
-  // Unknown queries terminate trivially.
-  EXPECT_DOUBLE_EQ(graph_.TerminationProbability("ghost"), 1.0);
-  double t = graph_.TerminationProbability("leopard");
-  EXPECT_GE(t, 0.0);
-  EXPECT_LE(t, 1.0);
-}
-
 TEST_F(FlowGraphTest, LexicalAffinityJaccard) {
   EXPECT_DOUBLE_EQ(QueryFlowGraph::LexicalAffinity("a b", "a b"), 1.0);
   EXPECT_DOUBLE_EQ(QueryFlowGraph::LexicalAffinity("a", "b"), 0.0);

@@ -13,7 +13,6 @@
 #include "querylog/synthetic_log.h"
 #include "recommend/ambiguity_detector.h"
 #include "recommend/shortcuts_recommender.h"
-#include "recommend/superstring_recommender.h"
 #include "synth/topic_universe.h"
 
 namespace optselect {
@@ -52,7 +51,7 @@ querylog::QueryLog HandLog() {
   return log;
 }
 
-class RecommenderTest : public ::testing::Test {
+class ShortcutsRecommenderTest : public ::testing::Test {
  protected:
   void SetUp() override {
     log_ = HandLog();
@@ -67,7 +66,7 @@ class RecommenderTest : public ::testing::Test {
   ShortcutsRecommender recommender_;
 };
 
-TEST_F(RecommenderTest, RecommendsObservedFollowers) {
+TEST_F(ShortcutsRecommenderTest, RecommendsObservedFollowers) {
   auto suggestions = recommender_.Recommend("leopard", 10);
   ASSERT_GE(suggestions.size(), 2u);
   std::vector<std::string> queries;
@@ -78,30 +77,30 @@ TEST_F(RecommenderTest, RecommendsObservedFollowers) {
             queries.end());
 }
 
-TEST_F(RecommenderTest, MoreFrequentFollowerScoresHigher) {
+TEST_F(ShortcutsRecommenderTest, MoreFrequentFollowerScoresHigher) {
   auto suggestions = recommender_.Recommend("leopard", 10);
   ASSERT_GE(suggestions.size(), 2u);
   EXPECT_EQ(suggestions[0].query, "leopard tank");
   EXPECT_GT(suggestions[0].score, suggestions[1].score);
 }
 
-TEST_F(RecommenderTest, MinSupportFiltersOneOffs) {
+TEST_F(ShortcutsRecommenderTest, MinSupportFiltersOneOffs) {
   // "walnut" followed "leopard" once; default min_pair_support = 2.
   for (const auto& s : recommender_.Recommend("leopard", 50)) {
     EXPECT_NE(s.query, "walnut");
   }
 }
 
-TEST_F(RecommenderTest, UnknownQueryYieldsNothing) {
+TEST_F(ShortcutsRecommenderTest, UnknownQueryYieldsNothing) {
   EXPECT_TRUE(recommender_.Recommend("ghost", 10).empty());
 }
 
-TEST_F(RecommenderTest, MaxSuggestionsRespected) {
+TEST_F(ShortcutsRecommenderTest, MaxSuggestionsRespected) {
   EXPECT_LE(recommender_.Recommend("leopard", 1).size(), 1u);
   EXPECT_TRUE(recommender_.Recommend("leopard", 0).empty());
 }
 
-TEST_F(RecommenderTest, FrequencyTracksLog) {
+TEST_F(ShortcutsRecommenderTest, FrequencyTracksLog) {
   EXPECT_EQ(recommender_.Frequency("leopard"), 13u);
   EXPECT_EQ(recommender_.Frequency("leopard tank"), 8u);
   EXPECT_EQ(recommender_.Frequency("nothing"), 0u);
@@ -170,8 +169,9 @@ TEST_F(DetectorTest, PopularityFilterDropsRareCandidates) {
   EXPECT_FALSE(detector.Detect("leopard").ambiguous());
 }
 
-TEST_F(DetectorTest, SupersetFilterTogglable) {
-  // Add a frequent non-superset follower.
+TEST_F(DetectorTest, SupersetFilterDropsUnrelatedFollowers) {
+  // Add a frequent follower that shares no term with the root: the
+  // recommender suggests it, and it passes the popularity filter.
   querylog::QueryLog log = HandLog();
   int64_t ts = 1000000;
   for (int i = 0; i < 6; ++i) {
@@ -182,22 +182,18 @@ TEST_F(DetectorTest, SupersetFilterTogglable) {
   auto sessions = querylog::SessionSegmenter().Segment(log, nullptr);
   ShortcutsRecommender rec;
   rec.Train(log, sessions);
+  bool suggested = false;
+  for (const Suggestion& s : rec.Recommend("leopard", 50)) {
+    suggested |= s.query == "mac os";
+  }
+  ASSERT_TRUE(suggested);
 
-  AmbiguityDetector::Options strict;
-  strict.require_term_superset = true;
-  AmbiguityDetector detector_strict(&rec, strict);
-  for (const auto& sp : detector_strict.Detect("leopard").items) {
+  AmbiguityDetector detector(&rec);
+  SpecializationSet set = detector.Detect("leopard");
+  ASSERT_TRUE(set.ambiguous());
+  for (const auto& sp : set.items) {
     EXPECT_NE(sp.query, "mac os");
   }
-
-  AmbiguityDetector::Options loose;
-  loose.require_term_superset = false;
-  AmbiguityDetector detector_loose(&rec, loose);
-  bool found = false;
-  for (const auto& sp : detector_loose.Detect("leopard").items) {
-    found |= sp.query == "mac os";
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST_F(DetectorTest, MaxSpecializationsKeepsMostProbable) {
@@ -210,69 +206,6 @@ TEST_F(DetectorTest, MaxSpecializationsKeepsMostProbable) {
   ASSERT_EQ(set.size(), 1u);
   EXPECT_EQ(set.items[0].query, "leopard tank");
   EXPECT_NEAR(set.items[0].probability, 1.0, 1e-12);
-}
-
-// -------------------------------------------------- SuperstringRecommender
-
-class SuperstringTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    log_ = HandLog();
-    recommender_.Train(log_);
-  }
-  querylog::QueryLog log_;
-  SuperstringRecommender recommender_;
-};
-
-TEST_F(SuperstringTest, SuggestsLexicalRefinements) {
-  auto suggestions = recommender_.Recommend("leopard", 10);
-  ASSERT_EQ(suggestions.size(), 2u);
-  // Scored by frequency: tank (8) before pictures (4).
-  EXPECT_EQ(suggestions[0].query, "leopard tank");
-  EXPECT_EQ(suggestions[0].frequency, 8u);
-  EXPECT_EQ(suggestions[1].query, "leopard pictures");
-}
-
-TEST_F(SuperstringTest, NeverSuggestsNonSuperstrings) {
-  for (const auto& s : recommender_.Recommend("leopard", 50)) {
-    EXPECT_TRUE(IsTermSuperset(s.query, "leopard"));
-  }
-  EXPECT_TRUE(recommender_.Recommend("walnut", 10).empty());
-  EXPECT_TRUE(recommender_.Recommend("ghost", 10).empty());
-  EXPECT_TRUE(recommender_.Recommend("", 10).empty());
-}
-
-TEST_F(SuperstringTest, MinFrequencyFiltersRareQueries) {
-  // "walnut" appears once; default min_frequency = 2 keeps it out of the
-  // index entirely.
-  EXPECT_EQ(recommender_.Frequency("walnut"), 1u);
-  auto suggestions = recommender_.Recommend("walnut", 10);
-  EXPECT_TRUE(suggestions.empty());
-}
-
-TEST_F(SuperstringTest, PlugsIntoAlgorithmOne) {
-  // The pluggability claim: Algorithm 1 runs unchanged on a different A.
-  AmbiguityDetector detector(&recommender_);
-  SpecializationSet set = detector.Detect("leopard");
-  ASSERT_TRUE(set.ambiguous());
-  EXPECT_EQ(set.items[0].query, "leopard tank");
-  EXPECT_NEAR(set.items[0].probability, 8.0 / 12.0, 1e-12);
-}
-
-TEST_F(SuperstringTest, MaxExtraTokensBound) {
-  querylog::QueryLog log;
-  for (int i = 0; i < 3; ++i) {
-    log.Add(MakeRecord("a", 1, i * 100));
-    log.Add(MakeRecord("a b", 1, i * 100 + 10));
-    log.Add(MakeRecord("a b c d e f g", 1, i * 100 + 20));
-  }
-  SuperstringRecommender::Options opt;
-  opt.max_extra_tokens = 2;
-  SuperstringRecommender rec(opt);
-  rec.Train(log);
-  auto suggestions = rec.Recommend("a", 10);
-  ASSERT_EQ(suggestions.size(), 1u);
-  EXPECT_EQ(suggestions[0].query, "a b");
 }
 
 // ------------------------------------------------- End-to-end mining check

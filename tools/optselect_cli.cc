@@ -32,7 +32,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/factory.h"
-#include "core/footprint.h"
 #include "eval/diversity_evaluator.h"
 #include "eval/trec_io.h"
 #include "pipeline/diversification_pipeline.h"
@@ -57,6 +56,7 @@
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
@@ -256,7 +256,7 @@ int CmdGenerate(const tools::OptionSet& opts) {
       "plans, %s payload)\n",
       dir.c_str(), testbed.log_result().log.size(),
       testbed.corpus().topics.size(), testbed.corpus().qrels.size(), stored,
-      plans, core::FormatBytes(built.SurrogatePayloadBytes()).c_str());
+      plans, util::FormatBytes(built.SurrogatePayloadBytes()).c_str());
   return 0;
 }
 
