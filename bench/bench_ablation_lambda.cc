@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
 
   pipeline::PipelineParams params;
   params.num_candidates = 1000;
-  params.results_per_specialization = 20;
   params.threshold_c = 0.0;
   params.diversify.k = 1000;
   pipeline::DiversificationPipeline pipe(&testbed, params);

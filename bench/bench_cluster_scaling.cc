@@ -56,6 +56,7 @@
 #include "serving/serving_node.h"
 #include "store/mapped_store.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -162,14 +163,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   // The clusters serve views of the store's in-memory v4 image; the
-  // single-node reference serves the heap store it was encoded from.
-  auto image = store::MappedStoreFile::FromStore(full_store);
-  if (!image.ok()) {
-    std::fprintf(stderr, "error: %s\n", image.status().ToString().c_str());
-    return 1;
-  }
+  // single-node reference serves the whole image.
   std::shared_ptr<const store::MappedStoreFile> mapped =
-      std::move(image).value();
+      bench::ImageSnapshot(full_store)->mapped_file();
 
   util::Rng rng(99);
   std::vector<std::string> mix = querylog::ZipfQueryMix(
@@ -185,7 +181,8 @@ int main(int argc, char** argv) {
   base.node.params.diversify.k = 10;
 
   // ---- single-node reference ------------------------------------------
-  serving::ServingNode single(&full_store, &testbed, base.node);
+  serving::ServingNode single(store::StoreSnapshot::FromMapped(mapped),
+                              &testbed, base.node);
   std::map<std::string, std::vector<DocId>> references;
   for (const std::string& query : distinct) {
     references[query] = single.Submit(serving::Request(query)).ranking;

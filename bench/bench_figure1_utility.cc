@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
   // Appendix C parameters: |R_q| = 200, |R_q′| = k = 20.
   pipeline::PipelineParams params;
   params.num_candidates = 200;
-  params.results_per_specialization = 20;
   // The deployed configuration zeroes the weak cross-intent similarity
   // floor that query-biased snippets share through the root term (the
   // threshold-c mechanism of Section 5).

@@ -164,8 +164,10 @@ int main(int argc, char** argv) {
     mix.push_back(stored_keys[sampler.Sample(&rng)]);
   }
 
-  serving::ServingNode cold_node(&cold_store, &testbed, config);
-  serving::ServingNode compiled_node(&compiled_store, &testbed, config);
+  serving::ServingNode cold_node(bench::ImageSnapshot(cold_store), &testbed,
+                                 config);
+  serving::ServingNode compiled_node(bench::ImageSnapshot(compiled_store),
+                                     &testbed, config);
 
   // ---- bit-identical rankings across the two paths ------------------
   size_t mismatches = 0;

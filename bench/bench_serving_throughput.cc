@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -32,6 +33,7 @@
 #include "serving/replay.h"
 #include "serving/serving_node.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -51,11 +53,11 @@ struct RunResult {
 
 /// Replays the mix through one node configuration; wall time spans
 /// first submit to last completion (serving::ReplayMix).
-RunResult Replay(const store::DiversificationStore* store,
+RunResult Replay(const std::shared_ptr<const store::StoreSnapshot>& snapshot,
                  const pipeline::Testbed* testbed,
                  serving::ServingConfig config,
                  const std::vector<std::string>& mix) {
-  serving::ServingNode node(store, testbed, config);
+  serving::ServingNode node(snapshot, testbed, config);
   serving::ReplayOutcome out = serving::ReplayMix(&node, mix);
   if (out.accepted != mix.size()) {
     std::fprintf(stderr, "error: %zu of %zu requests shed (queue too small)\n",
@@ -136,15 +138,15 @@ double ComputeOnlyQps(const store::DiversificationStore* store,
 }
 
 /// Asserts cached rankings equal uncached ones for every distinct query.
-void CheckCacheBitIdentity(const store::DiversificationStore* store,
-                           const pipeline::Testbed* testbed,
-                           serving::ServingConfig config,
-                           const std::vector<std::string>& mix) {
+void CheckCacheBitIdentity(
+    const std::shared_ptr<const store::StoreSnapshot>& snapshot,
+    const pipeline::Testbed* testbed, serving::ServingConfig config,
+    const std::vector<std::string>& mix) {
   std::set<std::string> distinct(mix.begin(), mix.end());
   config.enable_cache = true;
-  serving::ServingNode cached(store, testbed, config);
+  serving::ServingNode cached(snapshot, testbed, config);
   config.enable_cache = false;
-  serving::ServingNode uncached(store, testbed, config);
+  serving::ServingNode uncached(snapshot, testbed, config);
   for (const std::string& q : distinct) {
     serving::Response cold = cached.Submit(serving::Request(q));
     serving::Response warm = cached.Submit(serving::Request(q));
@@ -182,6 +184,8 @@ int main(int argc, char** argv) {
   store::BuildStore(testbed.detector(), testbed.searcher(),
                     testbed.snippets(), testbed.analyzer(),
                     testbed.corpus().store, roots, store_opts, &store);
+  std::shared_ptr<const store::StoreSnapshot> snapshot =
+      bench::ImageSnapshot(store);
 
   util::Rng rng(99);
   std::vector<std::string> mix = querylog::ZipfQueryMix(
@@ -193,7 +197,7 @@ int main(int argc, char** argv) {
   base.params.num_candidates = 200;
   base.params.diversify.k = 10;
 
-  CheckCacheBitIdentity(&store, &testbed, base, mix);
+  CheckCacheBitIdentity(snapshot, &testbed, base, mix);
 
   size_t max_workers =
       std::max<size_t>(4, std::thread::hardware_concurrency());
@@ -241,14 +245,14 @@ int main(int argc, char** argv) {
     serving::ServingConfig config = base;
     config.num_workers = workers;
     config.enable_cache = false;
-    RunResult cold = Replay(&store, &testbed, config, mix);
+    RunResult cold = Replay(snapshot, &testbed, config, mix);
     if (workers == 1) qps_1 = cold.qps;
     if (workers == 4) qps_4 = cold.qps;
     add("workers=" + std::to_string(workers) + " cache=off", cold, workers,
         false);
 
     config.enable_cache = true;
-    RunResult warm = Replay(&store, &testbed, config, mix);
+    RunResult warm = Replay(snapshot, &testbed, config, mix);
     add("workers=" + std::to_string(workers) + " cache=on", warm, workers,
         true);
     // Last sweep row's registry becomes the document's metrics block.

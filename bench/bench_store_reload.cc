@@ -12,9 +12,9 @@
 //   - p50/p99 latency under continuous swapping, reported next to the
 //     swap-free baseline of the same mix (the swap-window cost);
 //   - cold start: mmap+validate of the v4 file beats the heap parse
-//     (Load's map + full materialize — what every pre-v4 process paid
-//     at startup), with the per-shard resident cost of N MappedShard
-//     views over one shared mapping vs N SplitStore heap copies.
+//     (map + full Materialize — what every pre-v4 process paid at
+//     startup), with the per-shard resident cost of N MappedShard views
+//     over one shared mapping vs heap copies of the same N slices.
 //
 // Output: a human table plus BENCH_store_reload.json (bench_util).
 //
@@ -164,10 +164,10 @@ long RssKb() {
 
 struct ColdStartResult {
   double map_ms = 0;        // min mmap+validate+index time
-  double heap_ms = 0;       // min Load (map + materialize) time
+  double heap_ms = 0;       // min map + Materialize time
   double store_mib = 0;
   long rss_mapped_kb = 0;   // per-shard RSS delta, N MappedShard views
-  long rss_heap_kb = 0;     // per-shard RSS delta, N SplitStore copies
+  long rss_heap_kb = 0;     // per-shard RSS delta, N heap slice copies
   size_t reps = 0;
   size_t shards = 0;
   bool ok = false;          // mmap cold start beat the heap parse
@@ -176,8 +176,7 @@ struct ColdStartResult {
 /// The startup cost a shard process pays before its first request:
 /// min-of-reps mmap+validate vs the legacy heap parse over the same v4
 /// bytes, plus the per-shard resident cost of shard views vs copies.
-ColdStartResult MeasureColdStart(const store::DiversificationStore& base,
-                                 const std::string& path) {
+ColdStartResult MeasureColdStart(const std::string& path) {
   ColdStartResult out;
   out.reps = 7;
   out.shards = 4;
@@ -192,9 +191,13 @@ ColdStartResult MeasureColdStart(const store::DiversificationStore& base,
     out.store_mib = static_cast<double>(mapped.value()->mapped_bytes()) /
                     (1024.0 * 1024.0);
     util::WallTimer heap_timer;
-    auto loaded = store::DiversificationStore::Load(path);
+    store::DiversificationStore heap;
+    {
+      auto copied = store::MappedStoreFile::Map(path);
+      if (!copied.ok()) return out;
+      heap = copied.value()->Materialize();
+    }  // unmapped inside the timed span, like the heap start-up it models
     double heap_ms = heap_timer.ElapsedMillis();
-    if (!loaded.ok()) return out;
     out.heap_ms = std::min(out.heap_ms, heap_ms);
   }
 
@@ -204,9 +207,9 @@ ColdStartResult MeasureColdStart(const store::DiversificationStore& base,
   // so they are reported, not gated.
   auto mapped = store::MappedStoreFile::Map(path);
   if (!mapped.ok()) return out;
+  std::vector<std::shared_ptr<const store::StoreSnapshot>> views;
   {
     long before = RssKb();
-    std::vector<std::shared_ptr<const store::StoreSnapshot>> views;
     for (size_t i = 0; i < out.shards; ++i) {
       store::ShardFilter filter;
       filter.num_shards = out.shards;
@@ -220,14 +223,10 @@ ColdStartResult MeasureColdStart(const store::DiversificationStore& base,
         std::max(0L, RssKb() - before) / static_cast<long>(out.shards);
   }
   {
+    // Each view's slice materialized onto the heap (StoreSnapshot::
+    // store()): what a shard holding a heap copy pays.
     long before = RssKb();
-    std::vector<store::DiversificationStore> copies;
-    for (size_t i = 0; i < out.shards; ++i) {
-      store::ShardFilter filter;
-      filter.num_shards = out.shards;
-      filter.shard_index = i;
-      copies.push_back(store::SplitStore(base, filter));
-    }
+    for (const auto& view : views) view->store();
     out.rss_heap_kb =
         std::max(0L, RssKb() - before) / static_cast<long>(out.shards);
   }
@@ -289,10 +288,9 @@ int main(int argc, char** argv) {
   config.max_batch = 8;
   config.params.num_candidates = 200;
   config.params.diversify.k = 10;
-  serving::ServingNode node(store::StoreSnapshot::Own(base),
-                            &testbed.searcher(), &testbed.snippets(),
-                            &testbed.analyzer(), &testbed.corpus().store,
-                            config);
+  serving::ServingNode node(bench::ImageSnapshot(base), &testbed.searcher(),
+                            &testbed.snippets(), &testbed.analyzer(),
+                            &testbed.corpus().store, config);
   std::vector<DocId> pinned_reference =
       node.Submit(serving::Request(pinned_key)).ranking;
 
@@ -325,7 +323,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL: cannot write %s\n", cold_path.c_str());
     return 1;
   }
-  ColdStartResult cold = MeasureColdStart(base, cold_path);
+  ColdStartResult cold = MeasureColdStart(cold_path);
   std::remove(cold_path.c_str());
   if (cold.map_ms >= 1e99) {
     std::fprintf(stderr, "FATAL: cold-start measurement failed\n");

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "serving/replay.h"
 #include "serving/serving_node.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -52,11 +54,11 @@ struct SequentialRun {
   std::string metrics_json;
 };
 
-SequentialRun RunSequential(const store::DiversificationStore* store,
-                            const pipeline::Testbed* testbed,
-                            serving::ServingConfig config,
-                            const std::vector<std::string>& mix) {
-  serving::ServingNode node(store, testbed, config);
+SequentialRun RunSequential(
+    const std::shared_ptr<const store::StoreSnapshot>& snapshot,
+    const pipeline::Testbed* testbed, serving::ServingConfig config,
+    const std::vector<std::string>& mix) {
+  serving::ServingNode node(snapshot, testbed, config);
   serving::ReplayOutcome out =
       serving::ReplaySequential(&node, mix, nullptr, nullptr);
   SequentialRun r;
@@ -92,6 +94,8 @@ int main(int argc, char** argv) {
   store::BuildStore(testbed.detector(), testbed.searcher(),
                     testbed.snippets(), testbed.analyzer(),
                     testbed.corpus().store, roots, store_opts, &store);
+  std::shared_ptr<const store::StoreSnapshot> snapshot =
+      bench::ImageSnapshot(store);
 
   util::Rng rng(77);
   std::vector<std::string> mix = querylog::ZipfQueryMix(
@@ -120,8 +124,8 @@ int main(int argc, char** argv) {
   std::set<std::string> distinct(mix.begin(), mix.end());
   {
     util::WallTimer timer;
-    serving::ServingNode streaming(&store, &testbed, streaming_config);
-    serving::ServingNode materialized(&store, &testbed,
+    serving::ServingNode streaming(snapshot, &testbed, streaming_config);
+    serving::ServingNode materialized(snapshot, &testbed,
                                       materialized_config);
     size_t streamed = 0;
     for (const std::string& q : distinct) {
@@ -158,9 +162,9 @@ int main(int argc, char** argv) {
 
   // ---- phase 2: sequential cold-path p50 -----------------------------
   SequentialRun streaming_run =
-      RunSequential(&store, &testbed, streaming_config, mix);
+      RunSequential(snapshot, &testbed, streaming_config, mix);
   SequentialRun materialized_run =
-      RunSequential(&store, &testbed, materialized_config, mix);
+      RunSequential(snapshot, &testbed, materialized_config, mix);
   json.SetMetricsJson(streaming_run.metrics_json);
 
   auto add_run = [&](const std::string& name, const SequentialRun& r,

@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
 
   PipelineParams params;
   params.num_candidates = 2000;  // |R_q|: effectively every matching doc
-  params.results_per_specialization = 20;  // |R_q'| = 20 (paper)
-  params.threshold_c = 0.0;                // raw utilities; c applied below
+  params.threshold_c = 0.0;      // raw utilities; c applied below
   params.diversify.k = 1000;
   params.diversify.lambda = 0.15;
   DiversificationPipeline pipe(&testbed, params);

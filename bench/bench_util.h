@@ -1,19 +1,25 @@
 // Shared helpers for the benchmark binaries: synthetic problem instances
 // for selection-phase timing, shaped like the paper's Table 2 workload,
-// plus a machine-readable JSON emitter so CI and tooling can track bench
-// numbers without parsing the human tables.
+// the snapshot a bench's serving nodes start on, plus a machine-readable
+// JSON emitter so CI and tooling can track bench numbers without
+// parsing the human tables.
 
 #ifndef OPTSELECT_BENCH_BENCH_UTIL_H_
 #define OPTSELECT_BENCH_BENCH_UTIL_H_
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/candidate.h"
 #include "core/utility.h"
+#include "store/diversification_store.h"
+#include "store/mapped_store.h"
+#include "store/store_snapshot.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -61,6 +67,19 @@ inline TimingInstance MakeTimingInstance(util::Rng* rng, size_t n,
     }
   }
   return ti;
+}
+
+/// `store` the way every serving start-up serves it: a snapshot over the
+/// store's in-memory v4 image (MappedStoreFile::FromStore). Exits when
+/// the OS refuses the mapping.
+inline std::shared_ptr<const store::StoreSnapshot> ImageSnapshot(
+    const store::DiversificationStore& store) {
+  auto image = store::MappedStoreFile::FromStore(store);
+  if (!image.ok()) {
+    std::fprintf(stderr, "error: %s\n", image.status().ToString().c_str());
+    std::exit(1);
+  }
+  return store::StoreSnapshot::FromMapped(std::move(image).value());
 }
 
 /// Collects benchmark records and writes them as `BENCH_<bench>.json`

@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
 
   pipeline::PipelineParams params;
   params.num_candidates = 150;
-  params.results_per_specialization = 10;
   params.threshold_c = 0.3;
   params.diversify.k = k;
   pipeline::DiversificationPipeline pipe(&testbed, params);

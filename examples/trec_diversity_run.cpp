@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
 
   pipeline::PipelineParams params;
   params.num_candidates = 1000;
-  params.results_per_specialization = 20;
   params.threshold_c = threshold_c;
   params.diversify.k = 1000;
   params.diversify.lambda = lambda;

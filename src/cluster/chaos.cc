@@ -74,7 +74,6 @@ ChaosReport RunChaosScenario(
   // interleave into the ring. Ring sized to the run: nothing evicted.
   obs::TracerConfig trace_config;
   trace_config.sample_every = config.trace_sample_every;
-  trace_config.seed = config.trace_seed;
   trace_config.ring_capacity = mix.size() + 1;
   obs::Tracer tracer(trace_config);
   cluster.router().set_tracer(&tracer);
@@ -150,9 +149,7 @@ size_t CountHedgeOpportunities(const store::MappedStoreFile& store,
                                const std::vector<std::string>& mix,
                                const ChaosConfig& config) {
   const size_t n = std::max<size_t>(1, config.num_shards);
-  if (!config.failover.hedging || config.replicate_hot == 0 || n < 2) {
-    return 0;
-  }
+  if (config.replicate_hot == 0 || n < 2) return 0;
   // A hedge fires only if the slowed primary is still unanswered after
   // hedge_delay; require 2x headroom before promising one.
   if (config.slow_read_delay < 2 * config.failover.hedge_delay) return 0;
@@ -191,8 +188,14 @@ size_t CountHedgeOpportunities(const store::MappedStoreFile& store,
 std::unordered_map<std::string, uint64_t> BuildPassthroughHashes(
     const pipeline::Testbed* testbed, const serving::ServingConfig& node,
     const std::vector<std::string>& mix) {
-  store::DiversificationStore empty;
-  serving::ServingNode plain(&empty, testbed, node);
+  // Without an image there is no reference: every degraded answer then
+  // counts as a divergence, so the run fails rather than passes.
+  auto empty =
+      store::MappedStoreFile::FromStore(store::DiversificationStore());
+  if (!empty.ok()) return {};
+  serving::ServingNode plain(
+      store::StoreSnapshot::FromMapped(std::move(empty).value()), testbed,
+      node);
   std::unordered_map<std::string, uint64_t> hashes;
   for (const std::string& query : mix) {
     if (hashes.count(query) > 0) continue;
@@ -271,10 +274,9 @@ void CheckRunTraces(const ChaosReport& run, const ChaosConfig& config,
         trace.ranking_hash != outcome.ranking_hash) {
       ++verdict->outcome_mismatches;
     }
-    // Sampling rule: only requests in the sampled residue class may
-    // appear (seq % N == seed % N).
+    // Sampling rule: only every N-th request may appear (seq % N == 0).
     uint64_t n = config.trace_sample_every;
-    if (n > 1 && trace.seq % n != config.trace_seed % n) {
+    if (n > 1 && trace.seq % n != 0) {
       ++verdict->outcome_mismatches;
     }
   }
@@ -310,9 +312,7 @@ TraceVerdict VerifyTraceInvariants(const ChaosReport& run_a,
   if (n <= 1) {
     verdict.sampled_expected = requests;
   } else {
-    uint64_t residue = config.trace_seed % n;
-    verdict.sampled_expected =
-        requests > residue ? (requests - 1 - residue) / n + 1 : 0;
+    verdict.sampled_expected = requests > 0 ? (requests - 1) / n + 1 : 0;
   }
 
   CheckRunTraces(run_a, config, &verdict.sampled_a, &verdict);

@@ -85,7 +85,6 @@ struct ChaosConfig {
   /// sample the same requests — which is what VerifyTraceInvariants
   /// asserts.
   uint64_t trace_sample_every = 16;
-  uint64_t trace_seed = 0;
 };
 
 /// What one request produced. Excludes the hedged flag on purpose (see
@@ -184,10 +183,10 @@ struct ChaosVerdict {
 /// Mirrors the router's cursor semantics (starts at 0, advances once
 /// per replicated request) and the runner's event application
 /// (at_request <= r, stable order). Returns 0 — "no hedge can be
-/// required" — when hedging is off, there is nothing replicated, or
-/// slow_read_delay is not comfortably above hedge_delay (less than
-/// 2x), since then a hedge may legitimately never fire. The chaos CLI
-/// enforces its hedge check only when this is > 0.
+/// required" — when there is nothing replicated, or slow_read_delay
+/// is not comfortably above hedge_delay (less than 2x), since then a
+/// hedge may legitimately never fire. The chaos CLI enforces its hedge
+/// check only when this is > 0.
 size_t CountHedgeOpportunities(const store::MappedStoreFile& store,
                                const querylog::PopularityMap& popularity,
                                const std::vector<std::string>& mix,

@@ -353,7 +353,7 @@ serving::Response QueryRouter::Submit(const serving::Request& request) {
     size_t shard = holders[idx];
     if (attempted[shard] || !AllowAttempt(shard)) continue;
     size_t hedge = kNoShard;
-    if (failover_.hedging && replicated) {
+    if (replicated) {
       for (size_t j = idx + 1; j < holders.size(); ++j) {
         if (!attempted[holders[j]] &&
             shard_state(holders[j]) == BreakerState::kClosed) {

@@ -98,10 +98,10 @@ struct FailoverConfig {
   /// 0 clamps to 1).
   size_t breaker_probe_after = 8;
   /// Hedged retries: when the first replica of a *replicated* key has
-  /// not answered within hedge_delay, re-issue the request on the next
-  /// healthy replica and take whichever answers first. Replicas are
-  /// bit-identical, so hedging affects latency, never the ranking.
-  bool hedging = true;
+  /// not answered within hedge_delay, the request is re-issued on the
+  /// next healthy replica and whichever answers first is taken.
+  /// Replicas are bit-identical, so hedging affects latency, never the
+  /// ranking.
   std::chrono::microseconds hedge_delay{2000};
 };
 

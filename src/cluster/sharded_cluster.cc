@@ -34,11 +34,6 @@ ShardedCluster::ShardedCluster(
     const index::Searcher* searcher, const index::SnippetExtractor* snippets,
     const text::Analyzer* analyzer, const corpus::DocumentStore* documents,
     const querylog::PopularityMap* popularity, ClusterConfig config) {
-  owned_registry_ = config.registry == nullptr
-                        ? std::make_unique<obs::MetricsRegistry>()
-                        : nullptr;
-  registry_ =
-      config.registry != nullptr ? config.registry : owned_registry_.get();
   const size_t n = std::max<size_t>(1, config.num_shards);
   // Replication only spreads load when there is more than one shard to
   // spread it over.
@@ -58,7 +53,7 @@ ShardedCluster::ShardedCluster(
     filter.shard_index = i;
     filter.replicated = replicated;
     serving::ServingConfig node_config = config.node;
-    node_config.registry = registry_;
+    node_config.registry = &registry_;
     node_config.metric_labels = {{"shard", std::to_string(i)}};
     // The view's keep-predicate is a copy of the filter, so filters_
     // and the snapshots never disagree.
@@ -72,7 +67,7 @@ ShardedCluster::ShardedCluster(
   }
   router_ = std::make_unique<QueryRouter>(
       std::move(endpoints), std::move(replicated), config.failover,
-      registry_);
+      &registry_);
 }
 
 ShardedCluster::ShardedCluster(

@@ -75,10 +75,6 @@ struct ClusterConfig {
   /// Per-shard serving configuration (queue, workers, cache, params) —
   /// every shard is configured identically, like a homogeneous fleet.
   serving::ServingConfig node;
-  /// Metrics registry every shard and the router register into (each
-  /// shard under a `shard=<i>` label). Non-owned; null makes the
-  /// cluster create a private one, reachable via metrics().
-  obs::MetricsRegistry* registry = nullptr;
 };
 
 /// Cluster-level stats snapshot: summed counters plus latency quantiles
@@ -154,7 +150,7 @@ class ShardedCluster : public serving::Frontend {
 
   /// The registry all shards and the router share: per-shard serving
   /// metrics (labelled `shard=<i>`), router metrics, stage histograms.
-  const obs::MetricsRegistry& metrics() const { return *registry_; }
+  const obs::MetricsRegistry& metrics() const { return registry_; }
 
   /// Installs (or clears, with nullptr) a tracer on the router's
   /// failover path and every shard's request path. The tracer must
@@ -166,8 +162,7 @@ class ShardedCluster : public serving::Frontend {
  private:
   // Declared before the shards and router so it outlives them: both
   // hold registered handles and callbacks into the registry.
-  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;
+  obs::MetricsRegistry registry_;
   std::vector<store::ShardFilter> filters_;
   std::vector<std::unique_ptr<serving::ServingNode>> shards_;
   std::vector<std::string> replicated_keys_;

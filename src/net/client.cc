@@ -81,7 +81,7 @@ bool RemoteClient::ConnectLocked() {
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
-  parser_ = FrameParser(kMaxPayload);
+  parser_ = FrameParser();
   last_error_.clear();
   return true;
 }

@@ -149,7 +149,7 @@ void NetServer::OnAcceptable() {
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     uint64_t conn_id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(config_.max_payload);
+    auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conns_[conn_id] = std::move(conn);
     n_accepted_.fetch_add(1);

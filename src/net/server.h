@@ -53,8 +53,6 @@ struct NetServerConfig {
   /// Per-connection in-flight request ceiling; beyond it each request
   /// is shed with an error frame (connection stays open).
   size_t max_inflight_per_conn = 128;
-  /// Per-frame payload ceiling fed to the FrameParser.
-  size_t max_payload = kMaxPayload;
   /// Optional registry for net_* counters (non-owned, must outlive the
   /// server).
   obs::MetricsRegistry* registry = nullptr;
@@ -107,8 +105,6 @@ class NetServer {
     size_t inflight = 0;      // requests submitted, response not queued
     bool writable_armed = false;
     bool draining = false;    // close once outbuf flushes
-    Connection() : parser(kMaxPayload) {}
-    explicit Connection(size_t max_payload) : parser(max_payload) {}
   };
 
   void OnAcceptable();

@@ -176,7 +176,7 @@ bool FrameParser::Feed(const char* data, size_t size) {
       error_ = "unknown frame type";
     } else if (GetU32(h + 20) != 0) {
       error_ = "nonzero reserved field";
-    } else if (GetU32(h + 16) > max_payload_) {
+    } else if (GetU32(h + 16) > kMaxPayload) {
       error_ = "oversized payload length";
     }
     if (!error_.empty()) {

@@ -123,9 +123,6 @@ bool DecodeErrorPayload(const Frame& frame, WireError* out);
 /// Incremental, bounded stream deframer (one per connection).
 class FrameParser {
  public:
-  explicit FrameParser(size_t max_payload = kMaxPayload)
-      : max_payload_(max_payload) {}
-
   /// Appends `size` raw stream bytes and extracts every complete
   /// frame. Returns false on a fatal protocol violation (bad
   /// magic/version/reserved, oversized length, checksum mismatch) —
@@ -144,11 +141,10 @@ class FrameParser {
   const std::string& error() const { return error_; }
 
   /// Bytes buffered waiting for a frame boundary (bounded by
-  /// kHeaderSize + max_payload by construction).
+  /// kHeaderSize + kMaxPayload by construction).
   size_t buffered() const { return buffer_.size(); }
 
  private:
-  size_t max_payload_;
   std::string buffer_;
   std::deque<Frame> frames_;
   std::string error_;

@@ -32,18 +32,16 @@ Tracer::Tracer(TracerConfig config) : config_(config) {
 void Tracer::Commit(Trace trace) {
   std::lock_guard<std::mutex> lock(mu_);
   ++committed_;
-  // Slow-query log: keep the slow_capacity largest totals, sorted desc.
-  if (config_.slow_capacity > 0) {
-    if (slow_.size() < config_.slow_capacity ||
-        trace.total_us > slow_.back().total_us) {
-      auto pos = std::upper_bound(
-          slow_.begin(), slow_.end(), trace,
-          [](const Trace& a, const Trace& b) {
-            return a.total_us > b.total_us;
-          });
-      slow_.insert(pos, trace);
-      if (slow_.size() > config_.slow_capacity) slow_.pop_back();
-    }
+  // Slow-query log: keep the kSlowCapacity largest totals, sorted desc.
+  if (slow_.size() < kSlowCapacity ||
+      trace.total_us > slow_.back().total_us) {
+    auto pos = std::upper_bound(
+        slow_.begin(), slow_.end(), trace,
+        [](const Trace& a, const Trace& b) {
+          return a.total_us > b.total_us;
+        });
+    slow_.insert(pos, trace);
+    if (slow_.size() > kSlowCapacity) slow_.pop_back();
   }
   ring_.push_back(std::move(trace));
   while (ring_.size() > config_.ring_capacity) ring_.pop_front();

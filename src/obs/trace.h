@@ -12,15 +12,14 @@
 // (recent traffic) and a top-N slow-query log (worst offenders with
 // their per-stage breakdown) on the owning Tracer.
 //
-// Sampling is deterministic and seeded: request sequence number `seq`
-// is sampled iff `seq % sample_every == seed % sample_every`. No wall
-// clock, no RNG — under the sequential chaos replay the same seed
-// samples the same requests in both runs, which is what lets the chaos
-// harness diff sampled trace sequences across runs A and B
-// (`VerifyTraceInvariants` in src/cluster/chaos.h). Only ring-buffer
-// storage is gated on sampling; the per-stage latency *histograms*
-// record every request (see serving_node.cc), so stage quantiles
-// describe all traffic, not a sample.
+// Sampling is deterministic: request sequence number `seq` is sampled
+// iff `seq % sample_every == 0`. No wall clock, no RNG — under the
+// sequential chaos replay both runs sample the same requests, which is
+// what lets the chaos harness diff sampled trace sequences across runs
+// A and B (`VerifyTraceInvariants` in src/cluster/chaos.h). Only
+// ring-buffer storage is gated on sampling; the per-stage latency
+// *histograms* record every request (see serving_node.cc), so stage
+// quantiles describe all traffic, not a sample.
 //
 // Cost model mirrors fault_injector.h: the trace sites and stage
 // timers are compiled into every build. With no Tracer installed a
@@ -108,12 +107,8 @@ struct Trace {
 struct TracerConfig {
   /// 1-in-N deterministic sampling (0 and 1 both mean "every request").
   uint64_t sample_every = 64;
-  /// Offsets which residue class is sampled: seq % N == seed % N.
-  uint64_t seed = 0;
   /// Completed traces kept (oldest evicted first).
   size_t ring_capacity = 256;
-  /// Top-N slowest traces kept separately (the slow-query log).
-  size_t slow_capacity = 8;
 };
 
 /// Collects sampled traces and breaker transitions. Commit is mutex-
@@ -131,7 +126,7 @@ class Tracer {
   bool ShouldSample(uint64_t seq) const {
     uint64_t n = config_.sample_every;
     if (n <= 1) return true;
-    return seq % n == config_.seed % n;
+    return seq % n == 0;
   }
 
   /// Stores a completed trace in the ring buffer and, if it ranks,
@@ -151,7 +146,7 @@ class Tracer {
   /// Ring-buffer contents, oldest → newest.
   std::vector<Trace> Recent() const;
 
-  /// Slow-query log, slowest first.
+  /// Slow-query log: the kSlowCapacity slowest traces, slowest first.
   std::vector<Trace> Slowest() const;
 
   std::vector<BreakerEvent> breaker_events() const;
@@ -165,6 +160,9 @@ class Tracer {
   static std::string Format(const Trace& trace);
 
  private:
+  /// Traces the slow-query log keeps.
+  static constexpr size_t kSlowCapacity = 8;
+
   TracerConfig config_;
 
   mutable std::mutex mu_;

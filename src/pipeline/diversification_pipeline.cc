@@ -100,7 +100,7 @@ DiversifiedResult DiversificationPipeline::Prepare(
     // list with root-only documents once a specialization's cluster is
     // smaller than |R_q′|.
     index::ResultList rqp = searcher_->SearchTermsConjunctive(
-        sp_terms, params_.results_per_specialization);
+        sp_terms, kResultsPerSpecialization);
     profile.results.reserve(rqp.size());
     for (const index::SearchResult& hit : rqp) {
       profile.results.push_back(

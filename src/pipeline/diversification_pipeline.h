@@ -19,12 +19,15 @@
 namespace optselect {
 namespace pipeline {
 
+/// |R_q′|: reference results retrieved per specialization (paper
+/// Section 5: 20). One constant for the offline store build and the
+/// live pipeline, so stored surrogates and live ones always agree.
+inline constexpr size_t kResultsPerSpecialization = 20;
+
 /// Pipeline parameters (paper Section 5 defaults).
 struct PipelineParams {
   /// |R_q|: candidates retrieved for the ambiguous query.
   size_t num_candidates = 200;
-  /// |R_q′|: reference results per specialization (paper: 20).
-  size_t results_per_specialization = 20;
   /// Utility threshold c.
   double threshold_c = 0.0;
   /// Selection size and λ.

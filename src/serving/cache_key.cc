@@ -15,7 +15,6 @@ std::string NormalizeQuery(std::string_view raw) {
 uint64_t ParamsFingerprint(const pipeline::PipelineParams& params) {
   uint64_t h = util::kFnv1aOffsetBasis;
   h = util::Fnv1a64Value(params.num_candidates, h);
-  h = util::Fnv1a64Value(params.results_per_specialization, h);
   h = util::Fnv1a64Value(params.threshold_c, h);
   h = util::Fnv1a64Value(params.diversify.k, h);
   h = util::Fnv1a64Value(params.diversify.lambda, h);

@@ -160,20 +160,12 @@ ServingNode::ServingNode(
   }
 }
 
-ServingNode::ServingNode(const store::DiversificationStore* store,
-                         const index::Searcher* searcher,
-                         const index::SnippetExtractor* snippets,
-                         const text::Analyzer* analyzer,
-                         const corpus::DocumentStore* documents,
-                         ServingConfig config)
-    : ServingNode(store::StoreSnapshot::Borrow(store), searcher, snippets,
-                  analyzer, documents, config) {}
-
-ServingNode::ServingNode(const store::DiversificationStore* store,
-                         const pipeline::Testbed* testbed,
-                         ServingConfig config)
-    : ServingNode(store, &testbed->searcher(), &testbed->snippets(),
-                  &testbed->analyzer(), &testbed->corpus().store, config) {}
+ServingNode::ServingNode(
+    std::shared_ptr<const store::StoreSnapshot> snapshot,
+    const pipeline::Testbed* testbed, ServingConfig config)
+    : ServingNode(std::move(snapshot), &testbed->searcher(),
+                  &testbed->snippets(), &testbed->analyzer(),
+                  &testbed->corpus().store, config) {}
 
 ServingNode::~ServingNode() { Shutdown(); }
 

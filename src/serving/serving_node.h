@@ -68,7 +68,6 @@
 #include "serving/latency_histogram.h"
 #include "serving/request_queue.h"
 #include "serving/result_cache.h"
-#include "store/diversification_store.h"
 #include "store/store_snapshot.h"
 #include "text/analyzer.h"
 #include "util/types.h"
@@ -145,32 +144,25 @@ struct ServingStats {
 /// Multithreaded serving front end over an immutable store snapshot.
 class ServingNode : public Frontend {
  public:
-  /// Wires the node from serving-time components. All pointers are
-  /// non-owned and must outlive the node; every component is used
-  /// read-only (the retrieval stack is immutable after build, the
-  /// analyzer through AnalyzeReadOnly), which is what makes the worker
-  /// pool safe. Workers start immediately.
-  ServingNode(const store::DiversificationStore* store,
-              const index::Searcher* searcher,
-              const index::SnippetExtractor* snippets,
-              const text::Analyzer* analyzer,
-              const corpus::DocumentStore* documents,
-              ServingConfig config);
-
-  /// Convenience wiring from a fully built testbed plus a store.
-  ServingNode(const store::DiversificationStore* store,
-              const pipeline::Testbed* testbed, ServingConfig config);
-
-  /// Hot-reload-ready wiring: starts on an explicit snapshot — the
-  /// deployment shape of Section 4.1 is StoreSnapshot::FromMapped over
-  /// the serving store's v4 mapping (store::BuildSnapshot and
-  /// StoreSnapshot::Own give heap snapshots).
+  /// Wires the node from serving-time components over an explicit
+  /// snapshot — the deployment shape of Section 4.1 is
+  /// StoreSnapshot::FromMapped over the serving store's v4 mapping
+  /// (ReloadStore later swaps in the heap snapshots store::BuildSnapshot
+  /// gives). All pointers are non-owned and must outlive the node;
+  /// every component is used read-only (the retrieval stack is
+  /// immutable after build, the analyzer through AnalyzeReadOnly),
+  /// which is what makes the worker pool safe. Workers start
+  /// immediately.
   ServingNode(std::shared_ptr<const store::StoreSnapshot> snapshot,
               const index::Searcher* searcher,
               const index::SnippetExtractor* snippets,
               const text::Analyzer* analyzer,
               const corpus::DocumentStore* documents,
               ServingConfig config);
+
+  /// Convenience wiring from a fully built testbed plus a snapshot.
+  ServingNode(std::shared_ptr<const store::StoreSnapshot> snapshot,
+              const pipeline::Testbed* testbed, ServingConfig config);
 
   ServingNode(const ServingNode&) = delete;
   ServingNode& operator=(const ServingNode&) = delete;
@@ -250,12 +242,6 @@ class ServingNode : public Frontend {
 
   /// The active snapshot (refcounted — safe to hold across reloads).
   std::shared_ptr<const store::StoreSnapshot> snapshot() const;
-
-  /// The active snapshot's store. The reference is valid only while the
-  /// snapshot stays active; under hot reload prefer snapshot().
-  const store::DiversificationStore& store() const {
-    return snapshot()->store();
-  }
 
  private:
   /// One queue item (distinct from serving::Request, the public API

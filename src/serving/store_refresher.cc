@@ -43,39 +43,6 @@ StoreRefresher::StoreRefresher(ServingNode* node,
   // tail only what arrives from here on. A missing file is fine — the
   // tail starts at offset 0 once it appears.
   ingestor_.SkipToEnd().IgnoreError();
-
-  // Callback-backed registration: refresher counters live behind
-  // stats_mu_ (one tick bumps several together), so the registry reads
-  // them through stats() instead of owning the atomics. The whole-stats
-  // copy per metric is fine — collection is rare, ticks are seconds
-  // apart.
-  if (config_.registry != nullptr) {
-    obs::MetricsRegistry* reg = config_.registry;
-    const obs::Labels& labels = config_.metric_labels;
-    auto read = [this](uint64_t StoreRefresherStats::* field) {
-      return std::function<uint64_t()>(
-          [this, field] { return stats().*field; });
-    };
-    reg->AddCounterFn("optselect_refresh_ticks_total", labels,
-                      read(&StoreRefresherStats::ticks));
-    reg->AddCounterFn("optselect_refresh_ingested_records_total", labels,
-                      read(&StoreRefresherStats::ingested_records));
-    reg->AddCounterFn("optselect_refresh_malformed_lines_total", labels,
-                      read(&StoreRefresherStats::malformed_lines));
-    reg->AddCounterFn("optselect_refresh_swaps_total", labels,
-                      read(&StoreRefresherStats::swaps));
-    reg->AddCounterFn("optselect_refresh_upserts_total", labels,
-                      read(&StoreRefresherStats::upserts));
-    reg->AddCounterFn("optselect_refresh_removals_total", labels,
-                      read(&StoreRefresherStats::removals));
-    reg->AddCounterFn("optselect_refresh_errors_total", labels,
-                      read(&StoreRefresherStats::errors));
-    reg->AddGaugeFn("optselect_refresh_store_version", labels, [this] {
-      return static_cast<double>(stats().store_version);
-    });
-    reg->AddGaugeFn("optselect_refresh_last_tick_ms", labels,
-                    [this] { return stats().last_tick_ms; });
-  }
 }
 
 StoreRefresher::~StoreRefresher() { Stop(); }

@@ -43,7 +43,6 @@
 
 #include "corpus/document_store.h"
 #include "index/searcher.h"
-#include "obs/metrics.h"
 #include "index/snippet_extractor.h"
 #include "querylog/log_ingestor.h"
 #include "querylog/session_segmenter.h"
@@ -87,13 +86,6 @@ struct StoreRefresherConfig {
   recommend::ShortcutsRecommender::Options recommender;
   recommend::AmbiguityDetector::Options detector;
   querylog::SessionSegmenter::Options segmenter;
-  /// When set, the refresher registers its counters/gauges here at
-  /// construction (callback-backed — they read stats() lazily). The
-  /// registry must outlive the refresher. Null skips registration; the
-  /// stats() snapshot keeps working either way.
-  obs::MetricsRegistry* registry = nullptr;
-  /// Labels for the registered metrics, e.g. {{"shard", "0"}}.
-  obs::Labels metric_labels;
 };
 
 /// Counters for observability; snapshot via stats().

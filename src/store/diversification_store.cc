@@ -109,12 +109,5 @@ util::Status DiversificationStore::Save(const std::string& path) const {
   return MappedStoreFile::WriteV4(*this, path);
 }
 
-util::Result<DiversificationStore> DiversificationStore::Load(
-    const std::string& path) {
-  auto mapped = MappedStoreFile::Map(path);
-  if (!mapped.ok()) return mapped.status();
-  return mapped.value()->Materialize();
-}
-
 }  // namespace store
 }  // namespace optselect

@@ -103,14 +103,6 @@ class DiversificationStore {
   /// Deterministic: identical stores produce identical bytes.
   util::Status Save(const std::string& path) const;
 
-  /// Loads a store written by Save: maps the v4 file with
-  /// MappedStoreFile::Map (the one parse/validate implementation) and
-  /// materializes it into heap entries. Any other bytes, the v1–v3
-  /// stream formats included, fail like a corrupt file (kCorruption);
-  /// `optselect upgrade` converts those (store/legacy_store.h). A file
-  /// that cannot be opened is kIoError.
-  static util::Result<DiversificationStore> Load(const std::string& path);
-
   /// Iteration support (read-only).
   const std::unordered_map<std::string, StoredEntry>& entries() const {
     return entries_;

@@ -1,6 +1,6 @@
 // Reader for the retired store.bin stream formats v1–v3.
 //
-// Serving and DiversificationStore::Load read only the v4 layout
+// Serving and MappedStoreFile::Map read only the v4 layout
 // (store/mapped_store.h). Files written by builds before it are
 // streams, and this reader is the one place that still knows their
 // layout. Its one production caller is `optselect upgrade <in> <out>`,

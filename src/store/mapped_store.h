@@ -56,14 +56,14 @@
 // reload can retire a snapshot while requests still read old pages.
 //
 // Readers and writers: DiversificationStore::Save emits this format
-// (WriteV4) and Load maps it and materializes it. v4 is the only
-// format Map, Load and serving read: any other bytes fail Map as
-// corruption, and `optselect upgrade` converts a v1–v3 file
-// (store/legacy_store.h). FromStore encodes an in-memory store into
-// the same bytes inside an anonymous read-only mapping, so a store
-// that was never saved (an in-process build, a file whose plans were
-// compiled for other serving params) is served through the same
-// mapped view.
+// (WriteV4), Map reads it, and Materialize copies a mapping into a
+// heap store. v4 is the only format Map and serving read: any other
+// bytes fail Map as corruption, and `optselect upgrade` converts a
+// v1–v3 file (store/legacy_store.h). FromStore encodes an in-memory
+// store into the same bytes inside an anonymous read-only mapping, so
+// a store that was never saved (an in-process build, a file whose
+// plans were compiled for other serving params) is served through the
+// same mapped view.
 
 #ifndef OPTSELECT_STORE_MAPPED_STORE_H_
 #define OPTSELECT_STORE_MAPPED_STORE_H_
@@ -206,8 +206,8 @@ class MappedStoreFile {
   }
 
   /// Deep copy into a heap DiversificationStore (content and version
-  /// bit-identical to what Save(v4)→Load produced the file from). Used
-  /// by snapshot rebuilds — deltas mutate heap stores, not mappings.
+  /// bit-identical to the store Save wrote the file from). Used by
+  /// snapshot rebuilds — deltas mutate heap stores, not mappings.
   DiversificationStore Materialize() const;
 
   size_t mapped_bytes() const { return size_; }

@@ -32,19 +32,6 @@ bool ShardFilter::Keeps(std::string_view normalized_key) const {
   return replicated.count(std::string(normalized_key)) > 0;
 }
 
-DiversificationStore SplitStore(const DiversificationStore& store,
-                                const ShardFilter& filter) {
-  DiversificationStore shard;
-  for (const auto& [key, entry] : store.entries()) {
-    if (!filter.Keeps(key)) continue;
-    // Put re-validates the copied entry (ambiguity + plan invariants),
-    // so a shard store can never hold state a full store could not.
-    shard.Put(entry).IgnoreError();
-  }
-  shard.set_version(store.version());
-  return shard;
-}
-
 namespace {
 
 /// Runs work(i) once for every i in [0, count), on min(available
@@ -85,7 +72,7 @@ StoredEntry MaterializeEntry(const recommend::SpecializationSet& set,
     stored_sp.probability = sp.probability;
     std::vector<text::TermId> terms = analyzer.AnalyzeReadOnly(sp.query);
     index::ResultList results = searcher.SearchTermsConjunctive(
-        terms, options.results_per_specialization);
+        terms, pipeline::kResultsPerSpecialization);
     stored_sp.surrogates.reserve(results.size());
     for (const index::SearchResult& hit : results) {
       stored_sp.surrogates.push_back(

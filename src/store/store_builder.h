@@ -22,11 +22,10 @@
 namespace optselect {
 namespace store {
 
-/// Builder options.
+/// Builder options. Each specialization keeps
+/// pipeline::kResultsPerSpecialization surrogates (|R_q′|), retrieved
+/// conjunctively (every specialization term must match).
 struct StoreBuilderOptions {
-  /// |R_q′| surrogates kept per specialization (paper: 20), retrieved
-  /// conjunctively (every specialization term must match).
-  size_t results_per_specialization = 20;
   /// Compile a serving QueryPlan (store v3) into every materialized
   /// entry. Off ⇒ entries serve via per-request computation.
   bool compile_plans = true;
@@ -39,9 +38,9 @@ struct StoreBuilderOptions {
 /// cluster (src/cluster): a normalized store key is *owned* by exactly
 /// one of `num_shards` shards (FNV-1a hash of the key, mod N), and may
 /// additionally be *replicated* onto every shard (the cluster's hot-set
-/// load spreading). The same struct carves a full store into per-shard
-/// stores (SplitStore) and slices refresh deltas per shard, so the two
-/// can never disagree about ownership.
+/// load spreading). The same struct selects each shard's keys of the
+/// shared mapping (StoreSnapshot::MappedShard) and filters each shard's
+/// refreshes, so the two can never disagree about ownership.
 struct ShardFilter {
   size_t num_shards = 1;
   size_t shard_index = 0;
@@ -55,14 +54,6 @@ struct ShardFilter {
   /// True when this shard holds the key: it owns it or replicates it.
   bool Keeps(std::string_view normalized_key) const;
 };
-
-/// Carves the slice of `store` held by one shard: every entry whose
-/// normalized key passes `filter.Keeps` is deep-copied (plan included);
-/// the content version carries over so all shards of one build report
-/// the same version. With an empty `replicated` set the per-shard
-/// splits partition the store exactly.
-DiversificationStore SplitStore(const DiversificationStore& store,
-                                const ShardFilter& filter);
 
 /// Runs Algorithm 1 on every query in `candidate_queries`, and for each
 /// detected ambiguous query materializes the specializations with their

@@ -12,13 +12,7 @@ std::shared_ptr<const StoreSnapshot> StoreSnapshot::Own(
     DiversificationStore store) {
   auto owned = std::make_unique<DiversificationStore>(std::move(store));
   return std::shared_ptr<const StoreSnapshot>(
-      new StoreSnapshot(std::move(owned), nullptr));
-}
-
-std::shared_ptr<const StoreSnapshot> StoreSnapshot::Borrow(
-    const DiversificationStore* store) {
-  return std::shared_ptr<const StoreSnapshot>(
-      new StoreSnapshot(nullptr, store));
+      new StoreSnapshot(std::move(owned)));
 }
 
 std::shared_ptr<const StoreSnapshot> StoreSnapshot::FromMapped(
@@ -53,23 +47,23 @@ EntryRef StoreSnapshot::Find(std::string_view normalized_key) const {
     }
     return EntryRef(file_->FindEntry(normalized_key));
   }
-  return EntryRef(view_->Find(normalized_key));
+  return EntryRef(owned_->Find(normalized_key));
 }
 
 size_t StoreSnapshot::entry_count() const {
   if (file_ != nullptr) {
     return filtered_ ? shard_index_.size() : file_->entry_count();
   }
-  return view_->size();
+  return owned_->size();
 }
 
 const DiversificationStore& StoreSnapshot::store() const {
-  if (file_ == nullptr) return *view_;
+  if (file_ == nullptr) return *owned_;
   std::call_once(materialize_once_, [this] {
     auto heap =
         std::make_unique<DiversificationStore>(file_->Materialize());
     if (filtered_) {
-      // Shard views materialize only their slice, mirroring SplitStore.
+      // Shard views materialize only their slice.
       std::vector<std::string> drop;
       for (const auto& [key, entry] : heap->entries()) {
         (void)entry;

@@ -13,18 +13,20 @@
 //
 // A snapshot has one of two backings:
 //
-//   heap   — Own / Borrow over a DiversificationStore (entries parsed
-//            into std::vector-backed TermVectors). The delta-rebuild
-//            and test shape.
 //   mapped — FromMapped / MappedShard over a refcounted
 //            MappedStoreFile (store format v4): lookups resolve to
 //            EntryRefs whose spans point straight at the mmapped
-//            columns. A MappedShard is an offset-filtered *view* over
-//            the same single mapping — N shards share one physical
-//            copy of the store instead of N SplitStore copies. The
-//            mapping is released only when the last snapshot (or
-//            in-flight request) holding the file drops, which is what
-//            makes hot reload safe while old pages are still read.
+//            columns. Every serving node starts on one — the file's
+//            mapping or an in-memory store's FromStore image. A
+//            MappedShard is an offset-filtered *view* over the same
+//            single mapping — N shards share one physical copy of the
+//            store. The mapping is released only when the last
+//            snapshot (or in-flight request) holding the file drops,
+//            which is what makes hot reload safe while old pages are
+//            still read.
+//   heap   — Own over a DiversificationStore (entries parsed into
+//            std::vector-backed TermVectors). BuildSnapshot emits one
+//            on every reload.
 //
 // Find() is the uniform hot-path lookup for both backings. store()
 // remains available everywhere — on a mapped snapshot it materializes
@@ -50,26 +52,21 @@ namespace optselect {
 namespace store {
 
 /// An immutable, refcounted view of one store build. Create with Own
-/// (snapshot owns the store — the serving deployment shape), Borrow
-/// (aliases an externally owned store that must outlive the snapshot —
-/// test and embedding convenience), FromMapped (zero-copy over a v4
-/// mapping) or MappedShard (key-filtered zero-copy view over a shared
-/// v4 mapping).
+/// (snapshot owns a heap store — what a reload builds), FromMapped
+/// (zero-copy over a v4 mapping) or MappedShard (key-filtered
+/// zero-copy view over a shared v4 mapping).
 class StoreSnapshot {
  public:
   static std::shared_ptr<const StoreSnapshot> Own(
       DiversificationStore store);
-  static std::shared_ptr<const StoreSnapshot> Borrow(
-      const DiversificationStore* store);
   /// Zero-copy snapshot over a mapped v4 store. The file is shared,
   /// not copied; it stays mapped while any snapshot (or EntryRef
   /// holder) references it.
   static std::shared_ptr<const StoreSnapshot> FromMapped(
       std::shared_ptr<const MappedStoreFile> file);
   /// Key-filtered zero-copy view over a shared mapping: the snapshot
-  /// indexes only the normalized keys `keep` accepts — the mapped twin
-  /// of SplitStore, with no per-shard entry copies. `keep` is consulted
-  /// once per key at construction.
+  /// indexes only the normalized keys `keep` accepts, with no per-shard
+  /// entry copies. `keep` is consulted once per key at construction.
   static std::shared_ptr<const StoreSnapshot> MappedShard(
       std::shared_ptr<const MappedStoreFile> file,
       std::function<bool(std::string_view)> keep);
@@ -97,22 +94,19 @@ class StoreSnapshot {
 
   /// Monotonic content version.
   uint64_t version() const {
-    return file_ != nullptr ? file_->store_version() : view_->version();
+    return file_ != nullptr ? file_->store_version() : owned_->version();
   }
 
   StoreSnapshot(const StoreSnapshot&) = delete;
   StoreSnapshot& operator=(const StoreSnapshot&) = delete;
 
  private:
-  StoreSnapshot(std::unique_ptr<DiversificationStore> owned,
-                const DiversificationStore* view)
-      : owned_(std::move(owned)),
-        view_(view != nullptr ? view : owned_.get()) {}
+  explicit StoreSnapshot(std::unique_ptr<DiversificationStore> owned)
+      : owned_(std::move(owned)) {}
   StoreSnapshot(std::shared_ptr<const MappedStoreFile> file,
                 std::function<bool(std::string_view)> keep);
 
   std::unique_ptr<DiversificationStore> owned_;
-  const DiversificationStore* view_ = nullptr;
 
   std::shared_ptr<const MappedStoreFile> file_;
   /// Set for MappedShard views; empty ⇒ the whole file is visible.

@@ -1,11 +1,11 @@
-// Tests for the sharded serving cluster: ShardFilter / SplitStore
+// Tests for the sharded serving cluster: ShardFilter / MappedShard
 // partitioning, router ownership + hot-key round-robin, bit-identity of
 // cluster rankings (shards over views of the store's in-memory v4
-// image) against the single-node heap path (including replicas served
-// from non-owner shards), degenerate shard counts (1 shard == single
-// node, empty shards, all traffic on one shard), dirty-only refreshes
-// through one key-filtered StoreRefresher per shard (the CLI's wiring),
-// and cluster-level stats aggregation.
+// image) against a single node over the whole image (including
+// replicas served from non-owner shards), degenerate shard counts (1
+// shard == single node, empty shards, all traffic on one shard),
+// dirty-only refreshes through one key-filtered StoreRefresher per
+// shard (the CLI's wiring), and cluster-level stats aggregation.
 
 #include <algorithm>
 #include <cstdio>
@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -108,8 +109,8 @@ class ClusterTest : public ::testing::Test {
   }
 
   static serving::ServingNode SingleNode() {
-    return serving::ServingNode(store_, testbed_,
-                                BaseConfig(1).node);
+    return serving::ServingNode(store::StoreSnapshot::FromMapped(mapped_),
+                                testbed_, BaseConfig(1).node);
   }
 
   static std::string NoiseQuery() {
@@ -180,31 +181,49 @@ std::shared_ptr<const store::MappedStoreFile> ClusterTest::mapped_;
 std::vector<std::string>* ClusterTest::stored_keys_ =
     new std::vector<std::string>();
 
-// ------------------------------------------------------------- SplitStore
+// ------------------------------------------------------------ MappedShard
 
-TEST_F(ClusterTest, SplitStorePartitionsExactly) {
+/// One shard's zero-copy view of the cluster's mapping.
+std::shared_ptr<const store::StoreSnapshot> ShardView(
+    std::shared_ptr<const store::MappedStoreFile> mapped,
+    store::ShardFilter filter) {
+  return store::StoreSnapshot::MappedShard(
+      std::move(mapped),
+      [filter = std::move(filter)](std::string_view key) {
+        return filter.Keeps(key);
+      });
+}
+
+TEST_F(ClusterTest, MappedShardPartitionsExactly) {
   const size_t n = 3;
   size_t total = 0;
   for (size_t i = 0; i < n; ++i) {
     store::ShardFilter filter;
     filter.num_shards = n;
     filter.shard_index = i;
-    store::DiversificationStore shard = SplitStore(*store_, filter);
-    EXPECT_EQ(shard.version(), store_->version());
-    total += shard.size();
-    for (const auto& [key, entry] : shard.entries()) {
-      EXPECT_EQ(store::ShardFilter::OwnerShard(key, n), i);
-      const store::StoredEntry* source = store_->Find(key);
+    auto shard = ShardView(mapped_, filter);
+    EXPECT_EQ(shard->version(), store_->version());
+    total += shard->entry_count();
+    for (const std::string& key : *stored_keys_) {
+      store::EntryRef entry = shard->Find(key);
+      ASSERT_EQ(static_cast<bool>(entry),
+                store::ShardFilter::OwnerShard(key, n) == i)
+          << key;
+      if (!entry) continue;
+      // The view serves the shared mapping's own columns: no copy.
+      const store::MappedEntry* source = mapped_->FindEntry(key);
       ASSERT_NE(source, nullptr);
-      EXPECT_TRUE(StoredEntriesEqual(entry, *source));
-      // Compiled plans ride the copy.
-      EXPECT_EQ(entry.plan.empty(), source->plan.empty());
+      EXPECT_EQ(entry.spec_spans(0), &source->specializations[0].surrogates);
+      EXPECT_EQ(entry.num_specializations(),
+                store_->Find(key)->specializations.size());
+      // Compiled plans are visible through the view.
+      EXPECT_EQ(source->has_plan, !store_->Find(key)->plan.empty());
     }
   }
   EXPECT_EQ(total, store_->size());  // disjoint and complete
 }
 
-TEST_F(ClusterTest, SplitStoreReplicatesListedKeys) {
+TEST_F(ClusterTest, MappedShardReplicatesListedKeys) {
   const size_t n = 3;
   const std::string& hot = stored_keys_->front();
   size_t holders = 0;
@@ -213,7 +232,7 @@ TEST_F(ClusterTest, SplitStoreReplicatesListedKeys) {
     filter.num_shards = n;
     filter.shard_index = i;
     filter.replicated.insert(hot);
-    if (SplitStore(*store_, filter).Find(hot) != nullptr) ++holders;
+    if (ShardView(mapped_, filter)->Find(hot)) ++holders;
   }
   EXPECT_EQ(holders, n);
 }
@@ -224,7 +243,7 @@ TEST_F(ClusterTest, SingleShardDegeneratesToSingleNode) {
   ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(1));
   serving::ServingNode node = SingleNode();
   ASSERT_EQ(cl.num_shards(), 1u);
-  EXPECT_EQ(cl.shard(0)->store().size(), store_->size());
+  EXPECT_EQ(cl.shard(0)->snapshot()->entry_count(), store_->size());
 
   std::vector<std::string> queries = *stored_keys_;
   queries.push_back(NoiseQuery());
@@ -286,7 +305,7 @@ TEST_F(ClusterTest, EmptyShardStillServesItsTraffic) {
   ASSERT_GT(n, 0u) << "no empty shard up to 64 shards?";
 
   ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(n));
-  EXPECT_TRUE(cl.shard(empty_shard)->store().empty());
+  EXPECT_EQ(cl.shard(empty_shard)->snapshot()->entry_count(), 0u);
 
   // A query owned by the empty shard must still be answered (it cannot
   // be a stored query, so: passthrough), identically to a single node.
@@ -367,7 +386,7 @@ TEST_F(ClusterTest, ReplicatedQueryServedFromEveryShardBitIdentical) {
     for (size_t i = 0; i < n; ++i) {
       // Every shard — owner or not — holds the replica and serves the
       // identical ranking directly.
-      ASSERT_NE(cl.shard(i)->store().Find(hot), nullptr)
+      ASSERT_TRUE(cl.shard(i)->snapshot()->Find(hot))
           << hot << " missing on shard " << i;
       serving::Response r = cl.shard(i)->Submit(serving::Request(hot));
       EXPECT_TRUE(r.diversified);

@@ -50,12 +50,14 @@ class FaultInjectionTest : public ::testing::Test {
     auto image = store::MappedStoreFile::FromStore(*store_);
     ASSERT_TRUE(image.ok()) << image.status().ToString();
     mapped_ = std::move(image).value();
+    snapshot_ = store::StoreSnapshot::FromMapped(mapped_);
     for (const auto& [key, entry] : store_->entries()) {
       stored_keys_->push_back(key);
     }
     std::sort(stored_keys_->begin(), stored_keys_->end());
   }
   static void TearDownTestSuite() {
+    snapshot_.reset();
     mapped_.reset();
     delete store_;
     delete testbed_;
@@ -76,8 +78,12 @@ class FaultInjectionTest : public ::testing::Test {
   /// The plain DPH ranking any shard computes without a store entry —
   /// what a degraded answer must be bit-identical to.
   static std::vector<DocId> PassthroughRanking(const std::string& query) {
-    store::DiversificationStore empty;
-    serving::ServingNode plain(&empty, testbed_, BaseConfig(1).node);
+    auto empty =
+        store::MappedStoreFile::FromStore(store::DiversificationStore());
+    EXPECT_TRUE(empty.ok()) << empty.status().ToString();
+    serving::ServingNode plain(
+        store::StoreSnapshot::FromMapped(std::move(empty).value()), testbed_,
+        BaseConfig(1).node);
     return plain.Submit(serving::Request(query)).ranking;
   }
 
@@ -85,12 +91,15 @@ class FaultInjectionTest : public ::testing::Test {
   static store::DiversificationStore* store_;
   /// store_'s in-memory v4 image, what every cluster here serves.
   static std::shared_ptr<const store::MappedStoreFile> mapped_;
+  /// The whole image, what every single node here starts on.
+  static std::shared_ptr<const store::StoreSnapshot> snapshot_;
   static std::vector<std::string>* stored_keys_;
 };
 
 pipeline::Testbed* FaultInjectionTest::testbed_ = nullptr;
 store::DiversificationStore* FaultInjectionTest::store_ = nullptr;
 std::shared_ptr<const store::MappedStoreFile> FaultInjectionTest::mapped_;
+std::shared_ptr<const store::StoreSnapshot> FaultInjectionTest::snapshot_;
 std::vector<std::string>* FaultInjectionTest::stored_keys_ =
     new std::vector<std::string>();
 
@@ -106,7 +115,7 @@ TEST(BreakerStateNameTest, NamesAllStates) {
 
 TEST_F(FaultInjectionTest, FailoverPathIsBitIdenticalWhenHealthy) {
   ShardedCluster cl(mapped_, testbed_, nullptr, BaseConfig(3));
-  serving::ServingNode single(store_, testbed_, BaseConfig(1).node);
+  serving::ServingNode single(snapshot_, testbed_, BaseConfig(1).node);
 
   std::vector<std::string> queries = *stored_keys_;
   queries.push_back(testbed_->universe().noise_queries[0]);
@@ -203,7 +212,7 @@ TEST_F(FaultInjectionTest, ReplicatedKeyFailsOverToReplicasBitIdentical) {
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
 
-  serving::ServingNode single(store_, testbed_, BaseConfig(1).node);
+  serving::ServingNode single(snapshot_, testbed_, BaseConfig(1).node);
   const std::vector<DocId> reference =
       single.Submit(serving::Request(hot)).ranking;
 
@@ -224,7 +233,7 @@ TEST_F(FaultInjectionTest, ReplicatedKeyFailsOverToReplicasBitIdentical) {
 // ---------------------------------------------------- injected faults
 
 TEST_F(FaultInjectionTest, DeadInjectorShedsSyncAndAsyncSubmits) {
-  serving::ServingNode node(store_, testbed_, BaseConfig(1).node);
+  serving::ServingNode node(snapshot_, testbed_, BaseConfig(1).node);
   serving::ScriptedFaultInjector injector;
   node.set_fault_injector(&injector);
 
@@ -243,7 +252,7 @@ TEST_F(FaultInjectionTest, DeadInjectorShedsSyncAndAsyncSubmits) {
 TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
   serving::ServingConfig config = BaseConfig(1).node;
   config.enable_cache = false;  // every request actually reads
-  serving::ServingNode node(store_, testbed_, config);
+  serving::ServingNode node(snapshot_, testbed_, config);
   serving::ScriptedFaultInjector injector;
   node.set_fault_injector(&injector);
 
@@ -263,7 +272,7 @@ TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
 }
 
 TEST_F(FaultInjectionTest, ReloadFaultRefusesSwapAndKeepsServing) {
-  serving::ServingNode node(store_, testbed_, BaseConfig(1).node);
+  serving::ServingNode node(snapshot_, testbed_, BaseConfig(1).node);
   serving::ScriptedFaultInjector injector;
   node.set_fault_injector(&injector);
   const uint64_t version_before = node.snapshot()->version();
@@ -450,7 +459,7 @@ TEST_F(FaultInjectionTest, RefresherRetriesPendingSwapAfterReloadFault) {
   std::string log_path = ::testing::TempDir() + "/fault_refresher_log.tsv";
   ASSERT_TRUE(testbed_->log_result().log.SaveTsv(log_path).ok());
 
-  serving::ServingNode node(store_, testbed_, BaseConfig(1).node);
+  serving::ServingNode node(snapshot_, testbed_, BaseConfig(1).node);
   serving::ScriptedFaultInjector injector;
   node.set_fault_injector(&injector);
   serving::StoreRefresherConfig rc;
@@ -461,8 +470,7 @@ TEST_F(FaultInjectionTest, RefresherRetriesPendingSwapAfterReloadFault) {
       testbed_->log_result().log, rc);
 
   // Fresh traffic that shifts one stored entry's distribution.
-  const store::StoredEntry* target =
-      node.snapshot()->store().Find(stored_keys_->front());
+  const store::StoredEntry* target = store_->Find(stored_keys_->front());
   ASSERT_NE(target, nullptr);
   const std::string boosted = target->specializations.back().query;
   {
@@ -502,7 +510,7 @@ TEST_F(FaultInjectionTest, HedgedRetryWinsOnSlowReplica) {
                     &testbed_->recommender().popularity(), config);
   ASSERT_EQ(cl.replicated_keys().size(), 1u);
   const std::string hot = cl.replicated_keys().front();
-  serving::ServingNode single(store_, testbed_, BaseConfig(1).node);
+  serving::ServingNode single(snapshot_, testbed_, BaseConfig(1).node);
   const std::vector<DocId> reference =
       single.Submit(serving::Request(hot)).ranking;
 

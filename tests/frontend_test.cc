@@ -19,6 +19,7 @@
 #include "serving/serving_node.h"
 #include "store/mapped_store.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 #include "util/hash.h"
 
 namespace optselect {
@@ -72,7 +73,8 @@ class FrontendTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
-  /// store_'s in-memory v4 image, what the in-process cluster serves.
+  /// store_'s in-memory v4 image, what the node and the in-process
+  /// cluster serve.
   static std::shared_ptr<const store::MappedStoreFile> mapped_;
 };
 
@@ -81,7 +83,8 @@ store::DiversificationStore* FrontendTest::store_ = nullptr;
 std::shared_ptr<const store::MappedStoreFile> FrontendTest::mapped_;
 
 TEST_F(FrontendTest, NodeAndClusterAnswerIdenticallyThroughTheInterface) {
-  ServingNode node(store_, testbed_, NodeConfig());
+  ServingNode node(store::StoreSnapshot::FromMapped(mapped_), testbed_,
+                   NodeConfig());
   cluster::ClusterConfig cc;
   cc.num_shards = 2;
   cc.replicate_hot = 0;
@@ -134,7 +137,8 @@ TEST(FrontendDefaultAdapterTest, SubmitAsyncRunsBlockingSubmitInline) {
 }
 
 TEST_F(FrontendTest, ReplayMixDrivesAnyFrontend) {
-  ServingNode node(store_, testbed_, NodeConfig());
+  ServingNode node(store::StoreSnapshot::FromMapped(mapped_), testbed_,
+                   NodeConfig());
   cluster::ClusterConfig cc;
   cc.num_shards = 2;
   cc.node = NodeConfig();

@@ -9,7 +9,7 @@
 //            writes.
 //   views  — FromMapped/MappedShard snapshots resolve lookups zero-copy
 //            through EntryRef; shard views partition the file exactly
-//            like SplitStore partitions a heap store; the mapping's
+//            as the ShardFilter assigns its keys; the mapping's
 //            shared_ptr lifetime outlives any snapshot or unlink.
 //   serving — a node on a mapped snapshot (file or image) answers
 //            bit-identically to a node on the equivalent heap
@@ -283,17 +283,18 @@ TEST(MappedStoreTest, MappedShardViewsPartitionTheStore) {
   }
 
   // Disjoint partition: every key on exactly one shard, and the shard
-  // view agrees with both the filter and SplitStore's heap split.
+  // view agrees with the filter.
   size_t total = 0;
   for (size_t i = 0; i < n; ++i) {
     total += shards[i]->entry_count();
-    DiversificationStore heap_split = SplitStore(store, filters[i]);
-    EXPECT_EQ(shards[i]->entry_count(), heap_split.size()) << i;
+    size_t kept = 0;
     for (const auto& [key, entry] : store.entries()) {
+      kept += filters[i].Keeps(key) ? 1 : 0;
       EXPECT_EQ(static_cast<bool>(shards[i]->Find(key)),
                 filters[i].Keeps(key))
           << "shard " << i << " key " << key;
     }
+    EXPECT_EQ(shards[i]->entry_count(), kept) << i;
   }
   EXPECT_EQ(total, store.size());
 
@@ -309,6 +310,9 @@ TEST(MappedStoreTest, MappedShardViewsPartitionTheStore) {
   // A shard's lazy store() materializes only its slice.
   const DiversificationStore& slice = shards[0]->store();
   EXPECT_EQ(slice.size(), shards[0]->entry_count());
+  for (const auto& [key, entry] : slice.entries()) {
+    EXPECT_TRUE(filters[0].Keeps(key)) << key;
+  }
   std::remove(path.c_str());
 }
 
@@ -445,12 +449,10 @@ DiversificationStore* MappedServingTest::store_ = nullptr;
 std::string* MappedServingTest::path_ = nullptr;
 
 TEST_F(MappedServingTest, MappedServingIsBitIdenticalToHeap) {
-  auto loaded = DiversificationStore::Load(*path_);
-  ASSERT_TRUE(loaded.ok());
   auto mapped = MappedStoreFile::Map(*path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  auto heap_node = MakeNode(StoreSnapshot::Own(std::move(loaded).value()));
+  auto heap_node = MakeNode(StoreSnapshot::Own(mapped.value()->Materialize()));
   auto mapped_node = MakeNode(StoreSnapshot::FromMapped(mapped.value()));
 
   // Every stored (ambiguous ⇒ diversified, streaming or plan) query and
@@ -494,8 +496,13 @@ TEST_F(MappedServingTest, FromStoreImagesTheBytesSaveWrites) {
 }
 
 TEST_F(MappedServingTest, ImageNodeIsBitIdenticalToHeapNode) {
+  // Nodes start on images, but every reload swaps in a heap snapshot
+  // (BuildSnapshot gives StoreSnapshot::Own), so EntryRef's heap branch
+  // must answer exactly like the image on every path.
   auto image = MappedStoreFile::FromStore(*store_);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
+  std::shared_ptr<const StoreSnapshot> heap = StoreSnapshot::Own(*store_);
+  ASSERT_FALSE(heap->mapped());
 
   std::vector<std::string> queries;
   for (const auto& [key, entry] : store_->entries()) queries.push_back(key);
@@ -515,7 +522,7 @@ TEST_F(MappedServingTest, ImageNodeIsBitIdenticalToHeapNode) {
        {plan_config, Config(), materialized_config}) {
     auto image_node = MakeNode(StoreSnapshot::FromMapped(image.value()),
                                config);
-    auto heap_node = MakeNode(StoreSnapshot::Borrow(store_), config);
+    auto heap_node = MakeNode(heap, config);
     ASSERT_TRUE(image_node->snapshot()->mapped());
     size_t diversified = 0, plan_served = 0, streaming_served = 0;
     for (const std::string& q : queries) {
@@ -544,7 +551,7 @@ TEST_F(MappedServingTest, ImageNodeIsBitIdenticalToHeapNode) {
 TEST_F(MappedServingTest, SlicedServingZeroCopyMatchesHeapSplit) {
   // The `serve --listen --shard-index I --num-shards N` regression: a
   // shard process must serve a MappedShard view over the one shared
-  // mapping, bit-identical to the heap SplitStore slice it replaced.
+  // mapping, bit-identical to a heap copy of the same slice.
   std::shared_ptr<const MappedStoreFile> file;
   {
     auto mapped = MappedStoreFile::Map(*path_);
@@ -566,7 +573,10 @@ TEST_F(MappedServingTest, SlicedServingZeroCopyMatchesHeapSplit) {
     filter.shard_index = i;
     auto view = StoreSnapshot::MappedShard(
         file, [filter](std::string_view key) { return filter.Keeps(key); });
-    DiversificationStore slice = SplitStore(*store_, filter);
+    DiversificationStore slice = *store_;
+    for (const auto& [key, entry] : store_->entries()) {
+      if (!filter.Keeps(key)) slice.Remove(key);
+    }
     ASSERT_EQ(view->entry_count(), slice.size()) << i;
 
     auto mapped_node = MakeNode(view);

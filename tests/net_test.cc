@@ -21,6 +21,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +38,7 @@
 #include "serving/serving_node.h"
 #include "store/mapped_store.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 #include "util/hash.h"
 
 namespace optselect {
@@ -599,7 +601,8 @@ TEST(NetServerTest, ShedMetricIsRegistered) {
 /// uses) plus one connected RemoteClient per server: the remote fleet a
 /// QueryRouter routes over.
 struct RemoteFleet {
-  std::vector<std::unique_ptr<store::DiversificationStore>> stores;
+  /// Each shard's zero-copy view of the one image.
+  std::vector<std::shared_ptr<const store::StoreSnapshot>> views;
   std::vector<std::unique_ptr<serving::ServingNode>> nodes;
   std::vector<std::unique_ptr<NetServer>> servers;
   std::vector<std::unique_ptr<RemoteClient>> clients;
@@ -660,10 +663,12 @@ class NetServingTest : public ::testing::Test {
       store::ShardFilter filter;
       filter.num_shards = num_shards;
       filter.shard_index = i;
-      fleet->stores.push_back(std::make_unique<store::DiversificationStore>(
-          store::SplitStore(*store_, filter)));
+      fleet->views.push_back(store::StoreSnapshot::MappedShard(
+          mapped_, [filter](std::string_view key) {
+            return filter.Keeps(key);
+          }));
       fleet->nodes.push_back(std::make_unique<serving::ServingNode>(
-          fleet->stores.back().get(), testbed_, NodeConfig()));
+          fleet->views.back(), testbed_, NodeConfig()));
       fleet->servers.push_back(std::make_unique<NetServer>(
           fleet->nodes.back().get(), LoopbackConfig()));
       ASSERT_TRUE(fleet->servers.back()->Start())
@@ -676,7 +681,8 @@ class NetServingTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
-  /// store_'s in-memory v4 image, what the in-process cluster serves.
+  /// store_'s in-memory v4 image, what every node and the in-process
+  /// cluster serve.
   static std::shared_ptr<const store::MappedStoreFile> mapped_;
 };
 
@@ -685,8 +691,10 @@ store::DiversificationStore* NetServingTest::store_ = nullptr;
 std::shared_ptr<const store::MappedStoreFile> NetServingTest::mapped_;
 
 TEST_F(NetServingTest, RemoteNodeBitIdenticalToLocalNode) {
-  serving::ServingNode local(store_, testbed_, NodeConfig());
-  serving::ServingNode backend(store_, testbed_, NodeConfig());
+  serving::ServingNode local(store::StoreSnapshot::FromMapped(mapped_),
+                             testbed_, NodeConfig());
+  serving::ServingNode backend(store::StoreSnapshot::FromMapped(mapped_),
+                               testbed_, NodeConfig());
   NetServer server(&backend, LoopbackConfig());
   ASSERT_TRUE(server.Start()) << server.last_error();
   RemoteClient remote;
@@ -811,7 +819,7 @@ TEST_F(NetServingTest, DeadOwnerDegradesThenRecoversBitIdentical) {
   // Respawn the shard on the same port: the next probe redials and the
   // answer is bit-identical to the pre-kill one.
   fleet.nodes[0] = std::make_unique<serving::ServingNode>(
-      fleet.stores[0].get(), testbed_, NodeConfig());
+      fleet.views[0], testbed_, NodeConfig());
   NetServerConfig respawn_config = LoopbackConfig();
   respawn_config.port = victim_port;
   fleet.servers[0] =
@@ -845,7 +853,8 @@ TEST_F(NetServingTest, DeadOwnerDegradesThenRecoversBitIdentical) {
 }
 
 TEST_F(NetServingTest, ReplayMixDrivesARemoteClient) {
-  serving::ServingNode backend(store_, testbed_, NodeConfig());
+  serving::ServingNode backend(store::StoreSnapshot::FromMapped(mapped_),
+                               testbed_, NodeConfig());
   NetServer server(&backend, LoopbackConfig());
   ASSERT_TRUE(server.Start());
   RemoteClient remote;

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +23,9 @@
 #include "pipeline/testbed.h"
 #include "serving/latency_histogram.h"
 #include "serving/serving_node.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 #include "util/rng.h"
 
 namespace optselect {
@@ -247,14 +250,13 @@ Trace MakeTrace(uint64_t seq, int64_t total_us) {
   return t;
 }
 
-TEST(TracerTest, SamplingIsDeterministicAndSeedOffset) {
+TEST(TracerTest, SamplingIsDeterministic) {
   TracerConfig config;
   config.sample_every = 8;
-  config.seed = 3;
   Tracer tracer(config);
   Tracer same(config);
   for (uint64_t seq = 0; seq < 100; ++seq) {
-    EXPECT_EQ(tracer.ShouldSample(seq), seq % 8 == 3) << seq;
+    EXPECT_EQ(tracer.ShouldSample(seq), seq % 8 == 0) << seq;
     EXPECT_EQ(tracer.ShouldSample(seq), same.ShouldSample(seq)) << seq;
   }
 
@@ -268,36 +270,37 @@ TEST(TracerTest, SamplingIsDeterministicAndSeedOffset) {
 TEST(TracerTest, RingEvictsOldestAndCountsCommits) {
   TracerConfig config;
   config.ring_capacity = 4;
-  config.slow_capacity = 2;
   Tracer tracer(config);
-  for (uint64_t seq = 0; seq < 10; ++seq) {
+  // More commits than the slow-query log keeps (8).
+  for (uint64_t seq = 0; seq < 12; ++seq) {
     tracer.Commit(MakeTrace(seq, static_cast<int64_t>(100 * (seq + 1))));
   }
-  EXPECT_EQ(tracer.committed(), 10u);
+  EXPECT_EQ(tracer.committed(), 12u);
 
   std::vector<Trace> recent = tracer.Recent();
   ASSERT_EQ(recent.size(), 4u);
   for (size_t i = 0; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].seq, 6u + i);  // oldest -> newest
+    EXPECT_EQ(recent[i].seq, 8u + i);  // oldest -> newest
   }
 
   std::vector<Trace> slow = tracer.Slowest();
-  ASSERT_EQ(slow.size(), 2u);
-  EXPECT_EQ(slow[0].seq, 9u);  // slowest first: 1000us, 900us
-  EXPECT_EQ(slow[1].seq, 8u);
+  ASSERT_EQ(slow.size(), 8u);
+  for (size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_EQ(slow[i].seq, 11u - i);  // slowest first: 1200us, 1100us, ...
+  }
 }
 
 TEST(TracerTest, SlowLogKeepsWorstRegardlessOfRingEviction) {
   TracerConfig config;
   config.ring_capacity = 2;
-  config.slow_capacity = 3;
   Tracer tracer(config);
   tracer.Commit(MakeTrace(0, 9000));  // worst, committed first
-  for (uint64_t seq = 1; seq < 8; ++seq) {
+  // Twice the slow-query log's 8 slots of faster traces.
+  for (uint64_t seq = 1; seq <= 16; ++seq) {
     tracer.Commit(MakeTrace(seq, 100));
   }
   std::vector<Trace> slow = tracer.Slowest();
-  ASSERT_GE(slow.size(), 1u);
+  ASSERT_EQ(slow.size(), 8u);
   EXPECT_EQ(slow[0].seq, 0u);
   EXPECT_EQ(slow[0].total_us, 9000);
 }
@@ -357,8 +360,12 @@ class ObsServingTest : public ::testing::Test {
                       testbed_->snippets(), testbed_->analyzer(),
                       testbed_->corpus().store, roots, {}, store_);
     ASSERT_GE(store_->size(), 2u);
+    auto image = store::MappedStoreFile::FromStore(*store_);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    snapshot_ = store::StoreSnapshot::FromMapped(std::move(image).value());
   }
   static void TearDownTestSuite() {
+    snapshot_.reset();
     delete store_;
     delete testbed_;
     store_ = nullptr;
@@ -367,10 +374,13 @@ class ObsServingTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
+  /// store_'s in-memory v4 image, what every node here serves.
+  static std::shared_ptr<const store::StoreSnapshot> snapshot_;
 };
 
 pipeline::Testbed* ObsServingTest::testbed_ = nullptr;
 store::DiversificationStore* ObsServingTest::store_ = nullptr;
+std::shared_ptr<const store::StoreSnapshot> ObsServingTest::snapshot_;
 
 /// Every ServingStats snapshot taken *while workers are completing
 /// requests* must satisfy the monotone pair invariants: the registry
@@ -384,7 +394,7 @@ TEST_F(ObsServingTest, StatsSnapshotsCoherentUnderConcurrentLoad) {
   config.enable_cache = true;
   config.params.num_candidates = 100;
   config.params.diversify.k = 10;
-  serving::ServingNode node(store_, testbed_, config);
+  serving::ServingNode node(snapshot_, testbed_, config);
 
   std::vector<std::string> queries;
   for (const auto& [query, entry] : store_->entries()) {
@@ -453,7 +463,7 @@ TEST_F(ObsServingTest, ExternalRegistryLabeledAndCoherent) {
   config.params.diversify.k = 10;
   config.registry = &registry;
   config.metric_labels = {{"shard", "7"}};
-  serving::ServingNode node(store_, testbed_, config);
+  serving::ServingNode node(snapshot_, testbed_, config);
 
   std::string stored = store_->entries().begin()->first;
   for (int i = 0; i < 5; ++i) node.Submit(serving::Request(stored));

@@ -67,7 +67,7 @@ TEST_F(PipelineTest, PrepareDetectsPlantedAmbiguity) {
       EXPECT_EQ(r.utilities.num_candidates(), r.input.candidates.size());
       // Reference lists are capped at |R_q′|.
       for (const auto& sp : r.input.specializations) {
-        EXPECT_LE(sp.results.size(), params.results_per_specialization);
+        EXPECT_LE(sp.results.size(), kResultsPerSpecialization);
       }
     }
   }
@@ -152,7 +152,6 @@ TEST_F(PipelineTest, DiversificationImprovesSubtopicCoverage) {
   // constraint speaks about the selected set, so k matches the page size.
   PipelineParams params;
   params.num_candidates = 150;
-  params.results_per_specialization = 10;
   params.threshold_c = 0.3;  // sparsifies cross-intent utilities (paper: c sweep)
   params.diversify.k = 10;
   DiversificationPipeline pipeline(testbed_, params);

@@ -66,6 +66,14 @@ class QueryPlanTest : public ::testing::Test {
     return store;
   }
 
+  /// `store` as a node serves it: a snapshot over its v4 image.
+  static std::shared_ptr<const StoreSnapshot> Image(
+      const DiversificationStore& store) {
+    auto image = MappedStoreFile::FromStore(store);
+    EXPECT_TRUE(image.ok()) << image.status().ToString();
+    return StoreSnapshot::FromMapped(std::move(image).value());
+  }
+
   static serving::ServingConfig NodeConfig() {
     serving::ServingConfig config;
     config.num_workers = 2;
@@ -195,8 +203,8 @@ TEST_F(QueryPlanTest, ParallelBuildIsByteIdenticalToSequentialBuild) {
 TEST_F(QueryPlanTest, PlanServedRankingsBitIdenticalToColdPath) {
   DiversificationStore cold_store = Build(/*with_plans=*/false);
   DiversificationStore plan_store = Build(/*with_plans=*/true);
-  serving::ServingNode cold(&cold_store, testbed_, NodeConfig());
-  serving::ServingNode fast(&plan_store, testbed_, NodeConfig());
+  serving::ServingNode cold(Image(cold_store), testbed_, NodeConfig());
+  serving::ServingNode fast(Image(plan_store), testbed_, NodeConfig());
 
   for (const auto& [key, entry] : plan_store.entries()) {
     serving::Response a = cold.Submit(serving::Request(key));
@@ -216,7 +224,7 @@ TEST_F(QueryPlanTest, ParamsMismatchFallsBackToColdComputation) {
   DiversificationStore plan_store = Build(/*with_plans=*/true);
   serving::ServingConfig config = NodeConfig();
   config.params.num_candidates = PlanOpts().num_candidates / 2;
-  serving::ServingNode node(&plan_store, testbed_, config);
+  serving::ServingNode node(Image(plan_store), testbed_, config);
 
   const std::string& key = plan_store.entries().begin()->first;
   serving::Response r = node.Submit(serving::Request(key));
@@ -231,12 +239,13 @@ TEST_F(QueryPlanTest, SaveLoadRoundTripsPlansBitwise) {
   std::string path = ::testing::TempDir() + "/store_v3_roundtrip.bin";
   ASSERT_TRUE(store.Save(path).ok());
 
-  auto loaded = DiversificationStore::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().version(), 7u);
-  EXPECT_EQ(loaded.value().size(), store.size());
+  auto mapped = MappedStoreFile::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  DiversificationStore loaded = mapped.value()->Materialize();
+  EXPECT_EQ(loaded.version(), 7u);
+  EXPECT_EQ(loaded.size(), store.size());
   for (const auto& [key, entry] : store.entries()) {
-    const StoredEntry* round = loaded.value().Find(key);
+    const StoredEntry* round = loaded.Find(key);
     ASSERT_NE(round, nullptr);
     EXPECT_EQ(round->plan.num_candidates_requested,
               entry.plan.num_candidates_requested);
@@ -262,9 +271,9 @@ TEST_F(QueryPlanTest, CompilePlansUpgradesPlanLessStoreOnLoad) {
   DiversificationStore v2_content = Build(/*with_plans=*/false);
   std::string path = ::testing::TempDir() + "/store_v2_content.bin";
   ASSERT_TRUE(v2_content.Save(path).ok());
-  auto loaded = DiversificationStore::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  DiversificationStore upgraded = std::move(loaded).value();
+  auto mapped = MappedStoreFile::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  DiversificationStore upgraded = mapped.value()->Materialize();
   for (const auto& [key, entry] : upgraded.entries()) {
     ASSERT_TRUE(entry.plan.empty());
   }
@@ -284,8 +293,8 @@ TEST_F(QueryPlanTest, CompilePlansUpgradesPlanLessStoreOnLoad) {
 
   // The upgraded store serves bit-identically to a natively compiled one.
   DiversificationStore native = Build(/*with_plans=*/true);
-  serving::ServingNode a(&upgraded, testbed_, NodeConfig());
-  serving::ServingNode b(&native, testbed_, NodeConfig());
+  serving::ServingNode a(Image(upgraded), testbed_, NodeConfig());
+  serving::ServingNode b(Image(native), testbed_, NodeConfig());
   for (const auto& [key, entry] : native.entries()) {
     serving::Response ra = a.Submit(serving::Request(key));
     serving::Response rb = b.Submit(serving::Request(key));

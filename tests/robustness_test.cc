@@ -18,6 +18,7 @@
 #include "querylog/query_log.h"
 #include "store/diversification_store.h"
 #include "store/legacy_store.h"
+#include "store/mapped_store.h"
 #include "text/analyzer.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
@@ -182,7 +183,7 @@ TEST_F(GarbageFileTest, StoreLoaderNeverCrashes) {
   for (int round = 0; round < 30; ++round) {
     std::string path = WriteGarbage(
         "garbage_store.bin", "OSV4" + RandomBytes(&rng, rng.Uniform(2000)));
-    auto result = store::DiversificationStore::Load(path);
+    auto result = store::MappedStoreFile::Map(path);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
     std::remove(path.c_str());

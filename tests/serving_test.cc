@@ -22,7 +22,9 @@
 #include "serving/request_queue.h"
 #include "serving/result_cache.h"
 #include "serving/serving_node.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
+#include "store/store_snapshot.h"
 
 namespace optselect {
 namespace serving {
@@ -170,8 +172,12 @@ class ServingNodeTest : public ::testing::Test {
                       testbed_->snippets(), testbed_->analyzer(),
                       testbed_->corpus().store, roots, {}, store_);
     ASSERT_GE(store_->size(), 2u);
+    auto image = store::MappedStoreFile::FromStore(*store_);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    snapshot_ = store::StoreSnapshot::FromMapped(std::move(image).value());
   }
   static void TearDownTestSuite() {
+    snapshot_.reset();
     delete store_;
     delete testbed_;
     store_ = nullptr;
@@ -198,13 +204,16 @@ class ServingNodeTest : public ::testing::Test {
 
   static pipeline::Testbed* testbed_;
   static store::DiversificationStore* store_;
+  /// store_'s in-memory v4 image, the shape every node starts on.
+  static std::shared_ptr<const store::StoreSnapshot> snapshot_;
 };
 
 pipeline::Testbed* ServingNodeTest::testbed_ = nullptr;
 store::DiversificationStore* ServingNodeTest::store_ = nullptr;
+std::shared_ptr<const store::StoreSnapshot> ServingNodeTest::snapshot_;
 
 TEST_F(ServingNodeTest, DiversifiesStoredAndPassesThroughUnknown) {
-  ServingNode node(store_, testbed_, BaseConfig());
+  ServingNode node(snapshot_, testbed_, BaseConfig());
 
   Response stored = node.Submit(Request(StoredQuery()));
   EXPECT_TRUE(stored.ok);
@@ -228,8 +237,8 @@ TEST_F(ServingNodeTest, CachedResultsBitIdenticalToUncached) {
   cached_config.enable_cache = true;
   ServingConfig uncached_config = BaseConfig();
   uncached_config.enable_cache = false;
-  ServingNode cached(store_, testbed_, cached_config);
-  ServingNode uncached(store_, testbed_, uncached_config);
+  ServingNode cached(snapshot_, testbed_, cached_config);
+  ServingNode uncached(snapshot_, testbed_, uncached_config);
 
   std::vector<std::string> queries;
   for (const auto& [query, entry] : store_->entries()) {
@@ -266,8 +275,8 @@ TEST_F(ServingNodeTest, StreamingColdPathBitIdenticalToMaterialized) {
   ServingConfig materialized_config = BaseConfig();
   materialized_config.streaming_cold_path = false;
   materialized_config.enable_cache = false;
-  ServingNode streaming(store_, testbed_, streaming_config);
-  ServingNode materialized(store_, testbed_, materialized_config);
+  ServingNode streaming(snapshot_, testbed_, streaming_config);
+  ServingNode materialized(snapshot_, testbed_, materialized_config);
 
   size_t diversified = 0;
   for (const auto& [query, entry] : store_->entries()) {
@@ -297,7 +306,7 @@ TEST_F(ServingNodeTest, StreamingColdPathBitIdenticalToMaterialized) {
 }
 
 TEST_F(ServingNodeTest, NormalizedQueriesShareACacheSlot) {
-  ServingNode node(store_, testbed_, BaseConfig());
+  ServingNode node(snapshot_, testbed_, BaseConfig());
   std::string q = StoredQuery();
   std::string shouty = "  " + std::string(q);
   for (char& c : shouty) {
@@ -317,8 +326,8 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
   batched_config.max_batch = 16;
   batched_config.enable_cache = false;
   batched_config.num_workers = 1;  // force queue buildup ⇒ real batches
-  ServingNode unbatched(store_, testbed_, unbatched_config);
-  ServingNode batched(store_, testbed_, batched_config);
+  ServingNode unbatched(snapshot_, testbed_, unbatched_config);
+  ServingNode batched(snapshot_, testbed_, batched_config);
 
   std::vector<std::string> mix;
   for (int rep = 0; rep < 4; ++rep) {
@@ -366,7 +375,7 @@ TEST_F(ServingNodeTest, ShutdownDrainsInFlightRequests) {
   ServingConfig config = BaseConfig();
   config.num_workers = 1;
   config.max_batch = 2;
-  auto node = std::make_unique<ServingNode>(store_, testbed_, config);
+  auto node = std::make_unique<ServingNode>(snapshot_, testbed_, config);
 
   std::atomic<size_t> callbacks{0};
   size_t submitted = 0;
@@ -396,7 +405,7 @@ TEST_F(ServingNodeTest, ShutdownDrainsInFlightRequests) {
 TEST_F(ServingNodeTest, ReplayMixDrivesEveryRequestToCompletion) {
   ServingConfig config = BaseConfig();
   config.queue_capacity = 256;  // ≥ mix size ⇒ no shedding
-  ServingNode node(store_, testbed_, config);
+  ServingNode node(snapshot_, testbed_, config);
 
   std::vector<std::string> mix;
   for (int rep = 0; rep < 8; ++rep) {
@@ -419,7 +428,7 @@ TEST_F(ServingNodeTest, ReplayMixDrivesEveryRequestToCompletion) {
 }
 
 TEST_F(ServingNodeTest, ReplayMixEmptyMixReturnsImmediately) {
-  ServingNode node(store_, testbed_, BaseConfig());
+  ServingNode node(snapshot_, testbed_, BaseConfig());
   ReplayOutcome out = ReplayMix(&node, {});
   EXPECT_EQ(out.accepted, 0u);
   EXPECT_EQ(out.qps, 0.0);
@@ -430,7 +439,7 @@ TEST_F(ServingNodeTest, ReplayMixCountsShedRequests) {
   // A shut-down node rejects every submission: ReplayMix must report
   // zero accepted and still return (no wait on callbacks that will
   // never fire).
-  ServingNode node(store_, testbed_, BaseConfig());
+  ServingNode node(snapshot_, testbed_, BaseConfig());
   node.Shutdown();
   ReplayOutcome out =
       ReplayMix(&node, {StoredQuery(), NoiseQuery(), StoredQuery()});
@@ -441,7 +450,7 @@ TEST_F(ServingNodeTest, ReplayMixCountsShedRequests) {
 TEST_F(ServingNodeTest, StatsConsistentUnderConcurrentLoad) {
   ServingConfig config = BaseConfig();
   config.num_workers = 3;
-  ServingNode node(store_, testbed_, config);
+  ServingNode node(snapshot_, testbed_, config);
 
   constexpr size_t kClients = 4;
   constexpr size_t kPerClient = 25;

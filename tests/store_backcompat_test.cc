@@ -4,13 +4,13 @@
 // store_v4.bin — with identical hand-chosen mined content in each of
 // the four on-disk layouts. They are frozen: no code in the repository
 // writes v1–v3, so these bytes are the reference for what older
-// releases wrote. v4 is the format Load, Map and serving read; the
+// releases wrote. v4 is the format Map and serving read; the
 // v1–v3 files are read only by store::ReadLegacyStore, the reader
 // behind `optselect upgrade`. The tests pin:
 //   - the content each layout holds (all four carry the same entries),
 //   - the writer: Save must byte-reproduce the v4 fixture, and a v3
 //     file converted to v4 must give exactly those bytes,
-//   - the split: Load and Map reject v1–v3 bytes as corruption,
+//   - the split: Map rejects v1–v3 bytes as corruption,
 //   - plan adoption: store::BuildSnapshot applying the v3 entries as a
 //     delta onto a plan-less v1/v2 base must yield entries
 //     bit-identical to the v3 fixture's,
@@ -61,9 +61,17 @@ DiversificationStore ExpectRead(util::Result<DiversificationStore> loaded,
   return loaded.ok() ? std::move(loaded).value() : DiversificationStore();
 }
 
+/// A v4 file, read the way serving reads it (Map), as heap entries.
+DiversificationStore MapAndMaterialize(const std::string& path,
+                                       const std::string& name) {
+  auto mapped = MappedStoreFile::Map(path);
+  EXPECT_TRUE(mapped.ok()) << name << ": " << mapped.status().ToString();
+  return mapped.ok() ? mapped.value()->Materialize() : DiversificationStore();
+}
+
 /// store_v4.bin, read the way serving reads it.
 DiversificationStore LoadFixture(const std::string& name) {
-  return ExpectRead(DiversificationStore::Load(FixturePath(name)), name);
+  return MapAndMaterialize(FixturePath(name), name);
 }
 
 /// store_v{1,2,3}.bin, read by the converter's reader.
@@ -232,8 +240,7 @@ TEST(StoreBackcompatTest, OlderFormatsUpgradeToTheV4BytesOnSave) {
   for (const auto& [fixture, version] : cases) {
     std::string path = ::testing::TempDir() + "/upgraded_v4.bin";
     ASSERT_TRUE(ReadLegacyFixture(fixture).Save(path).ok()) << fixture;
-    DiversificationStore upgraded =
-        ExpectRead(DiversificationStore::Load(path), fixture);
+    DiversificationStore upgraded = MapAndMaterialize(path, fixture);
     EXPECT_EQ(upgraded.version(), version) << fixture;
     ExpectGoldenContent(upgraded, fixture);
     if (fixture == "store_v3.bin") {
@@ -246,15 +253,11 @@ TEST(StoreBackcompatTest, OlderFormatsUpgradeToTheV4BytesOnSave) {
   }
 }
 
-TEST(StoreBackcompatTest, LoadAndMapRejectTheLegacyFormats) {
-  // v4 is the only format Load and Map read: a v1–v3 stream fails like
-  // any corrupt file, and serving names the converter instead.
+TEST(StoreBackcompatTest, MapRejectsTheLegacyFormats) {
+  // v4 is the only format Map reads: a v1–v3 stream fails like any
+  // corrupt file, and serving names the converter instead.
   for (const char* fixture :
        {"store_v1.bin", "store_v2.bin", "store_v3.bin"}) {
-    auto loaded = DiversificationStore::Load(FixturePath(fixture));
-    ASSERT_FALSE(loaded.ok()) << fixture;
-    EXPECT_EQ(loaded.status().code(), util::StatusCode::kCorruption)
-        << fixture << ": " << loaded.status().ToString();
     auto mapped = MappedStoreFile::Map(FixturePath(fixture));
     ASSERT_FALSE(mapped.ok()) << fixture;
     EXPECT_EQ(mapped.status().code(), util::StatusCode::kCorruption)
@@ -327,7 +330,6 @@ TEST(StoreBackcompatTest, CorruptedV4FilesAreRejected) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   };
   auto rejects = [&](const std::string& name, const char* why) {
-    EXPECT_FALSE(DiversificationStore::Load(dir + "/" + name).ok()) << why;
     EXPECT_FALSE(MappedStoreFile::Map(dir + "/" + name).ok()) << why;
     std::remove((dir + "/" + name).c_str());
   };

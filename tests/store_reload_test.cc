@@ -19,6 +19,7 @@
 #include "serving/serving_node.h"
 #include "serving/store_refresher.h"
 #include "store/diversification_store.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
 #include "util/hash.h"
@@ -59,10 +60,11 @@ TEST(StoreVersionTest, SaveLoadRoundTripsContentVersion) {
   std::string path = ::testing::TempDir() + "/store_v2.bin";
   ASSERT_TRUE(store.Save(path).ok());
 
-  auto loaded = DiversificationStore::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().version(), 41u);
-  EXPECT_EQ(loaded.value().size(), 1u);
+  auto mapped = MappedStoreFile::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  DiversificationStore loaded = mapped.value()->Materialize();
+  EXPECT_EQ(loaded.version(), 41u);
+  EXPECT_EQ(loaded.size(), 1u);
   std::remove(path.c_str());
 }
 
@@ -165,8 +167,12 @@ class StoreReloadServingTest : public ::testing::Test {
                       testbed_->snippets(), testbed_->analyzer(),
                       testbed_->corpus().store, roots, {}, &base);
     ASSERT_GE(base.size(), 2u);
+    // Nodes start on the store's v4 image, as in production; every
+    // reload below swaps in a heap snapshot built by BuildSnapshot.
+    auto image = store::MappedStoreFile::FromStore(base);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
     snapshot_ = new std::shared_ptr<const store::StoreSnapshot>(
-        store::StoreSnapshot::Own(std::move(base)));
+        store::StoreSnapshot::FromMapped(std::move(image).value()));
 
     // Two stored keys: `target` is the one the reload changes, `pinned`
     // must survive every swap bit-identically.

@@ -13,6 +13,7 @@
 #include "pipeline/diversification_pipeline.h"
 #include "pipeline/testbed.h"
 #include "store/diversification_store.h"
+#include "store/mapped_store.h"
 #include "store/store_builder.h"
 #include "text/analyzer.h"
 
@@ -102,9 +103,9 @@ TEST(StoreTest, SaveLoadRoundTrip) {
   std::string path = ::testing::TempDir() + "/store_roundtrip.bin";
   ASSERT_TRUE(store.Save(path).ok());
 
-  auto loaded = DiversificationStore::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const DiversificationStore& l = loaded.value();
+  auto mapped = MappedStoreFile::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const DiversificationStore l = mapped.value()->Materialize();
   EXPECT_EQ(l.size(), 2u);
   const StoredEntry* apple = l.Find("apple");
   ASSERT_NE(apple, nullptr);
@@ -154,7 +155,7 @@ TEST(StoreTest, LoadDetectsCorruption) {
     f.seekp(20);
     f.put(static_cast<char>(c ^ 0x5A));
   }
-  auto r = DiversificationStore::Load(path);
+  auto r = MappedStoreFile::Map(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), util::StatusCode::kCorruption);
   std::remove(path.c_str());
@@ -173,7 +174,7 @@ TEST(StoreTest, LoadDetectsTruncation) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(blob.data(), static_cast<std::streamsize>(blob.size() / 2));
   }
-  auto r = DiversificationStore::Load(path);
+  auto r = MappedStoreFile::Map(path);
   EXPECT_FALSE(r.ok());
   std::remove(path.c_str());
 }
@@ -184,14 +185,14 @@ TEST(StoreTest, LoadRejectsWrongMagic) {
     std::ofstream out(path, std::ios::binary);
     out << "NOPEnopenopenopenope";
   }
-  auto r = DiversificationStore::Load(path);
+  auto r = MappedStoreFile::Map(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), util::StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
 TEST(StoreTest, LoadMissingFileIsIoError) {
-  auto r = DiversificationStore::Load("/nonexistent/store.bin");
+  auto r = MappedStoreFile::Map("/nonexistent/store.bin");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), util::StatusCode::kIoError);
 }
@@ -201,7 +202,6 @@ TEST(StoreTest, LoadMissingFileIsIoError) {
 TEST(StoreBuilderTest, BuildsEntriesForDetectedTopicsOnly) {
   pipeline::Testbed testbed(pipeline::TestbedConfig::Small());
   StoreBuilderOptions options;
-  options.results_per_specialization = 10;
 
   std::vector<std::string> queries;
   for (const auto& topic : testbed.universe().topics) {
@@ -223,7 +223,7 @@ TEST(StoreBuilderTest, BuildsEntriesForDetectedTopicsOnly) {
     double sum = 0;
     for (const auto& sp : entry.specializations) {
       sum += sp.probability;
-      EXPECT_LE(sp.surrogates.size(), options.results_per_specialization);
+      EXPECT_LE(sp.surrogates.size(), pipeline::kResultsPerSpecialization);
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
   }
@@ -236,7 +236,6 @@ TEST(StoreBuilderTest, ServingFromStoreMatchesLivePipeline) {
   pipeline::Testbed testbed(pipeline::TestbedConfig::Small());
   pipeline::PipelineParams params;
   params.num_candidates = 100;
-  params.results_per_specialization = 10;
   params.diversify.k = 10;
   pipeline::DiversificationPipeline live(&testbed, params);
 
@@ -245,10 +244,8 @@ TEST(StoreBuilderTest, ServingFromStoreMatchesLivePipeline) {
   ASSERT_TRUE(live_result.specializations.ambiguous());
 
   DiversificationStore built;
-  StoreBuilderOptions options;
-  options.results_per_specialization = params.results_per_specialization;
   BuildStore(testbed.detector(), testbed.searcher(), testbed.snippets(),
-             testbed.analyzer(), testbed.corpus().store, {query}, options,
+             testbed.analyzer(), testbed.corpus().store, {query}, {},
              &built);
   const StoredEntry* entry = built.Find(query);
   ASSERT_NE(entry, nullptr);

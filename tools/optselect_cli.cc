@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -216,6 +217,15 @@ pipeline::TestbedConfig ConfigFor(const tools::OptionSet& opts) {
 
 int CmdGenerate(const tools::OptionSet& opts) {
   const std::string& dir = opts.positional()[0];
+  // Create <dir> and its parents before the build, so a path that
+  // cannot be created fails at once instead of after the whole testbed.
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(dir, mkdir_error);
+  if (mkdir_error) {
+    std::fprintf(stderr, "error: cannot create directory %s: %s\n",
+                 dir.c_str(), mkdir_error.message().c_str());
+    return 1;
+  }
   std::printf("building testbed...\n");
   pipeline::Testbed testbed(ConfigFor(opts));
 
@@ -801,12 +811,15 @@ int CmdServe(const tools::OptionSet& opts) {
   // for a Trace and the tracer's mutex.
   std::unique_ptr<obs::Tracer> tracer =
       net_mode ? nullptr : MakeTracer(opts);
-  std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
-  std::unique_ptr<cluster::ShardedCluster> cl =
-      sliced ? nullptr
-             : MakeCluster(opts, dir, mapped, testbed, serving_config,
-                           &refreshers);
+  std::unique_ptr<cluster::ShardedCluster> cl;
   std::unique_ptr<serving::ServingNode> node;
+  // Declared after the tiers they reload, so on every return each
+  // refresher thread stops before the node or cluster it feeds goes.
+  std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
+  if (!sliced) {
+    cl = MakeCluster(opts, dir, mapped, testbed, serving_config,
+                     &refreshers);
+  }
   if (cl == nullptr) {
     node = std::make_unique<serving::ServingNode>(
         std::move(snapshot), &testbed.searcher(), &testbed.snippets(),
@@ -884,7 +897,6 @@ int CmdServe(const tools::OptionSet& opts) {
     } else {
       PrintServingStats(node->Stats());
     }
-    for (const auto& refresher : refreshers) refresher->Stop();
     return 0;
   }
   auto print_stats = [&] {
@@ -1110,10 +1122,11 @@ int CmdLoadtest(const tools::OptionSet& opts) {
   if (mapped == nullptr) return 1;
 
   std::unique_ptr<obs::Tracer> tracer = MakeTracer(opts);
-  std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
-  std::unique_ptr<cluster::ShardedCluster> cl =
-      MakeCluster(opts, dir, mapped, testbed, config, &refreshers);
+  std::unique_ptr<cluster::ShardedCluster> cl;
   std::unique_ptr<serving::ServingNode> node;
+  // Declared after the tiers they reload (see CmdServe).
+  std::vector<std::unique_ptr<serving::StoreRefresher>> refreshers;
+  cl = MakeCluster(opts, dir, mapped, testbed, config, &refreshers);
   if (cl == nullptr) {
     node = std::make_unique<serving::ServingNode>(
         store::StoreSnapshot::FromMapped(mapped), &testbed.searcher(),
