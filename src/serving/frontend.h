@@ -108,10 +108,13 @@ class Frontend {
 
   /// Non-blocking request: enqueue and return immediately; `callback`
   /// fires exactly once on some thread unless this returns false (load
-  /// shed / shut down), in which case it never fires. The default
-  /// adapter runs the blocking Submit inline on the caller's thread —
+  /// shed / shut down), in which case it never fires. The callback may
+  /// run on the calling thread before this returns, so a caller must
+  /// not hold, across the call, a lock its callback takes. The default
+  /// adapter always does that: it runs the blocking Submit inline —
   /// correct for implementations without a native queue (e.g. a
-  /// blocking socket client), overridden by the queue-backed ones.
+  /// blocking socket client), overridden by the queue-backed ones. A
+  /// ServingNode does it for a cached query, answered at admission.
   virtual bool SubmitAsync(Request request,
                            std::function<void(Response)> callback) {
     callback(Submit(request));

@@ -66,18 +66,13 @@ class ShardedLruCache {
 
   /// Returns the cached value and refreshes its recency, or nullptr on
   /// miss. Counts a hit or a miss.
-  ValuePtr Get(const std::string& key) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second->value;
-  }
+  ValuePtr Get(const std::string& key) { return Lookup(key, true); }
+
+  /// Get for a caller that looks again on a miss (a serving node's
+  /// admission probe; its worker's Get follows): a hit is counted, a
+  /// miss is left for the second lookup to count, so each request adds
+  /// exactly one hit or one miss.
+  ValuePtr Probe(const std::string& key) { return Lookup(key, false); }
 
   /// Inserts or replaces; evicts the shard's least-recently-used entry
   /// when the shard is full.
@@ -157,6 +152,19 @@ class ShardedLruCache {
         index;
     size_t capacity = 1;
   };
+
+  ValuePtr Lookup(const std::string& key, bool count_miss) {
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) {
+      if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+      return nullptr;
+    }
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return it->second->value;
+  }
 
   static ResultCacheOptions Sanitize(ResultCacheOptions o) {
     if (o.num_shards == 0) o.num_shards = 1;

@@ -31,13 +31,15 @@ void ServingNode::RegisterMetrics() {
   const obs::Labels& L = config_.metric_labels;
   // Effect-before-cause registration: Collect() and Stats() read the
   // handles in this order, and every request bumps them in the reverse
-  // order (admission inside the queue lock, then batch, then completed,
-  // then the outcome counters), so a counter that only increments after
-  // another has already incremented can never exceed it within one
-  // snapshot — plan_served <= diversified <= completed <= accepted and
-  // batch_dedup <= batched_requests <= accepted hold in every snapshot,
-  // under any concurrency (Counter pairs release increments with
-  // acquire reads, so this holds on weakly ordered CPUs too).
+  // order (accepted — inside the queue lock for a queued request —
+  // then batched_requests or admission_hits, then completed, then the
+  // outcome counters), so a counter that only increments after another
+  // has already incremented can never exceed it within one snapshot —
+  // plan_served <= diversified <= completed <= batched_requests +
+  // admission_hits <= accepted and batch_dedup <= batched_requests hold
+  // in every snapshot, under any concurrency (Counter pairs release
+  // increments with acquire reads, so this holds on weakly ordered CPUs
+  // too).
   plan_served_ =
       registry_->AddCounter("optselect_serving_plan_served_total", L);
   streaming_served_ =
@@ -52,6 +54,8 @@ void ServingNode::RegisterMetrics() {
       registry_->AddCounter("optselect_serving_batch_dedup_total", L);
   batched_requests_ =
       registry_->AddCounter("optselect_serving_batched_requests_total", L);
+  admission_hits_ =
+      registry_->AddCounter("optselect_serving_admission_hits_total", L);
   batches_ = registry_->AddCounter("optselect_serving_batches_total", L);
   accepted_ = registry_->AddCounter("optselect_serving_accepted_total", L);
   rejected_ = registry_->AddCounter("optselect_serving_rejected_total", L);
@@ -216,6 +220,11 @@ void ServingNode::Shutdown() {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
+  // Admission hits answer on their submitting threads; wait for the
+  // ones that passed the shutdown check before it was set.
+  std::unique_lock<std::mutex> lock(admissions_mu_);
+  admissions_drained_.wait(
+      lock, [this] { return admissions_in_flight_.load() == 0; });
 }
 
 bool ServingNode::Enqueue(Request request,
@@ -232,6 +241,7 @@ bool ServingNode::Enqueue(Request request,
   req.callback = std::move(callback);
   req.enqueue_time = std::chrono::steady_clock::now();
   MaybeStartTrace(&req);
+  if (AnswerAtAdmission(&req)) return true;
   // Counted inside the queue's critical section: no worker can pop,
   // batch, or complete the request before its admission is counted.
   auto admit = [this] { accepted_->Add(); };
@@ -240,6 +250,67 @@ bool ServingNode::Enqueue(Request request,
     rejected_->Add();
     return false;
   }
+  return true;
+}
+
+bool ServingNode::AnswerAtAdmission(QueuedRequest* request) {
+  // A fault injector scripts store-read failures and delays per worker
+  // request, and a delay applied here would stall the submitting
+  // thread (a router could not hedge around it): with one installed,
+  // every request is queued.
+  if (!config_.enable_cache ||
+      fault_injector_.load(std::memory_order_acquire) != nullptr) {
+    return false;
+  }
+  // Raised before the shutdown check (both sequentially consistent):
+  // either Shutdown sees this admission in flight and waits for its
+  // callback, or this admission sees the shutdown and falls through to
+  // the closed queue, which rejects it.
+  admissions_in_flight_.fetch_add(1);
+  struct Leave {
+    ServingNode* node;
+    ~Leave() {
+      if (node->admissions_in_flight_.fetch_sub(1) == 1 &&
+          node->shutdown_.load()) {
+        std::lock_guard<std::mutex> lock(node->admissions_mu_);
+        node->admissions_drained_.notify_all();
+      }
+    }
+  } leave{this};
+  if (shutdown_.load()) return false;
+
+  const std::string key =
+      MakeCacheKey(NormalizeQuery(request->query), params_fingerprint_);
+  const auto probe_start = std::chrono::steady_clock::now();
+  // A miss is not counted here: the worker's lookup counts it (or a hit,
+  // when the key is filled while the request waits).
+  std::shared_ptr<const Response> cached = cache_.Probe(key);
+  if (cached == nullptr) return false;
+  const int64_t lookup_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - probe_start)
+          .count();
+
+  // Cause before effect, as on the queued path: accepted, then
+  // admission_hits, then completed and the outcome counters (Finish).
+  accepted_->Add();
+  admission_hits_->Add();
+  // The same stages a worker records for a cache hit, with no wait.
+  stage_hist_[kStageQueueWait]->Record(0);
+  stage_hist_[kStageCacheLookup]->Record(lookup_us);
+  if (request->trace != nullptr) {
+    const int64_t probe_at_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            probe_start - request->trace->start)
+            .count();
+    request->trace->events.push_back(
+        obs::TraceEvent{obs::TraceStage::kQueueWait, 0, 0, 0});
+    request->trace->events.push_back(obs::TraceEvent{
+        obs::TraceStage::kCacheLookup, probe_at_us, lookup_us, 0});
+  }
+  Response result = *cached;  // copy; per-request flag below
+  result.cache_hit = true;
+  Finish(request, result);
   return true;
 }
 
@@ -608,8 +679,9 @@ ServingStats ServingNode::Stats() const {
   // The thin-view snapshot: reads go through the registry handles in
   // registration (effect-before-cause) order — each effect before its
   // cause — so plan_served <= diversified <= completed <= accepted and
-  // batch_dedup_hits <= batched_requests <= accepted hold in every
-  // snapshot even while workers are mutating the counters.
+  // batch_dedup_hits <= batched_requests, batched_requests +
+  // admission_hits <= accepted hold in every snapshot even while
+  // requests are mutating the counters.
   s.plan_served = plan_served_->value();
   s.streaming_served = streaming_served_->value();
   s.diversified = diversified_->value();
@@ -618,6 +690,7 @@ ServingStats ServingNode::Stats() const {
   s.completed = completed_->value();
   s.batch_dedup_hits = batch_dedup_hits_->value();
   s.batched_requests = batched_requests_->value();
+  s.admission_hits = admission_hits_->value();
   s.batches = batches_->value();
   s.accepted = accepted_->value();
   s.rejected = rejected_->value();

@@ -6,8 +6,12 @@
 // recommender). A ServingNode is that node: it owns the serving-time
 // flow
 //
-//     request ─> bounded MPMC queue ─> worker pool
-//       worker: normalize ─> sharded LRU result cache
+//     request ─> admission: normalize ─> result-cache probe
+//       │  ─(hit)─> answer on the submitting thread: no queue push, no
+//       │           worker wake-up (cache on, no fault injector)
+//       └─(miss)─> bounded MPMC queue ─> worker pool
+//       worker: normalize ─> sharded LRU result cache (a key filled
+//               while the request waited still hits here)
 //               ─(miss)─> store lookup
 //                 ├─ compiled plan (store v3): selection directly over
 //                 │  the entry's precomputed utility blocks — no
@@ -45,6 +49,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -111,7 +116,9 @@ struct ServingConfig {
 
 /// Point-in-time stats snapshot.
 struct ServingStats {
-  uint64_t accepted = 0;     ///< requests admitted to the queue
+  /// Requests admitted: queued for the workers or answered at admission
+  /// (accepted == batched_requests + admission_hits once idle).
+  uint64_t accepted = 0;
   uint64_t rejected = 0;     ///< Submit calls shed (queue full / shutdown)
   uint64_t completed = 0;    ///< requests answered (callback invoked)
   uint64_t diversified = 0;  ///< answered via store + OptSelect
@@ -127,8 +134,13 @@ struct ServingStats {
   uint64_t reload_failures = 0;  ///< ReloadStore calls refused by faults
   uint64_t store_version = 0;        ///< active snapshot's version
   uint64_t batches = 0;          ///< worker wakeups that did work
-  uint64_t batched_requests = 0; ///< requests served through batches
+  /// Requests that went through the queue and a worker batch: every
+  /// accepted request but the admission hits.
+  uint64_t batched_requests = 0;
   uint64_t batch_dedup_hits = 0; ///< duplicates computed once in a batch
+  /// Cache hits answered at admission on the submitting thread, never
+  /// queued. Each is also one of cache_hits.
+  uint64_t admission_hits = 0;
   double cache_hit_rate = 0.0;
   double mean_batch = 0.0;
   double uptime_seconds = 0.0;
@@ -170,20 +182,26 @@ class ServingNode : public Frontend {
   /// Drains and joins (Shutdown).
   ~ServingNode() override;
 
-  /// Frontend: synchronous request — enqueues (blocking while the queue
-  /// is full) and waits for the worker pool to answer. Returns
-  /// ok=false only when the node is shut down.
+  /// Frontend: synchronous request — answers a cached query at
+  /// admission, otherwise enqueues (blocking while the queue is full)
+  /// and waits for the worker pool to answer. Returns ok=false when the
+  /// node is shut down or an injected fault fails the request.
   Response Submit(const Request& request) override;
 
-  /// Frontend: asynchronous request — non-blocking enqueue; `callback`
-  /// fires on a worker thread exactly once. Returns false — and never
-  /// invokes the callback — when the queue is full or the node is shut
-  /// down (load shedding; counted in stats().rejected).
+  /// Frontend: asynchronous request. `callback` fires exactly once:
+  /// on the calling thread before this returns when the query's
+  /// ranking is cached (the cache is on and no fault injector is
+  /// installed), otherwise on a worker thread after a non-blocking
+  /// enqueue. Returns false — and never invokes the callback — when
+  /// the queue is full or the node is shut down (load shedding;
+  /// counted in stats().rejected).
   bool SubmitAsync(Request request,
                    std::function<void(Response)> callback) override;
 
   /// Stops admission, drains every queued request (their callbacks still
-  /// fire), and joins the workers. Idempotent; called by the destructor.
+  /// fire), joins the workers, and waits for the admission hits still
+  /// answering on submitting threads. Idempotent; called by the
+  /// destructor.
   void Shutdown();
 
   /// Outcome of one ReloadStore call.
@@ -209,16 +227,19 @@ class ServingNode : public Frontend {
       const std::vector<std::string>& changed_keys);
 
   /// Installs (or, with nullptr, clears) a fault injector consulted at
-  /// the admission, store-read, and reload boundaries. Not owned; must
-  /// outlive the node or be cleared first.
+  /// the admission, store-read, and reload boundaries. While one is
+  /// installed no request is answered at admission, so every request
+  /// reaches the store-read site on a worker: scripted failures and
+  /// delays apply per request, and a delay never stalls the submitting
+  /// thread. Not owned; must outlive the node or be cleared first.
   void set_fault_injector(FaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }
 
   /// Installs (or clears) a tracer: each accepted request gets a
   /// sequence number and, when sampled, carries an obs::Trace through
-  /// the worker flow, committed on completion. Not owned; must outlive
-  /// the node or be cleared first.
+  /// its flow (answered at admission or by a worker), committed on
+  /// completion. Not owned; must outlive the node or be cleared first.
   void set_tracer(obs::Tracer* tracer) {
     tracer_.store(tracer, std::memory_order_release);
   }
@@ -273,6 +294,11 @@ class ServingNode : public Frontend {
   /// full, or shut down) and `callback` never fires.
   bool Enqueue(Request request, std::function<void(Response)> callback,
                bool block);
+  /// Enqueue's fast path: probes the result cache and, on a hit,
+  /// answers `request` on the calling thread. False ⇒ not answered
+  /// (cache off, fault injector installed, shut down, or a miss): the
+  /// request is queued as usual.
+  bool AnswerAtAdmission(QueuedRequest* request);
   /// Registers every counter/gauge/histogram into registry_ (ctor).
   void RegisterMetrics();
   /// Samples the just-accepted request: assigns a sequence number and
@@ -321,6 +347,13 @@ class ServingNode : public Frontend {
   ShardedLruCache<Response> cache_;
   std::vector<std::thread> workers_;
   std::atomic<bool> shutdown_{false};
+  /// Admissions inside AnswerAtAdmission. Raised before the shutdown
+  /// check, so Shutdown either waits for an admission hit or that
+  /// admission sees the shutdown; the last one out signals
+  /// admissions_drained_ once shutdown_ is set.
+  std::atomic<size_t> admissions_in_flight_{0};
+  std::mutex admissions_mu_;
+  std::condition_variable admissions_drained_;
   std::chrono::steady_clock::time_point start_time_;
 
   // Registry handles (owned by *registry_; registered effect-before-
@@ -334,6 +367,7 @@ class ServingNode : public Frontend {
   obs::Counter* completed_ = nullptr;
   obs::Counter* batch_dedup_hits_ = nullptr;
   obs::Counter* batched_requests_ = nullptr;
+  obs::Counter* admission_hits_ = nullptr;
   obs::Counter* batches_ = nullptr;
   obs::Counter* accepted_ = nullptr;
   obs::Counter* rejected_ = nullptr;

@@ -271,6 +271,32 @@ TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
   node.set_fault_injector(nullptr);
 }
 
+TEST_F(FaultInjectionTest, InstalledInjectorSeesCachedRequests) {
+  // Cache on: without an injector the repeat is answered at admission,
+  // never reaching a worker's store-read site.
+  serving::ServingNode node(snapshot_, testbed_, BaseConfig(1).node);
+  const std::string& key = stored_keys_->front();
+  serving::Response warm = node.Submit(serving::Request(key));
+  ASSERT_TRUE(warm.ok);
+  ASSERT_TRUE(node.Submit(serving::Request(key)).cache_hit);
+  ASSERT_EQ(node.Stats().admission_hits, 1u);
+
+  serving::ScriptedFaultInjector injector;
+  node.set_fault_injector(&injector);
+  injector.FailNextStoreReads(1);
+  EXPECT_FALSE(node.Submit(serving::Request(key)).ok);
+  EXPECT_EQ(injector.counts().store_read_faults, 1u);
+  serving::Response recovered = node.Submit(serving::Request(key));
+  EXPECT_TRUE(recovered.ok);
+  EXPECT_TRUE(recovered.cache_hit);  // the worker's lookup hit
+  EXPECT_EQ(recovered.ranking, warm.ranking);
+
+  serving::ServingStats stats = node.Stats();
+  EXPECT_EQ(stats.faulted, 1u);
+  EXPECT_EQ(stats.admission_hits, 1u);  // none while installed
+  node.set_fault_injector(nullptr);
+}
+
 TEST_F(FaultInjectionTest, ReloadFaultRefusesSwapAndKeepsServing) {
   serving::ServingNode node(snapshot_, testbed_, BaseConfig(1).node);
   serving::ScriptedFaultInjector injector;

@@ -1,10 +1,12 @@
 // Tests for the query-serving subsystem: cache keys, the sharded LRU
 // cache, the streaming latency histogram, the bounded request queue, and
-// the ServingNode end-to-end (cache/batching bit-identity, shutdown with
-// in-flight requests, stats consistency under concurrent load).
+// the ServingNode end-to-end (cache/batching bit-identity, cached
+// queries answered at admission, shutdown with in-flight requests, stats
+// consistency under concurrent load).
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -400,6 +402,131 @@ TEST_F(ServingNodeTest, ShutdownDrainsInFlightRequests) {
   node.reset();
 }
 
+// --------------------------------------------------- admission fast path
+
+TEST_F(ServingNodeTest, CachedQueryAnsweredOnCallingThreadAtAdmission) {
+  // Declared before the node, so a callback a worker ran late could
+  // still write them while the node drains.
+  std::atomic<bool> fired{false};
+  std::thread::id callback_thread;
+  Response answer;
+  ServingNode node(snapshot_, testbed_, BaseConfig());
+  Response first = node.Submit(Request(StoredQuery()));  // fills the cache
+  ASSERT_TRUE(first.ok);
+  ServingStats before = node.Stats();
+
+  ASSERT_TRUE(node.SubmitAsync(Request(StoredQuery()), [&](Response r) {
+    callback_thread = std::this_thread::get_id();
+    answer = std::move(r);
+    fired.store(true);
+  }));
+  // The callback ran on this thread before SubmitAsync returned.
+  ASSERT_TRUE(fired.load());
+  EXPECT_EQ(callback_thread, std::this_thread::get_id());
+  EXPECT_TRUE(answer.ok);
+  EXPECT_TRUE(answer.cache_hit);
+  EXPECT_EQ(answer.ranking, first.ranking);
+
+  ServingStats after = node.Stats();
+  EXPECT_EQ(after.accepted, before.accepted + 1);
+  EXPECT_EQ(after.completed, before.completed + 1);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(after.admission_hits, before.admission_hits + 1);
+  EXPECT_EQ(after.batched_requests, before.batched_requests);
+}
+
+TEST_F(ServingNodeTest, ShutdownWaitsForAdmissionHitsThenRejectsThem) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  bool fired = false;
+  std::atomic<bool> shutdown_returned{false};
+  ServingNode node(snapshot_, testbed_, BaseConfig());
+  ASSERT_TRUE(node.Submit(Request(StoredQuery())).ok);  // fills the cache
+
+  // An admission hit whose callback blocks its submitting thread.
+  std::thread submitter([&] {
+    EXPECT_TRUE(node.SubmitAsync(Request(StoredQuery()), [&](Response r) {
+      EXPECT_TRUE(r.cache_hit);
+      std::unique_lock<std::mutex> lock(mu);
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      fired = true;
+    }));
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  std::thread stopper([&] {
+    node.Shutdown();
+    shutdown_returned.store(true);
+  });
+  // Shutdown must not return while a callback it admitted is running.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shutdown_returned.load());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  stopper.join();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(fired);
+  }
+  submitter.join();
+
+  // After Shutdown a cached key is rejected like any other.
+  const uint64_t rejected = node.Stats().rejected;
+  EXPECT_FALSE(node.SubmitAsync(Request(StoredQuery()), [](Response) {
+    ADD_FAILURE() << "callback fired after Shutdown";
+  }));
+  EXPECT_EQ(node.Stats().rejected, rejected + 1);
+  EXPECT_FALSE(node.Submit(Request(StoredQuery())).ok);
+  EXPECT_EQ(node.Stats().rejected, rejected + 2);
+}
+
+TEST_F(ServingNodeTest, ShutdownRacingAdmissionHitsAnswersEveryAccepted) {
+  // Clients keep submitting a cached key while the node shuts down:
+  // every request accepted by the time Shutdown returns has been
+  // answered, and none admitted after it.
+  std::atomic<uint64_t> fired{0};
+  std::atomic<uint64_t> admitted{0};
+  std::atomic<bool> go{false};
+  ServingNode node(snapshot_, testbed_, BaseConfig());
+  ASSERT_TRUE(node.Submit(Request(StoredQuery())).ok);  // fills the cache
+  const uint64_t warm_accepted = node.Stats().accepted;
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < 2000; ++i) {
+        if (node.SubmitAsync(Request(StoredQuery()),
+                             [&](Response) { fired.fetch_add(1); })) {
+          admitted.fetch_add(1);
+        }
+      }
+    });
+  }
+  go.store(true);
+  while (fired.load() < 100) std::this_thread::yield();
+  node.Shutdown();
+  ServingStats at_shutdown = node.Stats();
+  EXPECT_EQ(fired.load(), at_shutdown.accepted - warm_accepted);
+  EXPECT_EQ(at_shutdown.completed, at_shutdown.accepted);
+  for (std::thread& t : clients) t.join();
+
+  ServingStats after = node.Stats();
+  EXPECT_EQ(after.accepted, at_shutdown.accepted);
+  EXPECT_EQ(fired.load(), admitted.load());
+  EXPECT_EQ(after.accepted - warm_accepted + after.rejected, 3u * 2000u);
+}
+
 // ---------------------------------------------------------------- replay
 
 TEST_F(ServingNodeTest, ReplayMixDrivesEveryRequestToCompletion) {
@@ -479,10 +606,16 @@ TEST_F(ServingNodeTest, StatsConsistentUnderConcurrentLoad) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.batch_dedup_hits,
             kTotal);
   EXPECT_GT(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.batched_requests, kTotal);
+  // Every request is either queued into a worker batch or a cache hit
+  // answered at admission (each client's repeat of a query it already
+  // got back is one).
+  EXPECT_EQ(stats.batched_requests + stats.admission_hits, kTotal);
+  EXPECT_GT(stats.admission_hits, 0u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_GT(stats.qps, 0.0);
-  EXPECT_GT(stats.p50_ms, 0.0);
+  // An admission hit takes less than the histogram's 1 µs bucket, so
+  // p50 may truthfully read 0: the histogram must count every request.
+  EXPECT_EQ(node.latency_histogram().count(), kTotal);
   EXPECT_LE(stats.p50_ms, stats.p95_ms);
   EXPECT_LE(stats.p95_ms, stats.p99_ms);
   EXPECT_EQ(stats.queue_depth, 0u);

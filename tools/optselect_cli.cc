@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -433,6 +434,7 @@ void PrintServingStats(const serving::ServingStats& s) {
   tp.AddRow({"streaming served", std::to_string(s.streaming_served)});
   tp.AddRow({"passthrough", std::to_string(s.passthrough)});
   tp.AddRow({"cache hit rate", util::TablePrinter::Num(s.cache_hit_rate, 3)});
+  tp.AddRow({"admission hits", std::to_string(s.admission_hits)});
   tp.AddRow({"cache entries", std::to_string(s.cache_entries)});
   tp.AddRow({"cache evictions", std::to_string(s.cache_evictions)});
   tp.AddRow({"mean batch", util::TablePrinter::Num(s.mean_batch, 2)});
@@ -544,8 +546,10 @@ std::unique_ptr<serving::StoreRefresher> MakeRefresher(
   serving::StoreRefresherConfig rc;
   rc.log_path = opts.IsSet("log-tail") ? opts.GetString("log-tail")
                                        : dir + "/log.tsv";
+  // Whole milliseconds, at least 1: a positive interval below 1 ms
+  // would otherwise become 0 ms, and the loop would tick back to back.
   rc.interval = std::chrono::milliseconds(
-      static_cast<long long>(interval_s * 1000.0));
+      std::max<long long>(1, std::llround(interval_s * 1000.0)));
   rc.persist_path = opts.GetString("store-persist");
   if (!rc.persist_path.empty() && shard_index >= 0) {
     rc.persist_path += ".shard" + std::to_string(shard_index);
@@ -557,8 +561,8 @@ std::unique_ptr<serving::StoreRefresher> MakeRefresher(
   refresher->Start();
   if (shard_index <= 0) {
     std::printf(
-        "store refresh: tailing %s every %.1fs (offset %llu)%s\n",
-        rc.log_path.c_str(), interval_s,
+        "store refresh: tailing %s every %lld ms (offset %llu)%s\n",
+        rc.log_path.c_str(), static_cast<long long>(rc.interval.count()),
         static_cast<unsigned long long>(refresher->ingestor().offset()),
         shard_index == 0 ? " [one refresher per shard]" : "");
   }
