@@ -199,7 +199,7 @@ QueryRouter::Attempt QueryRouter::AttemptOn(size_t shard,
                                             size_t hedge_shard) {
   // Shared between this thread and up to two endpoint callbacks (which
   // run on a node's worker thread, or inline for a remote client and
-  // for a node's admission hit);
+  // for a node's admission answer);
   // shared_ptr so a hedge straggler that answers after we returned
   // still has somewhere safe to write.
   struct State {

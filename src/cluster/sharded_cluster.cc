@@ -115,7 +115,7 @@ ClusterStats ShardedCluster::Stats() const {
     total.store_version = std::max(total.store_version, s.store_version);
     total.batches += s.batches;
     total.batched_requests += s.batched_requests;
-    total.admission_hits += s.admission_hits;
+    total.admission_answers += s.admission_answers;
     total.batch_dedup_hits += s.batch_dedup_hits;
     total.uptime_seconds = std::max(total.uptime_seconds, s.uptime_seconds);
     total.queue_depth += s.queue_depth;

@@ -18,8 +18,8 @@
 // Cost model: the sites are compiled into every build. With no
 // injector installed each site is one acquire load and a null check,
 // and a request passes two of them (admission and store read) — noise
-// next to the queue handoff — so the chaos CLI, the tests and
-// production all run the same code.
+// next to its selection — so the chaos CLI, the tests and production
+// all run the same code.
 
 #ifndef OPTSELECT_SERVING_FAULT_INJECTOR_H_
 #define OPTSELECT_SERVING_FAULT_INJECTOR_H_

@@ -114,7 +114,9 @@ class Frontend {
   /// adapter always does that: it runs the blocking Submit inline —
   /// correct for implementations without a native queue (e.g. a
   /// blocking socket client), overridden by the queue-backed ones. A
-  /// ServingNode does it for a cached query, answered at admission.
+  /// ServingNode does it for every answer that needs no retrieval — a
+  /// cached ranking, or a selection over a compiled plan — given at
+  /// admission.
   virtual bool SubmitAsync(Request request,
                            std::function<void(Response)> callback) {
     callback(Submit(request));

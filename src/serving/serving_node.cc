@@ -25,6 +25,21 @@ obs::Labels WithStage(obs::Labels labels, const char* stage) {
   return labels;
 }
 
+/// Selection memory for plans selected at admission: one per submitting
+/// thread, shared by every node it submits to. A selection finishes
+/// with it before the request's callback runs, so a callback that
+/// submits again finds it free.
+core::SelectScratch* AdmissionScratch() {
+  thread_local core::SelectScratch scratch;
+  return &scratch;
+}
+
+int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 }  // namespace
 
 void ServingNode::RegisterMetrics() {
@@ -32,14 +47,14 @@ void ServingNode::RegisterMetrics() {
   // Effect-before-cause registration: Collect() and Stats() read the
   // handles in this order, and every request bumps them in the reverse
   // order (accepted — inside the queue lock for a queued request —
-  // then batched_requests or admission_hits, then completed, then the
-  // outcome counters), so a counter that only increments after another
-  // has already incremented can never exceed it within one snapshot —
-  // plan_served <= diversified <= completed <= batched_requests +
-  // admission_hits <= accepted and batch_dedup <= batched_requests hold
-  // in every snapshot, under any concurrency (Counter pairs release
-  // increments with acquire reads, so this holds on weakly ordered CPUs
-  // too).
+  // then batched_requests or admission_answers, then completed, then
+  // the outcome counters), so a counter that only increments after
+  // another has already incremented can never exceed it within one
+  // snapshot — plan_served <= diversified <= completed <=
+  // batched_requests + admission_answers <= accepted and batch_dedup
+  // <= batched_requests hold in every snapshot, under any concurrency
+  // (Counter pairs release increments with acquire reads, so this
+  // holds on weakly ordered CPUs too).
   plan_served_ =
       registry_->AddCounter("optselect_serving_plan_served_total", L);
   streaming_served_ =
@@ -54,8 +69,8 @@ void ServingNode::RegisterMetrics() {
       registry_->AddCounter("optselect_serving_batch_dedup_total", L);
   batched_requests_ =
       registry_->AddCounter("optselect_serving_batched_requests_total", L);
-  admission_hits_ =
-      registry_->AddCounter("optselect_serving_admission_hits_total", L);
+  admission_answers_ =
+      registry_->AddCounter("optselect_serving_admission_answers_total", L);
   batches_ = registry_->AddCounter("optselect_serving_batches_total", L);
   accepted_ = registry_->AddCounter("optselect_serving_accepted_total", L);
   rejected_ = registry_->AddCounter("optselect_serving_rejected_total", L);
@@ -104,7 +119,8 @@ void ServingNode::RegisterMetrics() {
   }
 }
 
-void ServingNode::MaybeStartTrace(QueuedRequest* request) {
+void ServingNode::MaybeStartTrace(QueuedRequest* request,
+                                  const std::string& query) {
   obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
   if (tracer == nullptr) return;
   // The sequence number is consumed per admission attempt while a
@@ -115,7 +131,7 @@ void ServingNode::MaybeStartTrace(QueuedRequest* request) {
   if (!tracer->ShouldSample(seq)) return;
   auto trace = std::make_unique<obs::Trace>();
   trace->seq = seq;
-  trace->query = request->query;
+  trace->query = query;
   trace->start = request->enqueue_time;
   trace->events.push_back(
       obs::TraceEvent{obs::TraceStage::kAdmission, 0, 0, 0});
@@ -220,7 +236,7 @@ void ServingNode::Shutdown() {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // Admission hits answer on their submitting threads; wait for the
+  // Admission answers run on their submitting threads; wait for the
   // ones that passed the shutdown check before it was set.
   std::unique_lock<std::mutex> lock(admissions_mu_);
   admissions_drained_.wait(
@@ -237,10 +253,11 @@ bool ServingNode::Enqueue(Request request,
     return false;
   }
   QueuedRequest req;
-  req.query = std::move(request.query);
-  req.callback = std::move(callback);
   req.enqueue_time = std::chrono::steady_clock::now();
-  MaybeStartTrace(&req);
+  req.normalized = NormalizeQuery(request.query);
+  req.cache_key = MakeCacheKey(req.normalized, params_fingerprint_);
+  req.callback = std::move(callback);
+  MaybeStartTrace(&req, request.query);
   if (AnswerAtAdmission(&req)) return true;
   // Counted inside the queue's critical section: no worker can pop,
   // batch, or complete the request before its admission is counted.
@@ -258,8 +275,7 @@ bool ServingNode::AnswerAtAdmission(QueuedRequest* request) {
   // request, and a delay applied here would stall the submitting
   // thread (a router could not hedge around it): with one installed,
   // every request is queued.
-  if (!config_.enable_cache ||
-      fault_injector_.load(std::memory_order_acquire) != nullptr) {
+  if (fault_injector_.load(std::memory_order_acquire) != nullptr) {
     return false;
   }
   // Raised before the shutdown check (both sequentially consistent):
@@ -279,38 +295,48 @@ bool ServingNode::AnswerAtAdmission(QueuedRequest* request) {
   } leave{this};
   if (shutdown_.load()) return false;
 
-  const std::string key =
-      MakeCacheKey(NormalizeQuery(request->query), params_fingerprint_);
-  const auto probe_start = std::chrono::steady_clock::now();
-  // A miss is not counted here: the worker's lookup counts it (or a hit,
-  // when the key is filled while the request waits).
-  std::shared_ptr<const Response> cached = cache_.Probe(key);
-  if (cached == nullptr) return false;
-  const int64_t lookup_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - probe_start)
-          .count();
-
-  // Cause before effect, as on the queued path: accepted, then
-  // admission_hits, then completed and the outcome counters (Finish).
-  accepted_->Add();
-  admission_hits_->Add();
-  // The same stages a worker records for a cache hit, with no wait.
-  stage_hist_[kStageQueueWait]->Record(0);
-  stage_hist_[kStageCacheLookup]->Record(lookup_us);
-  if (request->trace != nullptr) {
-    const int64_t probe_at_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            probe_start - request->trace->start)
-            .count();
-    request->trace->events.push_back(
-        obs::TraceEvent{obs::TraceStage::kQueueWait, 0, 0, 0});
-    request->trace->events.push_back(obs::TraceEvent{
-        obs::TraceStage::kCacheLookup, probe_at_us, lookup_us, 0});
+  // Cause before effect on both answers, as on the queued path:
+  // accepted, then admission_answers, then completed and the outcome
+  // counters (Finish).
+  if (config_.enable_cache) {
+    const auto probe_start = std::chrono::steady_clock::now();
+    // A miss is not counted here: the lookup that answers the request
+    // counts it (LookupOrCompute's, below or on a worker), or a hit
+    // when the key is filled meanwhile.
+    std::shared_ptr<const Response> cached = cache_.Probe(request->cache_key);
+    if (cached != nullptr) {
+      // The stages a worker records for a cache hit, with no wait.
+      obs::StageTimes stages;
+      stages.queue_wait_us = 0;
+      stages.cache_lookup_us = MicrosSince(probe_start);
+      accepted_->Add();
+      admission_answers_->Add();
+      if (request->trace != nullptr) {
+        const int64_t probe_at_us =
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                probe_start - request->trace->start)
+                .count();
+        request->trace->events.push_back(
+            obs::TraceEvent{obs::TraceStage::kQueueWait, 0, 0, 0});
+        request->trace->events.push_back(
+            obs::TraceEvent{obs::TraceStage::kCacheLookup, probe_at_us,
+                            stages.cache_lookup_us, 0});
+      }
+      Response result = *cached;  // copy; per-request flag below
+      result.cache_hit = true;
+      Finish(request, stages, std::move(result));
+      return true;
+    }
   }
-  Response result = *cached;  // copy; per-request flag below
-  result.cache_hit = true;
-  Finish(request, result);
+  // Only a compiled plan bounds the compute. Everything else needs
+  // retrieval, whose milliseconds must never run on the submitting
+  // thread (a reactor or a router): it is queued for the workers.
+  std::shared_ptr<const store::StoreSnapshot> snapshot = this->snapshot();
+  if (!ServesFromPlan(snapshot->Find(request->normalized))) return false;
+  accepted_->Add();
+  admission_answers_->Add();
+  Serve(request, /*queue_wait_us=*/0, /*batch=*/nullptr, snapshot,
+        AdmissionScratch());
   return true;
 }
 
@@ -367,17 +393,14 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
   // resolves against either backing — heap entries or spans straight
   // into the mmapped v4 columns — without materializing anything.
   store::EntryRef entry = snapshot.Find(normalized_query);
-  const bool ambiguous =
-      static_cast<bool>(entry) && entry.num_specializations() >= 2;
 
   // Compiled path (store v3+ plans): the builder already retrieved R_q
   // and computed the thresholded utilities against this same immutable
   // index, so the request is pure selection over the entry's flat
   // blocks — no retrieval, no snippet extraction, no cosine sums, and
-  // no allocation outside the worker's scratch. On a mapped snapshot
+  // no allocation outside the caller's scratch. On a mapped snapshot
   // the view points directly at file-backed columns.
-  if (ambiguous &&
-      entry.HasCompatiblePlan(params.num_candidates, params.threshold_c)) {
+  if (ServesFromPlan(entry)) {
     core::DiversificationView view = entry.PlanView();
     read_span.End();
     obs::TraceSpan select_span(trace, obs::TraceStage::kSelect, 0,
@@ -394,6 +417,8 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
     return result;
   }
 
+  const bool ambiguous =
+      static_cast<bool>(entry) && entry.num_specializations() >= 2;
   std::vector<text::TermId> query_terms =
       analyzer_->AnalyzeReadOnly(normalized_query);
   index::ResultList rq =
@@ -537,12 +562,75 @@ std::shared_ptr<const Response> ServingNode::LookupOrCompute(
   return computed;
 }
 
-void ServingNode::Finish(QueuedRequest* request, const Response& result) {
-  auto now = std::chrono::steady_clock::now();
-  int64_t total_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          now - request->enqueue_time)
-          .count();
+bool ServingNode::ServesFromPlan(const store::EntryRef& entry) const {
+  return entry && entry.num_specializations() >= 2 &&
+         entry.HasCompatiblePlan(config_.params.num_candidates,
+                                 config_.params.threshold_c);
+}
+
+void ServingNode::Serve(
+    QueuedRequest* request, int64_t queue_wait_us, Batch* batch,
+    const std::shared_ptr<const store::StoreSnapshot>& snapshot,
+    core::SelectScratch* scratch) {
+  obs::StageTimes stages;
+  stages.queue_wait_us = queue_wait_us;
+  obs::Trace* trace = request->trace.get();
+  if (trace != nullptr) {
+    trace->events.push_back(
+        obs::TraceEvent{obs::TraceStage::kQueueWait, 0, queue_wait_us, 0});
+    if (batch != nullptr) {
+      trace->events.push_back(obs::TraceEvent{
+          obs::TraceStage::kBatch, queue_wait_us, 0, batch->size});
+    }
+  }
+  // Store-read fault: the worker fails (or stalls — the delay is
+  // applied inside EvaluateFault) while answering. Evaluated per
+  // request, before batch dedup, so a transient burst fails exactly
+  // the requests it was scripted to fail.
+  if (EvaluateFault(FaultSite::kStoreRead, request->normalized).fail) {
+    Finish(request, stages, Response{});  // ok == false
+    return;
+  }
+
+  std::shared_ptr<const Response> payload;
+  bool cache_hit = false;
+  bool dedup = false;
+  if (batch != nullptr) {
+    auto it = batch->computed.find(request->cache_key);
+    if (it != batch->computed.end()) {
+      payload = it->second;
+      dedup = true;
+      batch_dedup_hits_->Add();
+    }
+  }
+  if (payload == nullptr) {
+    payload = LookupOrCompute(request->cache_key, request->normalized,
+                              snapshot, scratch, &cache_hit, &stages, trace);
+    if (batch != nullptr && batch->size > 1) {
+      batch->computed.emplace(request->cache_key, payload);
+    }
+  }
+  Response result = *payload;  // copy; per-request flags below
+  result.cache_hit = cache_hit;
+  result.batch_dedup = dedup;
+  Finish(request, stages, std::move(result));
+}
+
+void ServingNode::Finish(QueuedRequest* request, const obs::StageTimes& stages,
+                         Response result) {
+  // Stage histograms record every request that ran the stage, not just
+  // sampled ones — sampling only gates trace storage.
+  const std::pair<StageIndex, int64_t> ran[] = {
+      {kStageQueueWait, stages.queue_wait_us},
+      {kStageCacheLookup, stages.cache_lookup_us},
+      {kStageStoreRead, stages.store_read_us},
+      {kStageSelect, stages.select_us},
+      {kStageScan, stages.scan_us},
+      {kStageMaintain, stages.maintain_us}};
+  const int64_t total_us = MicrosSince(request->enqueue_time);
+  for (const auto& [stage, us] : ran) {
+    if (us >= 0) stage_hist_[stage]->Record(us);
+  }
   latency_->Record(total_us);
   // Cause before effect: completed first, then the outcome counters
   // that can never exceed it (Stats() reads them in the reverse order).
@@ -563,28 +651,31 @@ void ServingNode::Finish(QueuedRequest* request, const Response& result) {
   } else {
     passthrough_->Add();
   }
+  // The trace takes the outcome first: the callback is handed the
+  // result itself, not a copy.
+  obs::Trace* trace = request->trace.get();
+  if (trace != nullptr) {
+    trace->ok = result.ok;
+    trace->diversified = result.diversified;
+    trace->cache_hit = result.cache_hit;
+    trace->plan_served = result.plan_served;
+    trace->streaming_served = result.streaming_served;
+    trace->total_us = total_us;
+    trace->ranking_hash = util::Fnv1a64(
+        result.ranking.data(), result.ranking.size() * sizeof(DocId));
+  }
   // The reply span covers the completion callback; it is excluded from
   // total_us on both sides of the stage-sum identity (queue_wait +
   // cache_lookup + store_read + select ≈ total).
   int64_t reply_us = -1;
   {
-    obs::TraceSpan reply_span(request->trace.get(),
-                              obs::TraceStage::kReply, 0, &reply_us);
-    if (request->callback) request->callback(result);
+    obs::TraceSpan reply_span(trace, obs::TraceStage::kReply, 0, &reply_us);
+    if (request->callback) request->callback(std::move(result));
   }
   if (reply_us >= 0) stage_hist_[kStageReply]->Record(reply_us);
-  if (request->trace != nullptr) {
-    obs::Trace& t = *request->trace;
-    t.ok = result.ok;
-    t.diversified = result.diversified;
-    t.cache_hit = result.cache_hit;
-    t.plan_served = result.plan_served;
-    t.streaming_served = result.streaming_served;
-    t.total_us = total_us;
-    t.ranking_hash = util::Fnv1a64(result.ranking.data(),
-                                   result.ranking.size() * sizeof(DocId));
+  if (trace != nullptr) {
     obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
-    if (tracer != nullptr) tracer->Commit(std::move(t));
+    if (tracer != nullptr) tracer->Commit(std::move(*trace));
   }
 }
 
@@ -595,81 +686,23 @@ void ServingNode::WorkerLoop() {
   // (plan-served or streamed cold), so selection performs no
   // per-request allocation.
   core::SelectScratch scratch;
-  // Payloads already computed in this batch, keyed like the cache:
-  // duplicate queries drained in one wakeup are computed exactly once
-  // even with the cache disabled (micro-batching's amortization).
-  std::unordered_map<std::string, std::shared_ptr<const Response>>
-      batch_local;
+  Batch drained;
   while (queue_.PopBatch(&batch, config_.max_batch) > 0) {
     batches_->Add();
     batched_requests_->Add(batch.size());
-    batch_local.clear();
+    drained.size = batch.size();
+    drained.computed.clear();
     // Pin the active snapshot once per batch: every request drained in
     // this wakeup answers on one consistent store version, and the
     // shared_ptr keeps that version alive across a concurrent reload.
     std::shared_ptr<const store::StoreSnapshot> snapshot = this->snapshot();
     const auto drain_time = std::chrono::steady_clock::now();
     for (QueuedRequest& req : batch) {
-      obs::StageTimes stages;
-      stages.queue_wait_us =
+      const int64_t queue_wait_us =
           std::chrono::duration_cast<std::chrono::microseconds>(
               drain_time - req.enqueue_time)
               .count();
-      stage_hist_[kStageQueueWait]->Record(stages.queue_wait_us);
-      if (req.trace != nullptr) {
-        req.trace->events.push_back(obs::TraceEvent{
-            obs::TraceStage::kQueueWait, 0, stages.queue_wait_us, 0});
-        req.trace->events.push_back(
-            obs::TraceEvent{obs::TraceStage::kBatch, stages.queue_wait_us,
-                            0, batch.size()});
-      }
-      std::string normalized = NormalizeQuery(req.query);
-      // Store-read fault: the worker fails (or stalls — the delay is
-      // applied inside EvaluateFault) while answering. Evaluated per
-      // request, before batch dedup, so a transient burst fails exactly
-      // the requests it was scripted to fail.
-      if (EvaluateFault(FaultSite::kStoreRead, normalized).fail) {
-        Finish(&req, Response{});  // ok == false
-        continue;
-      }
-      std::string key = MakeCacheKey(normalized, params_fingerprint_);
-
-      std::shared_ptr<const Response> payload;
-      bool cache_hit = false;
-      bool dedup = false;
-      auto it = batch_local.find(key);
-      if (it != batch_local.end()) {
-        payload = it->second;
-        dedup = true;
-        batch_dedup_hits_->Add();
-      } else {
-        payload = LookupOrCompute(key, normalized, snapshot, &scratch,
-                                  &cache_hit, &stages, req.trace.get());
-        if (batch.size() > 1) batch_local.emplace(key, payload);
-      }
-
-      // Stage histograms record every request that ran the stage, not
-      // just sampled ones — sampling only gates trace storage.
-      if (stages.cache_lookup_us >= 0) {
-        stage_hist_[kStageCacheLookup]->Record(stages.cache_lookup_us);
-      }
-      if (stages.store_read_us >= 0) {
-        stage_hist_[kStageStoreRead]->Record(stages.store_read_us);
-      }
-      if (stages.select_us >= 0) {
-        stage_hist_[kStageSelect]->Record(stages.select_us);
-      }
-      if (stages.scan_us >= 0) {
-        stage_hist_[kStageScan]->Record(stages.scan_us);
-      }
-      if (stages.maintain_us >= 0) {
-        stage_hist_[kStageMaintain]->Record(stages.maintain_us);
-      }
-
-      Response result = *payload;  // copy; per-request flags below
-      result.cache_hit = cache_hit;
-      result.batch_dedup = dedup;
-      Finish(&req, result);
+      Serve(&req, queue_wait_us, &drained, snapshot, &scratch);
     }
   }
 }
@@ -680,7 +713,7 @@ ServingStats ServingNode::Stats() const {
   // registration (effect-before-cause) order — each effect before its
   // cause — so plan_served <= diversified <= completed <= accepted and
   // batch_dedup_hits <= batched_requests, batched_requests +
-  // admission_hits <= accepted hold in every snapshot even while
+  // admission_answers <= accepted hold in every snapshot even while
   // requests are mutating the counters.
   s.plan_served = plan_served_->value();
   s.streaming_served = streaming_served_->value();
@@ -690,7 +723,7 @@ ServingStats ServingNode::Stats() const {
   s.completed = completed_->value();
   s.batch_dedup_hits = batch_dedup_hits_->value();
   s.batched_requests = batched_requests_->value();
-  s.admission_hits = admission_hits_->value();
+  s.admission_answers = admission_answers_->value();
   s.batches = batches_->value();
   s.accepted = accepted_->value();
   s.rejected = rejected_->value();

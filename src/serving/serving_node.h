@@ -6,17 +6,23 @@
 // recommender). A ServingNode is that node: it owns the serving-time
 // flow
 //
-//     request ─> admission: normalize ─> result-cache probe
-//       │  ─(hit)─> answer on the submitting thread: no queue push, no
-//       │           worker wake-up (cache on, no fault injector)
-//       └─(miss)─> bounded MPMC queue ─> worker pool
-//       worker: normalize ─> sharded LRU result cache (a key filled
-//               while the request waited still hits here)
+//     request ─> admission, on the submitting thread: normalize + cache
+//       │        key (built once, carried through the queue)
+//       │  ─> result-cache probe ─(hit)─> answer
+//       │  ─(miss)─> store lookup ─(compiled plan for this node's params,
+//       │        store v3+)─> selection directly over the entry's
+//       │        precomputed utility blocks (per-thread SelectScratch) ─>
+//       │        answer ─> cache fill
+//       │  (no queue push, no worker wake-up; needs no fault injector
+//       │   installed and the node not shut down)
+//       └─(needs retrieval: plan-less entry or passthrough)─> bounded
+//         MPMC queue ─> worker pool
+//       worker: sharded LRU result cache (a key filled while the
+//               request waited still hits here)
 //               ─(miss)─> store lookup
-//                 ├─ compiled plan (store v3): selection directly over
-//                 │  the entry's precomputed utility blocks — no
-//                 │  retrieval, no utility recompute, no allocation
-//                 │  (per-worker SelectScratch) ─> ranking
+//                 ├─ compiled plan (queued while a fault injector is
+//                 │  installed): the same selection (per-worker
+//                 │  SelectScratch) ─> ranking
 //                 └─ fallback: retrieve R_q ─> utilities ─> OptSelect
 //               ─> ranking ─> cache fill
 //
@@ -30,12 +36,12 @@
 // with this node's pipeline params are ignored, never half-used.
 //
 // The store is held as a refcounted immutable StoreSnapshot and can be
-// hot-swapped mid-traffic with ReloadStore: workers pin the current
-// snapshot per batch, so in-flight requests finish on the version they
-// started with while new batches see the new one, and the result cache
-// is invalidated only for the keys whose stored entries actually
-// changed — unchanged queries keep serving bit-identical cached
-// rankings across the swap.
+// hot-swapped mid-traffic with ReloadStore: admission pins the current
+// snapshot per plan selection and workers per batch, so in-flight
+// requests finish on the version they started with while new ones see
+// the new version, and the result cache is invalidated only for the
+// keys whose stored entries actually changed — unchanged queries keep
+// serving bit-identical cached rankings across the swap.
 //
 // The ranking computed here is bit-identical to
 // DiversificationPipeline::Run for the same inputs whenever the store
@@ -56,6 +62,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/parallel_optselect.h"
@@ -117,7 +124,7 @@ struct ServingConfig {
 /// Point-in-time stats snapshot.
 struct ServingStats {
   /// Requests admitted: queued for the workers or answered at admission
-  /// (accepted == batched_requests + admission_hits once idle).
+  /// (accepted == batched_requests + admission_answers once idle).
   uint64_t accepted = 0;
   uint64_t rejected = 0;     ///< Submit calls shed (queue full / shutdown)
   uint64_t completed = 0;    ///< requests answered (callback invoked)
@@ -135,12 +142,13 @@ struct ServingStats {
   uint64_t store_version = 0;        ///< active snapshot's version
   uint64_t batches = 0;          ///< worker wakeups that did work
   /// Requests that went through the queue and a worker batch: every
-  /// accepted request but the admission hits.
+  /// accepted request but the admission answers.
   uint64_t batched_requests = 0;
   uint64_t batch_dedup_hits = 0; ///< duplicates computed once in a batch
-  /// Cache hits answered at admission on the submitting thread, never
-  /// queued. Each is also one of cache_hits.
-  uint64_t admission_hits = 0;
+  /// Requests answered at admission on the submitting thread, never
+  /// queued: cache hits (each also one of cache_hits) and selections
+  /// over a compiled plan.
+  uint64_t admission_answers = 0;
   double cache_hit_rate = 0.0;
   double mean_batch = 0.0;
   double uptime_seconds = 0.0;
@@ -182,25 +190,27 @@ class ServingNode : public Frontend {
   /// Drains and joins (Shutdown).
   ~ServingNode() override;
 
-  /// Frontend: synchronous request — answers a cached query at
-  /// admission, otherwise enqueues (blocking while the queue is full)
-  /// and waits for the worker pool to answer. Returns ok=false when the
-  /// node is shut down or an injected fault fails the request.
+  /// Frontend: synchronous request — answers at admission a cached
+  /// query or one whose stored entry has a compiled plan for this
+  /// node's params, otherwise enqueues (blocking while the queue is
+  /// full) and waits for the worker pool to answer. Returns ok=false
+  /// when the node is shut down or an injected fault fails the request.
   Response Submit(const Request& request) override;
 
   /// Frontend: asynchronous request. `callback` fires exactly once:
-  /// on the calling thread before this returns when the query's
-  /// ranking is cached (the cache is on and no fault injector is
-  /// installed), otherwise on a worker thread after a non-blocking
-  /// enqueue. Returns false — and never invokes the callback — when
-  /// the queue is full or the node is shut down (load shedding;
-  /// counted in stats().rejected).
+  /// on the calling thread before this returns when no fault injector
+  /// is installed and the answer needs no retrieval — the query's
+  /// ranking is cached, or its stored entry has a compiled plan for
+  /// this node's params (selected right there, a few µs) — otherwise
+  /// on a worker thread after a non-blocking enqueue. Returns false —
+  /// and never invokes the callback — when the queue is full or the
+  /// node is shut down (load shedding; counted in stats().rejected).
   bool SubmitAsync(Request request,
                    std::function<void(Response)> callback) override;
 
   /// Stops admission, drains every queued request (their callbacks still
-  /// fire), joins the workers, and waits for the admission hits still
-  /// answering on submitting threads. Idempotent; called by the
+  /// fire), joins the workers, and waits for the admission answers
+  /// still running on submitting threads. Idempotent; called by the
   /// destructor.
   void Shutdown();
 
@@ -216,10 +226,11 @@ class ServingNode : public Frontend {
   };
 
   /// Atomically swaps the active store snapshot mid-traffic. In-flight
-  /// batches finish on the snapshot they pinned; batches drained after
-  /// the swap see the new one. `changed_keys` (normalized store keys,
-  /// e.g. SnapshotBuildResult::changed_keys) drives per-key result
-  /// cache invalidation — every other cached ranking survives the swap
+  /// batches and admission selections finish on the snapshot they
+  /// pinned; those started after the swap see the new one.
+  /// `changed_keys` (normalized store keys, e.g.
+  /// SnapshotBuildResult::changed_keys) drives per-key result cache
+  /// invalidation — every other cached ranking survives the swap
   /// untouched. Safe to call from any thread, concurrently with
   /// traffic. `snapshot` must be non-null.
   ReloadOutcome ReloadStore(
@@ -268,7 +279,10 @@ class ServingNode : public Frontend {
   /// One queue item (distinct from serving::Request, the public API
   /// struct — this carries the completion plumbing through the queue).
   struct QueuedRequest {
-    std::string query;
+    /// NormalizeQuery of the request's query and its cache key, built
+    /// once at admission and reused by the worker.
+    std::string normalized;
+    std::string cache_key;
     std::function<void(Response)> callback;
     std::chrono::steady_clock::time_point enqueue_time;
     /// Sampled requests carry their trace through the queue; null for
@@ -288,27 +302,49 @@ class ServingNode : public Frontend {
     kNumStages,
   };
 
+  /// One worker wakeup's requests: their count (traced) and the
+  /// payloads already computed among them, keyed like the cache —
+  /// duplicate queries drained in one wakeup are computed once even
+  /// with the cache disabled (micro-batching's amortization).
+  struct Batch {
+    size_t size = 0;
+    std::unordered_map<std::string, std::shared_ptr<const Response>>
+        computed;
+  };
+
   void WorkerLoop();
   /// The shared admission path of Submit (`block`: wait for queue
   /// space) and SubmitAsync (shed when full). False ⇒ rejected (fault,
   /// full, or shut down) and `callback` never fires.
   bool Enqueue(Request request, std::function<void(Response)> callback,
                bool block);
-  /// Enqueue's fast path: probes the result cache and, on a hit,
-  /// answers `request` on the calling thread. False ⇒ not answered
-  /// (cache off, fault injector installed, shut down, or a miss): the
-  /// request is queued as usual.
+  /// Enqueue's fast path: answers `request` on the calling thread when
+  /// its ranking is cached or its stored entry has a compiled plan for
+  /// this node's params (selected through Serve with the thread's own
+  /// SelectScratch). False ⇒ not answered (fault injector installed,
+  /// shut down, or the answer needs retrieval): the request is queued.
   bool AnswerAtAdmission(QueuedRequest* request);
+  /// The per-request body the workers and admission share: queue-wait
+  /// trace event, store-read fault site, the ranking (a duplicate in
+  /// `batch` — null at admission — or LookupOrCompute over `snapshot`)
+  /// and Finish.
+  void Serve(QueuedRequest* request, int64_t queue_wait_us, Batch* batch,
+             const std::shared_ptr<const store::StoreSnapshot>& snapshot,
+             core::SelectScratch* scratch);
+  /// True when `entry` is ambiguous and carries a plan compiled for
+  /// this node's params: answering it is selection over the plan's
+  /// blocks, with no retrieval.
+  bool ServesFromPlan(const store::EntryRef& entry) const;
   /// Registers every counter/gauge/histogram into registry_ (ctor).
   void RegisterMetrics();
   /// Samples the just-accepted request: assigns a sequence number and
-  /// attaches a Trace when the installed tracer selects it.
-  void MaybeStartTrace(QueuedRequest* request);
+  /// attaches a Trace of `query` when the installed tracer selects it.
+  void MaybeStartTrace(QueuedRequest* request, const std::string& query);
   /// Consults the installed fault injector; a no-decision default when
   /// none is installed (one acquire load and a null check).
   FaultDecision EvaluateFault(FaultSite site, std::string_view key) const;
   /// Compute for one normalized query against a pinned snapshot.
-  /// `scratch` is the calling worker's reusable selection memory; the
+  /// `scratch` is the calling thread's reusable selection memory; the
   /// plan path and the streaming cold path both select inside its
   /// StreamingTopK (no per-request selection allocation beyond the
   /// result object itself). `stages` collects store-read / select wall
@@ -326,7 +362,10 @@ class ServingNode : public Frontend {
       const std::shared_ptr<const store::StoreSnapshot>& snapshot,
       core::SelectScratch* scratch, bool* cache_hit,
       obs::StageTimes* stages, obs::Trace* trace);
-  void Finish(QueuedRequest* request, const Response& result);
+  /// Records the request's stage times and latency, counts its
+  /// outcome, hands `result` to its callback and commits its trace.
+  void Finish(QueuedRequest* request, const obs::StageTimes& stages,
+              Response result);
 
   ServingConfig config_;
   /// Private registry when the config supplied none. Declared before
@@ -348,7 +387,7 @@ class ServingNode : public Frontend {
   std::vector<std::thread> workers_;
   std::atomic<bool> shutdown_{false};
   /// Admissions inside AnswerAtAdmission. Raised before the shutdown
-  /// check, so Shutdown either waits for an admission hit or that
+  /// check, so Shutdown either waits for an admission answer or that
   /// admission sees the shutdown; the last one out signals
   /// admissions_drained_ once shutdown_ is set.
   std::atomic<size_t> admissions_in_flight_{0};
@@ -367,7 +406,7 @@ class ServingNode : public Frontend {
   obs::Counter* completed_ = nullptr;
   obs::Counter* batch_dedup_hits_ = nullptr;
   obs::Counter* batched_requests_ = nullptr;
-  obs::Counter* admission_hits_ = nullptr;
+  obs::Counter* admission_answers_ = nullptr;
   obs::Counter* batches_ = nullptr;
   obs::Counter* accepted_ = nullptr;
   obs::Counter* rejected_ = nullptr;

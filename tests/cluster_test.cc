@@ -530,26 +530,27 @@ TEST_F(ClusterTest, StatsAggregateAcrossShards) {
   EXPECT_EQ(cs.num_shards, n);
   ASSERT_EQ(cs.per_shard.size(), n);
   uint64_t sum_completed = 0, sum_diversified = 0, sum_hits = 0;
-  uint64_t sum_admission_hits = 0;
+  uint64_t sum_admission_answers = 0;
   for (const auto& s : cs.per_shard) {
     sum_completed += s.completed;
     sum_diversified += s.diversified;
     sum_hits += s.cache_hits;
-    sum_admission_hits += s.admission_hits;
+    sum_admission_answers += s.admission_answers;
   }
   EXPECT_EQ(cs.total.completed, served);
   EXPECT_EQ(cs.total.completed, sum_completed);
   EXPECT_EQ(cs.total.diversified, sum_diversified);
   EXPECT_EQ(cs.total.cache_hits, sum_hits);
-  EXPECT_EQ(cs.total.admission_hits, sum_admission_hits);
+  EXPECT_EQ(cs.total.admission_answers, sum_admission_answers);
   EXPECT_EQ(cs.total.diversified + cs.total.passthrough, served);
   EXPECT_GT(cs.total.cache_hits, 0u);  // second rep hits per-shard caches
-  // The second rep is answered at admission: the first rep cached it.
-  EXPECT_GT(cs.total.admission_hits, 0u);
+  // Stored keys are answered at admission: selected over their plans
+  // in the first rep, from the cache in the second.
+  EXPECT_GT(cs.total.admission_answers, 0u);
   EXPECT_GT(cs.total.qps, 0.0);
-  // Admission hits take less than the histograms' 1 µs bucket, so the
-  // merged p50 may truthfully read 0: the shards' histograms must count
-  // every request.
+  // Cache hits answered at admission take less than the histograms'
+  // 1 µs bucket, so the merged p50 may truthfully read 0: the shards'
+  // histograms must count every request.
   uint64_t recorded = 0;
   for (size_t i = 0; i < n; ++i) {
     recorded += cl.shard(i)->latency_histogram().count();

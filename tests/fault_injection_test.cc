@@ -272,14 +272,17 @@ TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
 }
 
 TEST_F(FaultInjectionTest, InstalledInjectorSeesCachedRequests) {
-  // Cache on: without an injector the repeat is answered at admission,
-  // never reaching a worker's store-read site.
+  // Cache on, plans compiled for the node's params: without an
+  // injector both the warm-up (a plan selection) and the repeat (a
+  // cache hit) are answered at admission, never reaching a worker's
+  // store-read site.
   serving::ServingNode node(snapshot_, testbed_, BaseConfig(1).node);
   const std::string& key = stored_keys_->front();
   serving::Response warm = node.Submit(serving::Request(key));
   ASSERT_TRUE(warm.ok);
+  ASSERT_TRUE(warm.plan_served);
   ASSERT_TRUE(node.Submit(serving::Request(key)).cache_hit);
-  ASSERT_EQ(node.Stats().admission_hits, 1u);
+  ASSERT_EQ(node.Stats().admission_answers, 2u);
 
   serving::ScriptedFaultInjector injector;
   node.set_fault_injector(&injector);
@@ -293,7 +296,7 @@ TEST_F(FaultInjectionTest, InstalledInjectorSeesCachedRequests) {
 
   serving::ServingStats stats = node.Stats();
   EXPECT_EQ(stats.faulted, 1u);
-  EXPECT_EQ(stats.admission_hits, 1u);  // none while installed
+  EXPECT_EQ(stats.admission_answers, 2u);  // none while installed
   node.set_fault_injector(nullptr);
 }
 

@@ -436,10 +436,10 @@ TEST_F(ObsServingTest, StatsSnapshotsCoherentUnderConcurrentLoad) {
     check("plan_served > diversified", s.plan_served, s.diversified);
     check("passthrough > completed", s.passthrough, s.completed);
     check("batched_requests > accepted", s.batched_requests, s.accepted);
-    check("batched_requests + admission_hits > accepted",
-          s.batched_requests + s.admission_hits, s.accepted);
-    check("completed > batched_requests + admission_hits", s.completed,
-          s.batched_requests + s.admission_hits);
+    check("batched_requests + admission_answers > accepted",
+          s.batched_requests + s.admission_answers, s.accepted);
+    check("completed > batched_requests + admission_answers", s.completed,
+          s.batched_requests + s.admission_answers);
     check("batch_dedup_hits > batched_requests", s.batch_dedup_hits,
           s.batched_requests);
     if (snapshots >= 5000) break;

@@ -1,8 +1,8 @@
 // Tests for the query-serving subsystem: cache keys, the sharded LRU
 // cache, the streaming latency histogram, the bounded request queue, and
-// the ServingNode end-to-end (cache/batching bit-identity, cached
-// queries answered at admission, shutdown with in-flight requests, stats
-// consistency under concurrent load).
+// the ServingNode end-to-end (cache/batching bit-identity, cached and
+// compiled-plan queries answered at admission, shutdown with in-flight
+// requests, stats consistency under concurrent load).
 
 #include <atomic>
 #include <cctype>
@@ -25,6 +25,7 @@
 #include "serving/result_cache.h"
 #include "serving/serving_node.h"
 #include "store/mapped_store.h"
+#include "store/query_plan.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
 
@@ -194,6 +195,60 @@ class ServingNodeTest : public ::testing::Test {
     config.params.num_candidates = 100;
     config.params.diversify.k = 10;
     return config;
+  }
+
+  /// BaseConfig at the params the store's plans were compiled for
+  /// (BaseConfig's 100 candidates make every plan incompatible), with
+  /// the cache off: every stored query is a fresh plan selection.
+  static ServingConfig PlanConfig() {
+    ServingConfig config = BaseConfig();
+    config.params.num_candidates = store::PlanCompileOptions().num_candidates;
+    config.enable_cache = false;
+    return config;
+  }
+
+  /// store_'s entries with their plans stripped, as a v4 image: stored
+  /// queries take the streaming cold path.
+  static std::shared_ptr<const store::StoreSnapshot> PlanlessSnapshot() {
+    store::DiversificationStore stripped;
+    for (const auto& [query, entry] : store_->entries()) {
+      store::StoredEntry copy = entry;
+      copy.plan = store::QueryPlan();
+      EXPECT_TRUE(stripped.Put(std::move(copy)).ok());
+    }
+    auto image = store::MappedStoreFile::FromStore(stripped);
+    EXPECT_TRUE(image.ok()) << image.status().ToString();
+    return store::StoreSnapshot::FromMapped(std::move(image).value());
+  }
+
+  /// SubmitAsync, then waits for the answer. `*on_caller` reports
+  /// whether the callback ran on this thread, i.e. before SubmitAsync
+  /// returned.
+  static Response SubmitAsyncAndWait(ServingNode* node,
+                                     const std::string& query,
+                                     bool* on_caller) {
+    struct Answer {
+      std::mutex mu;
+      std::condition_variable cv;
+      bool done = false;
+      Response response;
+      std::thread::id thread;
+    };
+    auto answer = std::make_shared<Answer>();
+    if (!node->SubmitAsync(Request(query), [answer](Response r) {
+          std::lock_guard<std::mutex> lock(answer->mu);
+          answer->response = std::move(r);
+          answer->thread = std::this_thread::get_id();
+          answer->done = true;
+          answer->cv.notify_all();
+        })) {
+      ADD_FAILURE() << "SubmitAsync rejected " << query;
+      return Response{};
+    }
+    std::unique_lock<std::mutex> lock(answer->mu);
+    answer->cv.wait(lock, [&] { return answer->done; });
+    *on_caller = answer->thread == std::this_thread::get_id();
+    return std::move(answer->response);
   }
 
   /// An ambiguous query (present in the store) and a passthrough query.
@@ -432,7 +487,7 @@ TEST_F(ServingNodeTest, CachedQueryAnsweredOnCallingThreadAtAdmission) {
   EXPECT_EQ(after.completed, before.completed + 1);
   EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
   EXPECT_EQ(after.cache_misses, before.cache_misses);
-  EXPECT_EQ(after.admission_hits, before.admission_hits + 1);
+  EXPECT_EQ(after.admission_answers, before.admission_answers + 1);
   EXPECT_EQ(after.batched_requests, before.batched_requests);
 }
 
@@ -446,7 +501,8 @@ TEST_F(ServingNodeTest, ShutdownWaitsForAdmissionHitsThenRejectsThem) {
   ServingNode node(snapshot_, testbed_, BaseConfig());
   ASSERT_TRUE(node.Submit(Request(StoredQuery())).ok);  // fills the cache
 
-  // An admission hit whose callback blocks its submitting thread.
+  // A cache hit answered at admission whose callback blocks its
+  // submitting thread.
   std::thread submitter([&] {
     EXPECT_TRUE(node.SubmitAsync(Request(StoredQuery()), [&](Response r) {
       EXPECT_TRUE(r.cache_hit);
@@ -525,6 +581,159 @@ TEST_F(ServingNodeTest, ShutdownRacingAdmissionHitsAnswersEveryAccepted) {
   EXPECT_EQ(after.accepted, at_shutdown.accepted);
   EXPECT_EQ(fired.load(), admitted.load());
   EXPECT_EQ(after.accepted - warm_accepted + after.rejected, 3u * 2000u);
+}
+
+TEST_F(ServingNodeTest, PlanQueryAnsweredOnCallingThreadAtAdmission) {
+  ScriptedFaultInjector no_faults;  // injects nothing; outlives the node
+  ServingNode node(snapshot_, testbed_, PlanConfig());
+  ServingNode planless(PlanlessSnapshot(), testbed_, PlanConfig());
+
+  size_t planned = 0;
+  for (const auto& [query, entry] : store_->entries()) {
+    if (entry.plan.empty()) continue;  // retrieval found nothing to plan
+    ++planned;
+    ServingStats before = node.Stats();
+    bool on_caller = false;
+    Response admitted = SubmitAsyncAndWait(&node, query, &on_caller);
+    EXPECT_TRUE(on_caller) << query;
+    EXPECT_TRUE(admitted.ok) << query;
+    EXPECT_TRUE(admitted.plan_served) << query;
+    EXPECT_FALSE(admitted.cache_hit) << query;
+    ServingStats after = node.Stats();
+    EXPECT_EQ(after.admission_answers, before.admission_answers + 1);
+    EXPECT_EQ(after.batched_requests, before.batched_requests);
+    EXPECT_EQ(after.plan_served, before.plan_served + 1);
+
+    // Any installed injector sends the same request through a worker.
+    node.set_fault_injector(&no_faults);
+    Response queued = SubmitAsyncAndWait(&node, query, &on_caller);
+    node.set_fault_injector(nullptr);
+    EXPECT_FALSE(on_caller) << query;
+    EXPECT_TRUE(queued.plan_served) << query;
+    EXPECT_EQ(node.Stats().batched_requests, after.batched_requests + 1);
+    EXPECT_EQ(queued.ranking, admitted.ranking) << query;
+
+    // The streaming cold path over the same entry without its plan.
+    Response cold = planless.Submit(Request(query));
+    EXPECT_TRUE(cold.streaming_served) << query;
+    EXPECT_EQ(cold.ranking, admitted.ranking) << query;
+  }
+  ASSERT_GT(planned, 0u);
+}
+
+TEST_F(ServingNodeTest, RequestsNeedingRetrievalAreQueued) {
+  // Plans compiled for other params, plan-less entries and passthrough
+  // queries all need retrieval, which never runs at admission.
+  ServingConfig mismatched_config = PlanConfig();
+  mismatched_config.params.num_candidates = BaseConfig().params.num_candidates;
+  ServingNode mismatched(snapshot_, testbed_, mismatched_config);
+  ServingNode planless(PlanlessSnapshot(), testbed_, PlanConfig());
+  ServingNode planned(snapshot_, testbed_, PlanConfig());
+  struct Case {
+    ServingNode* node;
+    std::string query;
+    bool diversified;
+  };
+  for (const Case& c : {Case{&mismatched, StoredQuery(), true},
+                        Case{&planless, StoredQuery(), true},
+                        Case{&planned, NoiseQuery(), false}}) {
+    ServingStats before = c.node->Stats();
+    bool on_caller = true;
+    Response r = SubmitAsyncAndWait(c.node, c.query, &on_caller);
+    EXPECT_FALSE(on_caller) << c.query;
+    EXPECT_TRUE(r.ok) << c.query;
+    EXPECT_EQ(r.diversified, c.diversified) << c.query;
+    EXPECT_FALSE(r.plan_served) << c.query;
+    ServingStats after = c.node->Stats();
+    EXPECT_EQ(after.batched_requests, before.batched_requests + 1);
+    EXPECT_EQ(after.admission_answers, 0u);
+  }
+}
+
+TEST_F(ServingNodeTest, ConcurrentPlanAdmissionsAreBitIdentical) {
+  // Each submitting thread selects in its own scratch: four threads
+  // selecting different plans at once get the rankings one thread got.
+  ServingNode node(snapshot_, testbed_, PlanConfig());
+  std::vector<std::string> queries;
+  std::map<std::string, std::vector<DocId>> reference;
+  for (const auto& [query, entry] : store_->entries()) {
+    if (entry.plan.empty()) continue;
+    queries.push_back(query);
+    reference[query] = node.Submit(Request(query)).ranking;
+  }
+  ASSERT_GE(queries.size(), 2u);
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 500;
+  std::atomic<size_t> answered{0};
+  std::atomic<size_t> mismatches{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (size_t i = 0; i < kPerThread; ++i) {
+        const std::string& query = queries[(t + i) % queries.size()];
+        EXPECT_TRUE(node.SubmitAsync(Request(query), [&, query](Response r) {
+          answered.fetch_add(1);
+          if (!r.plan_served || r.ranking != reference.at(query)) {
+            mismatches.fetch_add(1);
+          }
+        }));
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : clients) t.join();
+
+  // Every answer ran on its submitting thread, so all are in by now.
+  EXPECT_EQ(answered.load(), kThreads * kPerThread);
+  EXPECT_EQ(mismatches.load(), 0u);
+  ServingStats stats = node.Stats();
+  EXPECT_EQ(stats.admission_answers, queries.size() + kThreads * kPerThread);
+  EXPECT_EQ(stats.batched_requests, 0u);
+}
+
+TEST_F(ServingNodeTest, ShutdownRacingPlanAdmissionsAnswersEveryAccepted) {
+  // The cache-hit race above with the cache off: every request is a
+  // plan selection on its submitting thread while the node shuts down.
+  std::atomic<uint64_t> fired{0};
+  std::atomic<uint64_t> admitted{0};
+  std::atomic<bool> go{false};
+  ServingNode node(snapshot_, testbed_, PlanConfig());
+  ASSERT_TRUE(node.Submit(Request(StoredQuery())).plan_served);
+  const uint64_t warm_accepted = node.Stats().accepted;
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < 2000; ++i) {
+        if (node.SubmitAsync(Request(StoredQuery()), [&](Response r) {
+              EXPECT_TRUE(r.plan_served);
+              fired.fetch_add(1);
+            })) {
+          admitted.fetch_add(1);
+        }
+      }
+    });
+  }
+  go.store(true);
+  while (fired.load() < 100) std::this_thread::yield();
+  node.Shutdown();
+  ServingStats at_shutdown = node.Stats();
+  EXPECT_EQ(fired.load(), at_shutdown.accepted - warm_accepted);
+  EXPECT_EQ(at_shutdown.completed, at_shutdown.accepted);
+  EXPECT_EQ(at_shutdown.admission_answers, at_shutdown.accepted);
+  for (std::thread& t : clients) t.join();
+
+  ServingStats after = node.Stats();
+  EXPECT_EQ(after.accepted, at_shutdown.accepted);
+  EXPECT_EQ(fired.load(), admitted.load());
+  EXPECT_EQ(after.accepted - warm_accepted + after.rejected, 3u * 2000u);
+  EXPECT_FALSE(node.SubmitAsync(Request(StoredQuery()), [](Response) {
+    ADD_FAILURE() << "callback fired after Shutdown";
+  }));
 }
 
 // ---------------------------------------------------------------- replay
@@ -609,12 +818,13 @@ TEST_F(ServingNodeTest, StatsConsistentUnderConcurrentLoad) {
   // Every request is either queued into a worker batch or a cache hit
   // answered at admission (each client's repeat of a query it already
   // got back is one).
-  EXPECT_EQ(stats.batched_requests + stats.admission_hits, kTotal);
-  EXPECT_GT(stats.admission_hits, 0u);
+  EXPECT_EQ(stats.batched_requests + stats.admission_answers, kTotal);
+  EXPECT_GT(stats.admission_answers, 0u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_GT(stats.qps, 0.0);
-  // An admission hit takes less than the histogram's 1 µs bucket, so
-  // p50 may truthfully read 0: the histogram must count every request.
+  // A cache hit answered at admission takes less than the histogram's
+  // 1 µs bucket, so p50 may truthfully read 0: the histogram must count
+  // every request.
   EXPECT_EQ(node.latency_histogram().count(), kTotal);
   EXPECT_LE(stats.p50_ms, stats.p95_ms);
   EXPECT_LE(stats.p95_ms, stats.p99_ms);

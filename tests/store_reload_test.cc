@@ -20,6 +20,7 @@
 #include "serving/store_refresher.h"
 #include "store/diversification_store.h"
 #include "store/mapped_store.h"
+#include "store/query_plan.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
 #include "util/hash.h"
@@ -343,6 +344,89 @@ TEST_F(StoreReloadServingTest, SwapsUnderConcurrentLoadLoseNothing) {
   EXPECT_EQ(stats.completed, kClients * kPerClient + 1);
   EXPECT_GE(stats.reloads, 1u);
   EXPECT_EQ(stats.store_version, stats.reloads);
+}
+
+TEST_F(StoreReloadServingTest, ReloadRacingPlanAdmissionsNeverCachesStale) {
+  // Cache on, at the params the store's plans were compiled for: every
+  // target request is answered at admission, from the cache or by a
+  // plan selection on the submitting thread, which then fills the cache.
+  ServingConfig config = BaseConfig();
+  config.params.num_candidates = store::PlanCompileOptions().num_candidates;
+  ServingNode node = MakeNode(config);
+
+  // Two contents of the target entry, each with its own compiled plan.
+  store::StoredEntry base = *(*snapshot_)->store().Find(*target_key_);
+  store::StoredEntry scaled = TargetDelta(0.25).upserts[0];
+  scaled.plan = store::CompileQueryPlan(
+      scaled, testbed_->searcher(), testbed_->snippets(),
+      testbed_->analyzer(), testbed_->corpus().store,
+      store::PlanCompileOptions());
+  ASSERT_FALSE(base.plan.empty());
+  ASSERT_FALSE(scaled.plan.empty());
+
+  // A chain of one-entry snapshots, built ahead so that swaps follow
+  // each other within a selection's few microseconds: odd versions
+  // hold `base`, even ones `scaled`, and every reload changes the
+  // target.
+  constexpr size_t kReloads = 400;
+  std::vector<store::SnapshotBuildResult> chain;
+  for (size_t i = 0; i < kReloads; ++i) {
+    store::StoreDelta delta;
+    delta.upserts.push_back(i % 2 == 0 ? base : scaled);
+    chain.push_back(store::BuildSnapshot(
+        i == 0 ? nullptr : chain.back().snapshot.get(), delta));
+    ASSERT_EQ(chain.back().snapshot->version(), i + 1);
+    ASSERT_EQ(chain.back().changed_keys,
+              (std::vector<std::string>{*target_key_}));
+  }
+  std::vector<DocId> rankings[2];  // by version parity
+  for (size_t i = 0; i < 2; ++i) {
+    node.ReloadStore(chain[i].snapshot, chain[i].changed_keys);
+    Response r = node.Submit(Request(*target_key_));
+    ASSERT_TRUE(r.plan_served);
+    ASSERT_EQ(r.store_version, i + 1);
+    rankings[(i + 1) % 2] = r.ranking;
+  }
+  ASSERT_NE(rankings[0], rankings[1]);
+
+  // `erased` is the last version whose ReloadStore has returned, so
+  // its erase of the target is done: no answer submitted after that
+  // may come from an older snapshot, cached or not.
+  std::atomic<uint64_t> erased{2};
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> stale{0};
+  std::atomic<size_t> wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&] {
+      while (!stop.load()) {
+        const uint64_t floor = erased.load();
+        Response r = node.Submit(Request(*target_key_));
+        if (!r.ok || r.store_version < floor) {
+          stale.fetch_add(1);
+        } else if (r.ranking != rankings[r.store_version % 2]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (size_t i = 2; i < kReloads; ++i) {
+    node.ReloadStore(chain[i].snapshot, chain[i].changed_keys);
+    erased.store(chain[i].snapshot->version());
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(stale.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  ServingStats stats = node.Stats();
+  EXPECT_EQ(stats.batched_requests, 0u);  // every answer at admission
+  EXPECT_EQ(stats.admission_answers, stats.accepted);
+  EXPECT_GT(stats.cache_misses, 2u);  // selections raced the swaps
+  Response last = node.Submit(Request(*target_key_));
+  EXPECT_EQ(last.store_version, kReloads);
+  EXPECT_EQ(last.ranking, rankings[kReloads % 2]);
 }
 
 // ------------------------------------------------------- StoreRefresher

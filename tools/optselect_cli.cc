@@ -434,7 +434,7 @@ void PrintServingStats(const serving::ServingStats& s) {
   tp.AddRow({"streaming served", std::to_string(s.streaming_served)});
   tp.AddRow({"passthrough", std::to_string(s.passthrough)});
   tp.AddRow({"cache hit rate", util::TablePrinter::Num(s.cache_hit_rate, 3)});
-  tp.AddRow({"admission hits", std::to_string(s.admission_hits)});
+  tp.AddRow({"admission answers", std::to_string(s.admission_answers)});
   tp.AddRow({"cache entries", std::to_string(s.cache_entries)});
   tp.AddRow({"cache evictions", std::to_string(s.cache_evictions)});
   tp.AddRow({"mean batch", util::TablePrinter::Num(s.mean_batch, 2)});
