@@ -24,6 +24,21 @@ double WeightedRowSumScalar(const double* row, const double* prob,
 
 const Ops kScalarOps = {"scalar", WeightedRowSumScalar};
 
+// GatherDot's lane types (GCC/Clang vector extensions: SSE2 on x86-64,
+// NEON on aarch64). A double compare yields a long long lane mask.
+typedef double F64x2 __attribute__((vector_size(16)));
+typedef long long I64x2 __attribute__((vector_size(16)));
+
+/// a·w where a is non-zero (NaN included) and exactly +0.0 where a is
+/// ±0.0: the product is ANDed with the mask of a compare, so no branch
+/// depends on a. The upper lane computes a discarded 0·0.
+inline double MaskedProduct(double a, double w) {
+  const F64x2 av = {a, 0.0};
+  const F64x2 product = av * F64x2{w, 0.0};
+  const I64x2 keep = av != F64x2{0.0, 0.0};
+  return reinterpret_cast<F64x2>(reinterpret_cast<I64x2>(product) & keep)[0];
+}
+
 /// Resolves the dispatch target once. Unknown or unavailable explicit
 /// requests warn to stderr and fall back to scalar — a test asking for
 /// a specific target should fail loudly in its assertions, not crash
@@ -76,8 +91,7 @@ double GatherDot(const double* dense, size_t dense_size,
   double dot = 0.0;
   for (size_t i = 0; i < count; ++i) {
     if (pairs[i].first >= dense_size) break;
-    const double a = dense[pairs[i].first];
-    if (a != 0.0) dot += a * pairs[i].second;
+    dot += MaskedProduct(dense[pairs[i].first], pairs[i].second);
   }
   return dot;
 }
@@ -88,8 +102,7 @@ double GatherDot(const double* dense, size_t dense_size,
   double dot = 0.0;
   for (size_t i = 0; i < count; ++i) {
     if (terms[i] >= dense_size) break;
-    const double a = dense[terms[i]];
-    if (a != 0.0) dot += a * weights[i];
+    dot += MaskedProduct(dense[terms[i]], weights[i]);
   }
   return dot;
 }

@@ -11,8 +11,9 @@
 // sparse dot products between a candidate surrogate and a
 // specialization's stored surrogates (the cold path's utility rows)
 // are gather loops whose adds must stay in ascending term order, so
-// they have one undispatched form; they live here so they share the
-// kernels' rounding rules.
+// they have one undispatched, branch-free form (a masked product per
+// term, see GatherDot); they live here so they share the kernels'
+// rounding rules.
 //
 // Determinism contract: every variant produces bit-identical doubles to
 // the scalar reference, run-to-run and across lane widths. Two rules
@@ -110,8 +111,16 @@ inline double WeightedRowSum(const double* row, const double* prob,
 /// elsewhere (TermVector weights are never zero) and the pairs
 /// strictly ascending, the products added are exactly
 /// TermVector::Dot's matched products, in its order and with its
-/// operand order — so the two are bit-identical. The walk stops at the
-/// first term past the scatter: no term id drives a read past
+/// operand order — so the two are bit-identical. A pair whose dense[t]
+/// is zero is not skipped by a branch: its product is masked to
+/// exactly +0.0 by a compare-and-AND and added, so the loop has no
+/// branch on the gathered value to mispredict. That leaves the sum's
+/// bits unchanged for every input: the sum starts at +0.0 and is never
+/// −0.0 (a round-to-nearest sum is −0.0 only when both addends are),
+/// and x + (+0.0) is x for every other x, infinities and NaN included.
+/// The mask also keeps the product of a zero and a non-finite weight
+/// (0·inf is NaN) out of the sum, as the skip did. The walk stops at
+/// the first term past the scatter: no term id drives a read past
 /// dense[dense_size - 1].
 double GatherDot(const double* dense, size_t dense_size,
                  const text::TermVector::Entry* pairs, size_t count);

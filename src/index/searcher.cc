@@ -7,6 +7,26 @@
 namespace optselect {
 namespace index {
 
+namespace {
+
+/// Keeps the best k of `results` (score descending, ties on ascending
+/// doc id), sorted.
+void KeepTopK(size_t k, ResultList* results) {
+  auto better = [](const SearchResult& a, const SearchResult& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.doc < b.doc;
+  };
+  if (results->size() > k) {
+    std::partial_sort(results->begin(), results->begin() + k,
+                      results->end(), better);
+    results->resize(k);
+  } else {
+    std::sort(results->begin(), results->end(), better);
+  }
+}
+
+}  // namespace
+
 ResultList Searcher::Search(std::string_view query, size_t k) const {
   return SearchTerms(analyzer_->AnalyzeReadOnly(query), k);
 }
@@ -15,35 +35,51 @@ ResultList Searcher::SearchTerms(const std::vector<text::TermId>& terms,
                                  size_t k) const {
   if (terms.empty() || k == 0) return {};
 
-  // Query term weights = in-query tf.
-  std::map<text::TermId, double> qtw;
-  for (text::TermId t : terms) qtw[t] += 1.0;
-
-  // Term-at-a-time accumulation.
-  std::unordered_map<DocId, double> acc;
-  for (const auto& [term, weight] : qtw) {
-    for (const Posting& p : index_->Postings(term)) {
-      acc[p.doc] += scorer_.Score(p, term, weight);
-    }
+  // One cursor per distinct query term with postings, in ascending
+  // term order, weighted by the term's in-query tf.
+  struct Cursor {
+    const Posting* at;
+    const Posting* end;
+    text::TermId term;
+    double weight;
+  };
+  std::vector<text::TermId> sorted = terms;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<Cursor> cursors;
+  size_t postings = 0;
+  for (size_t i = 0; i < sorted.size();) {
+    const text::TermId term = sorted[i];
+    double weight = 0.0;
+    for (; i < sorted.size() && sorted[i] == term; ++i) weight += 1.0;
+    const std::vector<Posting>& list = index_->Postings(term);
+    if (list.empty()) continue;
+    postings += list.size();
+    cursors.push_back(
+        Cursor{list.data(), list.data() + list.size(), term, weight});
   }
 
+  // Document-at-a-time: the lowest doc under any cursor sums the
+  // contributions of the cursors on it in ascending term order — the
+  // order a term-at-a-time accumulator adds them — and every cursor on
+  // it moves past it.
   ResultList results;
-  results.reserve(acc.size());
-  for (const auto& [doc, score] : acc) {
+  results.reserve(postings);
+  for (;;) {
+    DocId doc = kInvalidDocId;
+    for (const Cursor& c : cursors) {
+      if (c.at != c.end) doc = std::min(doc, c.at->doc);
+    }
+    if (doc == kInvalidDocId) break;
+    double score = 0.0;
+    for (Cursor& c : cursors) {
+      if (c.at != c.end && c.at->doc == doc) {
+        score += scorer_.Score(*c.at, c.term, c.weight);
+        ++c.at;
+      }
+    }
     if (score > 0.0) results.push_back(SearchResult{doc, score});
   }
-
-  auto better = [](const SearchResult& a, const SearchResult& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc < b.doc;
-  };
-  if (results.size() > k) {
-    std::partial_sort(results.begin(), results.begin() + k, results.end(),
-                      better);
-    results.resize(k);
-  } else {
-    std::sort(results.begin(), results.end(), better);
-  }
+  KeepTopK(k, &results);
   return results;
 }
 
@@ -93,17 +129,7 @@ ResultList Searcher::SearchTermsConjunctive(
   for (const auto& [doc, score] : acc) {
     if (score > 0.0) results.push_back(SearchResult{doc, score});
   }
-  auto better = [](const SearchResult& a, const SearchResult& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc < b.doc;
-  };
-  if (results.size() > k) {
-    std::partial_sort(results.begin(), results.begin() + k, results.end(),
-                      better);
-    results.resize(k);
-  } else {
-    std::sort(results.begin(), results.end(), better);
-  }
+  KeepTopK(k, &results);
   return results;
 }
 

@@ -1,4 +1,6 @@
-// Top-k retrieval over the inverted index (term-at-a-time accumulation).
+// Top-k retrieval over the inverted index: document-at-a-time, a merge
+// of the query terms' doc-ascending posting lists with one cursor per
+// distinct term, so no per-document accumulator is built.
 
 #ifndef OPTSELECT_INDEX_SEARCHER_H_
 #define OPTSELECT_INDEX_SEARCHER_H_
@@ -35,7 +37,10 @@ class Searcher {
   /// Ties break on ascending doc id for determinism.
   ResultList Search(std::string_view query, size_t k) const;
 
-  /// Like Search, over pre-analyzed term ids.
+  /// Like Search, over pre-analyzed term ids. A term's DPH weight is
+  /// its in-query tf, and a document's score adds its terms'
+  /// contributions in ascending term order; documents scoring 0 are
+  /// left out. Safe to call from any number of threads at once.
   ResultList SearchTerms(const std::vector<text::TermId>& terms,
                          size_t k) const;
 

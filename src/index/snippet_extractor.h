@@ -53,9 +53,12 @@ class SnippetExtractor {
   /// tokenized. Equal in entries and norm bits to analyzing the snippet
   /// text, which tokenizes to exactly the title's tokens followed by the
   /// window's, each of which analyzes to its recorded id. Decodes into
-  /// per-thread buffers and sums each term's weight from its sorted
-  /// ids, so the vector is built with one allocation; safe to call
-  /// from any number of threads at once.
+  /// per-thread buffers and finds the distinct ids in ascending order
+  /// without a comparison sort, from a per-thread presence bitmap and
+  /// one-byte occurrence counts over the vocabulary (about 1.1 bytes
+  /// per term per calling thread, all zero between calls), so the
+  /// vector is built with one allocation; safe to call from any number
+  /// of threads at once, with any number of extractors.
   text::TermVector ExtractVector(
       const corpus::Document& doc,
       const std::vector<text::TermId>& query_terms) const;
@@ -63,6 +66,7 @@ class SnippetExtractor {
  private:
   /// [begin, end) of the snippet window over the body tokens whose term
   /// ids (kInvalidTermId for tokens analysis drops) are `body_ids`.
+  /// Each token's query-hit flag is set without a branch on the token.
   std::pair<size_t, size_t> Window(
       const std::vector<text::TermId>& body_ids,
       const std::vector<text::TermId>& query_terms) const;

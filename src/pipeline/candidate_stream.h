@@ -18,7 +18,9 @@
 // not division, because the two round differently and bit-identity is
 // the contract. Only the dot products inside the cosines take another
 // route: a scatter-gather (core/kernels GatherDot) that adds the same
-// products in the same order as TermVector::Dot's merge.
+// products in the same order as TermVector::Dot's merge, plus an exact
+// +0.0 for every reference term the candidate lacks (a masked product
+// instead of a branch), which leaves the sum's bits unchanged.
 
 #ifndef OPTSELECT_PIPELINE_CANDIDATE_STREAM_H_
 #define OPTSELECT_PIPELINE_CANDIDATE_STREAM_H_

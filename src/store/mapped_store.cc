@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 
@@ -109,6 +110,13 @@ class In {
 
 util::Status Corrupt(const std::string& what) {
   return util::Status::Corruption("store v4: " + what);
+}
+
+bool AllFinite(const double* values, uint64_t count) {
+  for (uint64_t i = 0; i < count; ++i) {
+    if (!std::isfinite(values[i])) return false;
+  }
+  return true;
 }
 
 /// A mapped column pointer: offset must be in range for `len` elements
@@ -623,6 +631,15 @@ util::Status MappedStoreFile::BuildIndex() {
     if (!Column(in, prob_col_off, spec_count, &entry.probability_column)) {
       return Corrupt("probability column out of range or misaligned");
     }
+    // Serving casts floor(k·P) to an integer quota and keys heaps on
+    // P-weighted sums: a NaN, infinite or out-of-range P is rejected
+    // here rather than met there.
+    for (uint32_t s = 0; s < spec_count; ++s) {
+      const double p = entry.probability_column[s];
+      if (!(p >= 0.0 && p <= 1.0)) {
+        return Corrupt("probability column holds a value outside [0, 1]");
+      }
+    }
 
     entry.specializations.reserve(spec_count);
     for (uint32_t s = 0; s < spec_count; ++s) {
@@ -665,6 +682,12 @@ util::Status MappedStoreFile::BuildIndex() {
           return Corrupt("surrogate columns out of range or misaligned");
         }
         span.size = len;
+        if (!AllFinite(span.weights, len)) {
+          return Corrupt("surrogate weight column holds a non-finite value");
+        }
+        if (!std::isfinite(span.norm)) {
+          return Corrupt("surrogate norm is not finite");
+        }
         // Sorted unique term ids are the dot kernels' precondition;
         // enforce it here, at the only gate between file bytes and the
         // linear-merge pointer walk.
@@ -713,6 +736,17 @@ util::Status MappedStoreFile::BuildIndex() {
           !Column(in, utilities_off, n * m, &plan.utilities) ||
           !Column(in, weighted_off, n, &plan.weighted)) {
         return Corrupt("plan columns out of range or misaligned");
+      }
+      // Relevance, utilities and their weighted sums feed the heap keys,
+      // which a NaN would leave without a strict weak ordering.
+      if (!AllFinite(plan.relevance, n)) {
+        return Corrupt("plan relevance column holds a non-finite value");
+      }
+      if (!AllFinite(plan.utilities, n * m)) {
+        return Corrupt("plan utility block holds a non-finite value");
+      }
+      if (!AllFinite(plan.weighted, n)) {
+        return Corrupt("plan weighted column holds a non-finite value");
       }
       // The PlanMatchesEntry rule, applied once at map time instead of
       // per Put: probabilities must equal the mined distribution, and

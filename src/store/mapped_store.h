@@ -170,10 +170,13 @@ class MappedStoreFile {
   /// Opens, mmaps (PROT_READ, MAP_SHARED) and fully validates `path`:
   /// header magic/version/endianness/alignment, both checksums, every
   /// descriptor and column offset bounds- and alignment-checked, ≥ 2
-  /// specializations per entry, and plan blocks consistent with their
+  /// specializations per entry, plan blocks consistent with their
   /// entry (size and probability equality — the PlanMatchesEntry
-  /// rule). Returns kCorruption for any structural violation (a v1–v3
-  /// stream file included: it has no v4 magic), kIoError for OS errors.
+  /// rule), and the values serving computes with: every probability
+  /// finite and in [0, 1], every surrogate weight and norm and every
+  /// plan relevance, utility and weighted value finite. Returns
+  /// kCorruption for any violation (a v1–v3 stream file included: it
+  /// has no v4 magic), kIoError for OS errors.
   static util::Result<std::shared_ptr<const MappedStoreFile>> Map(
       const std::string& path);
 

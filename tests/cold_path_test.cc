@@ -6,15 +6,17 @@
 //                 mapped (`spans`) references: over every candidate of
 //                 every stored entry of the Small testbed, and on edge
 //                 cases (zero-norm candidate, empty R_q′, reference ids
-//                 past every candidate id, negative weights, the
+//                 past every candidate id, negative weights, non-finite
+//                 and signed-zero weights, subnormal products, the
 //                 intersection shapes a sparse dot can take).
 //   stream      — CandidateStream yields BuildCandidates' relevance and
 //                 surrogate for every position.
 //   concurrency — 4 threads sharing one testbed (the analyzer's token
-//                 memo, the direct index, the extractor's idf table,
-//                 each thread's own scatter buffer) reproduce a
-//                 single-threaded pass. CI runs this binary under
-//                 ThreadSanitizer.
+//                 memo, the posting lists the searcher merges, the
+//                 direct index, the extractor's idf table, each thread's
+//                 own id counter and scatter buffer) reproduce a
+//                 single-threaded pass: retrieval lists, surrogates and
+//                 rows. CI runs this binary under ThreadSanitizer.
 
 #include <cstdint>
 #include <cstdio>
@@ -170,6 +172,46 @@ TEST(ComputeUtilityRowTest, NonFiniteReferenceWeightsOffTheCandidate) {
       {Vec({{1, inf}, {2, 1.0}, {3, nan}, {6, 2.0}})},
       {Vec({{4, -inf}, {6, 1.0}})}};
   ExpectRowMatchesCompute(doc, specs, 0.0, "non-finite off the candidate");
+}
+
+TEST(ComputeUtilityRowTest, NaNOnTheCandidateSide) {
+  // A NaN candidate weight is gathered like any non-zero one: a matched
+  // NaN reaches the dot, and the candidate's norm is NaN either way.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TermVector doc = Vec({{2, nan}, {6, 0.5}});
+  std::vector<std::vector<TermVector>> specs = {
+      {Vec({{2, 1.0}, {6, 2.0}})},  // matches the NaN
+      {Vec({{6, 1.0}, {9, 3.0}})},  // matches around it
+      {Vec({{1, 1.0}})}};           // matches nothing
+  ExpectRowMatchesCompute(doc, specs, 0.0, "NaN candidate weight");
+  ExpectRowMatchesCompute(doc, specs, 0.3, "NaN candidate weight, c=0.3");
+}
+
+TEST(ComputeUtilityRowTest, NegativeZeroReferenceWeightOnAMatchedTerm) {
+  // FromEntries drops zero weights; FromSortedEntries keeps a −0.0, as a
+  // mapped column can hold one. Its product with a matched term is a
+  // signed zero, which both sums add.
+  TermVector doc = Vec({{2, 1.0}, {4, -2.0}, {6, 0.5}});
+  std::vector<std::vector<TermVector>> specs = {
+      // The first matched product is −0.0 (1.0·−0.0), then +0.0
+      // (−2.0·−0.0), then a real one.
+      {TermVector::FromSortedEntries({{2, -0.0}, {4, -0.0}, {6, 1.0}})},
+      // −0.0 the only match: the dot is +0.0 + −0.0.
+      {TermVector::FromSortedEntries({{1, 1.0}, {2, -0.0}, {9, 1.0}})}};
+  ExpectRowMatchesCompute(doc, specs, 0.0, "-0.0 reference weight");
+}
+
+TEST(ComputeUtilityRowTest, ProductsThatUnderflow) {
+  // 1e-160·1e-160 is the subnormal 1e-320; 1e-200·1e-200 underflows to
+  // +0.0. The larger weights keep both norms normal, so the cosines
+  // carry the tiny dots.
+  TermVector doc = Vec({{1, 1e-160}, {2, 1e-200}, {3, 1.0}});
+  std::vector<std::vector<TermVector>> specs = {
+      {Vec({{1, 1e-160}, {5, 1.0}})},                // dot subnormal
+      {Vec({{2, 1e-200}, {5, 1.0}})},                // dot +0.0
+      {Vec({{1, 1e-160}, {2, -1e-200}, {4, 1.0}})},  // both, then −0.0
+      {Vec({{1, -1e-160}, {3, 1e-300}})}};           // two subnormals
+  ExpectRowMatchesCompute(doc, specs, 0.0, "underflowing products");
 }
 
 TEST(ComputeUtilityRowTest, NegativeWeights) {
@@ -353,6 +395,7 @@ TEST_F(ColdPathTest, StreamYieldsBuildCandidates) {
 /// references.
 struct PassOutput {
   std::vector<std::vector<TermId>> terms;
+  std::vector<index::ResultList> hits;
   std::vector<TermVector> surrogates;
   std::vector<double> rows;
 };
@@ -371,8 +414,8 @@ PassOutput RunPass(const Testbed& tb, const store::MappedStoreFile& file) {
     }
     std::vector<double> inv = InverseHarmonics(refs);
     std::vector<double> row(m);
-    for (const index::SearchResult& hit :
-         tb.searcher().SearchTerms(terms, 50)) {
+    out.hits.push_back(tb.searcher().SearchTerms(terms, 50));
+    for (const index::SearchResult& hit : out.hits.back()) {
       TermVector v =
           tb.snippets().ExtractVector(tb.corpus().store.Get(hit.doc), terms);
       ComputeUtilityRow(v, refs, inv, 0.3, row.data());
@@ -396,6 +439,17 @@ TEST_F(ColdPathTest, ConcurrentPassesMatchSingleThreaded) {
   for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(got[t].terms, want.terms) << "thread " << t;
+    ASSERT_EQ(got[t].hits.size(), want.hits.size());
+    for (size_t q = 0; q < want.hits.size(); ++q) {
+      ASSERT_EQ(got[t].hits[q].size(), want.hits[q].size())
+          << "thread " << t << " query " << q;
+      for (size_t i = 0; i < want.hits[q].size(); ++i) {
+        EXPECT_EQ(got[t].hits[q][i].doc, want.hits[q][i].doc)
+            << "thread " << t << " query " << q << " rank " << i;
+        EXPECT_EQ(Bits(got[t].hits[q][i].score), Bits(want.hits[q][i].score))
+            << "thread " << t << " query " << q << " rank " << i;
+      }
+    }
     ASSERT_EQ(got[t].surrogates.size(), want.surrogates.size());
     for (size_t i = 0; i < want.surrogates.size(); ++i) {
       EXPECT_EQ(got[t].surrogates[i].entries(), want.surrogates[i].entries())

@@ -12,6 +12,7 @@
 #include <unordered_set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,12 @@
 namespace optselect {
 namespace index {
 namespace {
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
 
 class SmallIndexTest : public ::testing::Test {
  protected:
@@ -261,6 +268,111 @@ TEST(SearcherRetrievalQualityTest, PlantedDocsRankAboveBackground) {
       << "planted cluster should dominate its own specialization query";
 }
 
+// ------------------------------------ search against term-at-a-time
+
+/// Reference SearchTerms, term-at-a-time: each term's DPH contributions
+/// added into a per-document accumulator in ascending term order, then
+/// every positive score sorted best first (ties on ascending doc id)
+/// and cut at k.
+ResultList TermAtATimeSearch(const InvertedIndex& index,
+                             const std::vector<text::TermId>& terms,
+                             size_t k) {
+  if (terms.empty() || k == 0) return {};
+  const DphScorer scorer(&index);
+  std::map<text::TermId, double> qtw;
+  for (text::TermId t : terms) qtw[t] += 1.0;
+  std::map<DocId, double> acc;
+  for (const auto& [term, weight] : qtw) {
+    for (const Posting& p : index.Postings(term)) {
+      acc[p.doc] += scorer.Score(p, term, weight);
+    }
+  }
+  ResultList results;
+  for (const auto& [doc, score] : acc) {
+    if (score > 0.0) results.push_back(SearchResult{doc, score});
+  }
+  std::sort(results.begin(), results.end(),
+            [](const SearchResult& a, const SearchResult& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.doc < b.doc;
+            });
+  if (results.size() > k) results.resize(k);
+  return results;
+}
+
+/// SearchTerms returns the reference's doc ids, score bits and order at
+/// k = 1, at k = |hits| and at k past |hits|. Returns |hits|.
+size_t ExpectSearchMatchesReference(const Searcher& searcher,
+                                    const InvertedIndex& index,
+                                    const std::vector<text::TermId>& terms,
+                                    const std::string& what) {
+  const size_t hits = TermAtATimeSearch(index, terms, SIZE_MAX).size();
+  for (size_t k : {size_t{1}, hits, hits + 7}) {
+    const ResultList got = searcher.SearchTerms(terms, k);
+    const ResultList want = TermAtATimeSearch(index, terms, k);
+    EXPECT_EQ(got.size(), want.size()) << what << " k=" << k;
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].doc, want[i].doc)
+          << what << " k=" << k << " rank " << i;
+      EXPECT_EQ(Bits(got[i].score), Bits(want[i].score))
+          << what << " k=" << k << " rank " << i;
+    }
+  }
+  return hits;
+}
+
+TEST(SearchMergeTest, MatchesTermAtATimeOnSmallTestbed) {
+  pipeline::Testbed tb(pipeline::TestbedConfig::Small());
+  const text::Analyzer& analyzer = tb.analyzer();
+  const text::TermId unknown =
+      static_cast<text::TermId>(tb.index().num_terms());
+  size_t queries = 0;
+  size_t hits = 0;
+  auto check = [&](const std::vector<text::TermId>& terms,
+                   const std::string& what) {
+    hits += ExpectSearchMatchesReference(tb.searcher(), tb.index(), terms,
+                                         what);
+    ++queries;
+  };
+  for (const auto& topic : tb.universe().topics) {
+    const std::vector<text::TermId> root =
+        analyzer.AnalyzeReadOnly(topic.root_query);
+    ASSERT_FALSE(root.empty()) << topic.root_query;
+    check(root, topic.root_query);
+    // A long query: the root, then every specialization's terms and
+    // content words, so documents sum contributions of many terms and
+    // the root's terms repeat (in-query tf above 1).
+    std::vector<text::TermId> everything = root;
+    for (const auto& intent : topic.intents) {
+      const std::vector<text::TermId> spec =
+          analyzer.AnalyzeReadOnly(intent.query);
+      check(spec, intent.query);
+      everything.insert(everything.end(), spec.begin(), spec.end());
+      for (const std::string& word : intent.content_words) {
+        for (text::TermId id : analyzer.AnalyzeReadOnly(word)) {
+          everything.push_back(id);
+        }
+      }
+    }
+    check(everything, topic.root_query + " with every intent");
+    // In-query tf 2, terms out of order, and an id no document holds.
+    std::vector<text::TermId> twice = root;
+    twice.push_back(root.front());
+    check(twice, topic.root_query + " twice");
+    std::vector<text::TermId> reversed(everything.rbegin(),
+                                       everything.rend());
+    check(reversed, topic.root_query + " reversed");
+    std::vector<text::TermId> with_unknown = root;
+    with_unknown.insert(with_unknown.begin(), unknown);
+    check(with_unknown, topic.root_query + " with an unknown term");
+  }
+  check({unknown}, "only an unknown term");
+  check({unknown, text::kInvalidTermId}, "only unknown terms");
+  EXPECT_TRUE(tb.searcher().SearchTerms({unknown}, 10).empty());
+  EXPECT_GT(queries, 50u);
+  EXPECT_GT(hits, 1000u);
+}
+
 // ------------------------------------------------- Conjunctive retrieval
 
 TEST_F(SmallIndexTest, ConjunctiveRequiresAllTerms) {
@@ -487,12 +599,6 @@ text::TermVector OracleVector(const text::Analyzer& analyzer,
   return text::TermVector::FromEntries(std::move(entries));
 }
 
-uint64_t Bits(double d) {
-  uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
 /// Extract equals the two-pass text, and ExtractVector equals analyzing
 /// that text, in entries and norm bits.
 void ExpectMatchesOracle(const text::Analyzer& analyzer,
@@ -589,6 +695,101 @@ TEST(SnippetOracleTest, ExtractionMatchesTheTwoPassPathOnSmallTestbed) {
     }
     EXPECT_GT(pairs, 1000u);
   }
+}
+
+/// Documents whose ids sit at the edges of the extractor's counter: the
+/// first body assigns w0..w4199 the ids 0..4199 (two summary words of
+/// 4096 ids each), so a word's id is its number.
+corpus::DocumentStore WordEdgeStore() {
+  corpus::DocumentStore store;
+  std::string vocabulary;
+  for (int i = 0; i < 4200; ++i) vocabulary += "w" + std::to_string(i) + " ";
+  store.Add("u0", "", vocabulary);
+  // Word-edge ids in the window, and the title's terms repeated in it.
+  store.Add("u1", "w63 w64",
+            "w9 w0 w63 w64 w127 w128 w4095 w4096 w4199 w63 w64 w0 w9");
+  // The same ids in the title only.
+  store.Add("u2", "w0 w63 w64 w127 w4199", "w9 w10 w11");
+  // One id 300 times, more than a one-byte count holds.
+  std::string repeated;
+  for (int i = 0; i < 300; ++i) repeated += "w5 ";
+  store.Add("u3", "w5", repeated + "w4199");
+  return store;
+}
+
+TEST(SnippetOracleTest, IdsAtTheCounterWordEdgesMatchTheTwoPassPath) {
+  const corpus::DocumentStore store = WordEdgeStore();
+  text::Analyzer analyzer;
+  const InvertedIndex index = InvertedIndex::Build(store, &analyzer);
+  ASSERT_EQ(index.num_terms(), 4200u);
+  for (text::TermId id : {0u, 63u, 64u, 127u, 4095u, 4096u, 4199u}) {
+    ASSERT_EQ(analyzer.vocabulary().Lookup("w" + std::to_string(id)), id);
+  }
+  for (size_t window : {size_t{30}, size_t{7}, size_t{100000}}) {
+    SnippetExtractor::Options options;
+    options.window_tokens = window;
+    const SnippetExtractor extractor(&analyzer, &index, options);
+    for (const char* query : {"w64", "w0 w4199", "w5", "w9", "w63 w127"}) {
+      const std::vector<text::TermId> q = analyzer.AnalyzeReadOnly(query);
+      for (const corpus::Document& doc : store) {
+        ExpectMatchesOracle(analyzer, index, extractor, window, doc, q);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  // The title's w5 and all 300 in the window: 301 occurrences.
+  SnippetExtractor::Options whole;
+  whole.window_tokens = 100000;
+  const SnippetExtractor extractor(&analyzer, &index, whole);
+  const text::TermVector v =
+      extractor.ExtractVector(store.Get(3), analyzer.AnalyzeReadOnly("w5"));
+  ASSERT_EQ(v.size(), 2u);
+  const double idf = std::log2(1.0 + 4.0 / (1.0 + index.DocFrequency(5)));
+  double want = idf;
+  for (int i = 1; i < 301; ++i) want += idf;
+  EXPECT_EQ(Bits(v.WeightOf(5)), Bits(want));
+}
+
+TEST(SnippetOracleTest, OneThreadAlternatesExtractorsOverTwoVocabularies) {
+  pipeline::Testbed tb(pipeline::TestbedConfig::Small());
+  const corpus::DocumentStore edge_docs = WordEdgeStore();
+  text::Analyzer edge_analyzer;
+  const InvertedIndex edge_index =
+      InvertedIndex::Build(edge_docs, &edge_analyzer);
+  ASSERT_NE(tb.index().num_terms(), edge_index.num_terms());
+  struct Input {
+    const text::Analyzer* analyzer;
+    const InvertedIndex* index;
+    const corpus::DocumentStore* docs;
+    std::vector<text::TermId> query;
+  };
+  std::vector<Input> inputs = {
+      {&tb.analyzer(), &tb.index(), &tb.corpus().store,
+       tb.analyzer().AnalyzeReadOnly(tb.universe().topics[0].root_query)},
+      {&edge_analyzer, &edge_index, &edge_docs,
+       edge_analyzer.AnalyzeReadOnly("w64 w5")}};
+  // The smaller vocabulary first, so the thread's counter grows between
+  // two calls.
+  if (inputs[0].index->num_terms() > inputs[1].index->num_terms()) {
+    std::swap(inputs[0], inputs[1]);
+  }
+  const SnippetExtractor first(inputs[0].analyzer, inputs[0].index);
+  const SnippetExtractor second(inputs[1].analyzer, inputs[1].index);
+  const SnippetExtractor* extractors[] = {&first, &second};
+  // A new thread, so its per-thread buffers start empty.
+  std::thread thread([&] {
+    for (size_t i = 0; i < 200; ++i) {
+      for (size_t e = 0; e < 2; ++e) {
+        const Input& in = inputs[e];
+        const corpus::Document& doc = in.docs->Get(
+            static_cast<DocId>((i * 7 + e) % in.docs->size()));
+        ExpectMatchesOracle(*in.analyzer, *in.index, *extractors[e], 30, doc,
+                            in.query);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  });
+  thread.join();
 }
 
 // ------------------------------------------------------------ direct index

@@ -10,8 +10,13 @@
 // Active() == Scalar() and the comparisons are trivially exact — the
 // point is that on a vector machine they STAY exact. The undispatched
 // gather dot is pinned to TermVector::Dot through
-// pipeline::ComputeUtilityRow in cold_path_test.cc.
+// pipeline::ComputeUtilityRow in cold_path_test.cc, and directly here
+// on the operands its masked +0.0 adds must not disturb.
 
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -66,6 +71,60 @@ TEST(KernelsTest, WeightedRowSumUsesTheBlockedOrder) {
             want);
   EXPECT_EQ(Scalar().weighted_row_sum(row.data(), prob.data(), row.size()),
             want);
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+TEST(KernelsTest, GatherDotMatchesTheMergeDotOnSpecialValues) {
+  // Every unmatched term adds a masked +0.0. The sum must still carry
+  // the merge's bits when the matched products are NaN, infinite,
+  // signed zeros or subnormal, and when the unmatched reference weights
+  // are non-finite (0·inf would be NaN).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using text::TermVector;
+  struct Case {
+    TermVector candidate;
+    TermVector reference;
+  };
+  const Case cases[] = {
+      {TermVector::FromSortedEntries({{2, nan}, {6, 0.5}}),
+       TermVector::FromSortedEntries({{2, 1.0}, {6, 2.0}})},
+      {TermVector::FromSortedEntries({{2, 1.0}, {6, 0.5}}),
+       TermVector::FromSortedEntries(
+           {{1, inf}, {2, 1.0}, {3, nan}, {6, -inf}})},
+      {TermVector::FromSortedEntries({{2, 1.0}, {4, -2.0}}),
+       TermVector::FromSortedEntries({{1, -inf}, {2, -0.0}, {4, -0.0}})},
+      {TermVector::FromSortedEntries({{1, 1e-160}, {2, 1e-200}, {5, -1.0}}),
+       TermVector::FromSortedEntries({{1, 1e-160}, {2, -1e-200}, {3, nan}})},
+      {TermVector::FromSortedEntries({{1, -1.0}}),
+       TermVector::FromSortedEntries({{0, 1.0}, {1, 0.0}, {7, nan}})},
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const TermVector& a = cases[i].candidate;
+    const TermVector& b = cases[i].reference;
+    std::vector<double> dense(a.entries().back().first + 1, 0.0);
+    for (const auto& [t, w] : a.entries()) dense[t] = w;
+    std::vector<uint32_t> terms;
+    std::vector<double> weights;
+    for (const auto& [t, w] : b.entries()) {
+      terms.push_back(t);
+      weights.push_back(w);
+    }
+    const uint64_t want = Bits(a.Dot(b));
+    EXPECT_EQ(Bits(GatherDot(dense.data(), dense.size(), b.entries().data(),
+                             b.size())),
+              want)
+        << "case " << i;
+    EXPECT_EQ(Bits(GatherDot(dense.data(), dense.size(), terms.data(),
+                             weights.data(), terms.size())),
+              want)
+        << "case " << i;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 //            and the store version bit-identically; mapped spans view
 //            the exact term/weight/norm bits of their heap twins;
 //            FromStore's anonymous image holds exactly the bytes Save
-//            writes.
+//            writes; a file whose checksums hold but whose values
+//            serving cannot compute with (a probability outside
+//            [0, 1], a non-finite weight, norm or plan value) is
+//            corruption.
 //   views  — FromMapped/MappedShard snapshots resolve lookups zero-copy
 //            through EntryRef; shard views partition the file exactly
 //            as the ShardFilter assigns its keys; the mapping's
@@ -24,8 +27,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -40,6 +47,7 @@
 #include "store/mapped_store.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace optselect {
@@ -207,6 +215,111 @@ TEST(MappedStoreTest, MappedSpansViewTheHeapBitsExactly) {
   }
   EXPECT_EQ(mapped.value()->FindEntry("never stored"), nullptr);
   std::remove(path.c_str());
+}
+
+// ----------------------------------------------------- value checks
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Maps MakeStore's file with the double at byte `offset` set to
+/// `value` and both FNV-1a checksums recomputed, so only a check on
+/// the value itself can reject it.
+util::Status MapWithValueAt(size_t offset, double value) {
+  std::string bytes = SavedBytes(MakeStore(), "value_v4.bin");
+  EXPECT_LE(offset + sizeof(double), bytes.size());
+  std::memcpy(&bytes[offset], &value, sizeof(value));
+  const uint64_t body = util::Fnv1a64(bytes.data() + 64, bytes.size() - 64);
+  std::memcpy(&bytes[48], &body, sizeof(body));
+  const uint64_t header = util::Fnv1a64(bytes.data(), 56);
+  std::memcpy(&bytes[56], &header, sizeof(header));
+  const std::string path = ::testing::TempDir() + "/value_v4.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto mapped = MappedStoreFile::Map(path);
+  std::remove(path.c_str());
+  return mapped.ok() ? util::Status::Ok() : mapped.status();
+}
+
+/// Byte offset, in MakeStore's file, of the double `locate` picks out
+/// of the mapped file.
+size_t OffsetOf(
+    const std::function<const double*(const MappedStoreFile&)>& locate) {
+  auto image = MappedStoreFile::FromStore(MakeStore());
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  const MappedStoreFile& file = *image.value();
+  return static_cast<size_t>(reinterpret_cast<const char*>(locate(file)) -
+                             file.bytes().data());
+}
+
+/// Each value is rejected as corruption naming `column`; the unchanged
+/// value at the same offset still maps.
+void ExpectRejected(size_t offset, std::initializer_list<double> values,
+                    const std::string& column) {
+  double good = 0.0;
+  std::memcpy(&good, SavedBytes(MakeStore(), "good_v4.bin").data() + offset,
+              sizeof(good));
+  EXPECT_TRUE(MapWithValueAt(offset, good).ok()) << column;
+  for (double value : values) {
+    const util::Status status = MapWithValueAt(offset, value);
+    EXPECT_EQ(status.code(), util::StatusCode::kCorruption)
+        << column << " = " << value << ": " << status.ToString();
+    EXPECT_NE(status.message().find(column), std::string::npos)
+        << column << " = " << value << ": " << status.ToString();
+  }
+}
+
+TEST(MappedStoreValueTest, ProbabilityOutsideTheUnitIntervalIsCorruption) {
+  // 1e300 would overflow floor(k·P)'s cast to an integer quota.
+  const size_t offset = OffsetOf([](const MappedStoreFile& f) {
+    return f.FindEntry("phoenix")->probability_column + 1;
+  });
+  ExpectRejected(offset, {1e300, 1.0000000000000002, -0.25, kNaN, kInf},
+                 "probability column");
+}
+
+TEST(MappedStoreValueTest, NonFiniteSurrogateWeightIsCorruption) {
+  const size_t offset = OffsetOf([](const MappedStoreFile& f) {
+    return f.FindEntry("mercury")->specializations[1].surrogates[0].weights +
+           1;
+  });
+  ExpectRejected(offset, {kNaN, kInf, -kInf}, "surrogate weight column");
+}
+
+TEST(MappedStoreValueTest, NonFiniteSurrogateNormIsCorruption) {
+  // A norm lives in its VecDesc (byte 24 of 32), not in a column: the
+  // first one sits at the directory's vec_desc_off (byte 16 of the
+  // directory the header's byte 32 points at).
+  const std::string bytes = SavedBytes(MakeStore(), "norm_v4.bin");
+  uint64_t directory = 0;
+  uint64_t vec_desc = 0;
+  std::memcpy(&directory, bytes.data() + 32, sizeof(directory));
+  std::memcpy(&vec_desc, bytes.data() + directory + 16, sizeof(vec_desc));
+  ExpectRejected(static_cast<size_t>(vec_desc + 24), {kNaN, kInf, -kInf},
+                 "surrogate norm");
+}
+
+TEST(MappedStoreValueTest, NonFinitePlanRelevanceIsCorruption) {
+  const size_t offset = OffsetOf([](const MappedStoreFile& f) {
+    return f.FindEntry("jaguar")->plan.relevance + 2;
+  });
+  ExpectRejected(offset, {kNaN, kInf, -kInf}, "plan relevance column");
+}
+
+TEST(MappedStoreValueTest, NonFinitePlanUtilityIsCorruption) {
+  const size_t offset = OffsetOf([](const MappedStoreFile& f) {
+    return f.FindEntry("jaguar")->plan.utilities + 3;
+  });
+  ExpectRejected(offset, {kNaN, kInf, -kInf}, "plan utility block");
+}
+
+TEST(MappedStoreValueTest, NonFinitePlanWeightedValueIsCorruption) {
+  const size_t offset = OffsetOf([](const MappedStoreFile& f) {
+    return f.FindEntry("jaguar")->plan.weighted;
+  });
+  ExpectRejected(offset, {kNaN, kInf, -kInf}, "plan weighted column");
 }
 
 // ------------------------------------------------------------- views

@@ -396,9 +396,12 @@ TEST_F(StoreReloadServingTest, ReloadRacingPlanAdmissionsNeverCachesStale) {
   std::atomic<bool> stop{false};
   std::atomic<size_t> stale{0};
   std::atomic<size_t> wrong{0};
+  constexpr int kClients = 3;
+  std::atomic<int> answered_once{0};
   std::vector<std::thread> clients;
-  for (int c = 0; c < 3; ++c) {
+  for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
+      bool first = true;
       while (!stop.load()) {
         const uint64_t floor = erased.load();
         Response r = node.Submit(Request(*target_key_));
@@ -407,9 +410,15 @@ TEST_F(StoreReloadServingTest, ReloadRacingPlanAdmissionsNeverCachesStale) {
         } else if (r.ranking != rankings[r.store_version % 2]) {
           wrong.fetch_add(1);
         }
+        if (first) answered_once.fetch_add(1);
+        first = false;
       }
     });
   }
+  // The swaps start once every client has had an answer: on a loaded
+  // host the 400 swaps can otherwise all finish before a client thread
+  // first runs, and nothing races them.
+  while (answered_once.load() < kClients) std::this_thread::yield();
   for (size_t i = 2; i < kReloads; ++i) {
     node.ReloadStore(chain[i].snapshot, chain[i].changed_keys);
     erased.store(chain[i].snapshot->version());
