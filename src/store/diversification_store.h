@@ -43,12 +43,10 @@ struct StoredSpecialization {
 struct StoredEntry {
   std::string query;
   std::vector<StoredSpecialization> specializations;
-  /// Compiled selection blocks (store v3 and later). Empty when the
-  /// entry was built with plan compilation off (or read from a v1/v2
-  /// file by store::ReadLegacyStore); serving then computes utilities
-  /// per request. Derived data — Put drops a plan that no longer matches
-  /// the mined content above, and StoredEntriesEqual deliberately
-  /// ignores it.
+  /// Compiled selection blocks. Empty when the entry was built with
+  /// plan compilation off; serving then computes utilities per request.
+  /// Derived data — Put drops a plan that no longer matches the mined
+  /// content above, and StoredEntriesEqual deliberately ignores it.
   QueryPlan plan;
 };
 
@@ -81,8 +79,7 @@ class DiversificationStore {
   /// Monotonic build version of this store's *contents* — bumped by
   /// every snapshot rebuild (store::BuildSnapshot), persisted by Save,
   /// and surfaced by the serving tier so a swap is observable. This is
-  /// independent of the on-disk *format* version (a format-v1 file,
-  /// which predates it, converts as content version 0).
+  /// independent of the on-disk *format* version.
   uint64_t version() const { return version_; }
   void set_version(uint64_t version) { version_ = version; }
 

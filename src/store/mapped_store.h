@@ -57,13 +57,12 @@
 //
 // Readers and writers: DiversificationStore::Save emits this format
 // (WriteV4), Map reads it, and Materialize copies a mapping into a
-// heap store. v4 is the only format Map and serving read: any other
-// bytes fail Map as corruption, and `optselect upgrade` converts a
-// v1–v3 file (store/legacy_store.h). FromStore encodes an in-memory
-// store into the same bytes inside an anonymous read-only mapping, so
-// a store that was never saved (an in-process build, a file whose
-// plans were compiled for other serving params) is served through the
-// same mapped view.
+// heap store. v4 is the only format in the repository: any other
+// bytes, a v1–v3 stream from an older release included, fail Map as
+// corruption. FromStore encodes an in-memory store into the same bytes
+// inside an anonymous read-only mapping, so a store that was never
+// saved (an in-process build, a file whose plans were compiled for
+// other serving params) is served through the same mapped view.
 
 #ifndef OPTSELECT_STORE_MAPPED_STORE_H_
 #define OPTSELECT_STORE_MAPPED_STORE_H_

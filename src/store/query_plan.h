@@ -75,8 +75,8 @@ struct QueryPlan {
   bool CompatibleWith(size_t num_candidates, double threshold_c) const;
 
   /// Internal block-size consistency (docs/relevance/weighted all [n],
-  /// spec_order [m], utilities [n·m]). Checked by Put and by the v3
-  /// loader; an inconsistent plan is dropped, never served.
+  /// spec_order [m], utilities [n·m]). Checked by Put; an
+  /// inconsistent plan is dropped, never served.
   bool SizesConsistent() const;
 
   /// Zero-copy selection view over the plan's blocks. The plan must

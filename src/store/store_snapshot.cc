@@ -97,7 +97,7 @@ SnapshotBuildResult BuildSnapshot(const StoreSnapshot* base,
     if (existing != nullptr && StoredEntriesEqual(*existing, entry)) {
       // Mined content unchanged ⇒ no cache invalidation — but adopt the
       // upsert's compiled plan when the base entry has none (e.g. a
-      // v2-loaded base refreshed by a plan-compiling miner). Rankings
+      // plans-off base refreshed by a plan-compiling miner). Rankings
       // stay bit-identical either way; only the serving cost drops.
       if (existing->plan.empty() && !entry.plan.empty()) {
         next.Put(entry).IgnoreError();

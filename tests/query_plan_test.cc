@@ -236,7 +236,7 @@ TEST_F(QueryPlanTest, ParamsMismatchFallsBackToColdComputation) {
 TEST_F(QueryPlanTest, SaveLoadRoundTripsPlansBitwise) {
   DiversificationStore store = Build(/*with_plans=*/true);
   store.set_version(7);
-  std::string path = ::testing::TempDir() + "/store_v3_roundtrip.bin";
+  std::string path = ::testing::TempDir() + "/plans_roundtrip.bin";
   ASSERT_TRUE(store.Save(path).ok());
 
   auto mapped = MappedStoreFile::Map(path);
@@ -260,17 +260,13 @@ TEST_F(QueryPlanTest, SaveLoadRoundTripsPlansBitwise) {
   std::remove(path.c_str());
 }
 
-// v1/v2-format *bytes* are covered by the checked-in golden fixtures in
-// tests/store_backcompat_test.cc (tests/data/store_v*.bin).
-
 TEST_F(QueryPlanTest, CompilePlansUpgradesPlanLessStoreOnLoad) {
-  // A plan-less store (a plans-off build, or a v1/v2 file converted
-  // by `optselect upgrade`) round-tripped through disk, then given
-  // plans in place with CompilePlans — what a serving node runs at
-  // startup.
-  DiversificationStore v2_content = Build(/*with_plans=*/false);
-  std::string path = ::testing::TempDir() + "/store_v2_content.bin";
-  ASSERT_TRUE(v2_content.Save(path).ok());
+  // A plan-less store (a plans-off build) round-tripped through disk,
+  // then given plans in place with CompilePlans — what a serving node
+  // runs at startup.
+  DiversificationStore plan_less = Build(/*with_plans=*/false);
+  std::string path = ::testing::TempDir() + "/plan_less.bin";
+  ASSERT_TRUE(plan_less.Save(path).ok());
   auto mapped = MappedStoreFile::Map(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   DiversificationStore upgraded = mapped.value()->Materialize();

@@ -3,6 +3,8 @@
 // adversarial parameter values through the algorithms. Nothing here may
 // crash, hang, or return out-of-contract values.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -13,11 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "core/factory.h"
+#include "core/optselect.h"
+#include "core/select_view.h"
 #include "core/utility.h"
 #include "eval/trec_io.h"
 #include "querylog/query_log.h"
 #include "store/diversification_store.h"
-#include "store/legacy_store.h"
 #include "store/mapped_store.h"
 #include "text/analyzer.h"
 #include "text/porter_stemmer.h"
@@ -133,53 +136,9 @@ TEST_F(GarbageFileTest, QueryLogLoaderNeverCrashes) {
 }
 
 TEST_F(GarbageFileTest, StoreLoaderNeverCrashes) {
-  // The v1–v3 reader behind `optselect upgrade`. Even rounds are random
-  // bytes after the magic, which the checksum stops. Odd rounds take a
-  // golden v1/v2/v3 fixture, overwrite a few bytes past its format
-  // version (single bytes, or a u32 length/count, often a huge one),
-  // and recompute the checksum with the format's basis, so the parser
-  // body runs on the damaged lengths. Any outcome but a crash is fine.
+  // Map, the one store reader. "OSV4" and random bytes fail its
+  // validation.
   util::Rng rng(5);
-  for (int round = 0; round < 30; ++round) {
-    const bool valid_trailer = round % 2 == 1;
-    std::string blob;
-    if (!valid_trailer) {
-      blob = "OSDS" + RandomBytes(&rng, rng.Uniform(2000));
-    } else {
-      const uint32_t version = 1 + static_cast<uint32_t>(round / 2 % 3);
-      std::ifstream in(std::string(OPTSELECT_TEST_DATA_DIR) + "/store_v" +
-                           std::to_string(version) + ".bin",
-                       std::ios::binary);
-      blob.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-      ASSERT_GT(blob.size(), 24u);
-      blob.resize(blob.size() - sizeof(uint64_t));  // drop the checksum
-      for (size_t hits = 1 + rng.Uniform(3); hits > 0; --hits) {
-        const size_t at = 8 + rng.Uniform(blob.size() - 8 - 4);
-        uint32_t value = static_cast<uint32_t>(rng.Uniform(1ull << 32));
-        if (rng.Uniform(2) == 0) value |= 0xFFFF0000u;
-        std::memcpy(&blob[at], &value, rng.Uniform(2) == 0 ? 1 : 4);
-      }
-      const uint64_t basis =
-          version == 1 ? 1469598103934665603ull : util::kFnv1aOffsetBasis;
-      const uint64_t checksum =
-          util::Fnv1a64(blob.data() + 4, blob.size() - 4, basis);
-      blob.append(reinterpret_cast<const char*>(&checksum),
-                  sizeof(checksum));
-    }
-    std::string path = WriteGarbage("garbage_store.bin", blob);
-    auto result = store::ReadLegacyStore(path);
-    if (!valid_trailer) {
-      EXPECT_FALSE(result.ok()) << "random bytes must not checksum-validate";
-    } else if (!result.ok()) {
-      // A corrupt stream, or an entry Put refuses (< 2 specializations).
-      EXPECT_TRUE(result.status().code() == util::StatusCode::kCorruption ||
-                  result.status().code() == util::StatusCode::kInvalidArgument)
-          << result.status().ToString();
-    }
-    std::remove(path.c_str());
-  }
-  // The v4 reader: "OSV4" and random bytes fail Map's validation.
   for (int round = 0; round < 30; ++round) {
     std::string path = WriteGarbage(
         "garbage_store.bin", "OSV4" + RandomBytes(&rng, rng.Uniform(2000)));
@@ -188,6 +147,74 @@ TEST_F(GarbageFileTest, StoreLoaderNeverCrashes) {
     EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
     std::remove(path.c_str());
   }
+
+  // Damaged fields behind valid checksums: take the golden v4 fixture,
+  // overwrite a few bytes, u32s or u64s past the magic (lengths,
+  // counts, offsets and values, often tiny or huge ones), and recompute
+  // both checksums, so only Map's field validation stands between the
+  // damage and serving. Map must refuse the file as corruption or map
+  // it. A store that maps must materialize, and OptSelect must select
+  // over every plan it holds, read in place as serving reads it.
+  std::ifstream in(std::string(OPTSELECT_TEST_DATA_DIR) + "/store_v4.bin",
+                   std::ios::binary);
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  constexpr size_t kHeaderBytes = 64;
+  constexpr size_t kBodyChecksumAt = 48;    // FNV-1a of [64, size)
+  constexpr size_t kHeaderChecksumAt = 56;  // FNV-1a of [0, 56)
+  ASSERT_GT(golden.size(), kHeaderBytes);
+  constexpr size_t kWidths[] = {1, 4, 8};
+  core::OptSelectDiversifier optselect;
+  core::SelectScratch scratch;
+  core::DiversifyParams params;
+  std::vector<size_t> picks;
+  size_t mapped = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::string blob = golden;
+    for (size_t hits = 1 + rng.Uniform(3); hits > 0; --hits) {
+      const size_t width = kWidths[rng.Uniform(3)];
+      const size_t at = 4 + rng.Uniform(blob.size() - 4 - width + 1);
+      if (at < kHeaderBytes && at + width > kBodyChecksumAt) {
+        continue;  // the checksum slots are recomputed below
+      }
+      uint64_t value = rng.Next();
+      if (rng.Uniform(3) == 0) value %= 256;
+      if (rng.Uniform(3) == 0) value |= 0xFFFFFFFFFFFF0000ull;
+      std::memcpy(&blob[at], &value, width);
+    }
+    const uint64_t body = util::Fnv1a64(blob.data() + kHeaderBytes,
+                                        blob.size() - kHeaderBytes);
+    std::memcpy(&blob[kBodyChecksumAt], &body, sizeof(body));
+    const uint64_t header = util::Fnv1a64(blob.data(), kHeaderChecksumAt);
+    std::memcpy(&blob[kHeaderChecksumAt], &header, sizeof(header));
+
+    std::string path = WriteGarbage("damaged_store.bin", blob);
+    auto result = store::MappedStoreFile::Map(path);
+    std::remove(path.c_str());
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption)
+          << result.status().ToString();
+      continue;
+    }
+    ++mapped;
+    const store::MappedStoreFile& file = *result.value();
+    EXPECT_LE(file.Materialize().size(), file.entry_count());
+    for (const store::MappedEntry& entry : file.entries()) {
+      if (!entry.has_plan) continue;
+      const core::DiversificationView view = entry.plan.View();
+      optselect.SelectInto(view, params, &scratch, &picks);
+      EXPECT_EQ(picks.size(), std::min(params.k, view.num_candidates));
+      std::vector<char> seen(view.num_candidates, 0);
+      for (size_t i : picks) {
+        ASSERT_LT(i, view.num_candidates) << entry.key;
+        EXPECT_FALSE(seen[i]) << entry.key << " duplicated index";
+        seen[i] = 1;
+      }
+    }
+  }
+  // Damage to padding, strings and values leaves files that map, so
+  // the selection half above ran.
+  EXPECT_GT(mapped, 0u);
 }
 
 TEST_F(GarbageFileTest, TrecLoadersRejectGarbage) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 
 #include "pipeline/testbed.h"
 #include "serving/cache_key.h"
+#include "serving/fault_injector.h"
 #include "serving/latency_histogram.h"
 #include "serving/replay.h"
 #include "serving/request_queue.h"
@@ -383,6 +385,30 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
   batched_config.max_batch = 16;
   batched_config.enable_cache = false;
   batched_config.num_workers = 1;  // force queue buildup ⇒ real batches
+
+  // Holds a node's workers at their first store read until the whole
+  // mix is queued: on a loaded host a worker can otherwise drain each
+  // request as it arrives, and no batch holds two.
+  class StartGate : public FaultInjector {
+   public:
+    FaultDecision Evaluate(FaultSite site, std::string_view) override {
+      if (site == FaultSite::kStoreRead) {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return open_; });
+      }
+      return FaultDecision{};
+    }
+    void Open() {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+      cv_.notify_all();
+    }
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool open_ = false;
+  };
   ServingNode unbatched(snapshot_, testbed_, unbatched_config);
   ServingNode batched(snapshot_, testbed_, batched_config);
 
@@ -393,6 +419,8 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
   }
 
   auto run = [&](ServingNode* node) {
+    StartGate gate;
+    node->set_fault_injector(&gate);
     std::map<size_t, Response> results;
     std::mutex mu;
     std::condition_variable cv;
@@ -408,8 +436,10 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
       EXPECT_TRUE(ok);
       if (ok) ++accepted;
     }
+    gate.Open();
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return done == accepted; });
+    node->set_fault_injector(nullptr);
     return results;
   };
 

@@ -58,7 +58,7 @@ TEST(StoreVersionTest, SaveLoadRoundTripsContentVersion) {
   DiversificationStore store;
   ASSERT_TRUE(store.Put(MakeEntry("apple", 2)).ok());
   store.set_version(41);
-  std::string path = ::testing::TempDir() + "/store_v2.bin";
+  std::string path = ::testing::TempDir() + "/content_version.bin";
   ASSERT_TRUE(store.Save(path).ok());
 
   auto mapped = MappedStoreFile::Map(path);
@@ -68,10 +68,6 @@ TEST(StoreVersionTest, SaveLoadRoundTripsContentVersion) {
   EXPECT_EQ(loaded.size(), 1u);
   std::remove(path.c_str());
 }
-
-// Legacy v1-format *bytes* (including the legacy checksum basis) are
-// covered by the checked-in golden fixture tests/data/store_v1.bin in
-// tests/store_backcompat_test.cc.
 
 TEST(StoreVersionTest, RemoveDropsNormalizedKey) {
   DiversificationStore store;
@@ -305,6 +301,7 @@ TEST_F(StoreReloadServingTest, SwapsUnderConcurrentLoadLoseNothing) {
   std::atomic<size_t> ok_count{0};
   std::atomic<size_t> pinned_mismatches{0};
   std::atomic<bool> stop_swapper{false};
+  std::atomic<bool> swapped_once{false};
 
   // Swapper flips the target entry's distribution as fast as it can.
   std::thread swapper([&] {
@@ -315,10 +312,16 @@ TEST_F(StoreReloadServingTest, SwapsUnderConcurrentLoadLoseNothing) {
           cur.get(), TargetDelta(flip ? 0.25 : 1.0));
       flip = !flip;
       node.ReloadStore(built.snapshot, built.changed_keys);
+      swapped_once.store(true);
       std::this_thread::yield();
     }
   });
 
+  // The clients start once the first swap has returned: most of their
+  // requests are cache hits answered on their own threads, so on a
+  // loaded host they can otherwise all finish before the swapper's
+  // first ReloadStore, and nothing races them.
+  while (!swapped_once.load()) std::this_thread::yield();
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {

@@ -1,8 +1,7 @@
 // optselect — command-line front end for the library.
 //
 // Subcommands: generate, mine, run, evaluate (the offline experiment
-// loop), upgrade (converts a v1–v3 store.bin to v4), and serve,
-// loadtest, stats, chaos (the serving tier). Each one
+// loop), and serve, loadtest, stats, chaos (the serving tier). Each one
 // declares its flags once through tools/options.h: `optselect` alone
 // lists the subcommands, `optselect <subcommand> --help` prints the
 // generated flag list, and a bad flag or value exits with status 2
@@ -54,7 +53,6 @@
 #include "tools/options.h"
 #include "util/hash.h"
 #include "store/diversification_store.h"
-#include "store/legacy_store.h"
 #include "store/store_builder.h"
 #include "store/store_snapshot.h"
 #include "util/rng.h"
@@ -84,13 +82,6 @@ tools::OptionSet GenerateOptions() {
                "request)");
   tools::AddTestbedOptions(&opts);
   return opts;
-}
-
-tools::OptionSet UpgradeOptions() {
-  return tools::OptionSet("upgrade", "<in> <out>",
-                          "Convert a store.bin in the v1-v3 stream formats "
-                          "to store format v4, the only one serving reads "
-                          "(same content; plans as the file has them).");
 }
 
 tools::OptionSet MineOptions() {
@@ -268,32 +259,6 @@ int CmdGenerate(const tools::OptionSet& opts) {
       dir.c_str(), testbed.log_result().log.size(),
       testbed.corpus().topics.size(), testbed.corpus().qrels.size(), stored,
       plans, util::FormatBytes(built.SurrogatePayloadBytes()).c_str());
-  return 0;
-}
-
-int CmdUpgrade(const tools::OptionSet& opts) {
-  const std::string& in = opts.positional()[0];
-  const std::string& out = opts.positional()[1];
-  auto legacy = store::ReadLegacyStore(in);
-  if (!legacy.ok()) {
-    std::fprintf(stderr, "error: %s\n", legacy.status().ToString().c_str());
-    return 1;
-  }
-  const store::DiversificationStore& converted = legacy.value();
-  util::Status saved = converted.Save(out);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "error: %s\n", saved.ToString().c_str());
-    return 1;
-  }
-  size_t plans = 0;
-  for (const auto& [key, entry] : converted.entries()) {
-    if (!entry.plan.empty()) ++plans;
-  }
-  std::printf(
-      "wrote %s (store format v4, content version %llu, %zu entries, %zu "
-      "compiled plans)\n",
-      out.c_str(), static_cast<unsigned long long>(converted.version()),
-      converted.size(), plans);
   return 0;
 }
 
@@ -659,7 +624,7 @@ std::unique_ptr<cluster::ShardedCluster> MakeCluster(
 /// The one store open shared by every serving entry (serve, loadtest,
 /// stats). <dir>/store.bin must map as store format v4: any other
 /// bytes, a v1–v3 stream included, fail MappedStoreFile::Map and stop
-/// start-up (null) with an error naming `optselect upgrade`. A file
+/// start-up (null) with an error naming `optselect generate`. A file
 /// whose compiled plans match this node's --candidates/--c is served
 /// zero-copy. One with plans for other params is materialized, gets
 /// plans compiled for this node, and is served from an in-memory v4
@@ -681,9 +646,9 @@ std::shared_ptr<const store::MappedStoreFile> OpenStoreForServing(
     } else {
       std::fprintf(stderr,
                    "error: %s: %s; serving reads store format v4 only "
-                   "(convert a v1-v3 store with `optselect upgrade <in> "
-                   "<out>`, or regenerate it)\n",
-                   path.c_str(), file.status().ToString().c_str());
+                   "(regenerate the store with `optselect generate %s`)\n",
+                   path.c_str(), file.status().ToString().c_str(),
+                   dir.c_str());
     }
     return nullptr;
   }
@@ -1807,9 +1772,8 @@ struct Subcommand {
 const Subcommand kSubcommands[] = {
     {GenerateOptions, CmdGenerate}, {MineOptions, CmdMine},
     {RunOptions, CmdRun},           {EvaluateOptions, CmdEvaluate},
-    {UpgradeOptions, CmdUpgrade},   {ServeOptions, CmdServe},
-    {LoadtestOptions, CmdLoadtest}, {StatsOptions, CmdStats},
-    {ChaosOptions, CmdChaos},
+    {ServeOptions, CmdServe},       {LoadtestOptions, CmdLoadtest},
+    {StatsOptions, CmdStats},       {ChaosOptions, CmdChaos},
 };
 
 void PrintUsage(std::FILE* out) {
