@@ -138,8 +138,10 @@ ChaosReport RunChaosScenario(
   cluster.Shutdown();
   report.transitions = cluster.router().breaker_transitions();
   report.router = cluster.router().stats();
+  for (const serving::ServingStats& shard : cluster.Stats().per_shard) {
+    report.admission_answers.push_back(shard.admission_answers);
+  }
   report.traces = tracer.Recent();
-  report.trace_breakers = tracer.breaker_events();
   cluster.router().set_tracer(nullptr);
   return report;
 }
@@ -229,6 +231,13 @@ ChaosVerdict VerifyChaosRuns(
     }
   }
 
+  // The faults met the admission path on every shard, in both runs.
+  for (const ChaosReport* run : {&run_a, &run_b}) {
+    for (uint64_t answers : run->admission_answers) {
+      if (answers == 0) ++verdict.shards_without_admission_answers;
+    }
+  }
+
   // Correctness against the references, per request.
   for (size_t i = 0; i < run_a.outcomes.size(); ++i) {
     const ChaosRequestOutcome& outcome = run_a.outcomes[i];
@@ -278,23 +287,6 @@ void CheckRunTraces(const ChaosReport& run, const ChaosConfig& config,
     uint64_t n = config.trace_sample_every;
     if (n > 1 && trace.seq % n != 0) {
       ++verdict->outcome_mismatches;
-    }
-  }
-
-  // The tracer's breaker log is appended under the same lock as the
-  // router's transition log — entry for entry, or something is racing.
-  size_t t = std::max(run.transitions.size(), run.trace_breakers.size());
-  for (size_t i = 0; i < t; ++i) {
-    if (i >= run.transitions.size() || i >= run.trace_breakers.size()) {
-      ++verdict->breaker_mismatches;
-      continue;
-    }
-    const BreakerTransition& want = run.transitions[i];
-    const obs::Tracer::BreakerEvent& got = run.trace_breakers[i];
-    if (got.shard != want.shard ||
-        got.from != static_cast<int>(want.from) ||
-        got.to != static_cast<int>(want.to)) {
-      ++verdict->breaker_mismatches;
     }
   }
 }

@@ -16,7 +16,9 @@
 //   3. every degraded answer bit-identical to the plain DPH passthrough
 //      a store-less node computes (the tagged partial result);
 //   4. outcome vectors and breaker transition logs identical between
-//      two runs of the same seed.
+//      two runs of the same seed;
+//   5. every shard answered requests at admission in both fault runs
+//      (the faults met the path that serves cache hits and plans).
 //
 // The only intentionally non-deterministic residue is *which* copy wins
 // a hedge race — replicas are bit-identical, so the outcome vector
@@ -127,10 +129,10 @@ struct ChaosReport {
   /// sized to the run, so nothing is evicted: every sampled request is
   /// here.
   std::vector<obs::Trace> traces;
-  /// Every breaker transition the tracer observed (not sampled) —
-  /// appended under the same lock as ChaosReport::transitions, so the
-  /// two logs must match entry for entry.
-  std::vector<obs::Tracer::BreakerEvent> trace_breakers;
+  /// Each shard's ServingStats::admission_answers after the run. A
+  /// hedge can move them between same-seed runs, so they are checked
+  /// for > 0, never compared.
+  std::vector<uint64_t> admission_answers;
 };
 
 /// FNV-1a over a ranking's doc ids — the outcome fingerprint.
@@ -168,11 +170,15 @@ struct ChaosVerdict {
   size_t transition_mismatches = 0;   ///< breaker log diffs (or length)
   size_t healthy_divergences = 0;     ///< non-degraded vs no-fault diffs
   size_t degraded_divergences = 0;    ///< degraded vs passthrough diffs
+  /// Shards of run A or B (each counted per run) that answered no
+  /// request at admission.
+  size_t shards_without_admission_answers = 0;
   bool breaker_opened = false;        ///< some breaker actually tripped
   bool ok() const {
     return dropped == 0 && outcome_mismatches == 0 &&
            transition_mismatches == 0 && healthy_divergences == 0 &&
-           degraded_divergences == 0;
+           degraded_divergences == 0 &&
+           shards_without_admission_answers == 0;
   }
 };
 
@@ -202,7 +208,8 @@ std::unordered_map<std::string, uint64_t> BuildPassthroughHashes(
     const std::vector<std::string>& mix);
 
 /// Compares two same-seed fault runs against each other, the no-fault
-/// run, and per-query passthrough hashes (see BuildPassthroughHashes).
+/// run, per-query passthrough hashes (see BuildPassthroughHashes) and
+/// the shards' admission answers.
 ChaosVerdict VerifyChaosRuns(
     const ChaosReport& run_a, const ChaosReport& run_b,
     const ChaosReport& no_fault, const std::vector<std::string>& mix,
@@ -219,23 +226,18 @@ struct TraceVerdict {
   /// — hedged is excluded, like ChaosRequestOutcome) disagree with the
   /// run's own outcome vector at the trace's seq, both runs summed.
   size_t outcome_mismatches = 0;
-  /// Entry-for-entry diffs between each run's tracer breaker log and
-  /// its BreakerTransition log (or a length difference), both runs.
-  size_t breaker_mismatches = 0;
   /// Run A vs run B: sampled seq sequences or per-trace outcomes
   /// differ (the determinism half of the check).
   size_t cross_run_mismatches = 0;
   bool ok() const {
     return sampled_a == sampled_expected && sampled_b == sampled_expected &&
-           outcome_mismatches == 0 && breaker_mismatches == 0 &&
-           cross_run_mismatches == 0;
+           outcome_mismatches == 0 && cross_run_mismatches == 0;
   }
 };
 
 /// Asserts the trace invariants on two same-seed fault runs: every
 /// sampled request is traced exactly once, each trace agrees with the
-/// report's outcome vector, each tracer breaker log mirrors the
-/// router's transition log, and the sampled sequences are identical
+/// report's outcome vector, and the sampled sequences are identical
 /// across the runs.
 TraceVerdict VerifyTraceInvariants(const ChaosReport& run_a,
                                    const ChaosReport& run_b,

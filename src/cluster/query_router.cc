@@ -120,15 +120,6 @@ void QueryRouter::TransitionLocked(ShardHealth* health, size_t shard,
     transitions_.pop_front();  // bounded log; seq stays global
   }
   transitions_.push_back(t);
-  // Mirror every transition (not sampled) into the tracer's breaker
-  // log — the chaos harness asserts the mirror matches this log
-  // entry-for-entry. Lock order: health_mu_ (held here) → tracer mu;
-  // the tracer never calls back into the router.
-  obs::Tracer* tracer = tracer_.load(std::memory_order_acquire);
-  if (tracer != nullptr) {
-    tracer->RecordBreakerTransition(shard, static_cast<int>(t.from),
-                                    static_cast<int>(to));
-  }
   health->state = to;
   if (to == BreakerState::kOpen) ++breaker_opens_;
 }

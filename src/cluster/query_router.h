@@ -193,10 +193,8 @@ class QueryRouter final : public serving::Frontend {
 
   /// Installs (or clears) a tracer: Submit samples requests
   /// (deterministic 1-in-N on its own sequence counter) and records
-  /// attempt / hedge / degraded-failover hops, and *every* breaker
-  /// transition is mirrored into the tracer's breaker log — the chaos
-  /// harness diffs that mirror against breaker_transitions(). Not
-  /// owned; must outlive the router or be cleared first.
+  /// attempt / hedge / degraded-failover hops. Not owned; must outlive
+  /// the router or be cleared first.
   void set_tracer(obs::Tracer* tracer) {
     tracer_.store(tracer, std::memory_order_release);
   }

@@ -18,7 +18,6 @@ const char* TraceStageName(TraceStage stage) {
     case TraceStage::kAttempt: return "attempt";
     case TraceStage::kHedge: return "hedge";
     case TraceStage::kFailover: return "failover";
-    case TraceStage::kBreaker: return "breaker";
     case TraceStage::kScan: return "scan";
     case TraceStage::kMaintain: return "maintain";
   }
@@ -47,15 +46,6 @@ void Tracer::Commit(Trace trace) {
   while (ring_.size() > config_.ring_capacity) ring_.pop_front();
 }
 
-void Tracer::RecordBreakerTransition(size_t shard, int from, int to) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Same retention bound as the router's own transition log — the two
-  // stay index-aligned even on pathological flap storms.
-  constexpr size_t kMaxBreakerEvents = 8192;
-  if (breakers_.size() >= kMaxBreakerEvents) breakers_.pop_front();
-  breakers_.push_back(BreakerEvent{shard, from, to});
-}
-
 std::vector<Trace> Tracer::Recent() const {
   std::lock_guard<std::mutex> lock(mu_);
   return std::vector<Trace>(ring_.begin(), ring_.end());
@@ -64,11 +54,6 @@ std::vector<Trace> Tracer::Recent() const {
 std::vector<Trace> Tracer::Slowest() const {
   std::lock_guard<std::mutex> lock(mu_);
   return slow_;
-}
-
-std::vector<Tracer::BreakerEvent> Tracer::breaker_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<BreakerEvent>(breakers_.begin(), breakers_.end());
 }
 
 uint64_t Tracer::committed() const {

@@ -7,10 +7,10 @@
 //             → plan/cold-select → reply
 //
 // on a ServingNode, plus router hops (attempt, hedge, degraded
-// failover, breaker transitions) when the request enters through a
-// QueryRouter. Completed traces land in a fixed-capacity ring buffer
-// (recent traffic) and a top-N slow-query log (worst offenders with
-// their per-stage breakdown) on the owning Tracer.
+// failover) when the request enters through a QueryRouter. Completed
+// traces land in a fixed-capacity ring buffer (recent traffic) and a
+// top-N slow-query log (worst offenders with their per-stage
+// breakdown) on the owning Tracer.
 //
 // Sampling is deterministic: request sequence number `seq` is sampled
 // iff `seq % sample_every == 0`. No wall clock, no RNG — under the
@@ -56,7 +56,6 @@ enum class TraceStage : uint8_t {
   kAttempt,         ///< router: primary/holder attempt (detail = shard)
   kHedge,           ///< router: hedge copy launched (detail = shard)
   kFailover,        ///< router: degraded sweep attempt (detail = shard)
-  kBreaker,         ///< router: breaker transition (detail = to-state)
   kScan,            ///< streaming cold path: candidate scan + pushes
                     ///< (detail = candidates materialized)
   kMaintain,        ///< streaming cold path: finalize + ranking assembly
@@ -71,7 +70,7 @@ struct TraceEvent {
   int64_t start_us = 0;
   int64_t duration_us = 0;
   /// Stage-specific payload: batch size (kBatch), shard index
-  /// (kAttempt/kHedge/kFailover), encoded from<<8|to states (kBreaker).
+  /// (kAttempt/kHedge/kFailover), candidates materialized (kScan).
   uint64_t detail = 0;
 };
 
@@ -111,8 +110,8 @@ struct TracerConfig {
   size_t ring_capacity = 256;
 };
 
-/// Collects sampled traces and breaker transitions. Commit is mutex-
-/// guarded but touched only 1-in-N; ShouldSample is a pure function.
+/// Collects sampled traces. Commit is mutex-guarded but touched only
+/// 1-in-N; ShouldSample is a pure function.
 class Tracer {
  public:
   explicit Tracer(TracerConfig config);
@@ -133,23 +132,11 @@ class Tracer {
   /// the slow-query log.
   void Commit(Trace trace);
 
-  /// Breaker transitions are recorded for *every* transition while a
-  /// tracer is installed (not sampled): the chaos harness diffs this
-  /// log against the router's own BreakerTransition log.
-  struct BreakerEvent {
-    size_t shard = 0;
-    int from = 0;  ///< BreakerState as int (trace.h avoids the dep)
-    int to = 0;
-  };
-  void RecordBreakerTransition(size_t shard, int from, int to);
-
   /// Ring-buffer contents, oldest → newest.
   std::vector<Trace> Recent() const;
 
   /// Slow-query log: the kSlowCapacity slowest traces, slowest first.
   std::vector<Trace> Slowest() const;
-
-  std::vector<BreakerEvent> breaker_events() const;
 
   /// Traces committed over the tracer's lifetime (ring may have
   /// evicted some).
@@ -168,7 +155,6 @@ class Tracer {
   mutable std::mutex mu_;
   std::deque<Trace> ring_;
   std::vector<Trace> slow_;  // sorted desc by total_us
-  std::deque<BreakerEvent> breakers_;
   uint64_t committed_ = 0;
 };
 

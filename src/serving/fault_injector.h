@@ -6,8 +6,10 @@
 //
 //   kQueueSubmit — admission: a dead or overloaded process rejects the
 //                  request before any work happens (Submit/SubmitAsync);
-//   kStoreRead   — compute: the worker fails (or stalls) while answering
-//                  — an I/O error, a corrupted page, a GC pause;
+//   kStoreRead   — compute: the node fails (or stalls) while answering
+//                  — an I/O error, a corrupted page, a GC pause. Decided
+//                  once per request at admission: a failure is answered
+//                  there, a delay queues the request for a worker;
 //   kReload      — lifecycle: a snapshot swap is refused mid-flight.
 //
 // The hooks are consulted per request with the normalized query key, so
@@ -17,9 +19,10 @@
 //
 // Cost model: the sites are compiled into every build. With no
 // injector installed each site is one acquire load and a null check,
-// and a request passes two of them (admission and store read) — noise
-// next to its selection — so the chaos CLI, the tests and production
-// all run the same code.
+// and a request passes two of them (both at admission) — noise next to
+// its selection — so the chaos CLI, the tests and production all run
+// the same code; a request no fault touches is answered on the same
+// thread whether or not an injector is installed.
 
 #ifndef OPTSELECT_SERVING_FAULT_INJECTOR_H_
 #define OPTSELECT_SERVING_FAULT_INJECTOR_H_
@@ -39,21 +42,23 @@ constexpr bool FaultInjectionCompiledIn() { return true; }
 /// Where in the serving flow a fault is being considered.
 enum class FaultSite {
   kQueueSubmit,  ///< admission (ServingNode::Submit / SubmitAsync)
-  kStoreRead,    ///< worker compute, before the store lookup
+  kStoreRead,    ///< compute, decided at admission before the cache probe
   kReload,       ///< ServingNode::ReloadStore
 };
 
-/// What the injector wants done at a site. Delay is applied first (on
-/// the thread hitting the site), then the failure, so "slow then dead"
-/// composes.
+/// What the injector wants done at a site. A delay counts at kStoreRead
+/// only: the worker answering the request sleeps it, then applies the
+/// failure, so "slow then dead" composes. No submitting or refresh
+/// thread ever sleeps.
 struct FaultDecision {
   bool fail = false;
   std::chrono::microseconds delay{0};
 };
 
-/// Hook interface. Evaluate is called concurrently from client threads
-/// (kQueueSubmit), worker threads (kStoreRead), and refresh threads
-/// (kReload); implementations synchronize themselves.
+/// Hook interface. Evaluate is called concurrently from submitting
+/// threads (kQueueSubmit, kStoreRead) and refresh threads (kReload);
+/// implementations synchronize themselves and must not block, since a
+/// submitting thread may be a router's or a reactor's.
 class FaultInjector {
  public:
   virtual ~FaultInjector() = default;
@@ -74,7 +79,7 @@ class ScriptedFaultInjector : public FaultInjector {
   }
   bool dead() const { return dead_.load(std::memory_order_relaxed); }
 
-  /// Every store read fails (worker answers ok == false).
+  /// Every store read fails (answered ok == false at admission).
   void SetFailStoreReads(bool fail) {
     fail_store_reads_.store(fail, std::memory_order_relaxed);
   }
@@ -84,7 +89,8 @@ class ScriptedFaultInjector : public FaultInjector {
     store_read_burst_.store(n, std::memory_order_relaxed);
   }
 
-  /// Injected latency before every store read (0 disables).
+  /// Injected latency before every store read, slept by a worker
+  /// (0 disables).
   void SetStoreReadDelay(std::chrono::microseconds delay) {
     store_read_delay_us_.store(delay.count(), std::memory_order_relaxed);
   }

@@ -141,12 +141,7 @@ void ServingNode::MaybeStartTrace(QueuedRequest* request,
 FaultDecision ServingNode::EvaluateFault(FaultSite site,
                                          std::string_view key) const {
   FaultInjector* injector = fault_injector_.load(std::memory_order_acquire);
-  if (injector == nullptr) return FaultDecision{};
-  FaultDecision decision = injector->Evaluate(site, key);
-  if (decision.delay.count() > 0) {
-    std::this_thread::sleep_for(decision.delay);
-  }
-  return decision;
+  return injector == nullptr ? FaultDecision{} : injector->Evaluate(site, key);
 }
 
 ServingNode::ServingNode(
@@ -228,11 +223,14 @@ ServingNode::ReloadOutcome ServingNode::ReloadStore(
 }
 
 void ServingNode::Shutdown() {
-  bool expected = false;
-  if (!shutdown_.compare_exchange_strong(expected, true)) {
+  // Closed before the flag rises, so an admission that sees the flag
+  // falls through to a queue that rejects it: once the flag is up, the
+  // only requests still accepted are admission answers already past
+  // the check, and the wait below covers them.
+  queue_.Close();  // Workers drain the remaining requests, then exit.
+  if (shutdown_.exchange(true)) {
     return;  // Another caller already shut the node down.
   }
-  queue_.Close();  // Workers drain the remaining requests, then exit.
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -271,17 +269,10 @@ bool ServingNode::Enqueue(Request request,
 }
 
 bool ServingNode::AnswerAtAdmission(QueuedRequest* request) {
-  // A fault injector scripts store-read failures and delays per worker
-  // request, and a delay applied here would stall the submitting
-  // thread (a router could not hedge around it): with one installed,
-  // every request is queued.
-  if (fault_injector_.load(std::memory_order_acquire) != nullptr) {
-    return false;
-  }
   // Raised before the shutdown check (both sequentially consistent):
   // either Shutdown sees this admission in flight and waits for its
   // callback, or this admission sees the shutdown and falls through to
-  // the closed queue, which rejects it.
+  // the queue Shutdown closed first, which rejects it.
   admissions_in_flight_.fetch_add(1);
   struct Leave {
     ServingNode* node;
@@ -295,10 +286,18 @@ bool ServingNode::AnswerAtAdmission(QueuedRequest* request) {
   } leave{this};
   if (shutdown_.load()) return false;
 
-  // Cause before effect on both answers, as on the queued path:
+  // The store-read fault site, asked once per request. A delay sends
+  // the request to a worker, which sleeps it (Serve): the submitting
+  // thread never sleeps, so a router can hedge around a slow shard and
+  // a reactor keeps serving. A failure is answered below, before any
+  // cache probe, as a worker would answer it.
+  request->fault = EvaluateFault(FaultSite::kStoreRead, request->normalized);
+  if (request->fault.delay.count() > 0) return false;
+
+  // Cause before effect on every answer, as on the queued path:
   // accepted, then admission_answers, then completed and the outcome
   // counters (Finish).
-  if (config_.enable_cache) {
+  if (config_.enable_cache && !request->fault.fail) {
     const auto probe_start = std::chrono::steady_clock::now();
     // A miss is not counted here: the lookup that answers the request
     // counts it (LookupOrCompute's, below or on a worker), or a hit
@@ -330,9 +329,13 @@ bool ServingNode::AnswerAtAdmission(QueuedRequest* request) {
   }
   // Only a compiled plan bounds the compute. Everything else needs
   // retrieval, whose milliseconds must never run on the submitting
-  // thread (a reactor or a router): it is queued for the workers.
-  std::shared_ptr<const store::StoreSnapshot> snapshot = this->snapshot();
-  if (!ServesFromPlan(snapshot->Find(request->normalized))) return false;
+  // thread (a reactor or a router): it is queued for the workers. A
+  // failed request reads no store, so it pins no snapshot.
+  std::shared_ptr<const store::StoreSnapshot> snapshot;
+  if (!request->fault.fail) {
+    snapshot = this->snapshot();
+    if (!ServesFromPlan(snapshot->Find(request->normalized))) return false;
+  }
   accepted_->Add();
   admission_answers_->Add();
   Serve(request, /*queue_wait_us=*/0, /*batch=*/nullptr, snapshot,
@@ -583,11 +586,14 @@ void ServingNode::Serve(
           obs::TraceStage::kBatch, queue_wait_us, 0, batch->size});
     }
   }
-  // Store-read fault: the worker fails (or stalls — the delay is
-  // applied inside EvaluateFault) while answering. Evaluated per
-  // request, before batch dedup, so a transient burst fails exactly
-  // the requests it was scripted to fail.
-  if (EvaluateFault(FaultSite::kStoreRead, request->normalized).fail) {
+  // Store-read fault, decided at admission: only a worker has a delay
+  // to sleep, and the failure comes after it, so "slow then dead"
+  // composes. Applied per request, before batch dedup, so a transient
+  // burst fails exactly the requests it was scripted to fail.
+  if (request->fault.delay.count() > 0) {
+    std::this_thread::sleep_for(request->fault.delay);
+  }
+  if (request->fault.fail) {
     Finish(request, stages, Response{});  // ok == false
     return;
   }

@@ -8,21 +8,21 @@
 //
 //     request ─> admission, on the submitting thread: normalize + cache
 //       │        key (built once, carried through the queue)
+//       │  ─> injected store-read fault ─(fail)─> answer ok == false
 //       │  ─> result-cache probe ─(hit)─> answer
 //       │  ─(miss)─> store lookup ─(compiled plan for this node's params,
 //       │        store v3+)─> selection directly over the entry's
 //       │        precomputed utility blocks (per-thread SelectScratch) ─>
 //       │        answer ─> cache fill
-//       │  (no queue push, no worker wake-up; needs no fault injector
-//       │   installed and the node not shut down)
-//       └─(needs retrieval: plan-less entry or passthrough)─> bounded
-//         MPMC queue ─> worker pool
-//       worker: sharded LRU result cache (a key filled while the
-//               request waited still hits here)
+//       │  (no queue push, no worker wake-up; needs the node not shut
+//       │   down)
+//       └─(needs retrieval: plan-less entry or passthrough, or an
+//         injected store-read delay)─> bounded MPMC queue ─> worker pool
+//       worker: sleeps the delay ─> sharded LRU result cache (a key
+//               filled while the request waited still hits here)
 //               ─(miss)─> store lookup
-//                 ├─ compiled plan (queued while a fault injector is
-//                 │  installed): the same selection (per-worker
-//                 │  SelectScratch) ─> ranking
+//                 ├─ compiled plan (a delayed request): the same
+//                 │  selection (per-worker SelectScratch) ─> ranking
 //                 └─ fallback: retrieve R_q ─> utilities ─> OptSelect
 //               ─> ranking ─> cache fill
 //
@@ -198,13 +198,13 @@ class ServingNode : public Frontend {
   Response Submit(const Request& request) override;
 
   /// Frontend: asynchronous request. `callback` fires exactly once:
-  /// on the calling thread before this returns when no fault injector
-  /// is installed and the answer needs no retrieval — the query's
-  /// ranking is cached, or its stored entry has a compiled plan for
-  /// this node's params (selected right there, a few µs) — otherwise
-  /// on a worker thread after a non-blocking enqueue. Returns false —
-  /// and never invokes the callback — when the queue is full or the
-  /// node is shut down (load shedding; counted in stats().rejected).
+  /// on the calling thread before this returns when the answer needs
+  /// no retrieval — the query's ranking is cached, its stored entry has
+  /// a compiled plan for this node's params (selected right there, a
+  /// few µs), or an injected fault fails its store read — otherwise on
+  /// a worker thread after a non-blocking enqueue. Returns false — and
+  /// never invokes the callback — when the queue is full or the node is
+  /// shut down (load shedding; counted in stats().rejected).
   bool SubmitAsync(Request request,
                    std::function<void(Response)> callback) override;
 
@@ -238,11 +238,11 @@ class ServingNode : public Frontend {
       const std::vector<std::string>& changed_keys);
 
   /// Installs (or, with nullptr, clears) a fault injector consulted at
-  /// the admission, store-read, and reload boundaries. While one is
-  /// installed no request is answered at admission, so every request
-  /// reaches the store-read site on a worker: scripted failures and
-  /// delays apply per request, and a delay never stalls the submitting
-  /// thread. Not owned; must outlive the node or be cleared first.
+  /// the admission, store-read, and reload boundaries. Each request's
+  /// store-read decision is made once, at admission: a failure is
+  /// answered there, and a delay queues the request for a worker to
+  /// sleep, so no submitting thread stalls. Not owned; must outlive the
+  /// node or be cleared first.
   void set_fault_injector(FaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }
@@ -288,6 +288,9 @@ class ServingNode : public Frontend {
     /// Sampled requests carry their trace through the queue; null for
     /// the unsampled rest.
     std::unique_ptr<obs::Trace> trace;
+    /// The store-read fault decided at admission; a worker applies it
+    /// without asking the injector again.
+    FaultDecision fault;
   };
 
   /// Indices into stage_hist_ (per-stage latency histograms).
@@ -319,15 +322,16 @@ class ServingNode : public Frontend {
   bool Enqueue(Request request, std::function<void(Response)> callback,
                bool block);
   /// Enqueue's fast path: answers `request` on the calling thread when
-  /// its ranking is cached or its stored entry has a compiled plan for
-  /// this node's params (selected through Serve with the thread's own
-  /// SelectScratch). False ⇒ not answered (fault injector installed,
-  /// shut down, or the answer needs retrieval): the request is queued.
+  /// its store-read fault fails it, its ranking is cached or its stored
+  /// entry has a compiled plan for this node's params (selected through
+  /// Serve with the thread's own SelectScratch). False ⇒ not answered
+  /// (shut down, a store-read delay, or the answer needs retrieval):
+  /// the request is queued.
   bool AnswerAtAdmission(QueuedRequest* request);
   /// The per-request body the workers and admission share: queue-wait
-  /// trace event, store-read fault site, the ranking (a duplicate in
-  /// `batch` — null at admission — or LookupOrCompute over `snapshot`)
-  /// and Finish.
+  /// trace event, the store-read fault the request carries, the ranking
+  /// (a duplicate in `batch` — null at admission — or LookupOrCompute
+  /// over `snapshot`, null for a failed request) and Finish.
   void Serve(QueuedRequest* request, int64_t queue_wait_us, Batch* batch,
              const std::shared_ptr<const store::StoreSnapshot>& snapshot,
              core::SelectScratch* scratch);

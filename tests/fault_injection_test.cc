@@ -10,10 +10,13 @@
 // ScriptedFaultInjector (the hooks are compiled into every build).
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -85,6 +88,42 @@ class FaultInjectionTest : public ::testing::Test {
         store::StoreSnapshot::FromMapped(std::move(empty).value()), testbed_,
         BaseConfig(1).node);
     return plain.Submit(serving::Request(query)).ranking;
+  }
+
+  /// One SubmitAsync, waited for: whether its callback had fired when
+  /// SubmitAsync returned, and whether it ran on the submitting thread.
+  struct Watched {
+    serving::Response response;
+    bool before_return = false;
+    bool on_caller = false;
+  };
+  static Watched SubmitAndWatch(serving::ServingNode* node,
+                                const std::string& query) {
+    struct State {
+      std::mutex mu;
+      std::condition_variable cv;
+      bool done = false;
+      std::thread::id thread;
+      Watched watched;
+    };
+    auto state = std::make_shared<State>();
+    const bool accepted = node->SubmitAsync(
+        serving::Request(query), [state](serving::Response r) {
+          std::lock_guard<std::mutex> lock(state->mu);
+          state->watched.response = std::move(r);
+          state->thread = std::this_thread::get_id();
+          state->done = true;
+          state->cv.notify_all();
+        });
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->watched.before_return = state->done;
+    if (!accepted) {
+      ADD_FAILURE() << "SubmitAsync rejected " << query;
+      return Watched{};
+    }
+    state->cv.wait(lock, [&] { return state->done; });
+    state->watched.on_caller = state->thread == std::this_thread::get_id();
+    return std::move(state->watched);
   }
 
   static pipeline::Testbed* testbed_;
@@ -272,32 +311,68 @@ TEST_F(FaultInjectionTest, StoreReadBurstFailsExactlyNThenRecovers) {
 }
 
 TEST_F(FaultInjectionTest, InstalledInjectorSeesCachedRequests) {
-  // Cache on, plans compiled for the node's params: without an
-  // injector both the warm-up (a plan selection) and the repeat (a
-  // cache hit) are answered at admission, never reaching a worker's
-  // store-read site.
-  serving::ServingNode node(snapshot_, testbed_, BaseConfig(1).node);
+  // An installed injector meets admission answers on the thread that
+  // answers them. Plans are compiled for both nodes' params: `cached`
+  // has its key cached by a warm-up (a plan selection at admission),
+  // and `planned`, with the cache off, selects the plan on every
+  // request.
+  serving::ServingConfig uncached = BaseConfig(1).node;
+  uncached.enable_cache = false;
+  serving::ServingNode cached(snapshot_, testbed_, BaseConfig(1).node);
+  serving::ServingNode planned(snapshot_, testbed_, uncached);
   const std::string& key = stored_keys_->front();
-  serving::Response warm = node.Submit(serving::Request(key));
+  const serving::Response warm = cached.Submit(serving::Request(key));
   ASSERT_TRUE(warm.ok);
   ASSERT_TRUE(warm.plan_served);
-  ASSERT_TRUE(node.Submit(serving::Request(key)).cache_hit);
-  ASSERT_EQ(node.Stats().admission_answers, 2u);
 
-  serving::ScriptedFaultInjector injector;
-  node.set_fault_injector(&injector);
-  injector.FailNextStoreReads(1);
-  EXPECT_FALSE(node.Submit(serving::Request(key)).ok);
-  EXPECT_EQ(injector.counts().store_read_faults, 1u);
-  serving::Response recovered = node.Submit(serving::Request(key));
-  EXPECT_TRUE(recovered.ok);
-  EXPECT_TRUE(recovered.cache_hit);  // the worker's lookup hit
-  EXPECT_EQ(recovered.ranking, warm.ranking);
+  struct Case {
+    serving::ServingNode* node;
+    bool cache_hit;
+  };
+  for (const Case& c : {Case{&cached, true}, Case{&planned, false}}) {
+    SCOPED_TRACE(c.cache_hit ? "cached query" : "plan query");
+    serving::ScriptedFaultInjector injector;
+    c.node->set_fault_injector(&injector);
+    const serving::ServingStats before = c.node->Stats();
 
-  serving::ServingStats stats = node.Stats();
-  EXPECT_EQ(stats.faulted, 1u);
-  EXPECT_EQ(stats.admission_answers, 2u);  // none while installed
-  node.set_fault_injector(nullptr);
+    // No fault scripted: answered on the caller before SubmitAsync
+    // returns, as with no injector installed.
+    Watched healthy = SubmitAndWatch(c.node, key);
+    EXPECT_TRUE(healthy.before_return);
+    EXPECT_TRUE(healthy.on_caller);
+    EXPECT_TRUE(healthy.response.ok);
+    EXPECT_EQ(healthy.response.cache_hit, c.cache_hit);
+    EXPECT_EQ(healthy.response.ranking, warm.ranking);
+
+    // A scripted store-read failure is answered there too, before the
+    // cache probe: ok == false, no cache hit counted.
+    const uint64_t hits = c.node->Stats().cache_hits;
+    injector.FailNextStoreReads(1);
+    Watched failed = SubmitAndWatch(c.node, key);
+    EXPECT_TRUE(failed.before_return);
+    EXPECT_TRUE(failed.on_caller);
+    EXPECT_FALSE(failed.response.ok);
+    EXPECT_TRUE(failed.response.ranking.empty());
+    EXPECT_EQ(c.node->Stats().cache_hits, hits);
+
+    // A scripted delay is slept by a worker, never by the caller, and
+    // the worker answers with the same ranking.
+    injector.SetStoreReadDelay(std::chrono::microseconds(1000));
+    Watched delayed = SubmitAndWatch(c.node, key);
+    EXPECT_FALSE(delayed.on_caller);
+    EXPECT_TRUE(delayed.response.ok);
+    EXPECT_EQ(delayed.response.cache_hit, c.cache_hit);
+    EXPECT_EQ(delayed.response.ranking, warm.ranking);
+
+    const serving::ServingStats after = c.node->Stats();
+    EXPECT_EQ(after.admission_answers, before.admission_answers + 2);
+    EXPECT_EQ(after.batched_requests, before.batched_requests + 1);
+    EXPECT_EQ(after.faulted, before.faulted + 1);
+    EXPECT_EQ(after.completed, before.completed + 3);
+    EXPECT_EQ(injector.counts().store_read_faults, 1u);
+    EXPECT_EQ(injector.counts().delays, 1u);
+    c.node->set_fault_injector(nullptr);
+  }
 }
 
 TEST_F(FaultInjectionTest, ReloadFaultRefusesSwapAndKeepsServing) {
@@ -606,8 +681,14 @@ TEST_F(FaultInjectionTest, MiniChaosScenarioIsDeterministicAndLossless) {
   EXPECT_EQ(verdict.healthy_divergences, 0u);
   EXPECT_EQ(verdict.degraded_divergences, 0u);
   EXPECT_TRUE(verdict.breaker_opened);
+  EXPECT_EQ(verdict.shards_without_admission_answers, 0u);
   EXPECT_TRUE(verdict.ok());
   EXPECT_GT(run_a.degraded, 0u) << "the kill window must bite";
+  // The faults met the admission path on every shard, in both runs.
+  for (const ChaosReport* run : {&run_a, &run_b}) {
+    ASSERT_EQ(run->admission_answers.size(), chaos.num_shards);
+    for (uint64_t answers : run->admission_answers) EXPECT_GT(answers, 0u);
+  }
 
   // The router's sampled traces retell the same story in every build.
   TraceVerdict traces = VerifyTraceInvariants(run_a, run_b, chaos);
@@ -615,7 +696,6 @@ TEST_F(FaultInjectionTest, MiniChaosScenarioIsDeterministicAndLossless) {
   EXPECT_EQ(traces.sampled_a, traces.sampled_expected);
   EXPECT_EQ(traces.sampled_b, traces.sampled_expected);
   EXPECT_EQ(traces.outcome_mismatches, 0u);
-  EXPECT_EQ(traces.breaker_mismatches, 0u);
   EXPECT_EQ(traces.cross_run_mismatches, 0u);
 }
 

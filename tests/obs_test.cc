@@ -305,20 +305,6 @@ TEST(TracerTest, SlowLogKeepsWorstRegardlessOfRingEviction) {
   EXPECT_EQ(slow[0].total_us, 9000);
 }
 
-TEST(TracerTest, BreakerTransitionsRecordedUnsampled) {
-  TracerConfig config;
-  config.sample_every = 1000000;  // traces effectively never sampled
-  Tracer tracer(config);
-  tracer.RecordBreakerTransition(2, 0, 1);
-  tracer.RecordBreakerTransition(2, 1, 2);
-  std::vector<Tracer::BreakerEvent> events = tracer.breaker_events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].shard, 2u);
-  EXPECT_EQ(events[0].from, 0);
-  EXPECT_EQ(events[0].to, 1);
-  EXPECT_EQ(events[1].to, 2);
-}
-
 TEST(TraceSpanTest, RecordsEventAndStageMicros) {
   Trace trace;
   trace.start = std::chrono::steady_clock::now();

@@ -12,7 +12,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -385,30 +384,6 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
   batched_config.max_batch = 16;
   batched_config.enable_cache = false;
   batched_config.num_workers = 1;  // force queue buildup ⇒ real batches
-
-  // Holds a node's workers at their first store read until the whole
-  // mix is queued: on a loaded host a worker can otherwise drain each
-  // request as it arrives, and no batch holds two.
-  class StartGate : public FaultInjector {
-   public:
-    FaultDecision Evaluate(FaultSite site, std::string_view) override {
-      if (site == FaultSite::kStoreRead) {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return open_; });
-      }
-      return FaultDecision{};
-    }
-    void Open() {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-      cv_.notify_all();
-    }
-
-   private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool open_ = false;
-  };
   ServingNode unbatched(snapshot_, testbed_, unbatched_config);
   ServingNode batched(snapshot_, testbed_, batched_config);
 
@@ -419,27 +394,38 @@ TEST_F(ServingNodeTest, BatchingOnOffProducesIdenticalResults) {
   }
 
   auto run = [&](ServingNode* node) {
-    StartGate gate;
-    node->set_fault_injector(&gate);
     std::map<size_t, Response> results;
     std::mutex mu;
     std::condition_variable cv;
+    bool open = false;
     size_t done = 0;
     size_t accepted = 0;
+    // Holds a worker (the batched node's only one) inside a queued
+    // passthrough request's callback until the whole mix is queued: on
+    // a loaded host a worker can otherwise drain each request as it
+    // arrives, and no batch holds two.
+    bool held = node->SubmitAsync(Request(NoiseQuery()), [&](Response) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return open; });
+      ++done;
+      cv.notify_all();
+    });
+    EXPECT_TRUE(held);
+    if (held) ++accepted;
     for (size_t i = 0; i < mix.size(); ++i) {
       bool ok = node->SubmitAsync(Request(mix[i]), [&, i](Response r) {
         std::lock_guard<std::mutex> lock(mu);
         results[i] = std::move(r);
         ++done;
-        cv.notify_one();
+        cv.notify_all();
       });
       EXPECT_TRUE(ok);
       if (ok) ++accepted;
     }
-    gate.Open();
     std::unique_lock<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
     cv.wait(lock, [&] { return done == accepted; });
-    node->set_fault_injector(nullptr);
     return results;
   };
 
@@ -614,7 +600,8 @@ TEST_F(ServingNodeTest, ShutdownRacingAdmissionHitsAnswersEveryAccepted) {
 }
 
 TEST_F(ServingNodeTest, PlanQueryAnsweredOnCallingThreadAtAdmission) {
-  ScriptedFaultInjector no_faults;  // injects nothing; outlives the node
+  ScriptedFaultInjector slow_reads;  // outlives the node
+  slow_reads.SetStoreReadDelay(std::chrono::microseconds(500));
   ServingNode node(snapshot_, testbed_, PlanConfig());
   ServingNode planless(PlanlessSnapshot(), testbed_, PlanConfig());
 
@@ -634,8 +621,9 @@ TEST_F(ServingNodeTest, PlanQueryAnsweredOnCallingThreadAtAdmission) {
     EXPECT_EQ(after.batched_requests, before.batched_requests);
     EXPECT_EQ(after.plan_served, before.plan_served + 1);
 
-    // Any installed injector sends the same request through a worker.
-    node.set_fault_injector(&no_faults);
+    // A scripted store-read delay sends the same request through a
+    // worker, which sleeps it.
+    node.set_fault_injector(&slow_reads);
     Response queued = SubmitAsyncAndWait(&node, query, &on_caller);
     node.set_fault_injector(nullptr);
     EXPECT_FALSE(on_caller) << query;
