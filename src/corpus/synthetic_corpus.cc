@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "synth/word_bank.h"
 #include "util/rng.h"
@@ -17,9 +18,22 @@ void Put(std::string* body, const std::string& word) {
   body->push_back(' ');
 }
 
-std::string BackgroundWord(util::Rng* rng, size_t background_vocab) {
-  // Offset 5000 keeps the background slice disjoint from topical slices.
-  return synth::WordBank::Word(5000 + rng->Uniform(background_vocab));
+/// The background vocabulary, spelled once per corpus: word i is
+/// WordBank::Word(5000 + i). Offset 5000 keeps the background slice
+/// disjoint from topical slices.
+std::vector<std::string> BackgroundWords(size_t background_vocab) {
+  std::vector<std::string> words;
+  words.reserve(background_vocab);
+  for (size_t i = 0; i < background_vocab; ++i) {
+    words.push_back(synth::WordBank::Word(5000 + i));
+  }
+  return words;
+}
+
+/// One background word, drawn uniformly.
+const std::string& BackgroundWord(util::Rng* rng,
+                                  const std::vector<std::string>& words) {
+  return words[rng->Uniform(words.size())];
 }
 
 size_t BodyLength(util::Rng* rng, const SyntheticCorpusConfig& cfg) {
@@ -35,6 +49,8 @@ SyntheticCorpus GenerateSyntheticCorpus(
     const SyntheticCorpusConfig& config,
     const std::vector<synth::TopicSpec>& specs) {
   util::Rng rng(config.seed);
+  const std::vector<std::string> background =
+      BackgroundWords(config.background_vocab);
   SyntheticCorpus out;
 
   for (size_t t = 0; t < specs.size(); ++t) {
@@ -105,7 +121,7 @@ SyntheticCorpus GenerateSyntheticCorpus(
                       intent.content_words.size())]);
             }
           } else {
-            Put(&body, BackgroundWord(&rng, config.background_vocab));
+            Put(&body, BackgroundWord(&rng, background));
           }
         }
         std::string url = util::StrFormat(
@@ -144,7 +160,7 @@ SyntheticCorpus GenerateSyntheticCorpus(
           } else if (x < 0.57) {
             Put(&body, noise_words[rng.Uniform(noise_words.size())]);
           } else {
-            Put(&body, BackgroundWord(&rng, config.background_vocab));
+            Put(&body, BackgroundWord(&rng, background));
           }
         }
         // Spam-page pattern: the full specialization query in the title.
@@ -165,7 +181,7 @@ SyntheticCorpus GenerateSyntheticCorpus(
         if (rng.Bernoulli(0.08) && !root_tokens.empty()) {
           Put(&body, root_tokens[rng.Uniform(root_tokens.size())]);
         } else {
-          Put(&body, BackgroundWord(&rng, config.background_vocab));
+          Put(&body, BackgroundWord(&rng, background));
         }
       }
       std::string url =
@@ -181,7 +197,7 @@ SyntheticCorpus GenerateSyntheticCorpus(
     std::string body;
     size_t len = BodyLength(&rng, config);
     for (size_t w = 0; w < len; ++w) {
-      Put(&body, BackgroundWord(&rng, config.background_vocab));
+      Put(&body, BackgroundWord(&rng, background));
     }
     std::string url = util::StrFormat("http://synth.example/bg/d%zu", d);
     out.store.Add(std::move(url), "background " + std::to_string(d), body);

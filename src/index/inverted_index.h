@@ -16,6 +16,7 @@
 #ifndef OPTSELECT_INDEX_INVERTED_INDEX_H_
 #define OPTSELECT_INDEX_INVERTED_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,9 +37,29 @@ struct Posting {
 /// safe from any number of threads, once built.
 class InvertedIndex {
  public:
+  /// Documents per chunk of Build: consecutive ids, a constant.
+  static constexpr size_t kBuildChunkDocs = 256;
+
   /// Indexes every document (title + body) in `store`, growing the
-  /// analyzer's vocabulary: each document is analyzed once, title then
-  /// body, in ascending id order.
+  /// analyzer's vocabulary, on util::AvailableCpus() threads counting
+  /// the caller. The documents are split into chunks of
+  /// kBuildChunkDocs consecutive ids, and:
+  ///   1. in parallel, each chunk is tokenized once (title then body of
+  ///      each document) against its own table of distinct raw tokens,
+  ///      kept in order of first occurrence;
+  ///   2. on the calling thread, the chunks' distinct tokens are
+  ///      interned in id order (Analyzer::InternToken), which visits
+  ///      every raw token's first occurrence in document order;
+  ///   3. in parallel, each chunk's direct records are encoded and its
+  ///      document lengths and frequencies counted;
+  ///   4. on the calling thread, each posting list is reserved at its
+  ///      exact size and filled from the direct records in ascending
+  ///      document order.
+  /// So term ids are assigned in order of first occurrence, and the
+  /// vocabulary, the analyzer's token memo and every byte of the index
+  /// are those of analyzing one document at a time in ascending id
+  /// order, whatever the number of threads. The calling thread
+  /// allocates all scratch; the other threads allocate nothing.
   static InvertedIndex Build(const corpus::DocumentStore& store,
                              text::Analyzer* analyzer);
 

@@ -1,16 +1,24 @@
 // End-to-end synthetic testbed assembly.
 //
 // Wires together every substrate exactly the way the paper's experimental
-// setup does (Section 5 + Appendices B/C):
+// setup does (Section 5 + Appendices B/C). The two sides share only the
+// planted universe, so they are built at once:
 //
-//   planted topic universe ──┬─> synthetic corpus + TREC topics + qrels
-//                            └─> synthetic query log (AOL- or MSN-like)
-//   query log ─> query-flow graph ─> logical sessions ─> recommender
-//   recommender + popularity ─> ambiguity detector (Algorithm 1)
-//   corpus ─> analyzer ─> inverted index ─> DPH searcher ─> snippets
+//                            ┌─ retrieval side (the constructing thread)
+//                            │  synthetic corpus + TREC topics + qrels
+//   planted topic universe ──┤  corpus ─> analyzer ─> inverted index
+//                            │    (chunk-parallel) ─> DPH searcher ─> snippets
+//                            │
+//                            └─ log side (a second thread)
+//                               synthetic query log (AOL- or MSN-like)
+//                               query log ─> query-flow graph
+//                                 ─> logical sessions ─> recommender
+//                               recommender + popularity
+//                                 ─> ambiguity detector (Algorithm 1)
 //
 // A Testbed owns all of these and hands out the pieces the experiments
-// need.
+// need. Every piece is the same, byte for byte, whatever the number of
+// CPUs it was built on.
 
 #ifndef OPTSELECT_PIPELINE_TESTBED_H_
 #define OPTSELECT_PIPELINE_TESTBED_H_
@@ -51,7 +59,8 @@ struct TestbedConfig {
 /// Owns the fully wired pipeline.
 class Testbed {
  public:
-  /// Builds everything; deterministic in the config seeds.
+  /// Builds everything, the log side on a second thread beside the
+  /// retrieval side; deterministic in the config seeds.
   explicit Testbed(const TestbedConfig& config);
 
   Testbed(const Testbed&) = delete;

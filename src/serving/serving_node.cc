@@ -332,13 +332,15 @@ bool ServingNode::AnswerAtAdmission(QueuedRequest* request) {
   // thread (a reactor or a router): it is queued for the workers. A
   // failed request reads no store, so it pins no snapshot.
   std::shared_ptr<const store::StoreSnapshot> snapshot;
+  store::EntryRef entry;  // found once here, handed down to the compute
   if (!request->fault.fail) {
     snapshot = this->snapshot();
-    if (!ServesFromPlan(snapshot->Find(request->normalized))) return false;
+    entry = snapshot->Find(request->normalized);
+    if (!ServesFromPlan(entry)) return false;
   }
   accepted_->Add();
   admission_answers_->Add();
-  Serve(request, /*queue_wait_us=*/0, /*batch=*/nullptr, snapshot,
+  Serve(request, /*queue_wait_us=*/0, /*batch=*/nullptr, snapshot, entry,
         AdmissionScratch());
   return true;
 }
@@ -375,13 +377,14 @@ Response ServingNode::Submit(const Request& request) {
   return std::move(state->result);
 }
 
-std::shared_ptr<const Response> ServingNode::ComputeRanking(
+Response ServingNode::ComputeRanking(
     const std::string& normalized_query,
-    const store::StoreSnapshot& snapshot, core::SelectScratch* scratch,
-    obs::StageTimes* stages, obs::Trace* trace) const {
-  auto result = std::make_shared<Response>();
-  result->ok = true;
-  result->store_version = snapshot.version();
+    const store::StoreSnapshot& snapshot, store::EntryRef entry,
+    core::SelectScratch* scratch, obs::StageTimes* stages,
+    obs::Trace* trace) const {
+  Response result;
+  result.ok = true;
+  result.store_version = snapshot.version();
 
   // Store-read span: everything needed to pose the selection problem —
   // the store lookup, and on the fallback paths the live retrieval
@@ -395,7 +398,8 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
   // Algorithm 1, so ambiguity detection is one hash lookup. Find()
   // resolves against either backing — heap entries or spans straight
   // into the mmapped v4 columns — without materializing anything.
-  store::EntryRef entry = snapshot.Find(normalized_query);
+  // Admission hands down the entry it already found.
+  if (!entry) entry = snapshot.Find(normalized_query);
 
   // Compiled path (store v3+ plans): the builder already retrieved R_q
   // and computed the thresholded utilities against this same immutable
@@ -411,10 +415,10 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
     diversifier_.SelectInto(view, params.diversify, scratch,
                             &scratch->picks);
 
-    result->diversified = true;
-    result->plan_served = true;
-    result->num_specializations = entry.PlanNumSpecializations();
-    result->ranking = pipeline::AssembleRanking(
+    result.diversified = true;
+    result.plan_served = true;
+    result.num_specializations = entry.PlanNumSpecializations();
+    result.ranking = pipeline::AssembleRanking(
         entry.PlanDocs(), entry.PlanNumCandidates(), scratch->picks,
         params.diversify.k, &scratch->taken);
     return result;
@@ -436,8 +440,8 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
     obs::TraceSpan select_span(trace, obs::TraceStage::kSelect, 0,
                                &stages->select_us);
     size_t k = std::min(params.diversify.k, rq.size());
-    result->ranking.reserve(k);
-    for (size_t i = 0; i < k; ++i) result->ranking.push_back(rq[i].doc);
+    result.ranking.reserve(k);
+    for (size_t i = 0; i < k; ++i) result.ranking.push_back(rq[i].doc);
     return result;
   }
 
@@ -493,10 +497,10 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
     std::vector<DocId> docs;
     docs.reserve(rq.size());
     for (const index::SearchResult& hit : rq) docs.push_back(hit.doc);
-    result->diversified = true;
-    result->streaming_served = true;
-    result->num_specializations = m;
-    result->ranking = pipeline::AssembleRanking(
+    result.diversified = true;
+    result.streaming_served = true;
+    result.num_specializations = m;
+    result.ranking = pipeline::AssembleRanking(
         docs.data(), docs.size(), scratch->picks, params.diversify.k,
         &scratch->taken);
     return result;
@@ -523,9 +527,9 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
   diversifier_.SelectInto(view, params.diversify, scratch,
                           &scratch->picks);
 
-  result->diversified = true;
-  result->num_specializations = input.specializations.size();
-  result->ranking =
+  result.diversified = true;
+  result.num_specializations = input.specializations.size();
+  result.ranking =
       pipeline::AssembleRanking(input, scratch->picks, params.diversify.k);
   return result;
 }
@@ -533,13 +537,9 @@ std::shared_ptr<const Response> ServingNode::ComputeRanking(
 std::shared_ptr<const Response> ServingNode::LookupOrCompute(
     const std::string& cache_key, const std::string& normalized_query,
     const std::shared_ptr<const store::StoreSnapshot>& snapshot,
-    core::SelectScratch* scratch, bool* cache_hit, obs::StageTimes* stages,
-    obs::Trace* trace) {
+    const store::EntryRef& entry, core::SelectScratch* scratch,
+    bool* cache_hit, obs::StageTimes* stages, obs::Trace* trace) {
   *cache_hit = false;
-  if (!config_.enable_cache) {
-    return ComputeRanking(normalized_query, *snapshot, scratch, stages,
-                          trace);
-  }
   std::shared_ptr<const Response> cached;
   {
     obs::TraceSpan span(trace, obs::TraceStage::kCacheLookup, 0,
@@ -550,8 +550,8 @@ std::shared_ptr<const Response> ServingNode::LookupOrCompute(
     *cache_hit = true;
     return cached;
   }
-  auto computed =
-      ComputeRanking(normalized_query, *snapshot, scratch, stages, trace);
+  auto computed = std::make_shared<const Response>(ComputeRanking(
+      normalized_query, *snapshot, entry, scratch, stages, trace));
   // Fill guard: if a reload swapped the snapshot while we computed,
   // this result may belong to a key the reload just invalidated — drop
   // the fill (the request itself still answers on its pinned version).
@@ -574,7 +574,7 @@ bool ServingNode::ServesFromPlan(const store::EntryRef& entry) const {
 void ServingNode::Serve(
     QueuedRequest* request, int64_t queue_wait_us, Batch* batch,
     const std::shared_ptr<const store::StoreSnapshot>& snapshot,
-    core::SelectScratch* scratch) {
+    const store::EntryRef& entry, core::SelectScratch* scratch) {
   obs::StageTimes stages;
   stages.queue_wait_us = queue_wait_us;
   obs::Trace* trace = request->trace.get();
@@ -598,25 +598,36 @@ void ServingNode::Serve(
     return;
   }
 
-  std::shared_ptr<const Response> payload;
+  // An answer the cache or the batch map holds too is copied out of
+  // `shared`; one this request alone holds is moved.
+  std::shared_ptr<const Response> shared;
+  Response result;
   bool cache_hit = false;
   bool dedup = false;
   if (batch != nullptr) {
     auto it = batch->computed.find(request->cache_key);
     if (it != batch->computed.end()) {
-      payload = it->second;
+      shared = it->second;
       dedup = true;
       batch_dedup_hits_->Add();
     }
   }
-  if (payload == nullptr) {
-    payload = LookupOrCompute(request->cache_key, request->normalized,
-                              snapshot, scratch, &cache_hit, &stages, trace);
-    if (batch != nullptr && batch->size > 1) {
-      batch->computed.emplace(request->cache_key, payload);
+  if (!dedup) {
+    const bool batch_shares = batch != nullptr && batch->size > 1;
+    if (config_.enable_cache) {
+      shared = LookupOrCompute(request->cache_key, request->normalized,
+                               snapshot, entry, scratch, &cache_hit, &stages,
+                               trace);
+    } else {
+      result = ComputeRanking(request->normalized, *snapshot, entry, scratch,
+                              &stages, trace);
+      if (batch_shares) {
+        shared = std::make_shared<const Response>(std::move(result));
+      }
     }
+    if (batch_shares) batch->computed.emplace(request->cache_key, shared);
   }
-  Response result = *payload;  // copy; per-request flags below
+  if (shared != nullptr) result = *shared;  // per-request flags below
   result.cache_hit = cache_hit;
   result.batch_dedup = dedup;
   Finish(request, stages, std::move(result));
@@ -708,7 +719,8 @@ void ServingNode::WorkerLoop() {
           std::chrono::duration_cast<std::chrono::microseconds>(
               drain_time - req.enqueue_time)
               .count();
-      Serve(&req, queue_wait_us, &drained, snapshot, &scratch);
+      Serve(&req, queue_wait_us, &drained, snapshot, store::EntryRef(),
+            &scratch);
     }
   }
 }

@@ -330,11 +330,14 @@ class ServingNode : public Frontend {
   bool AnswerAtAdmission(QueuedRequest* request);
   /// The per-request body the workers and admission share: queue-wait
   /// trace event, the store-read fault the request carries, the ranking
-  /// (a duplicate in `batch` — null at admission — or LookupOrCompute
-  /// over `snapshot`, null for a failed request) and Finish.
+  /// (a duplicate in `batch` — null at admission — or the computed
+  /// answer over `snapshot`, null for a failed request) and Finish.
+  /// `entry` is the request's store entry when admission already found
+  /// it, else null (the compute finds it). The answer is copied only
+  /// when the cache or the batch map holds it too; else it is moved.
   void Serve(QueuedRequest* request, int64_t queue_wait_us, Batch* batch,
              const std::shared_ptr<const store::StoreSnapshot>& snapshot,
-             core::SelectScratch* scratch);
+             const store::EntryRef& entry, core::SelectScratch* scratch);
   /// True when `entry` is ambiguous and carries a plan compiled for
   /// this node's params: answering it is selection over the plan's
   /// blocks, with no retrieval.
@@ -352,20 +355,23 @@ class ServingNode : public Frontend {
   /// plan path and the streaming cold path both select inside its
   /// StreamingTopK (no per-request selection allocation beyond the
   /// result object itself). `stages` collects store-read / select wall
-  /// time; `trace` (nullable) collects span events.
-  std::shared_ptr<const Response> ComputeRanking(
-      const std::string& normalized_query,
-      const store::StoreSnapshot& snapshot, core::SelectScratch* scratch,
-      obs::StageTimes* stages, obs::Trace* trace) const;
-  /// Full per-request flow: cache lookup, compute, cache fill. The
-  /// fill is skipped when the active snapshot moved past `snapshot`
-  /// mid-compute, so a stale ranking can never repopulate a key that a
-  /// concurrent ReloadStore just invalidated.
+  /// time; `trace` (nullable) collects span events. `entry` is the
+  /// query's entry in `snapshot` when the caller already found it; a
+  /// null one is looked up here.
+  Response ComputeRanking(const std::string& normalized_query,
+                          const store::StoreSnapshot& snapshot,
+                          store::EntryRef entry,
+                          core::SelectScratch* scratch,
+                          obs::StageTimes* stages, obs::Trace* trace) const;
+  /// The cached flow, called only with the cache on: cache lookup,
+  /// compute, cache fill. The fill is skipped when the active snapshot
+  /// moved past `snapshot` mid-compute, so a stale ranking can never
+  /// repopulate a key that a concurrent ReloadStore just invalidated.
   std::shared_ptr<const Response> LookupOrCompute(
       const std::string& cache_key, const std::string& normalized_query,
       const std::shared_ptr<const store::StoreSnapshot>& snapshot,
-      core::SelectScratch* scratch, bool* cache_hit,
-      obs::StageTimes* stages, obs::Trace* trace);
+      const store::EntryRef& entry, core::SelectScratch* scratch,
+      bool* cache_hit, obs::StageTimes* stages, obs::Trace* trace);
   /// Records the request's stage times and latency, counts its
   /// outcome, hands `result` to its callback and commits its trace.
   void Finish(QueuedRequest* request, const obs::StageTimes& stages,

@@ -1,8 +1,5 @@
 #include "store/store_builder.h"
 
-#include <algorithm>
-#include <atomic>
-#include <future>
 #include <optional>
 #include <set>
 #include <string>
@@ -33,27 +30,6 @@ bool ShardFilter::Keeps(std::string_view normalized_key) const {
 }
 
 namespace {
-
-/// Runs work(i) once for every i in [0, count), on min(available
-/// CPUs, count) threads counting the caller, each taking the next
-/// index as it finishes one. `work` must be safe to run concurrently
-/// for distinct i. An exception from any thread reaches the caller
-/// once every thread has stopped (a std::async future waits in its
-/// destructor).
-template <typename Work>
-void ParallelFor(size_t count, const Work& work) {
-  const size_t threads = std::min(util::AvailableCpus(), count);
-  std::atomic<size_t> next{0};
-  auto drain = [&] {
-    for (size_t i = next++; i < count; i = next++) work(i);
-  };
-  std::vector<std::future<void>> helpers;
-  for (size_t t = 1; t < threads; ++t) {
-    helpers.push_back(std::async(std::launch::async, drain));
-  }
-  drain();
-  for (std::future<void>& helper : helpers) helper.get();
-}
 
 /// Materializes the stored entry for one detected ambiguous query:
 /// specializations with P(q′|q) plus their R_q′ surrogate vectors.
@@ -170,7 +146,7 @@ size_t CompilePlans(DiversificationStore* store,
     }
     stale.push_back(entry);
   }
-  ParallelFor(stale.size(), [&](size_t i) {
+  util::ParallelFor(stale.size(), [&](size_t i) {
     stale[i].plan = CompileQueryPlan(stale[i], searcher, snippets, analyzer,
                                      documents, options);
   });
@@ -195,7 +171,7 @@ size_t BuildStore(const recommend::AmbiguityDetector& detector,
   // stacks, so queries run in parallel; Put then takes the entries in
   // input order, which leaves the store a sequential build would.
   std::vector<std::optional<StoredEntry>> built(candidate_queries.size());
-  ParallelFor(candidate_queries.size(), [&](size_t i) {
+  util::ParallelFor(candidate_queries.size(), [&](size_t i) {
     const std::string& query = candidate_queries[i];
     recommend::SpecializationSet set = detector.Detect(query);
     if (!set.ambiguous()) return;

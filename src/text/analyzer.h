@@ -31,9 +31,10 @@ namespace text {
 
 /// Converts raw text into stemmed term-id sequences over a shared
 /// vocabulary. The non-const methods (Analyze, AnalyzeToVector,
-/// InternEachToken) mutate the vocabulary and the token memo and are not
-/// thread-safe; the const methods are safe from any number of threads
-/// once the vocabulary is frozen (no non-const call runs concurrently).
+/// InternEachToken, InternToken) mutate the vocabulary and the token
+/// memo and are not thread-safe; the const methods are safe from any
+/// number of threads once the vocabulary is frozen (no non-const call
+/// runs concurrently).
 class Analyzer {
  public:
   struct Options {
@@ -53,6 +54,17 @@ class Analyzer {
     tokenizer_.ForEachToken(
         raw, [&](std::string_view token) { visit(InternToken(token)); });
   }
+
+  /// InternEachToken for one raw token, as tokenizer() yields it: the
+  /// memoized result, else the full analysis, interning its term and
+  /// memoizing the result. Calling it on each token of a text in order
+  /// is InternEachToken; a token seen before changes nothing, so only
+  /// the order of first occurrences decides the term ids.
+  TermId InternToken(std::string_view token);
+
+  /// The tokenizer every analysis runs first. Const, so safe from any
+  /// number of threads, also beside a non-const call.
+  const Tokenizer& tokenizer() const { return tokenizer_; }
 
   /// The kept ids of InternEachToken, in order.
   std::vector<TermId> Analyze(std::string_view raw);
@@ -114,10 +126,6 @@ class Analyzer {
 
   /// Memo hit, else the full read-only analysis of one raw token.
   TermId LookupToken(std::string_view token) const;
-
-  /// Memo hit, else the full analysis of one raw token, interning its
-  /// term and memoizing the result.
-  TermId InternToken(std::string_view token);
 
   Options options_;
   Tokenizer tokenizer_;

@@ -40,6 +40,21 @@ class Tokenizer {
   /// Tokenizes `input` into lowercase tokens.
   std::vector<std::string> Tokenize(std::string_view input) const;
 
+  /// Upper bounds for sizing buffers before ForEachToken runs over
+  /// `bytes` bytes of input. A token is one run of token characters,
+  /// lowercased and truncated but never lengthened, and every token but
+  /// the last is followed by a separator byte. So ForEachToken emits at
+  /// most MaxTokens(bytes) tokens, and their lengths plus one for each
+  /// token (room to store them NUL-terminated) sum to at most
+  /// MaxSpelledBytes(bytes). A change to the token rules above must
+  /// keep these bounds, which tests/text_test.cc checks against every
+  /// tokenization it makes.
+  size_t MaxTokens(size_t bytes) const {
+    // With no minimum the empty runs between separators are tokens.
+    return options_.min_token_length == 0 ? bytes + 1 : (bytes + 1) / 2;
+  }
+  size_t MaxSpelledBytes(size_t bytes) const { return bytes + 1; }
+
   const Options& options() const { return options_; }
 
   static constexpr size_t kInlineTokenBytes = 64;

@@ -11,7 +11,9 @@
 #include "corpus/qrels.h"
 #include "corpus/synthetic_corpus.h"
 #include "corpus/trec_topics.h"
+#include "pipeline/testbed.h"
 #include "synth/topic_universe.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace optselect {
@@ -217,6 +219,26 @@ TEST_F(SyntheticCorpusTest, DeterministicForSeed) {
   for (DocId d = 0; d < corpus_.store.size(); d += 37) {
     EXPECT_EQ(again.store.Get(d).body, corpus_.store.Get(d).body);
   }
+}
+
+TEST(SyntheticCorpusBytesTest, SmallCorpusHashIsPinned) {
+  // FNV-1a over every document's url, title and body (each after its
+  // length), pinned from the generator before it spelled the background
+  // vocabulary once per call: the corpus bytes must not move.
+  const pipeline::TestbedConfig config = pipeline::TestbedConfig::Small();
+  const synth::TopicUniverse universe =
+      synth::GenerateTopicUniverse(config.universe, config.num_noise_queries);
+  const SyntheticCorpus corpus =
+      GenerateSyntheticCorpus(config.corpus, universe.topics);
+  uint64_t hash = util::kFnv1aOffsetBasis;
+  for (const Document& doc : corpus.store) {
+    for (const std::string* field : {&doc.url, &doc.title, &doc.body}) {
+      hash = util::Fnv1a64Value(static_cast<uint64_t>(field->size()), hash);
+      hash = util::Fnv1a64(field->data(), field->size(), hash);
+    }
+  }
+  EXPECT_EQ(corpus.store.size(), 877u);
+  EXPECT_EQ(hash, 0x9aa96b5874b732ebull);
 }
 
 TEST_F(SyntheticCorpusTest, DistractorsAreUnjudgedButPresent) {

@@ -15,6 +15,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <gtest/gtest.h>
 
 #include "corpus/document_store.h"
@@ -819,14 +823,33 @@ DirectRecord Expected(const text::Analyzer& analyzer,
   return r;
 }
 
+size_t VarintBytes(uint32_t value) {
+  size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
+/// The bytes of `record`'s LEB128 encoding.
+size_t EncodedBytes(const DirectRecord& record) {
+  size_t bytes = VarintBytes(static_cast<uint32_t>(record.title.size()));
+  for (text::TermId id : record.title) bytes += VarintBytes(id + 1);
+  for (text::TermId id : record.body) bytes += VarintBytes(id + 1);
+  return bytes;
+}
+
 TEST(DirectIndexTest, RecordsEveryTokenOfTheSmallTestbed) {
   pipeline::Testbed tb(pipeline::TestbedConfig::Small());
+  // Several chunks, built beside the Testbed's log-side thread.
+  ASSERT_GT(tb.corpus().store.size(), 2 * InvertedIndex::kBuildChunkDocs);
+  size_t want_bytes = 0;
   for (const corpus::Document& doc : tb.corpus().store) {
     const DirectRecord got = Record(tb.index(), doc.id);
     const DirectRecord want = Expected(tb.analyzer(), doc);
     ASSERT_EQ(got.body, want.body) << "doc " << doc.id;
     ASSERT_EQ(got.title, want.title) << "doc " << doc.id;
+    want_bytes += EncodedBytes(want);
   }
+  EXPECT_EQ(tb.index().direct_bytes(), want_bytes);
 }
 
 /// The index the way it used to be built: Analyze the title and the
@@ -862,9 +885,11 @@ ReferenceIndex BuildReference(const corpus::DocumentStore& store,
   return ref;
 }
 
-TEST(DirectIndexTest, PostingsAndStatisticsMatchThePerDocumentMapBuild) {
-  pipeline::Testbed tb(pipeline::TestbedConfig::Small());
-  const corpus::DocumentStore& store = tb.corpus().store;
+/// Builds `store`'s index and checks it against the serial reference:
+/// vocabulary order, direct records and direct_bytes, postings (at
+/// capacity == size), df/cf, document lengths and the bits of
+/// average_doc_length.
+void ExpectBuildMatchesReference(const corpus::DocumentStore& store) {
   text::Analyzer ref_analyzer;
   const ReferenceIndex ref = BuildReference(store, &ref_analyzer);
   text::Analyzer analyzer;
@@ -875,6 +900,15 @@ TEST(DirectIndexTest, PostingsAndStatisticsMatchThePerDocumentMapBuild) {
     ASSERT_EQ(analyzer.vocabulary().term(id),
               ref_analyzer.vocabulary().term(id));
   }
+  size_t want_bytes = 0;
+  for (const corpus::Document& doc : store) {
+    const DirectRecord got = Record(index, doc.id);
+    const DirectRecord want = Expected(ref_analyzer, doc);
+    ASSERT_EQ(got.body, want.body) << "doc " << doc.id;
+    ASSERT_EQ(got.title, want.title) << "doc " << doc.id;
+    want_bytes += EncodedBytes(want);
+  }
+  EXPECT_EQ(index.direct_bytes(), want_bytes);
   ASSERT_EQ(index.num_terms(), ref.postings.size());
   for (text::TermId term = 0; term < ref.postings.size(); ++term) {
     const std::vector<Posting>& got = index.Postings(term);
@@ -894,15 +928,101 @@ TEST(DirectIndexTest, PostingsAndStatisticsMatchThePerDocumentMapBuild) {
   }
   EXPECT_EQ(index.total_tokens(), ref.total_tokens);
   EXPECT_EQ(Bits(index.average_doc_length()),
-            Bits(static_cast<double>(ref.total_tokens) /
-                 static_cast<double>(ref.doc_lengths.size())));
+            Bits(ref.doc_lengths.empty()
+                     ? 0.0
+                     : static_cast<double>(ref.total_tokens) /
+                           static_cast<double>(ref.doc_lengths.size())));
 }
 
-size_t VarintBytes(uint32_t value) {
-  size_t bytes = 1;
-  for (; value >= 0x80; value >>= 7) ++bytes;
-  return bytes;
+TEST(DirectIndexTest, PostingsAndStatisticsMatchThePerDocumentMapBuild) {
+  pipeline::Testbed tb(pipeline::TestbedConfig::Small());
+  ExpectBuildMatchesReference(tb.corpus().store);
 }
+
+/// `docs` documents over a shared vocabulary, with stopword-only and
+/// empty documents, over-long tokens, and raw tokens that first appear
+/// in the last document (so, for several chunks, in the last chunk).
+corpus::DocumentStore ChunkedStore(size_t docs) {
+  corpus::DocumentStore store;
+  const std::string long_token(70, 'z');
+  for (size_t i = 0; i < docs; ++i) {
+    std::string body;
+    if (i % 11 == 3) {
+      body = "the of and a";  // stopwords only
+    } else if (i % 13 != 5) {  // else empty
+      for (size_t w = 0; w < 12; ++w) {
+        body += "word" + std::to_string((i * 7 + w * 3) % 97) + " the ";
+      }
+      if (i % 17 == 0) body += long_token + std::to_string(i % 3) + " ";
+    }
+    if (i + 1 == docs) body += "latecomer " + std::string(66, 'y') + " fresh";
+    const std::string title =
+        i % 5 == 0 ? "" : "Title " + std::to_string(i % 9);
+    store.Add("u" + std::to_string(i), title, body);
+  }
+  return store;
+}
+
+TEST(DirectIndexTest, ChunkBoundariesMatchTheReference) {
+  const size_t chunk = InvertedIndex::kBuildChunkDocs;
+  for (size_t docs : {size_t{1}, chunk, chunk + 1, 5 * chunk + 3}) {
+    SCOPED_TRACE(docs);
+    ExpectBuildMatchesReference(ChunkedStore(docs));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+#if defined(__linux__)
+TEST(DirectIndexTest, OneCpuAndAllCpusBuildTheSameIndex) {
+  const corpus::DocumentStore store =
+      ChunkedStore(3 * InvertedIndex::kBuildChunkDocs + 7);
+  text::Analyzer all_analyzer;
+  const InvertedIndex all = InvertedIndex::Build(store, &all_analyzer);
+
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  text::Analyzer one_analyzer;
+  const InvertedIndex single = InvertedIndex::Build(store, &one_analyzer);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+
+  ASSERT_EQ(one_analyzer.vocabulary().size(),
+            all_analyzer.vocabulary().size());
+  for (text::TermId id = 0; id < all_analyzer.vocabulary().size(); ++id) {
+    ASSERT_EQ(one_analyzer.vocabulary().term(id),
+              all_analyzer.vocabulary().term(id));
+  }
+  EXPECT_EQ(single.direct_bytes(), all.direct_bytes());
+  for (DocId doc = 0; doc < store.size(); ++doc) {
+    const DirectRecord a = Record(single, doc);
+    const DirectRecord b = Record(all, doc);
+    ASSERT_EQ(a.title, b.title) << "doc " << doc;
+    ASSERT_EQ(a.body, b.body) << "doc " << doc;
+    ASSERT_EQ(single.DocLength(doc), all.DocLength(doc)) << "doc " << doc;
+  }
+  ASSERT_EQ(single.num_terms(), all.num_terms());
+  for (text::TermId term = 0; term < all.num_terms(); ++term) {
+    const std::vector<Posting>& a = single.Postings(term);
+    const std::vector<Posting>& b = all.Postings(term);
+    ASSERT_EQ(a.size(), b.size()) << "term " << term;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].doc, b[i].doc) << "term " << term;
+      ASSERT_EQ(a[i].tf, b[i].tf) << "term " << term;
+    }
+    ASSERT_EQ(single.CollectionFrequency(term), all.CollectionFrequency(term));
+  }
+  EXPECT_EQ(single.total_tokens(), all.total_tokens());
+  EXPECT_EQ(Bits(single.average_doc_length()), Bits(all.average_doc_length()));
+}
+#endif
 
 TEST(DirectIndexTest, VarintEdgeCases) {
   corpus::DocumentStore store;

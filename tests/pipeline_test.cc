@@ -202,6 +202,86 @@ TEST_F(PipelineTest, DiversificationImprovesSubtopicCoverage) {
       << "diversification must not materially degrade α-NDCG@10";
 }
 
+TEST(TestbedTest, TwoBuildsFromOneConfigAreEqual) {
+  // The log side runs on a second thread beside the retrieval side, and
+  // the index build on every available CPU: neither may change a byte.
+  const Testbed a(TestbedConfig::Small());
+  const Testbed b(TestbedConfig::Small());
+
+  const corpus::DocumentStore& da = a.corpus().store;
+  const corpus::DocumentStore& db = b.corpus().store;
+  ASSERT_EQ(da.size(), db.size());
+  for (DocId d = 0; d < da.size(); ++d) {
+    ASSERT_EQ(da.Get(d).url, db.Get(d).url) << "doc " << d;
+    ASSERT_EQ(da.Get(d).title, db.Get(d).title) << "doc " << d;
+    ASSERT_EQ(da.Get(d).body, db.Get(d).body) << "doc " << d;
+  }
+
+  const auto& ra = a.log_result().log.records();
+  const auto& rb = b.log_result().log.records();
+  ASSERT_EQ(ra.size(), rb.size());
+  for (size_t i = 0; i < ra.size(); ++i) {
+    ASSERT_EQ(ra[i].query, rb[i].query) << "record " << i;
+    ASSERT_EQ(ra[i].user, rb[i].user) << "record " << i;
+    ASSERT_EQ(ra[i].timestamp, rb[i].timestamp) << "record " << i;
+    ASSERT_EQ(ra[i].results, rb[i].results) << "record " << i;
+    ASSERT_EQ(ra[i].clicks, rb[i].clicks) << "record " << i;
+  }
+  ASSERT_EQ(a.sessions().size(), b.sessions().size());
+  for (size_t i = 0; i < a.sessions().size(); ++i) {
+    ASSERT_EQ(a.sessions()[i].user, b.sessions()[i].user);
+    ASSERT_EQ(a.sessions()[i].record_indices, b.sessions()[i].record_indices);
+  }
+  EXPECT_EQ(a.recommender().popularity().counts(),
+            b.recommender().popularity().counts());
+  EXPECT_EQ(a.recommender().popularity().total(),
+            b.recommender().popularity().total());
+
+  for (const synth::TopicSpec& topic : a.universe().topics) {
+    const recommend::SpecializationSet sa =
+        a.detector().Detect(topic.root_query);
+    const recommend::SpecializationSet sb =
+        b.detector().Detect(topic.root_query);
+    ASSERT_EQ(sa.items.size(), sb.items.size()) << topic.root_query;
+    for (size_t j = 0; j < sa.items.size(); ++j) {
+      EXPECT_EQ(sa.items[j].query, sb.items[j].query);
+      EXPECT_EQ(sa.items[j].frequency, sb.items[j].frequency);
+      EXPECT_EQ(sa.items[j].probability, sb.items[j].probability);
+    }
+  }
+
+  ASSERT_EQ(a.analyzer().vocabulary().size(),
+            b.analyzer().vocabulary().size());
+  for (text::TermId t = 0; t < a.analyzer().vocabulary().size(); ++t) {
+    ASSERT_EQ(a.analyzer().vocabulary().term(t),
+              b.analyzer().vocabulary().term(t));
+  }
+  const index::InvertedIndex& ia = a.index();
+  const index::InvertedIndex& ib = b.index();
+  ASSERT_EQ(ia.num_terms(), ib.num_terms());
+  ASSERT_EQ(ia.direct_bytes(), ib.direct_bytes());
+  std::vector<text::TermId> title_a, body_a, title_b, body_b;
+  for (DocId d = 0; d < ia.num_docs(); ++d) {
+    ia.DocumentTerms(d, &title_a, &body_a);
+    ib.DocumentTerms(d, &title_b, &body_b);
+    ASSERT_EQ(title_a, title_b) << "doc " << d;
+    ASSERT_EQ(body_a, body_b) << "doc " << d;
+    ASSERT_EQ(ia.DocLength(d), ib.DocLength(d)) << "doc " << d;
+  }
+  for (text::TermId t = 0; t < ia.num_terms(); ++t) {
+    const auto& pa = ia.Postings(t);
+    const auto& pb = ib.Postings(t);
+    ASSERT_EQ(pa.size(), pb.size()) << "term " << t;
+    for (size_t i = 0; i < pa.size(); ++i) {
+      ASSERT_EQ(pa[i].doc, pb[i].doc) << "term " << t;
+      ASSERT_EQ(pa[i].tf, pb[i].tf) << "term " << t;
+    }
+    ASSERT_EQ(ia.CollectionFrequency(t), ib.CollectionFrequency(t));
+  }
+  EXPECT_EQ(ia.total_tokens(), ib.total_tokens());
+  EXPECT_EQ(ia.average_doc_length(), ib.average_doc_length());
+}
+
 TEST(AssembleRankingTest, PicksFirstThenPadsInRankOrder) {
   core::DiversificationInput input;
   for (int i = 0; i < 5; ++i) {

@@ -138,8 +138,28 @@ TEST(TokenizerTest, ForEachTokenMatchesOracleOnAdversarialInput) {
           << "options " << o << " input " << i;
       EXPECT_EQ(t.Tokenize(inputs[i]), want)
           << "options " << o << " input " << i;
+      // The sizing bounds hold for every tokenization.
+      size_t spelled = 0;
+      for (const std::string& token : want) spelled += token.size() + 1;
+      EXPECT_LE(want.size(), t.MaxTokens(inputs[i].size()))
+          << "options " << o << " input " << i;
+      EXPECT_LE(spelled, t.MaxSpelledBytes(inputs[i].size()))
+          << "options " << o << " input " << i;
     }
   }
+}
+
+TEST(TokenizerTest, SizeBoundsAreReached) {
+  Tokenizer t;
+  EXPECT_EQ(t.Tokenize("a b c").size(), t.MaxTokens(5));  // 3
+  EXPECT_EQ(t.MaxSpelledBytes(5), 6u);  // "a\0b\0c\0"
+  EXPECT_EQ(t.MaxTokens(0), 0u);
+  EXPECT_EQ(t.MaxTokens(1), 1u);
+  Tokenizer::Options opt;
+  opt.min_token_length = 0;  // the empty runs are tokens too
+  Tokenizer every_run(opt);
+  EXPECT_EQ(every_run.Tokenize("  ").size(), every_run.MaxTokens(2));
+  EXPECT_EQ(every_run.Tokenize("").size(), every_run.MaxTokens(0));
 }
 
 // ----------------------------------------------------------- PorterStemmer
